@@ -6,7 +6,7 @@ statistical and lattice machinery used to verify their interplay numerically:
 
 - ``spectral``:   fields, transforms, multipliers, conserved functionals
 - ``flow``:       time integration, Liouville check, Picard solver
-- ``gibbs``:      eigenvalue ladder, samplers, weighted ensembles
+- ``gibbs``:      samplers, weighted ensembles and their files
 - ``invariance``: push ensembles through the flow, compare observables
 - ``bourgain``:   space-time lattice norms, resonance/kernel/bilinear scans
 - ``cli``:        one entry point exposing every experiment

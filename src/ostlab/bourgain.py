@@ -40,7 +40,7 @@ import numpy as np
 from scipy.fft import next_fast_len
 from scipy.integrate import IntegrationWarning, quad
 
-from .spectral import GridSpec, dispersion
+from .spectral import GridSpec, _philox, dispersion
 
 # unit-spacing frequency grid: dispersion(n, _UNIT_GRID) = n^3 - 1/n
 _UNIT_GRID = GridSpec(length=2.0 * math.pi, modes=1, points=4)
@@ -491,8 +491,7 @@ def bilinear_sweep(
             if t is None:
                 f, g = concentrated_pair(spec, nu, "box", w_cells=w_cells)
             else:
-                key = np.array([seed, (n_max << 20) + (nu << 16) + t], dtype=np.uint64)
-                rng = np.random.Generator(np.random.Philox(key=key))
+                rng = _philox(seed, (n_max << 20) + (nu << 16) + t)
                 f, g = concentrated_pair(spec, nu, "random", rng=rng, w_cells=w_cells)
             for s in s_list:
                 r = bilinear_ratio(f, g, s)

@@ -10,7 +10,8 @@ version; the wall-clock timestamp lives only in the sidecar
 byte-identical.
 
 Exit codes: 0 success, 1 configuration or precondition error, 2 numerical
-failure (integrator blow-up or degenerate importance weights).
+failure (integrator blow-up or degenerate importance weights), 3 the run
+finished but its verdict is FAIL (a ``verify-invariance`` z-gate).
 
 The default output directory is the environment variable OSTLAB_OUTDIR
 (falling back to the working directory); ``--out`` overrides it.
@@ -52,7 +53,14 @@ from .invariance import (
     recurrence_probe,
     run_invariance,
 )
-from .spectral import FourierField, make_grid, random_smooth_field
+from .spectral import (
+    FourierField,
+    _coeff_to_coords,
+    _coord_eigenvalues,
+    _philox,
+    make_grid,
+    random_smooth_field,
+)
 
 __all__ = ["main"]
 
@@ -386,10 +394,6 @@ def _write_meta(out: Path, cfg: RunConfig, summary: dict) -> None:
 # shared construction helpers
 
 
-def _rng(seed: int, stream: int = 0) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))
-
-
 def _make_grid_from(cfg: RunConfig):
     points = cfg.values.get("grid.points", 0)
     return make_grid(cfg["grid.modes"], cfg["grid.length"], points if points else None)
@@ -400,7 +404,7 @@ def _initial_field(cfg: RunConfig, grid):
         coeff = np.zeros(grid.modes, dtype=np.complex128)
         coeff[0] = 0.5 * cfg["init.norm"]
         return FourierField(grid, coeff)
-    rng = _rng(cfg["init.seed"])
+    rng = _philox(cfg["init.seed"], 0)
     return random_smooth_field(grid, rng, k0=cfg["init.k0"], norm=cfg["init.norm"])
 
 
@@ -482,12 +486,8 @@ def _cmd_gibbs_sample(cfg: RunConfig) -> int:
     save_ensemble(ens, out / "ensemble")
     print(f"wrote {out / 'ensemble'}")
     # per-coordinate variance check against the 1/v_j ladder
-    scale = math.sqrt(2.0 * grid.length)
-    coords = np.empty((len(ens), 2 * grid.modes))
-    coords[:, 0::2] = -scale * ens.coeffs.imag
-    coords[:, 1::2] = scale * ens.coeffs.real
-    v = np.repeat(spec.v, 2)
-    var = coords.var(axis=0)
+    v = _coord_eigenvalues(grid)
+    var = _coeff_to_coords(ens.coeffs, grid).var(axis=0)
     rows = [(j + 1, v[j], var[j], var[j] * v[j]) for j in range(2 * grid.modes)]
     _write_csv(out / "gibbs_summary.csv", cfg, ["coordinate", "v", "variance", "variance_times_v"], rows)
     summary = {"max_abs_variance_times_v_minus_1": float(np.max(np.abs(var * v - 1.0)))}
@@ -520,7 +520,7 @@ def _cmd_verify_invariance(cfg: RunConfig) -> int:
         ok = ok and rep.all_passed
         print(f"t = {rep.t}: max |z| = {zmax_seen:.3f} [{flag}]")
     _write_meta(out, cfg, {"max_abs_z": worst, "all_passed": ok})
-    return 0
+    return 0 if ok else 3
 
 
 def _cmd_resonance_scan(cfg: RunConfig) -> int:
@@ -617,7 +617,7 @@ def _cmd_kernel_scan(cfg: RunConfig) -> int:
 
 def _cmd_picard(cfg: RunConfig) -> int:
     grid = _make_grid_from(cfg)
-    rng = _rng(cfg["init.seed"])
+    rng = _philox(cfg["init.seed"], 0)
     phi = random_smooth_field(grid, rng, k0=cfg["init.k0"], norm=cfg["init.norm"])
     nodes = cfg["picard.nodes"]
     res = picard_solve(phi, cfg["picard.t"], cfg["picard.iters"], nodes=(nodes if nodes else None))
@@ -637,7 +637,7 @@ def _cmd_picard(cfg: RunConfig) -> int:
 def _cmd_convergence_m(cfg: RunConfig) -> int:
     m_values = cfg["convergence.m_values"]
     grid = make_grid(2 * max(m_values), cfg["grid.length"])
-    rng = _rng(cfg["init.seed"])
+    rng = _philox(cfg["init.seed"], 0)
     f0 = random_smooth_field(grid, rng, k0=cfg["init.k0"], norm=cfg["init.norm"])
     study = convergence_in_m(
         f0,

@@ -33,12 +33,12 @@ from .spectral import (
     FourierField,
     GridSpec,
     _coeff_to_coords,
+    _coord_eigenvalues,
     _coords_to_coeff,
     _hamiltonian,
     _l2,
     coordinates,
     cubic_g,
-    energy_eigenvalues,
     make_grid,
     regrid,
 )
@@ -325,13 +325,6 @@ def flow_map(f0: FourierField, t: float, p: FlowParams) -> FourierField:
     return FourierField(f0.grid, _advance(f0.coeff, f0.grid, p, t))
 
 
-def _flow_map_batch(coeff: np.ndarray, grid: GridSpec, t: float, p: FlowParams) -> np.ndarray:
-    """Vectorized endpoint map on a (count, m) coefficient stack."""
-    if t == 0.0:
-        return coeff.copy()
-    return _advance(coeff, grid, p, t)
-
-
 # ---------------------------------------------------------------------------
 # Liouville divergence
 
@@ -384,7 +377,7 @@ def liouville_divergence(f: FourierField, h: float, dealias: bool = True) -> Lio
         b = lam * c - 1j * xi * _product_coeff(c, grid.modes, npts)
         return _coeff_to_coords(b, grid)
 
-    v = np.repeat(energy_eigenvalues(grid), 2)
+    v = _coord_eigenvalues(grid)
 
     def log_density(a):
         c = _coords_to_coeff(a, grid)

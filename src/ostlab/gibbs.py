@@ -2,8 +2,8 @@
 
 The reference measure w is the centered Gaussian whose coordinate
 variances are 1/v_j, where v interleaves the eigenvalues v_k = xi_k^2 +
-xi_k^{-2} of the quadratic-energy operator S (each appearing twice, for
-the sine and cosine directions).  Since sum_k 2/v_k < infinity (trace
+xi_k^{-2} of the quadratic-energy operator S (`spectral.energy_eigenvalues`,
+each appearing twice, for the sine and cosine directions).  Since sum_k 2/v_k < infinity (trace
 class), w has almost-surely-L2 samples; `trace_check` verifies the
 summability numerically.
 
@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 import math
+import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -36,17 +37,19 @@ from .spectral import (
     FourierField,
     GridSpec,
     TWO_PI,
+    _coord_eigenvalues,
     _coords_to_coeff,
     _cubic_g,
     _l2,
+    _philox,
     cubic_g,
     energy_eigenvalues,
     l2_norm,
-    load_field,
-    save_field,
 )
 
-ENSEMBLE_FORMAT = "ostlab-ensemble-v1"
+ENSEMBLE_FORMAT = "ostlab-ensemble-v2"
+
+_ENSEMBLE_FILE = "ensemble.npz"
 
 ESS_FLOOR = 10.0
 
@@ -59,10 +62,8 @@ __all__ = [
     "Ensemble",
     "GibbsEstimate",
     "GibbsSpec",
-    "WeightedSample",
     "cylinder_probability",
     "default_cutoff",
-    "eigenvalues",
     "gaussian_rms_l2",
     "gibbs_expectation",
     "load_ensemble",
@@ -76,16 +77,6 @@ __all__ = [
 
 class DegenerateWeightsError(RuntimeError):
     """Importance weights collapsed: effective sample size below the floor."""
-
-
-def eigenvalues(grid: GridSpec) -> np.ndarray:
-    """v_k = xi_k^2 + xi_k^{-2}, k = 1..m; the inverse coordinate variances."""
-    return energy_eigenvalues(grid)
-
-
-def _interleaved(grid: GridSpec) -> np.ndarray:
-    """v repeated per real coordinate: [v_1, v_1, v_2, v_2, ...]."""
-    return np.repeat(energy_eigenvalues(grid), 2)
 
 
 def gaussian_rms_l2(grid: GridSpec) -> float:
@@ -136,19 +127,6 @@ class GibbsSpec:
             raise ValueError("seed must be an integer in [0, 2^63)")
         object.__setattr__(self, "seed", int(self.seed))
 
-    @property
-    def v(self) -> np.ndarray:
-        return energy_eigenvalues(self.grid)
-
-
-@dataclass(frozen=True)
-class WeightedSample:
-    """One draw: the field, its log density ratio -g(u), and the cutoff flag."""
-
-    field: FourierField
-    log_weight: float
-    in_support: bool
-
 
 @dataclass(frozen=True)
 class Ensemble:
@@ -190,22 +168,6 @@ class Ensemble:
     def field(self, i: int) -> FourierField:
         return FourierField(self.spec.grid, self.coeffs[i])
 
-    def sample(self, i: int) -> WeightedSample:
-        return WeightedSample(
-            field=self.field(i),
-            log_weight=float(self.log_weights[i]),
-            in_support=bool(self.in_support[i]),
-        )
-
-    @property
-    def samples(self):
-        return tuple(self.sample(i) for i in range(len(self)))
-
-
-def _stream(seed: int, index: int) -> np.random.Generator:
-    key = np.array([seed, index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
-
 
 def sample_gaussian(spec: GibbsSpec, count: int) -> Ensemble:
     """count iid draws from w with importance data for the Gibbs measure.
@@ -217,10 +179,10 @@ def sample_gaussian(spec: GibbsSpec, count: int) -> Ensemble:
         raise ValueError(f"count must be a positive integer, got {count}")
     count = int(count)
     grid = spec.grid
-    sigma = 1.0 / np.sqrt(_interleaved(grid))
+    sigma = 1.0 / np.sqrt(_coord_eigenvalues(grid))
     coords = np.empty((count, 2 * grid.modes))
     for i in range(count):
-        coords[i] = _stream(spec.seed, i).standard_normal(2 * grid.modes)
+        coords[i] = _philox(spec.seed, i).standard_normal(2 * grid.modes)
     coords *= sigma
     coeffs = _coords_to_coeff(coords, grid)
     log_weights = -_cubic_g(coeffs, grid)
@@ -251,7 +213,7 @@ def pcn_step(u: FourierField, beta: float, spec: GibbsSpec, rng: np.random.Gener
     if g_fn is None:
         g_fn = cubic_g
     grid = spec.grid
-    xi = _stream_noise(rng, grid)
+    xi = _gaussian_draw(rng, grid)
     proposal = FourierField(grid, math.sqrt(1.0 - beta**2) * u.coeff + beta * xi)
     if spec.cutoff_R is not None and l2_norm(proposal) > spec.cutoff_R:
         return u, False
@@ -261,9 +223,9 @@ def pcn_step(u: FourierField, beta: float, spec: GibbsSpec, rng: np.random.Gener
     return u, False
 
 
-def _stream_noise(rng: np.random.Generator, grid: GridSpec) -> np.ndarray:
+def _gaussian_draw(rng: np.random.Generator, grid: GridSpec) -> np.ndarray:
     """One draw xi ~ w as a coefficient vector."""
-    z = rng.standard_normal(2 * grid.modes) / np.sqrt(_interleaved(grid))
+    z = rng.standard_normal(2 * grid.modes) / np.sqrt(_coord_eigenvalues(grid))
     return _coords_to_coeff(z, grid)
 
 
@@ -289,9 +251,9 @@ def pcn_chain(
         raise ValueError(f"burn_in must be >= 0, got {burn_in}")
     count, burn_in = int(count), int(burn_in)
     grid = spec.grid
-    rng = _stream(spec.seed, _PCN_STREAM)
+    rng = _philox(spec.seed, _PCN_STREAM)
     if start is None:
-        u = FourierField(grid, _stream_noise(rng, grid))
+        u = FourierField(grid, _gaussian_draw(rng, grid))
         if spec.cutoff_R is not None and l2_norm(u) > spec.cutoff_R:
             u = FourierField(grid, np.zeros(grid.modes, dtype=np.complex128))
     else:
@@ -328,7 +290,7 @@ def cylinder_probability(spec: GibbsSpec, box) -> float:
         return 1.0
     if r > 2 * spec.grid.modes:
         raise ValueError(f"box has {r} coordinates but the space has {2 * spec.grid.modes}")
-    sigma = 1.0 / np.sqrt(_interleaved(spec.grid)[:r])
+    sigma = 1.0 / np.sqrt(_coord_eigenvalues(spec.grid)[:r])
     prob = 1.0
     for (lo, hi), s in zip(box, sigma):
         if math.isnan(lo) or math.isnan(hi):
@@ -354,6 +316,22 @@ def _observable_values(ens: Ensemble, F) -> np.ndarray:
     if batch is not None:
         return np.asarray(batch(ens.coeffs, ens.spec.grid), dtype=np.float64)
     return np.array([float(F(ens.field(i))) for i in range(len(ens))])
+
+
+def _weights(ens: Ensemble) -> tuple[np.ndarray, float]:
+    """Importance weights chi_i exp(-g(u_i) - shift) and their effective sample size.
+
+    The shift is the largest log weight among in-support samples, so an
+    excluded sample cannot push every kept weight into underflow.  With no
+    sample in support all weights are 0 and so is the ESS.
+    """
+    w = np.zeros(len(ens))
+    chi = ens.in_support
+    if chi.any():
+        lw = ens.log_weights[chi]
+        w[chi] = np.exp(lw - np.max(lw))
+    total = math.fsum(w)
+    return w, (total**2 / math.fsum(w * w) if total > 0.0 else 0.0)
 
 
 def gibbs_expectation(ens: Ensemble, F) -> GibbsEstimate:
@@ -382,12 +360,10 @@ def gibbs_expectation(ens: Ensemble, F) -> GibbsEstimate:
             se = float(np.std(values, ddof=1) / math.sqrt(n))
         return GibbsEstimate(mean=mean, std_error=se, ess=float(n), degenerate=n < ESS_FLOOR)
 
-    shift = float(np.max(ens.log_weights))
-    w = np.exp(ens.log_weights - shift) * ens.in_support
+    w, ess = _weights(ens)
     total = math.fsum(w)
     if total == 0.0:
         return GibbsEstimate(mean=math.nan, std_error=math.nan, ess=0.0, degenerate=True)
-    ess = total**2 / math.fsum(w * w)
     mean = math.fsum(w * values) / total
     resid = values - mean
     se = math.sqrt(math.fsum((w * resid) ** 2)) / total
@@ -395,59 +371,57 @@ def gibbs_expectation(ens: Ensemble, F) -> GibbsEstimate:
 
 
 # ---------------------------------------------------------------------------
-# persistence: directory of per-sample field CSVs plus a JSON manifest
+# persistence: one ensemble.npz holding the three arrays and a JSON header
 
 
 def save_ensemble(ens: Ensemble, directory) -> None:
+    """Write ens to <directory>/ensemble.npz; equal ensembles give equal bytes."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    files = []
-    for i in range(len(ens)):
-        name = f"sample_{i:06d}.csv"
-        save_field(ens.field(i), directory / name)
-        files.append(name)
     grid = ens.spec.grid
-    manifest = {
+    header = {
         "format": ENSEMBLE_FORMAT,
         "spec": {
-            "length": repr(grid.length),
+            "length": grid.length,
             "modes": grid.modes,
             "points": grid.points,
-            "cutoff_R": None if ens.spec.cutoff_R is None else repr(ens.spec.cutoff_R),
+            "cutoff_R": ens.spec.cutoff_R,
             "seed": ens.spec.seed,
         },
         "sampler": ens.sampler,
         "master_seed": ens.master_seed,
         "acceptance_rate": ens.acceptance_rate,
-        "count": len(ens),
-        "log_weights": [float(x) for x in ens.log_weights],
-        "in_support": [bool(x) for x in ens.in_support],
-        "files": files,
     }
-    (directory / "manifest.json").write_text(json.dumps(manifest, indent=1))
+    np.savez(
+        directory / _ENSEMBLE_FILE,
+        header=np.array(json.dumps(header, sort_keys=True)),
+        coeffs=ens.coeffs,
+        log_weights=ens.log_weights,
+        in_support=ens.in_support,
+    )
 
 
 def load_ensemble(directory) -> Ensemble:
+    """Read an ensemble written by save_ensemble; anything else raises ValueError."""
     directory = Path(directory)
-    manifest = json.loads((directory / "manifest.json").read_text())
-    if manifest.get("format") != ENSEMBLE_FORMAT:
+    try:
+        with np.load(directory / _ENSEMBLE_FILE, allow_pickle=False) as data:
+            header = json.loads(str(data["header"]))
+            arrays = {name: data[name] for name in ("coeffs", "log_weights", "in_support")}
+    except (OSError, KeyError, ValueError, zipfile.BadZipFile) as exc:
+        raise ValueError(f"{directory}: not an {ENSEMBLE_FORMAT} directory ({exc})") from exc
+    if not isinstance(header, dict) or header.get("format") != ENSEMBLE_FORMAT:
         raise ValueError(f"{directory}: not an {ENSEMBLE_FORMAT} directory")
-    raw = manifest["spec"]
+    raw = header["spec"]
     spec = GibbsSpec(
-        grid=GridSpec(length=float(raw["length"]), modes=raw["modes"], points=raw["points"]),
-        cutoff_R=None if raw["cutoff_R"] is None else float(raw["cutoff_R"]),
+        grid=GridSpec(length=raw["length"], modes=raw["modes"], points=raw["points"]),
+        cutoff_R=raw["cutoff_R"],
         seed=raw["seed"],
     )
-    fields = [load_field(directory / name) for name in manifest["files"]]
-    if len(fields) != manifest["count"]:
-        raise ValueError(f"{directory}: manifest count does not match file list")
-    coeffs = np.array([f.coeff for f in fields]) if fields else np.empty((0, spec.grid.modes), complex)
     return Ensemble(
         spec=spec,
-        sampler=manifest["sampler"],
-        master_seed=manifest["master_seed"],
-        coeffs=coeffs,
-        log_weights=np.array(manifest["log_weights"], dtype=np.float64),
-        in_support=np.array(manifest["in_support"], dtype=bool),
-        acceptance_rate=manifest["acceptance_rate"],
+        sampler=header["sampler"],
+        master_seed=header["master_seed"],
+        acceptance_rate=header["acceptance_rate"],
+        **arrays,
     )

@@ -25,12 +25,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flow import FlowParams, _advance, _flow_map_batch
+from .flow import FlowParams, _advance
 from .gibbs import (
     DegenerateWeightsError,
     ESS_FLOOR,
-    Ensemble,
     GibbsSpec,
+    _weights,
     gaussian_rms_l2,
     gibbs_expectation,
     sample_gaussian,
@@ -218,14 +218,6 @@ def _z_score(before, after) -> float:
     return diff / denom if denom > 0.0 else math.inf
 
 
-def _ensemble_ess(ens: Ensemble) -> float:
-    w = np.exp(ens.log_weights - np.max(ens.log_weights)) * ens.in_support
-    total = math.fsum(w)
-    if total == 0.0:
-        return 0.0
-    return total**2 / math.fsum(w * w)
-
-
 def run_invariance(
     spec: GibbsSpec,
     p: FlowParams,
@@ -247,14 +239,13 @@ def run_invariance(
     if not obs:
         raise ValueError("need at least one observable")
     ens = sample_gaussian(spec, int(count))
-    ess = _ensemble_ess(ens)
+    _, ess = _weights(ens)
     if ess < ESS_FLOOR:
         raise DegenerateWeightsError(
             f"effective sample size {ess:.2f} below {ESS_FLOOR}; "
             "increase count or tighten the cutoff"
         )
-    pushed_coeffs = _flow_map_batch(ens.coeffs, spec.grid, t, p)
-    pushed = dataclasses.replace(ens, coeffs=pushed_coeffs)
+    pushed = dataclasses.replace(ens, coeffs=_advance(ens.coeffs, spec.grid, p, t))
     rows = []
     for F in obs:
         before = gibbs_expectation(ens, F)

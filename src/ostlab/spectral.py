@@ -324,6 +324,11 @@ def _coords_to_coeff(a: np.ndarray, grid: GridSpec) -> np.ndarray:
     return (a[..., 1::2] - 1j * a[..., 0::2]) / root
 
 
+def _coord_eigenvalues(grid: GridSpec) -> np.ndarray:
+    """energy_eigenvalues per real coordinate: [s_1, s_1, s_2, s_2, ...]."""
+    return np.repeat(energy_eigenvalues(grid), 2)
+
+
 def coordinates(f: FourierField) -> np.ndarray:
     """Coefficients a_j of f in the interleaved sine/cosine basis (2m values)."""
     return _coeff_to_coords(f.coeff, f.grid)
@@ -337,6 +342,15 @@ def field_from_coordinates(grid: GridSpec, a) -> FourierField:
     if not np.isfinite(arr).all():
         raise ValueError("coordinates must be finite")
     return FourierField(grid, _coords_to_coeff(arr, grid))
+
+
+# ---------------------------------------------------------------------------
+# seeded streams
+
+
+def _philox(seed: int, stream: int) -> np.random.Generator:
+    """Counter-based generator keyed by [seed, stream]; distinct keys give independent streams."""
+    return np.random.Generator(np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))
 
 
 # ---------------------------------------------------------------------------

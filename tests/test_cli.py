@@ -6,6 +6,7 @@ import math
 import pytest
 
 from ostlab.cli import main
+from ostlab.gibbs import load_ensemble
 
 
 def run(capsys, *args):
@@ -208,8 +209,8 @@ class TestGibbsSampleCommand:
 
     def test_ensemble_directory_written(self, capsys, tmp_path):
         run(capsys, "gibbs-sample", "--modes", "3", "--count", "10", "--out", str(tmp_path))
-        manifest = json.loads((tmp_path / "ensemble" / "manifest.json").read_text())
-        assert manifest["count"] == 10
+        assert [f.name for f in (tmp_path / "ensemble").iterdir()] == ["ensemble.npz"]
+        assert len(load_ensemble(tmp_path / "ensemble")) == 10
 
     def test_pcn_sampler_reports_acceptance(self, capsys, tmp_path):
         code, _, _ = run(
@@ -236,6 +237,17 @@ class TestVerifyInvarianceCommand:
         assert all(r["z"] == 0.0 for r in results)
         assert all(r["pass"] for r in results)
         assert "PASS" in out
+
+    def test_failed_z_gate_exits_3(self, capsys, tmp_path):
+        code, out, _ = run(
+            capsys,
+            "verify-invariance", "--modes", "4", "--count", "500", "--dt", "0.01",
+            "--z-max", "0", "--t-values", "0.1", "--out", str(tmp_path),
+        )
+        assert code == 3
+        assert "FAIL" in out
+        doc = json.loads((tmp_path / "invariance.json").read_text())
+        assert not all(r["pass"] for r in doc["reports"][0]["results"])
 
     def test_results_independent_of_thread_count(self, capsys, tmp_path):
         base = (

@@ -1,7 +1,10 @@
 """Measures and samplers: eigenvalue ladder, trace, weights, pCN, cylinders."""
 
 import dataclasses
+import hashlib
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,7 +16,6 @@ from ostlab.gibbs import (
     GibbsSpec,
     cylinder_probability,
     default_cutoff,
-    eigenvalues,
     gaussian_rms_l2,
     gibbs_expectation,
     load_ensemble,
@@ -25,10 +27,13 @@ from ostlab.gibbs import (
 )
 from ostlab.spectral import (
     FourierField,
+    _coord_eigenvalues,
     coordinates,
     cubic_g,
+    energy_eigenvalues,
     l2_norm,
     make_grid,
+    save_field,
     to_physical,
 )
 
@@ -50,20 +55,26 @@ def big_ensemble():
 
 class TestEigenvalues:
     def test_frozen_values(self):
-        v = eigenvalues(make_grid(4))
+        v = energy_eigenvalues(make_grid(4))
         assert v[0] == pytest.approx(2.0, abs=1e-15)
         assert v[1] == pytest.approx(4.25, abs=1e-15)
 
     def test_asymptotics(self):
         g = make_grid(64)
         lam = g.xi**2
-        v = eigenvalues(g)
+        v = energy_eigenvalues(g)
         assert np.all(np.abs(v / lam - 1.0) <= 1.0 / lam**2 + 1e-15)
 
     def test_positive_increasing(self):
-        v = eigenvalues(make_grid(32))
+        v = energy_eigenvalues(make_grid(32))
         assert np.all(v > 0)
         assert np.all(np.diff(v) > 0)
+
+    def test_coordinate_ladder_repeats_each_eigenvalue(self):
+        g = make_grid(3)
+        ladder = _coord_eigenvalues(g)
+        assert np.array_equal(ladder[0::2], energy_eigenvalues(g))
+        assert np.array_equal(ladder[1::2], energy_eigenvalues(g))
 
 
 class TestTraceCheck:
@@ -94,10 +105,6 @@ class TestTraceCheck:
 
 
 class TestGibbsSpec:
-    def test_v_property(self):
-        spec = GibbsSpec(grid=make_grid(3))
-        assert np.allclose(spec.v, eigenvalues(make_grid(3)))
-
     def test_rejects_bad_cutoff(self):
         for bad in (0.0, -1.0, math.inf):
             with pytest.raises(ValueError):
@@ -111,7 +118,7 @@ class TestGibbsSpec:
         g = make_grid(8)
         assert default_cutoff(g) == pytest.approx(4.0 * gaussian_rms_l2(g), rel=1e-15)
         assert gaussian_rms_l2(g) == pytest.approx(
-            math.sqrt(float(np.sum(2.0 / eigenvalues(g)))), rel=1e-15
+            math.sqrt(float(np.sum(2.0 / energy_eigenvalues(g)))), rel=1e-15
         )
 
 
@@ -144,13 +151,13 @@ class TestSampleGaussian:
 
     def test_mean_clt_bound(self, big_ensemble):
         a = coords_matrix(big_ensemble)
-        v = np.repeat(big_ensemble.spec.v, 2)
+        v = _coord_eigenvalues(big_ensemble.spec.grid)
         bound = 4.0 / np.sqrt(len(big_ensemble) * v)
         assert np.all(np.abs(a.mean(axis=0)) <= bound)
 
     def test_variance_ratio(self, big_ensemble):
         a = coords_matrix(big_ensemble)
-        v = np.repeat(big_ensemble.spec.v, 2)
+        v = _coord_eigenvalues(big_ensemble.spec.grid)
         ratio = a.var(axis=0) * v
         assert np.all(ratio >= 0.95)
         assert np.all(ratio <= 1.05)
@@ -159,7 +166,7 @@ class TestSampleGaussian:
         spec = GibbsSpec(grid=make_grid(8), seed=3)
         ens = sample_gaussian(spec, 10_000)
         a = coords_matrix(ens)
-        v = np.repeat(spec.v, 2)
+        v = _coord_eigenvalues(spec.grid)
         for j in range(8):
             stat = kstest(a[:, j] * math.sqrt(v[j]), "norm").statistic
             assert stat <= 1.63 / math.sqrt(len(ens))  # 1% critical value
@@ -208,7 +215,7 @@ class TestPcn:
         spec = GibbsSpec(grid=make_grid(4), seed=19)
         chain = pcn_chain(spec, 20_000, beta=0.7, g_fn=lambda f: 0.0)
         a = coords_matrix(chain)
-        v = np.repeat(spec.v, 2)
+        v = _coord_eigenvalues(spec.grid)
         for j in range(8):
             class Square:
                 def __init__(self, col):
@@ -258,7 +265,7 @@ class TestCylinderProbability:
         spec = big_ensemble.spec
         a = 0.5
         p = cylinder_probability(spec, [(-a, a)])
-        phi = 0.5 * (1.0 + math.erf(a * math.sqrt(spec.v[0]) / math.sqrt(2.0)))
+        phi = 0.5 * (1.0 + math.erf(a * math.sqrt(energy_eigenvalues(spec.grid)[0]) / math.sqrt(2.0)))
         assert p == pytest.approx(2.0 * phi - 1.0, abs=1e-12)
         coords = coords_matrix(big_ensemble)
         hits = np.abs(coords[:, 0]) <= a
@@ -297,7 +304,7 @@ class TestGibbsExpectation:
                 return 2.0 * grid.length * np.sum(np.abs(coeffs) ** 2, axis=1)
 
         est = gibbs_expectation(unweighted, L2Sq())
-        exact = float(np.sum(2.0 / big_ensemble.spec.v))
+        exact = float(np.sum(2.0 / energy_eigenvalues(big_ensemble.spec.grid)))
         assert abs(est.mean - exact) <= 3.0 * est.std_error
 
     def test_zero_mean_functional_vanishes(self):
@@ -338,6 +345,23 @@ class TestGibbsExpectation:
         assert est.ess < ESS_FLOOR
         assert est.degenerate
 
+    def test_excluded_sample_does_not_set_the_weight_shift(self):
+        # an excluded sample 800 above the rest would underflow every kept
+        # weight if it set the shift
+        g = make_grid(2)
+        spec = GibbsSpec(grid=g, cutoff_R=default_cutoff(g), seed=1)
+        ens = sample_gaussian(spec, 100)
+        lw = np.zeros(100)
+        lw[0] = 800.0
+        chi = np.ones(100, dtype=bool)
+        chi[0] = False
+        skewed = dataclasses.replace(ens, log_weights=lw, in_support=chi)
+        values = 2.0 * g.length * np.sum(np.abs(ens.coeffs) ** 2, axis=1)
+        est = gibbs_expectation(skewed, lambda f: l2_norm(f) ** 2)
+        assert not est.degenerate
+        assert est.ess == pytest.approx(99.0, rel=1e-12)
+        assert est.mean == pytest.approx(values[1:].mean(), rel=1e-12)
+
     def test_all_outside_support(self):
         spec = GibbsSpec(grid=make_grid(2), seed=1)
         ens = sample_gaussian(spec, 10)
@@ -368,9 +392,10 @@ class TestPersistence:
         assert back.spec == ens.spec
         assert back.sampler == ens.sampler
         assert back.master_seed == ens.master_seed
-        assert np.array_equal(back.coeffs, ens.coeffs)
-        assert np.array_equal(back.log_weights, ens.log_weights)
-        assert np.array_equal(back.in_support, ens.in_support)
+        for a, b in ((back.coeffs, ens.coeffs), (back.log_weights, ens.log_weights),
+                     (back.in_support, ens.in_support)):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
 
     def test_chain_round_trip_keeps_acceptance(self, tmp_path):
         spec = GibbsSpec(grid=make_grid(2), seed=43)
@@ -380,7 +405,34 @@ class TestPersistence:
         assert back.acceptance_rate == chain.acceptance_rate
         assert np.array_equal(back.coeffs, chain.coeffs)
 
+    def test_single_file_with_identical_bytes_across_saves(self, tmp_path):
+        ens = sample_gaussian(GibbsSpec(grid=make_grid(4), seed=47), 30)
+        digests = []
+        for name in ("a", "b"):
+            save_ensemble(ens, tmp_path / name)
+            files = list((tmp_path / name).iterdir())
+            assert [f.name for f in files] == ["ensemble.npz"]
+            digests.append(hashlib.sha256(files[0].read_bytes()).hexdigest())
+        assert digests[0] == digests[1]
+
+    def test_rejects_v1_manifest_directory(self, tmp_path):
+        ens = sample_gaussian(GibbsSpec(grid=make_grid(2), seed=1), 1)
+        save_field(ens.field(0), tmp_path / "sample_000000.csv")
+        manifest = {"format": "ostlab-ensemble-v1", "count": 1, "files": ["sample_000000.csv"]}
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match=re.escape(str(tmp_path))):
+            load_ensemble(tmp_path)
+
     def test_rejects_foreign_directory(self, tmp_path):
         (tmp_path / "manifest.json").write_text('{"format": "something-else"}')
         with pytest.raises(ValueError):
+            load_ensemble(tmp_path)
+
+    def test_rejects_directory_without_ensemble_file(self, tmp_path):
+        with pytest.raises(ValueError, match=re.escape(str(tmp_path))):
+            load_ensemble(tmp_path)
+
+    def test_rejects_foreign_npz(self, tmp_path):
+        np.savez(tmp_path / "ensemble.npz", header=np.array('{"format": "something-else"}'))
+        with pytest.raises(ValueError, match=re.escape(str(tmp_path))):
             load_ensemble(tmp_path)
