@@ -15,8 +15,10 @@ finished but its verdict is FAIL (a ``verify-invariance`` z-gate).
 
 The default output directory is the environment variable OSTLAB_OUTDIR
 (falling back to the working directory); ``--out`` overrides it.
-``--threads`` caps worker threads where a subcommand parallelizes over
-independent work items; results do not depend on the thread count.
+``--threads`` caps worker threads (0 = all cores) for the lattice sizes of
+``bilinear-sweep`` and the row blocks of ``verify-invariance``, which draws
+its ensemble once and integrates it once per time sign; results do not
+depend on the thread count.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ import math
 import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -57,6 +58,7 @@ from .spectral import (
     FourierField,
     _coeff_to_coords,
     _coord_eigenvalues,
+    _parallel_map,
     _philox,
     make_grid,
     random_smooth_field,
@@ -101,6 +103,13 @@ def _parse_floats(text: str) -> tuple:
     if not items:
         raise ConfigError("expected a comma-separated list of numbers")
     return tuple(_parse_float(t) for t in items)
+
+
+def _parse_finite_floats(text: str) -> tuple:
+    values = _parse_floats(text)
+    if not all(map(math.isfinite, values)):
+        raise ConfigError(f"expected finite numbers, got {text!r}")
+    return values
 
 
 def _parse_ints(text: str) -> tuple:
@@ -203,7 +212,7 @@ _SUBCOMMAND_KEYS = {
         _key("gibbs.burn_in", "burn-in", _parse_int, 0, "pCN burn-in steps"),
     ],
     "verify-invariance": _COMMON + _GRID[:2] + _FLOW[:2] + _GIBBS + [
-        _key("invariance.t_values", "t-values", _parse_floats, (0.5,), "flow times to test"),
+        _key("invariance.t_values", "t-values", _parse_finite_floats, (0.5,), "flow times to test"),
         _key("invariance.z_max", "z-max", _parse_float, 3.0, "pass threshold on |z|"),
         _key(
             "invariance.observables",
@@ -325,7 +334,7 @@ def _resolve(command: str, args: argparse.Namespace) -> RunConfig:
             try:
                 values[k.name] = k.parse(text)
             except ConfigError as exc:
-                raise ConfigError(f"--{k.flag}: {exc}") from exc
+                raise ConfigError(f"--{k.flag} ({k.name}): {exc}") from exc
     return RunConfig(command=command, values=values)
 
 
@@ -335,18 +344,6 @@ def _out_dir(cfg: RunConfig) -> Path:
     path = Path(base)
     path.mkdir(parents=True, exist_ok=True)
     return path
-
-
-def _parallel_map(fn, items, threads: int):
-    items = list(items)
-    if len(items) <= 1:
-        return [fn(x) for x in items]
-    workers = threads if threads > 0 else (os.cpu_count() or 1)
-    workers = max(1, min(workers, len(items)))
-    if workers == 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))  # map preserves input order
 
 
 # ---------------------------------------------------------------------------
@@ -503,12 +500,10 @@ def _cmd_verify_invariance(cfg: RunConfig) -> int:
     spec = _gibbs_spec(cfg, grid)
     obs = _build_observables(cfg["invariance.observables"], spec)
     p = FlowParams(dt=cfg["flow.dt"], integrator=cfg["flow.integrator"])
-    count, z_max = cfg["gibbs.count"], cfg["invariance.z_max"]
-
-    def one(t):
-        return run_invariance(spec, p, t, obs, count, z_max=z_max)
-
-    reports = _parallel_map(one, cfg["invariance.t_values"], cfg["run.threads"])
+    reports = run_invariance(
+        spec, p, cfg["invariance.t_values"], obs, cfg["gibbs.count"],
+        z_max=cfg["invariance.z_max"], threads=cfg["run.threads"],
+    )
     out = _out_dir(cfg)
     _write_json(out / "invariance.json", cfg, {"reports": [r.to_json() for r in reports]})
     worst = 0.0

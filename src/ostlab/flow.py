@@ -37,6 +37,7 @@ from .spectral import (
     _coords_to_coeff,
     _hamiltonian,
     _l2,
+    _parallel_map,
     coordinates,
     cubic_g,
     make_grid,
@@ -234,6 +235,31 @@ def _check_state(c: np.ndarray, t: float) -> None:
         raise BlowUpError(t, modes, samples)
 
 
+def _stepper(lam, rhs, p: FlowParams, h: float):
+    """One step of size h (either sign) of the configured scheme, as c -> c'."""
+    if rhs is None:
+        phase = np.exp(h * lam)
+        return lambda c: phase * c
+    if p.integrator == "strang-split":
+        half = np.exp(0.5 * h * lam)
+        return lambda c: _strang_step(c, half, h, rhs)
+    tables = _etdrk4_tables(lam, h)
+    return lambda c: _etdrk4_step(c, tables, rhs)
+
+
+def _full_steps(t: float, dt: float) -> int:
+    return int(abs(t) / dt * (1.0 + 1e-12) + 1e-12)
+
+
+def _tail_step(c, t: float, lam, rhs, p: FlowParams):
+    """Take the state after _full_steps(t) steps to time t (no-op when dt divides t)."""
+    tail = t - _full_steps(t, p.dt) * math.copysign(p.dt, t)
+    if abs(tail) > 1e-12 * max(p.dt, abs(t)):
+        c = _stepper(lam, rhs, p, tail)(c)
+        _check_state(c, t)
+    return c
+
+
 def _advance(coeff: np.ndarray, grid: GridSpec, p: FlowParams, t_final: float, on_step=None):
     """Advance a (..., m) coefficient stack from t=0 to t_final.
 
@@ -246,32 +272,60 @@ def _advance(coeff: np.ndarray, grid: GridSpec, p: FlowParams, t_final: float, o
     lam = _linear_rates(grid)
     rhs = _make_rhs(grid, p)
     h = p.dt if t_final > 0.0 else -p.dt
-    n_full = int(abs(t_final) / p.dt * (1.0 + 1e-12) + 1e-12)
-    tail = t_final - n_full * h
-
-    def stepper(h_step):
-        if rhs is None:
-            phase = np.exp(h_step * lam)
-            return lambda c: phase * c
-        if p.integrator == "strang-split":
-            half = np.exp(0.5 * h_step * lam)
-            return lambda c: _strang_step(c, half, h_step, rhs)
-        tables = _etdrk4_tables(lam, h_step)
-        return lambda c: _etdrk4_step(c, tables, rhs)
-
+    n_full = _full_steps(t_final, p.dt)
     c = coeff
     if n_full:
-        step = stepper(h)
+        step = _stepper(lam, rhs, p, h)
         for i in range(1, n_full + 1):
             c = step(c)
             t = i * h
             _check_state(c, t)
             if on_step is not None and on_step(i, t, c):
                 return c
-    if abs(tail) > 1e-12 * max(p.dt, abs(t_final)):
-        c = stepper(tail)(c)
-        _check_state(c, t_final)
-    return c
+    return _tail_step(c, t_final, lam, rhs, p)
+
+
+# Rows per block of a stacked run.  A (20000, 8) ETDRK4 step is memory-bound:
+# on a 2-core Xeon, 1024- to 4096-row blocks take half the time of the whole stack.
+_ROW_BLOCK = 2048
+
+
+def _advance_times(coeff: np.ndarray, grid: GridSpec, p: FlowParams, times, threads: int = 1):
+    """States of a (rows, m) stack at each t in times: entry j equals _advance(..., times[j]).
+
+    Each _ROW_BLOCK-row block (on `threads` workers, 0 = all cores) makes one
+    _advance run per time sign, snapshots every requested full step and
+    gives each time its own tail step.  BlowUpError.samples index the stack.
+    """
+    times = [float(t) for t in times]
+    lam, rhs = _linear_rates(grid), _make_rhs(grid, p)
+
+    def run_block(start):
+        rows = coeff[start : start + _ROW_BLOCK]
+        out = [rows] * len(times)
+        for sign in (1.0, -1.0):
+            mine = [j for j, t in enumerate(times) if t * sign > 0.0]
+            if not mine:
+                continue
+            wanted = {}
+            for j in mine:
+                wanted.setdefault(_full_steps(times[j], p.dt), []).append(j)
+            last = max(wanted)
+
+            def on_step(n, _t, c):
+                for j in wanted.get(n, ()):
+                    out[j] = _tail_step(c, times[j], lam, rhs, p)
+                return n == last
+
+            try:
+                if not on_step(0, 0.0, rows):
+                    _advance(rows, grid, p, max((times[j] for j in mine), key=abs), on_step)
+            except BlowUpError as exc:
+                raise BlowUpError(exc.time, exc.modes, [start + i for i in exc.samples]) from None
+        return out
+
+    blocks = _parallel_map(run_block, range(0, len(coeff), _ROW_BLOCK), threads)
+    return [np.concatenate([b[j] for b in blocks]) for j in range(len(times))]
 
 
 # ---------------------------------------------------------------------------
@@ -524,23 +578,15 @@ def convergence_in_m(
     m_ref = 2 * m_list[-1]
     length = f0.grid.length
     p = FlowParams(dt=dt, T=T, record_every=record_every, nonlinear=nonlinear)
+    h = math.copysign(dt, T)
+    times = [i * h for i in range(0, _full_steps(T, dt) + 1, record_every)]
+    if times[-1] < T:
+        times.append(T)
 
     def snapshots(m):
         grid = make_grid(m, length=length)
-        start = regrid(f0, grid)
-        frames = [start.coeff]
-        times = [0.0]
-
-        def on_step(i, t, c):
-            if i % record_every == 0:
-                frames.append(c)
-                times.append(t)
-
-        end = _advance(start.coeff, grid, p, T, on_step)
-        if times[-1] < T:
-            frames.append(end)
-            times.append(T)
-        return np.array(times), np.vstack([fr[None, :] for fr in frames])
+        frames = _advance_times(regrid(f0, grid).coeff[None, :], grid, p, times)
+        return np.array(times), np.vstack(frames)
 
     t_ref, ref = snapshots(m_ref)
     errors = []

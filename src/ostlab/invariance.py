@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flow import FlowParams, _advance
+from .flow import FlowParams, _advance, _advance_times
 from .gibbs import (
     DegenerateWeightsError,
     ESS_FLOOR,
@@ -221,23 +221,29 @@ def _z_score(before, after) -> float:
 def run_invariance(
     spec: GibbsSpec,
     p: FlowParams,
-    t: float,
+    times,
     obs,
     count: int,
     z_max: float = 3.0,
-) -> InvarianceReport:
-    """Compare E[F] over a mu-ensemble before and after flowing by t.
+    threads: int = 1,
+) -> list[InvarianceReport]:
+    """Compare E[F] over a mu-ensemble before and after flowing by each t in times.
 
-    Weights are those of the initial ensemble throughout (pushforward
-    semantics).  Raises DegenerateWeightsError when the effective sample
-    size is below the floor, and propagates integrator blow-ups (which
-    carry the offending sample indices).
+    One report per time, in input order: the ensemble is drawn once and
+    integrated once per time sign, its rows in blocks on `threads` workers
+    (0 = all cores; results do not depend on it).  Weights are those of the
+    initial ensemble throughout (pushforward semantics).  Raises
+    DegenerateWeightsError when the effective sample size is below the
+    floor, and propagates integrator blow-ups (with the offending samples).
     """
+    times = [float(t) for t in times]
     obs = list(obs)
     if int(count) != count or count < 1:
         raise ValueError(f"count must be a positive integer, got {count}")
     if not obs:
         raise ValueError("need at least one observable")
+    if not times or not all(map(math.isfinite, times)):
+        raise ValueError(f"times must be a nonempty list of finite numbers, got {times}")
     ens = sample_gaussian(spec, int(count))
     _, ess = _weights(ens)
     if ess < ESS_FLOOR:
@@ -245,39 +251,25 @@ def run_invariance(
             f"effective sample size {ess:.2f} below {ESS_FLOOR}; "
             "increase count or tighten the cutoff"
         )
-    pushed = dataclasses.replace(ens, coeffs=_advance(ens.coeffs, spec.grid, p, t))
-    rows = []
-    for F in obs:
-        before = gibbs_expectation(ens, F)
-        after = gibbs_expectation(pushed, F)
-        z = _z_score(before, after)
-        rows.append(
-            InvarianceRow(
-                name=F.name,
-                mean_before=before.mean,
-                se_before=before.std_error,
-                mean_after=after.mean,
-                se_after=after.std_error,
-                z=z,
-                passed=abs(z) <= z_max,
-            )
-        )
+    before = [gibbs_expectation(ens, F) for F in obs]
     note = (
         f"{len(obs)} observables tested at per-observable gate |z| <= {z_max:g}; "
         "no multiple-comparison correction applied"
         if len(obs) > 1
         else None
     )
-    return InvarianceReport(
-        m=spec.grid.modes,
-        t=float(t),
-        count=int(count),
-        seed=spec.seed,
-        ess=ess,
-        rows=tuple(rows),
-        z_max=float(z_max),
-        note=note,
-    )
+    reports = []
+    for t, coeffs in zip(times, _advance_times(ens.coeffs, spec.grid, p, times, threads)):
+        pushed = dataclasses.replace(ens, coeffs=coeffs)
+        rows = []
+        for F, b in zip(obs, before):
+            a = gibbs_expectation(pushed, F)
+            z = _z_score(b, a)
+            rows.append(InvarianceRow(F.name, b.mean, b.std_error, a.mean, a.std_error, z, abs(z) <= z_max))
+        reports.append(
+            InvarianceReport(spec.grid.modes, t, int(count), spec.seed, ess, tuple(rows), float(z_max), note)
+        )
+    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -330,22 +322,15 @@ def invariance_sweep(
     obs = list(obs)
     if not m_list or not t_list:
         raise ValueError("m_list and t_list must be nonempty")
-    if int(count) != count or count < 1:
-        raise ValueError(f"count must be a positive integer, got {count}")
     reports = []
     moments = []
     for m in m_list:
         grid = make_grid(m, length=length)
         spec = GibbsSpec(grid=grid, cutoff_R=cutoff_factor * gaussian_rms_l2(grid), seed=seed)
         p = FlowParams(dt=dt)
-        row = tuple(run_invariance(spec, p, t, obs, count, z_max=z_max) for t in t_list)
+        row = tuple(run_invariance(spec, p, t_list, obs, count, z_max=z_max))
         reports.append(row)
-        ens = sample_gaussian(spec, int(count))
-        table = {}
-        for F in obs:
-            est = gibbs_expectation(ens, F)
-            table[F.name] = (est.mean, est.std_error)
-        moments.append(table)
+        moments.append({r.name: (r.mean_before, r.se_before) for r in row[0].rows})
     return SweepResult(
         m_values=tuple(m_list),
         t_values=tuple(t_list),

@@ -22,6 +22,8 @@ so ||u||_{L2}^2 = sum_j a_j^2 = 2A sum_k |u_hat(k)|^2.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -345,12 +347,22 @@ def field_from_coordinates(grid: GridSpec, a) -> FourierField:
 
 
 # ---------------------------------------------------------------------------
-# seeded streams
+# seeded streams and worker threads
 
 
 def _philox(seed: int, stream: int) -> np.random.Generator:
     """Counter-based generator keyed by [seed, stream]; distinct keys give independent streams."""
     return np.random.Generator(np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))
+
+
+def _parallel_map(fn, items, threads: int):
+    """[fn(x) for x in items] on up to `threads` threads (0 = all cores), in input order."""
+    items = list(items)
+    workers = min(threads if threads > 0 else (os.cpu_count() or 1), len(items))
+    if workers <= 1:
+        return [fn(x) for x in items]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items))
 
 
 # ---------------------------------------------------------------------------

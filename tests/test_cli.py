@@ -250,15 +250,28 @@ class TestVerifyInvarianceCommand:
         assert not all(r["pass"] for r in doc["reports"][0]["results"])
 
     def test_results_independent_of_thread_count(self, capsys, tmp_path):
-        base = (
-            "verify-invariance", "--modes", "4", "--count", "1500",
-            "--t-values", "0.2,0.4", "--dt", "0.01", "--out", str(tmp_path),
+        # 1500 rows fit in one row block; 4500 span three
+        for count in ("1500", "4500"):
+            base = (
+                "verify-invariance", "--modes", "4", "--count", count,
+                "--t-values", "0.2,0.4", "--dt", "0.01", "--out", str(tmp_path),
+            )
+            run(capsys, *base, "--threads", "1")
+            one = json.loads((tmp_path / "invariance.json").read_text())["reports"]
+            run(capsys, *base, "--threads", "3")
+            three = json.loads((tmp_path / "invariance.json").read_text())["reports"]
+            assert one == three
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "0.1,nan"])
+    def test_non_finite_t_values_exit_1(self, capsys, tmp_path, value):
+        code, _, err = run(
+            capsys,
+            "verify-invariance", "--modes", "4", "--count", "100",
+            "--t-values", value, "--out", str(tmp_path),
         )
-        run(capsys, *base, "--threads", "1")
-        one = json.loads((tmp_path / "invariance.json").read_text())["reports"]
-        run(capsys, *base, "--threads", "3")
-        three = json.loads((tmp_path / "invariance.json").read_text())["reports"]
-        assert one == three
+        assert code == 1
+        assert "invariance.t_values" in err
+        assert not (tmp_path / "invariance.json").exists()
 
     def test_custom_observable_tokens(self, capsys, tmp_path):
         code, _, _ = run(

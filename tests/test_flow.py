@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from ostlab.flow import (
+    _ROW_BLOCK,
     BlowUpError,
     FlowParams,
     _advance,
+    _advance_times,
     convergence_in_m,
     evolve,
     flow_map,
@@ -220,6 +222,37 @@ class TestFlowMap:
             single = _advance(stack[i], g, p, t)
             assert whole[i].tobytes() == single.tobytes()
             assert chunked[i].tobytes() == single.tobytes()
+
+
+class TestAdvanceTimes:
+    @pytest.mark.parametrize(
+        "params",
+        [
+            FlowParams(dt=1e-2),
+            FlowParams(dt=1e-2, integrator="strang-split"),
+            FlowParams(dt=1e-2, nonlinear=False),
+        ],
+        ids=["etdrk4", "strang-split", "linear"],
+    )
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_each_time_matches_advance(self, params, threads):
+        # snapshots of one pass over a multi-block stack equal separate runs bit for bit
+        g = make_grid(8)
+        rng = np.random.default_rng(37)
+        stack = np.stack([unit_random_field(g, rng, decay=0.3).coeff for _ in range(_ROW_BLOCK + 300)])
+        times = [0.0, 0.055, -0.03, 0.004, 0.1, 0.055]
+        states = _advance_times(stack, g, params, times, threads=threads)
+        assert len(states) == len(times)
+        for t, state in zip(times, states):
+            assert state.tobytes() == _advance(stack, g, params, t).tobytes()
+
+    def test_blow_up_reports_row_of_whole_stack(self):
+        g = make_grid(8)
+        stack = np.zeros((3100, 8), dtype=np.complex128)
+        stack[3000] = 1e7
+        with pytest.raises(BlowUpError) as err:
+            _advance_times(stack, g, FlowParams(dt=1e-3), [0.5, -0.2], threads=2)
+        assert err.value.samples == (3000,)
 
 
 class TestLiouville:

@@ -101,7 +101,7 @@ class TestRunInvariance:
         g = make_grid(4)
         spec = GibbsSpec(grid=g, cutoff_R=default_cutoff(g), seed=101)
         obs = [l2_squared(), mode_power(1), cubic_integral()]
-        report = run_invariance(spec, FlowParams(dt=1e-3), 0.0, obs, 500)
+        (report,) = run_invariance(spec, FlowParams(dt=1e-3), [0.0], obs, 500)
         assert all(r.z == 0.0 for r in report.rows)
         assert all(r.mean_before == r.mean_after for r in report.rows)
         assert report.all_passed
@@ -111,7 +111,7 @@ class TestRunInvariance:
     def test_l2_squared_z_bounded_by_drift(self):
         g = make_grid(4)
         spec = GibbsSpec(grid=g, cutoff_R=default_cutoff(g), seed=103)
-        report = run_invariance(spec, FlowParams(dt=1e-3), 0.3, [l2_squared()], 500)
+        (report,) = run_invariance(spec, FlowParams(dt=1e-3), [0.3], [l2_squared()], 500)
         assert abs(report.rows[0].z) <= 0.1
 
     def test_invariance_holds(self):
@@ -124,7 +124,7 @@ class TestRunInvariance:
             hamiltonian_observable(),
             ball_indicator(default_cutoff(g) / 2.0),
         ]
-        report = run_invariance(spec, FlowParams(dt=1e-3), 0.5, obs, 2000)
+        (report,) = run_invariance(spec, FlowParams(dt=1e-3), [0.5], obs, 2000)
         for row in report.rows:
             assert abs(row.z) <= 3.0, row
 
@@ -132,21 +132,24 @@ class TestRunInvariance:
         g = make_grid(4)
         spec = GibbsSpec(grid=g, cutoff_R=1e-6, seed=109)
         with pytest.raises(DegenerateWeightsError):
-            run_invariance(spec, FlowParams(dt=1e-3), 0.1, [l2_squared()], 200)
+            run_invariance(spec, FlowParams(dt=1e-3), [0.1], [l2_squared()], 200)
 
     def test_validation(self):
         g = make_grid(4)
         spec = GibbsSpec(grid=g, seed=1)
         with pytest.raises(ValueError):
-            run_invariance(spec, FlowParams(dt=1e-3), 0.1, [l2_squared()], 0)
+            run_invariance(spec, FlowParams(dt=1e-3), [0.1], [l2_squared()], 0)
         with pytest.raises(ValueError):
-            run_invariance(spec, FlowParams(dt=1e-3), 0.1, [], 10)
+            run_invariance(spec, FlowParams(dt=1e-3), [0.1], [], 10)
+        for times in ([], [0.1, math.nan], [math.inf]):
+            with pytest.raises(ValueError):
+                run_invariance(spec, FlowParams(dt=1e-3), times, [l2_squared()], 10)
 
     def test_json_schema(self):
         g = make_grid(4)
         spec = GibbsSpec(grid=g, cutoff_R=default_cutoff(g), seed=113)
-        report = run_invariance(
-            spec, FlowParams(dt=1e-3), 0.0, [l2_squared(), mode_power(1)], 100
+        (report,) = run_invariance(
+            spec, FlowParams(dt=1e-3), [0.0], [l2_squared(), mode_power(1)], 100
         )
         doc = report.to_json()
         assert set(doc["meta"]) == {"m", "t", "count", "seed", "ess"}
@@ -165,8 +168,8 @@ class TestRunInvariance:
     def test_deterministic(self):
         g = make_grid(4)
         spec = GibbsSpec(grid=g, cutoff_R=default_cutoff(g), seed=127)
-        args = (spec, FlowParams(dt=1e-3), 0.2, [l2_squared(), mode_power(1)], 300)
-        assert run_invariance(*args).to_json() == run_invariance(*args).to_json()
+        args = (spec, FlowParams(dt=1e-3), [0.2], [l2_squared(), mode_power(1)], 300)
+        assert run_invariance(*args)[0].to_json() == run_invariance(*args)[0].to_json()
 
 
 class TestInvarianceSweep:
