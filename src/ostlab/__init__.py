@@ -27,8 +27,6 @@ from .bourgain import (
     resonance_scan,
     time_localization_scan,
     xsb_norm,
-    y_bilinear_ratio,
-    ys_norm,
 )
 from .flow import (
     BlowUpError,

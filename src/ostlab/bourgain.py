@@ -6,9 +6,8 @@ dispersion symbol is m(n) = n^3 - 1/n, shared with `spectral.dispersion`)
 and a uniform tau grid of spacing d_tau.  The weighted norms
 
     |u|_{X^{s,b}} = ( sum_n sum_tau (<n>^s <tau + m(n)>^b |u(n,tau)|)^2 d_tau )^{1/2}
-    |u|_{Y^s}     = |u|_{X^{s,1/2}} + ( sum_n (<n>^s sum_tau |u| d_tau)^2 )^{1/2}
 
-with <x> = (1 + x^2)^{1/2} discretize the space-time norms in which the
+with <x> = (1 + x^2)^{1/2} discretizes the space-time norm in which the
 quadratic term of the flow is estimated.  The module provides:
 
   * the resonance function R(n, n1) = m(n) - m(n1) - m(n-n1), exact in
@@ -17,8 +16,8 @@ quadratic term of the flow is estimated.  The module provides:
   * numerical verification of the convolution-kernel integral and sum
     bounds that drive the estimates;
   * the bilinear map (f, g) -> dx(fg) measured from X^{s,1/2} x X^{s,1/2}
-    into X^{s,-1/2} and into the l^2_n L^1_tau norm, with adversarial
-    sweeps showing boundedness at s >= -1/2 and growth below;
+    into X^{s,-1/2}, with adversarial sweeps showing boundedness at
+    s >= -1/2 and growth below;
   * pointwise bounds F_s, F_{s,r} on the weight fractions appearing in
     the duality argument;
   * the time-localization gain |psi_T u|_{X^{s,b}} ~ T^{1/2-b} |psi_T
@@ -74,8 +73,6 @@ __all__ = [
     "sweep_spec",
     "time_localization_scan",
     "xsb_norm",
-    "y_bilinear_ratio",
-    "ys_norm",
 ]
 
 
@@ -221,25 +218,29 @@ class ResonanceScan:
             object.__setattr__(self, name, arr)
 
 
-def _ratio_grid(n_range: np.ndarray, n_max: int):
-    """|R|/|n n1 (n-n1)| over n in n_range x all nonzero |n1| <= n_max."""
+def _resonance_grid(n_range: np.ndarray, n_max: int):
+    """(n1_range, n, n1, n - n1, R, valid) over n in n_range x all nonzero |n1| <= n_max.
+
+    n is a float column and n1 a float row; where n1 = n, n - n1 reads 1 and valid is False.
+    """
     n1_range = np.concatenate([np.arange(-n_max, 0), np.arange(1, n_max + 1)])
     n = n_range[:, None].astype(np.float64)
     n1 = n1_range[None, :].astype(np.float64)
     n2 = n - n1
     valid = n2 != 0.0
-    n2_safe = np.where(valid, n2, 1.0)
-    r = 3.0 * n * n1 * n2_safe - 1.0 / n + 1.0 / n1 + 1.0 / n2_safe
-    ratio = np.abs(r) / np.abs(n * n1 * n2_safe)
-    ratio[~valid] = np.inf
-    return n_range, n1_range, ratio
+    n2 = np.where(valid, n2, 1.0)
+    R = 3.0 * n * n1 * n2 - 1.0 / n + 1.0 / n1 + 1.0 / n2
+    return n1_range, n, n1, n2, R, valid
 
 
 def _scan_minimum(n_range, n_max):
-    ns, n1s, ratio = _ratio_grid(np.asarray(n_range), n_max)
+    """Smallest |R|/|n n1 (n-n1)| over n in n_range, with the whole ratio grid."""
+    n1_range, n, n1, n2, R, valid = _resonance_grid(n_range, n_max)
+    ratio = np.abs(R) / np.abs(n * n1 * n2)
+    ratio[~valid] = np.inf
     i, j = np.unravel_index(np.argmin(ratio), ratio.shape)
-    n, n1 = int(ns[i]), int(n1s[j])
-    return ResonanceRecord(n=n, n1=n1, R=float(resonance(n, n1)), ratio=float(ratio[i, j])), ratio
+    a, b = int(n_range[i]), int(n1_range[j])
+    return ResonanceRecord(n=a, n1=b, R=float(resonance(a, b)), ratio=float(ratio[i, j])), ratio
 
 
 def resonance_scan(n_max: int) -> ResonanceScan:
@@ -286,14 +287,6 @@ def xsb_norm(f: LatticeField, s: float, b: float) -> float:
         w = _angle_weight(float(n), s) * _angle_weight(tau + mod_symbol(int(n)), b)
         total += float(np.sum((w * np.abs(row)) ** 2))
     return math.sqrt(total * spec.d_tau)
-
-
-def ys_norm(f: LatticeField, s: float) -> float:
-    """X^{s,1/2} norm plus the l^2_n L^1_tau correction term."""
-    spec = f.spec
-    l1 = np.sum(np.abs(f.values), axis=1) * spec.d_tau
-    wn = _angle_weight(spec.n_values.astype(np.float64), s)
-    return xsb_norm(f, s, 0.5) + float(np.sqrt(np.sum((wn * l1) ** 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -361,23 +354,6 @@ def bilinear_ratio(f: LatticeField, g: LatticeField, s: float) -> float:
         )
         total += float(np.sum((w * np.abs(row)) ** 2))
     return math.sqrt(total * f.spec.d_tau) / den
-
-
-def y_bilinear_ratio(f: LatticeField, g: LatticeField, s: float) -> float:
-    """l^2_n L^1_tau ratio: (sum_n |n|^{2s} [sum_tau |n (f*g)| / <tau+m(n)> d_tau]^2)^{1/2}
-    over |f|_{X^{s,1/2}} |g|_{X^{s,1/2}}; returns 0 for zero input.
-    """
-    den = xsb_norm(f, s, 0.5) * xsb_norm(g, s, 0.5)
-    if den == 0.0:
-        return 0.0
-    conv, tau_out = _bilinear_convolution(f, g)
-    total = 0.0
-    for n_out, row in conv.items():
-        inner = float(
-            np.sum(abs(n_out) * np.abs(row) / _angle_weight(tau_out + mod_symbol(n_out), 1.0))
-        ) * f.spec.d_tau
-        total += abs(n_out) ** (2.0 * s) * inner**2
-    return math.sqrt(total) / den
 
 
 # ---------------------------------------------------------------------------
@@ -556,47 +532,33 @@ def fs_bound_scan(s: float, r: float, n_max: int, tau_samples: int = 5) -> FsBou
         raise ValueError(f"tau_samples must be a positive integer, got {tau_samples}")
     out_of_hypothesis = (s < -0.5) or not (0.0 < r < 0.25)
     n_vals = np.concatenate([np.arange(-n_max, -1), np.arange(2, n_max + 1)])
-    n1_vals = np.concatenate([np.arange(-n_max, 0), np.arange(1, n_max + 1)])
-    n = n_vals[:, None].astype(np.float64)
-    n1 = n1_vals[None, :].astype(np.float64)
-    n2 = n - n1
-    valid = n2 != 0.0
-    n2s = np.where(valid, n2, 1.0)
-    R = 3.0 * n * n1 * n2s - 1.0 / n + 1.0 / n1 + 1.0 / n2s
-    num = np.abs(n) ** (2.0 * s + 2.0) * np.abs(n1 * n2s) ** (-2.0 * s)
+    n1_vals, n, n1, n2, R, valid = _resonance_grid(n_vals, int(n_max))
+    num = np.abs(n) ** (2.0 * s + 2.0) * np.abs(n1 * n2) ** (-2.0 * s)
     wfsr_weight = np.abs(n) ** (2.0 - 4.0 * r)
     offsets = np.linspace(-10.0, 10.0, int(tau_samples))
-    best_fs = (-math.inf, None)
-    best_fsr = (-math.inf, None)
+    best = {"fs": (-math.inf, None), "fsr": (-math.inf, None)}
     for x_off in offsets:
         for y_off in offsets:
             z = x_off - y_off - R
-            sigma = np.maximum.reduce(
-                [
-                    np.full_like(R, math.hypot(1.0, x_off)),
-                    np.full_like(R, math.hypot(1.0, y_off)),
-                    np.sqrt(1.0 + z * z),
-                    np.abs(R),
-                ]
+            sigma = np.maximum(
+                np.maximum(np.sqrt(1.0 + z * z), np.abs(R)),
+                max(math.hypot(1.0, x_off), math.hypot(1.0, y_off)),
             )
             fs = np.where(valid, num / sigma, -np.inf)
             fsr = np.where(valid, wfsr_weight * num / sigma ** (2.0 * (1.0 - r)), -np.inf)
-            for grid_vals, best in ((fs, "fs"), (fsr, "fsr")):
+            for key, grid_vals in (("fs", fs), ("fsr", fsr)):
                 i, j = np.unravel_index(np.argmax(grid_vals), grid_vals.shape)
                 val = float(grid_vals[i, j])
-                arg = (int(n_vals[i]), int(n1_vals[j]), float(x_off), float(y_off))
-                if best == "fs" and val > best_fs[0]:
-                    best_fs = (val, arg)
-                elif best == "fsr" and val > best_fsr[0]:
-                    best_fsr = (val, arg)
+                if val > best[key][0]:
+                    best[key] = (val, (int(n_vals[i]), int(n1_vals[j]), float(x_off), float(y_off)))
     return FsBoundResult(
         s=float(s),
         r=float(r),
         n_max=int(n_max),
-        max_fs=best_fs[0],
-        argmax_fs=best_fs[1],
-        max_weighted_fsr=best_fsr[0],
-        argmax_fsr=best_fsr[1],
+        max_fs=best["fs"][0],
+        argmax_fs=best["fs"][1],
+        max_weighted_fsr=best["fsr"][0],
+        argmax_fsr=best["fsr"][1],
         out_of_hypothesis=out_of_hypothesis,
     )
 

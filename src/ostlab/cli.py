@@ -335,6 +335,10 @@ def _resolve(command: str, args: argparse.Namespace) -> RunConfig:
                 values[k.name] = k.parse(text)
             except ConfigError as exc:
                 raise ConfigError(f"--{k.flag} ({k.name}): {exc}") from exc
+    # one sample has no variance, so the ladder check of gibbs-sample needs two
+    least = 2 if command == "gibbs-sample" else 1
+    if values.get("gibbs.count", least) < least:
+        raise ConfigError(f"gibbs.count must be at least {least} for {command}, got {values['gibbs.count']}")
     return RunConfig(command=command, values=values)
 
 
@@ -710,6 +714,9 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
     for command, keys in _SUBCOMMAND_KEYS.items():
         p = sub.add_parser(command, help=_DESCRIPTIONS[command], description=_DESCRIPTIONS[command])
+        # every flag but -h has two dashes, so a token such as -0.05,0.1, -1e-1 or -inf
+        # is the value of the flag before it (argparse's own pattern accepts only -1 and -.5)
+        p._negative_number_matcher = re.compile(r"^-[^-]")
         p.add_argument("--config", default=None, metavar="FILE", help="key = value configuration file")
         for k in keys:
             p.add_argument(

@@ -98,7 +98,6 @@ class FlowParams:
     dealias: bool = True
     record_every: int = 1
     nonlinear: bool = True
-    record_snapshots: bool = False
 
     def __post_init__(self):
         if not (math.isfinite(self.dt) and self.dt > 0.0):
@@ -114,20 +113,23 @@ class FlowParams:
 
 @dataclass(frozen=True)
 class TrajectoryRecord:
-    """Sampled conserved quantities along one trajectory."""
+    """States and conserved quantities at the record times of one trajectory.
+
+    states[i] holds the coefficients at times[i]; final is states[-1].
+    """
 
     times: np.ndarray
     l2: np.ndarray
     hamiltonian: np.ndarray
     final: FourierField
-    snapshots: tuple | None = None
+    states: np.ndarray
 
     def __post_init__(self):
-        for name in ("times", "l2", "hamiltonian"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
+        for name in ("times", "l2", "hamiltonian", "states"):
+            arr = np.asarray(getattr(self, name), dtype=np.complex128 if name == "states" else np.float64)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        if not (len(self.times) == len(self.l2) == len(self.hamiltonian)):
+        if not (len(self.times) == len(self.l2) == len(self.hamiltonian) == len(self.states)):
             raise ValueError("record arrays must have equal length")
         if np.any(np.diff(self.times) <= 0.0):
             raise ValueError("times must be strictly increasing")
@@ -291,17 +293,23 @@ _ROW_BLOCK = 2048
 
 
 def _advance_times(coeff: np.ndarray, grid: GridSpec, p: FlowParams, times, threads: int = 1):
-    """States of a (rows, m) stack at each t in times: entry j equals _advance(..., times[j]).
+    """States at each t in times: entry j equals _advance(coeff, ..., times[j]).
 
-    Each _ROW_BLOCK-row block (on `threads` workers, 0 = all cores) makes one
-    _advance run per time sign, snapshots every requested full step and
-    gives each time its own tail step.  BlowUpError.samples index the stack.
+    A single (m,) state runs as one block; a (rows, m) stack runs in
+    _ROW_BLOCK-row blocks on `threads` workers (0 = all cores).  Each block
+    makes one _advance run per time sign, snapshots every requested full
+    step and gives each time its own tail step.  BlowUpError.samples index
+    the stack.
     """
     times = [float(t) for t in times]
     lam, rhs = _linear_rates(grid), _make_rhs(grid, p)
+    if coeff.ndim == 1:
+        blocks = [slice(None)]
+    else:
+        blocks = [slice(i, i + _ROW_BLOCK) for i in range(0, len(coeff), _ROW_BLOCK)]
 
-    def run_block(start):
-        rows = coeff[start : start + _ROW_BLOCK]
+    def run_block(block):
+        rows = coeff[block]
         out = [rows] * len(times)
         for sign in (1.0, -1.0):
             mine = [j for j, t in enumerate(times) if t * sign > 0.0]
@@ -321,11 +329,23 @@ def _advance_times(coeff: np.ndarray, grid: GridSpec, p: FlowParams, times, thre
                 if not on_step(0, 0.0, rows):
                     _advance(rows, grid, p, max((times[j] for j in mine), key=abs), on_step)
             except BlowUpError as exc:
+                start = block.start or 0
                 raise BlowUpError(exc.time, exc.modes, [start + i for i in exc.samples]) from None
         return out
 
-    blocks = _parallel_map(run_block, range(0, len(coeff), _ROW_BLOCK), threads)
-    return [np.concatenate([b[j] for b in blocks]) for j in range(len(times))]
+    done = _parallel_map(run_block, blocks, threads)
+    return [np.concatenate([b[j] for b in done]) for j in range(len(times))]
+
+
+def _record_times(T: float, dt: float, every: int) -> list:
+    """Every `every`-th step time i*dt (signed like T) from 0, then T itself if not yet reached."""
+    h = math.copysign(dt, T)
+    times = [i * h for i in range(0, _full_steps(T, dt) + 1, every)]
+    # i*dt can overshoot T by an ulp when dt does not divide T exactly;
+    # only append the endpoint if the last record is genuinely earlier
+    if abs(times[-1]) < abs(T):
+        times.append(T)
+    return times
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +353,7 @@ def _advance_times(coeff: np.ndarray, grid: GridSpec, p: FlowParams, times, thre
 
 
 def evolve(f0: FourierField, p: FlowParams) -> TrajectoryRecord:
-    """Integrate to time p.T, recording L2 and H every record_every steps.
+    """Integrate to time p.T, recording state, L2 and H every record_every steps.
 
     The record always contains t = 0 and t = T.  Raises BlowUpError with
     the failure time if the state leaves the trusted range.
@@ -341,32 +361,14 @@ def evolve(f0: FourierField, p: FlowParams) -> TrajectoryRecord:
     if p.T < 0.0:
         raise ValueError("evolve requires T >= 0; use flow_map for reversed runs")
     grid = f0.grid
-    times, l2s, hams = [0.0], [float(_l2(f0.coeff, grid.length))], [float(_hamiltonian(f0.coeff, grid))]
-    snaps = [f0] if p.record_snapshots else None
-
-    def record(t, c):
-        times.append(t)
-        l2s.append(float(_l2(c, grid.length)))
-        hams.append(float(_hamiltonian(c, grid)))
-        if snaps is not None:
-            snaps.append(FourierField(grid, c))
-
-    def on_step(i, t, c):
-        if i % p.record_every == 0:
-            record(t, c)
-
-    c = _advance(f0.coeff, grid, p, p.T, on_step)
-    # i*dt can overshoot T by an ulp when dt does not divide T exactly;
-    # only append the endpoint if the last record is genuinely earlier
-    if times[-1] < p.T:
-        record(p.T, c)
-    final = snaps[-1] if snaps is not None else FourierField(grid, c)
+    times = _record_times(p.T, p.dt, p.record_every)
+    states = np.array(_advance_times(f0.coeff, grid, p, times))
     return TrajectoryRecord(
         times=np.array(times),
-        l2=np.array(l2s),
-        hamiltonian=np.array(hams),
-        final=final,
-        snapshots=tuple(snaps) if snaps is not None else None,
+        l2=_l2(states, grid.length),
+        hamiltonian=_hamiltonian(states, grid),
+        final=FourierField(grid, states[-1]),
+        states=states,
     )
 
 
@@ -578,25 +580,18 @@ def convergence_in_m(
     m_ref = 2 * m_list[-1]
     length = f0.grid.length
     p = FlowParams(dt=dt, T=T, record_every=record_every, nonlinear=nonlinear)
-    h = math.copysign(dt, T)
-    times = [i * h for i in range(0, _full_steps(T, dt) + 1, record_every)]
-    if times[-1] < T:
-        times.append(T)
+    times = _record_times(p.T, p.dt, p.record_every)
 
-    def snapshots(m):
+    def states(m):
         grid = make_grid(m, length=length)
-        frames = _advance_times(regrid(f0, grid).coeff[None, :], grid, p, times)
-        return np.array(times), np.vstack(frames)
+        return np.array(_advance_times(regrid(f0, grid).coeff, grid, p, times))
 
-    t_ref, ref = snapshots(m_ref)
+    ref = states(m_ref)
     errors = []
     for m in m_list:
-        t_m, states = snapshots(m)
-        if not np.array_equal(t_m, t_ref):
-            raise AssertionError("record grids must coincide")
         padded = np.zeros_like(ref)
-        padded[:, :m] = states
+        padded[:, :m] = states(m)
         errors.append(float(np.max(_l2(padded - ref, length))))
     return ConvergenceStudy(
-        m_values=tuple(m_list), errors=tuple(errors), reference_modes=m_ref, times=t_ref
+        m_values=tuple(m_list), errors=tuple(errors), reference_modes=m_ref, times=np.array(times)
     )

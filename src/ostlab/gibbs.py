@@ -24,6 +24,7 @@ parallelism and estimates are invariant under sample permutation.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import zipfile
@@ -167,6 +168,24 @@ class Ensemble:
 
     def field(self, i: int) -> FourierField:
         return FourierField(self.spec.grid, self.coeffs[i])
+
+    @functools.cached_property
+    def _weights(self) -> tuple[np.ndarray, float, float]:
+        """Importance weights chi_i exp(-g(u_i) - shift), their exact sum and effective sample size.
+
+        Computed once per ensemble.  The shift is the largest log weight
+        among in-support samples, so an excluded sample cannot push every
+        kept weight into underflow.  With no sample in support all weights
+        are 0 and so is the ESS.
+        """
+        w = np.zeros(len(self))
+        chi = self.in_support
+        if chi.any():
+            lw = self.log_weights[chi]
+            w[chi] = np.exp(lw - np.max(lw))
+        w.setflags(write=False)
+        total = math.fsum(w)
+        return w, total, (total**2 / math.fsum(w * w) if total > 0.0 else 0.0)
 
 
 def sample_gaussian(spec: GibbsSpec, count: int) -> Ensemble:
@@ -318,22 +337,6 @@ def _observable_values(ens: Ensemble, F) -> np.ndarray:
     return np.array([float(F(ens.field(i))) for i in range(len(ens))])
 
 
-def _weights(ens: Ensemble) -> tuple[np.ndarray, float]:
-    """Importance weights chi_i exp(-g(u_i) - shift) and their effective sample size.
-
-    The shift is the largest log weight among in-support samples, so an
-    excluded sample cannot push every kept weight into underflow.  With no
-    sample in support all weights are 0 and so is the ESS.
-    """
-    w = np.zeros(len(ens))
-    chi = ens.in_support
-    if chi.any():
-        lw = ens.log_weights[chi]
-        w[chi] = np.exp(lw - np.max(lw))
-    total = math.fsum(w)
-    return w, (total**2 / math.fsum(w * w) if total > 0.0 else 0.0)
-
-
 def gibbs_expectation(ens: Ensemble, F) -> GibbsEstimate:
     """E_mu[F] from an ensemble; F is a callable on fields (or has .batch).
 
@@ -360,8 +363,7 @@ def gibbs_expectation(ens: Ensemble, F) -> GibbsEstimate:
             se = float(np.std(values, ddof=1) / math.sqrt(n))
         return GibbsEstimate(mean=mean, std_error=se, ess=float(n), degenerate=n < ESS_FLOOR)
 
-    w, ess = _weights(ens)
-    total = math.fsum(w)
+    w, total, ess = ens._weights
     if total == 0.0:
         return GibbsEstimate(mean=math.nan, std_error=math.nan, ess=0.0, degenerate=True)
     mean = math.fsum(w * values) / total

@@ -30,7 +30,6 @@ from .gibbs import (
     DegenerateWeightsError,
     ESS_FLOOR,
     GibbsSpec,
-    _weights,
     gaussian_rms_l2,
     gibbs_expectation,
     sample_gaussian,
@@ -245,7 +244,7 @@ def run_invariance(
     if not times or not all(map(math.isfinite, times)):
         raise ValueError(f"times must be a nonempty list of finite numbers, got {times}")
     ens = sample_gaussian(spec, int(count))
-    _, ess = _weights(ens)
+    ess = ens._weights[2]
     if ess < ESS_FLOOR:
         raise DegenerateWeightsError(
             f"effective sample size {ess:.2f} below {ESS_FLOOR}; "

@@ -10,6 +10,7 @@ import pytest
 from ostlab.bourgain import (
     LatticeField,
     LatticeSpec,
+    _resonance_grid,
     bilinear_ratio,
     bilinear_sweep,
     concentrated_pair,
@@ -29,8 +30,6 @@ from ostlab.bourgain import (
     sweep_spec,
     time_localization_scan,
     xsb_norm,
-    y_bilinear_ratio,
-    ys_norm,
 )
 
 
@@ -112,6 +111,19 @@ class TestResonanceScan:
     def test_rejects_tiny_box(self):
         with pytest.raises(ValueError):
             resonance_scan(1)
+
+    def test_shared_grid_matches_exact_resonance(self):
+        # the (n, n1) grid behind resonance_scan and fs_bound_scan
+        n_range = np.array([-5, -2, 1, 3, 6])
+        n1_range, n, n1, n2, R, valid = _resonance_grid(n_range, 6)
+        assert R.shape == valid.shape == n2.shape == (5, 12)
+        for i, a in enumerate(n_range):
+            for j, b in enumerate(n1_range):
+                assert n[i, 0] == a and n1[0, j] == b
+                assert valid[i, j] == (a != b)
+                if a != b:
+                    assert n2[i, j] == a - b
+                    assert R[i, j] == pytest.approx(float(resonance(int(a), int(b))), rel=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -221,15 +233,6 @@ class TestNorms:
             h = LatticeField(spec, f.values + g.values)
             for s, b in ((0.0, 0.5), (-0.5, 0.25), (1.0, 0.5)):
                 assert xsb_norm(h, s, b) <= xsb_norm(f, s, b) + xsb_norm(g, s, b) + 1e-12
-            assert ys_norm(h, -0.5) <= ys_norm(f, -0.5) + ys_norm(g, -0.5) + 1e-12
-
-    def test_ys_norm_oracle_and_domination(self):
-        spec = LatticeSpec(n_max=4, tau_max=64.0, d_tau=0.5)
-        d = delta_lattice_field(spec, 1, 0.0)
-        # X^{0,1/2} part sqrt(d_tau) plus l^2_n L^1_tau part d_tau
-        assert abs(ys_norm(d, 0.0) - (math.sqrt(0.5) + 0.5)) < 1e-14
-        f = random_lattice_field(spec, make_rng(8, 0))
-        assert ys_norm(f, -0.5) >= xsb_norm(f, -0.5, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -316,22 +319,6 @@ class TestBilinearRatio:
             g = random_lattice_field(spec, rng)
             r = bilinear_ratio(f, g, -0.5)
             assert 0.0 < r < 0.01
-
-
-class TestYBilinearRatio:
-    def test_delta_pair_closed_form(self):
-        spec = LatticeSpec(n_max=4, tau_max=64.0, d_tau=0.5)
-        f = delta_lattice_field(spec, 1, 0.0)
-        expected = 2.0 * spec.d_tau / math.sqrt(1.0 + 7.5**2)
-        for s in (0.0, -0.5):  # the delta pair's ratio is s-independent
-            assert abs(y_bilinear_ratio(f, f, s) - expected) < 1e-12
-
-    def test_zero_input_gives_zero(self):
-        spec = LatticeSpec(n_max=2, tau_max=4.0, d_tau=1.0)
-        zero = LatticeField(spec, np.zeros((4, 9)))
-        f = delta_lattice_field(spec, 1, 0.0)
-        assert y_bilinear_ratio(f, zero, 0.0) == 0.0
-        assert y_bilinear_ratio(zero, zero, 0.0) == 0.0
 
 
 class TestBilinearSweep:

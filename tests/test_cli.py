@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from ostlab.cli import main
+from ostlab.cli import _build_parser, _resolve, main
 from ostlab.gibbs import load_ensemble
 
 
@@ -111,6 +111,43 @@ class TestConfigResolution:
         assert code == 1
         assert "nmax" in err
 
+    @pytest.mark.parametrize(
+        "argv, key, value",
+        [
+            (["verify-invariance", "--t-values", "-0.05,0.1"], "invariance.t_values", (-0.05, 0.1)),
+            (["bilinear-sweep", "--s", "-0.5,0"], "bilinear.s_values", (-0.5, 0.0)),
+            (["kernel-scan", "--alpha", "-1,2"], "kernel.alpha_values", (-1.0, 2.0)),
+            (["kernel-scan", "--sum-tau", "-25,5"], "kernel.sum_tau_values", (-25.0, 5.0)),
+            (["kernel-scan", "--sum-n", "-3,7"], "kernel.sum_n_values", (-3, 7)),
+            (["convergence-m", "--t", "-1e-1"], "convergence.t", -0.1),
+        ],
+    )
+    def test_negative_value_after_flag(self, argv, key, value):
+        # "--flag -x" parses like "--flag=-x"
+        assert _resolve(argv[0], _build_parser().parse_args(argv))[key] == value
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gibbs-sample", "--count", "1"],
+            ["gibbs-sample", "--count", "0"],
+            ["verify-invariance", "--count", "0"],
+            ["recurrence", "--count", "-2"],
+        ],
+    )
+    def test_count_below_minimum_names_key(self, capsys, tmp_path, argv):
+        code, _, err = run(capsys, *argv, "--out", str(tmp_path))
+        assert code == 1
+        assert "gibbs.count" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_count_from_config_file_checked(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("gibbs.count = 1\n")
+        code, _, err = run(capsys, "gibbs-sample", "--config", str(cfg), "--out", str(tmp_path))
+        assert code == 1
+        assert "gibbs.count" in err
+
 
 class TestResonanceScanCommand:
     def test_min_ratio_row_at_least_one(self, capsys, tmp_path):
@@ -207,6 +244,10 @@ class TestGibbsSampleCommand:
         for r in rows:
             assert abs(float(r[3]) - 1.0) < 0.2
 
+    def test_two_samples_accepted(self, capsys, tmp_path):
+        code, _, _ = run(capsys, "gibbs-sample", "--modes", "2", "--count", "2", "--out", str(tmp_path))
+        assert code == 0
+
     def test_ensemble_directory_written(self, capsys, tmp_path):
         run(capsys, "gibbs-sample", "--modes", "3", "--count", "10", "--out", str(tmp_path))
         assert [f.name for f in (tmp_path / "ensemble").iterdir()] == ["ensemble.npz"]
@@ -262,7 +303,7 @@ class TestVerifyInvarianceCommand:
             three = json.loads((tmp_path / "invariance.json").read_text())["reports"]
             assert one == three
 
-    @pytest.mark.parametrize("value", ["nan", "inf", "0.1,nan"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "0.1,nan", "-inf"])
     def test_non_finite_t_values_exit_1(self, capsys, tmp_path, value):
         code, _, err = run(
             capsys,

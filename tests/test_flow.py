@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ostlab.flow import (
     _ROW_BLOCK,
@@ -133,10 +135,21 @@ class TestEvolve:
     def test_snapshots(self):
         g = make_grid(4)
         f = unit_random_field(g, np.random.default_rng(2))
-        rec = evolve(f, FlowParams(dt=1e-3, T=0.004, record_every=2, record_snapshots=True))
-        assert len(rec.snapshots) == len(rec.times)
-        assert np.array_equal(rec.snapshots[0].coeff, f.coeff)
-        assert np.array_equal(rec.snapshots[-1].coeff, rec.final.coeff)
+        p = FlowParams(dt=1e-3, T=0.004, record_every=2)
+        rec = evolve(f, p)
+        assert rec.states.shape == (len(rec.times), 4)
+        assert np.array_equal(rec.states[0], f.coeff)
+        assert np.array_equal(rec.states[-1], rec.final.coeff)
+        for t, state in zip(rec.times, rec.states):
+            assert state.tobytes() == _advance(f.coeff, g, p, t).tobytes()
+
+    def test_single_state_wider_than_row_block(self):
+        # a single state is one block, not _ROW_BLOCK-mode slices
+        g = make_grid(_ROW_BLOCK + 52)
+        f = unit_random_field(g, np.random.default_rng(4), decay=0.01)
+        p = FlowParams(dt=1e-3, T=2e-3)
+        rec = evolve(f, p)
+        assert rec.final.coeff.tobytes() == _advance(f.coeff, g, p, p.T).tobytes()
 
     def test_fractional_final_step(self):
         g = make_grid(4)
@@ -154,6 +167,7 @@ class TestEvolve:
             evolve(FourierField(g, c), FlowParams(dt=1e-3, T=1.0))
         assert err.value.time > 0.0
         assert len(err.value.modes) > 0
+        assert err.value.samples == ()
 
     def test_negative_horizon_rejected(self):
         g = make_grid(4)
@@ -255,6 +269,39 @@ class TestAdvanceTimes:
         assert err.value.samples == (3000,)
 
 
+@st.composite
+def fields(draw, max_modes, max_amplitude, min_length):
+    """Fields on grids of 1..max_modes modes, lengths min_length..20 and points >= 4m."""
+    m = draw(st.integers(1, max_modes))
+    grid = make_grid(m, draw(st.floats(min_length, 20.0)), 4 * m + draw(st.integers(0, 5)))
+    parts = st.floats(-max_amplitude, max_amplitude)
+    return FourierField(grid, np.array([complex(draw(parts), draw(parts)) for _ in range(m)]))
+
+
+class TestProperties:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(fields(24, 10.0, 1.0))
+    def test_nonlinear_term_is_skew(self, f):
+        # roundoff scale of the pairing: max xi * |u|_2^2 * |u|_inf (up to a factor 2)
+        scale = f.grid.xi[-1] * l2_norm(f) ** 2 * np.sum(np.abs(f.coeff))
+        assert abs(inner(nonlinear_term(f), f)) <= 1e-12 * scale
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        # wavenumbers xi_k <= 8 keep dt * xi^3 near 1/2 or below: the regime the scheme resolves
+        fields(8, 0.3, 2.0 * math.pi),
+        st.floats(-0.1, 0.1).filter(lambda t: t != 0.0),
+        st.sampled_from(["etdrk4", "strang-split"]),
+    )
+    def test_flow_map_round_trip(self, f, t, integrator):
+        # neither scheme is reversible: the round trip closes to scheme error, O(dt^2) for
+        # Strang's tail step when dt does not divide t and O(dt^4) for ETDRK4
+        p = FlowParams(dt=1e-3, integrator=integrator)
+        back = flow_map(flow_map(f, t, p), -t, p)
+        tol = {"etdrk4": 1e-6, "strang-split": 1e-5}[integrator]
+        assert l2_norm(FourierField(f.grid, back.coeff - f.coeff)) <= tol * max(1.0, l2_norm(f))
+
+
 class TestLiouville:
     def test_divergence_free_at_random_states(self):
         g = make_grid(4)
@@ -349,6 +396,14 @@ class TestConvergenceInM:
         g = make_grid(4)
         study = convergence_in_m(zero_field(g), T=0.1, m_list=[4, 8])
         assert study.errors == (0.0, 0.0)
+
+    @pytest.mark.parametrize("T", [0.2555, -0.2555])
+    def test_record_grid_ends_at_T(self, T):
+        # 0.2555 is not a multiple of record_every * dt = 0.05 in either direction
+        f = unit_random_field(make_grid(8), np.random.default_rng(31), decay=0.3)
+        study = convergence_in_m(f, T, [8, 16])
+        assert study.times[-1] == T
+        assert np.allclose(np.abs(study.times[:-1]), 0.05 * np.arange(6), rtol=0, atol=1e-15)
 
     def test_rejects_unsorted_m_list(self):
         g = make_grid(4)

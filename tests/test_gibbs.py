@@ -362,6 +362,17 @@ class TestGibbsExpectation:
         assert est.ess == pytest.approx(99.0, rel=1e-12)
         assert est.mean == pytest.approx(values[1:].mean(), rel=1e-12)
 
+    def test_weights_computed_once_per_ensemble(self):
+        ens = sample_gaussian(GibbsSpec(grid=make_grid(2), seed=3), 50)
+        w = ens._weights[0]
+        assert not w.flags.writeable
+        gibbs_expectation(ens, lambda f: l2_norm(f))
+        assert ens._weights[0] is w
+        # a replaced ensemble gets weights of its own
+        shifted = dataclasses.replace(ens, log_weights=ens.log_weights + 1.0)
+        assert shifted._weights[0] is not w
+        assert np.allclose(shifted._weights[0], w, rtol=1e-14)
+
     def test_all_outside_support(self):
         spec = GibbsSpec(grid=make_grid(2), seed=1)
         ens = sample_gaussian(spec, 10)
