@@ -30,6 +30,7 @@ ratios); every sweep therefore keeps d_tau constant across n_max.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -39,7 +40,7 @@ import numpy as np
 from scipy.fft import next_fast_len
 from scipy.integrate import IntegrationWarning, quad
 
-from .spectral import GridSpec, _philox, dispersion
+from .spectral import GridSpec, _parallel_map, _philox, dispersion
 
 # unit-spacing frequency grid: dispersion(n, _UNIT_GRID) = n^3 - 1/n
 _UNIT_GRID = GridSpec(length=2.0 * math.pi, modes=1, points=4)
@@ -155,6 +156,11 @@ class LatticeField:
             if not np.allclose(vals, mirrored, atol=1e-12):
                 raise ValueError("field is not Hermitian-symmetric")
 
+    @functools.cached_property
+    def _row_support(self) -> np.ndarray:
+        """Indices of the frequency rows holding a nonzero amplitude, ascending."""
+        return np.flatnonzero(self.values.any(axis=1))
+
 
 def delta_lattice_field(spec: LatticeSpec, n: int, tau: float = 0.0, value=1.0) -> LatticeField:
     """Single nonzero cell at frequency n and the grid cell nearest tau."""
@@ -233,36 +239,72 @@ def _resonance_grid(n_range: np.ndarray, n_max: int):
     return n1_range, n, n1, n2, R, valid
 
 
-def _scan_minimum(n_range, n_max):
-    """Smallest |R|/|n n1 (n-n1)| over n in n_range, with the whole ratio grid."""
-    n1_range, n, n1, n2, R, valid = _resonance_grid(n_range, n_max)
+# cells per row block of the resonance and F_s scans: each block array stays
+# near 256 KiB, in cache, and the scans run in O(n_max) memory
+_BLOCK_CELLS = 1 << 15
+
+
+def _admissible_blocks(n_max: int) -> list:
+    """2 <= |n| <= n_max, ascending, in blocks of about _BLOCK_CELLS (n, n1) cells."""
+    n_range = np.concatenate([np.arange(-n_max, -1), np.arange(2, n_max + 1)])
+    rows = max(1, _BLOCK_CELLS // (2 * n_max))
+    return [n_range[i : i + rows] for i in range(0, len(n_range), rows)]
+
+
+def _ratio_block(n_block: np.ndarray, n_max: int):
+    """(n1_range, |R| / |n n1 (n-n1)|) over one row block, inf where n1 = n."""
+    n1_range, n, n1, n2, R, valid = _resonance_grid(n_block, n_max)
     ratio = np.abs(R) / np.abs(n * n1 * n2)
     ratio[~valid] = np.inf
+    return n1_range, ratio
+
+
+def _block_minimum(n_block: np.ndarray, n_max: int):
+    """(smallest ratio, its n, its n1, smallest and largest finite ratio) over one row block."""
+    n1_range, ratio = _ratio_block(n_block, n_max)
     i, j = np.unravel_index(np.argmin(ratio), ratio.shape)
-    a, b = int(n_range[i]), int(n1_range[j])
-    return ResonanceRecord(n=a, n1=b, R=float(resonance(a, b)), ratio=float(ratio[i, j])), ratio
+    finite = ratio[np.isfinite(ratio)]
+    return float(ratio[i, j]), int(n_block[i]), int(n1_range[j]), finite.min(), finite.max()
 
 
-def resonance_scan(n_max: int) -> ResonanceScan:
+def _record(ratio: float, n: int, n1: int) -> ResonanceRecord:
+    return ResonanceRecord(n=n, n1=n1, R=float(resonance(n, n1)), ratio=ratio)
+
+
+def resonance_scan(n_max: int, threads: int = 1) -> ResonanceScan:
     """Scan all (n, n1) with 2 <= |n| <= n_max, 1 <= |n1| <= n_max, n != n1.
 
     The minimum ratio is non-increasing in n_max and stays >= 1 (indeed
     close to 3): the cubic telescoping dominates the O(1/n) corrections.
+    The grid is streamed in row blocks of about _BLOCK_CELLS cells on
+    `threads` workers (0 = all cores), twice: once for the minimum and the
+    histogram range, once for the bin counts.  Memory is O(n_max), the
+    result does not depend on `threads`, and of equal ratios the first pair
+    in row-major order wins.
     """
     if int(n_max) != n_max or n_max < 2:
         raise ValueError(f"n_max must be an integer >= 2, got {n_max}")
     n_max = int(n_max)
-    main_range = np.concatenate([np.arange(-n_max, -1), np.arange(2, n_max + 1)])
-    minimum, ratio = _scan_minimum(main_range, n_max)
-    finite = ratio[np.isfinite(ratio)]
-    counts, edges = np.histogram(finite, bins=40)
-    slice_min, _ = _scan_minimum(np.array([-1, 1]), n_max)
+    blocks = _admissible_blocks(n_max)
+    minima = _parallel_map(lambda rows: _block_minimum(rows, n_max), blocks, threads)
+    # min() keeps the first of equal ratios, and the blocks run in row order
+    ratio, a, b, _, _ = min(minima, key=lambda m: m[0])
+    extent = (min(m[3] for m in minima), max(m[4] for m in minima))
+
+    def block_histogram(rows):
+        # numpy bins each element on its own, so over the global extent the
+        # block counts add up to the histogram of the whole grid
+        ratios = _ratio_block(rows, n_max)[1]
+        return np.histogram(ratios[np.isfinite(ratios)], bins=40, range=extent)
+
+    histograms = _parallel_map(block_histogram, blocks, threads)
+    slice_ratio, c, d, _, _ = _block_minimum(np.array([-1, 1]), n_max)
     return ResonanceScan(
         n_max=n_max,
-        minimum=minimum,
-        slice_minimum=slice_min,
-        hist_counts=counts,
-        hist_edges=edges,
+        minimum=_record(ratio, a, b),
+        slice_minimum=_record(slice_ratio, c, d),
+        hist_counts=np.sum([h[0] for h in histograms], axis=0),
+        hist_edges=histograms[0][1],
     )
 
 
@@ -279,22 +321,17 @@ def xsb_norm(f: LatticeField, s: float, b: float) -> float:
     """Discrete X^{s,b} norm (counting measure in n, d_tau Riemann in tau)."""
     spec = f.spec
     tau = spec.tau
+    n_values = spec.n_values
     total = 0.0
-    for i, n in enumerate(spec.n_values):
-        row = f.values[i]
-        if not row.any():
-            continue
+    for i in f._row_support:
+        n = n_values[i]
         w = _angle_weight(float(n), s) * _angle_weight(tau + mod_symbol(int(n)), b)
-        total += float(np.sum((w * np.abs(row)) ** 2))
+        total += float(np.sum((w * np.abs(f.values[i])) ** 2))
     return math.sqrt(total * spec.d_tau)
 
 
 # ---------------------------------------------------------------------------
 # bilinear convolution ratios
-
-
-def _nonzero_rows(f: LatticeField):
-    return [i for i in range(f.values.shape[0]) if f.values[i].any()]
 
 
 def _bilinear_convolution(f: LatticeField, g: LatticeField):
@@ -313,8 +350,8 @@ def _bilinear_convolution(f: LatticeField, g: LatticeField):
     length = 2 * nt - 1
     size = next_fast_len(length)
     nv = spec.n_values
-    rows_f = _nonzero_rows(f)
-    rows_g = _nonzero_rows(g)
+    rows_f = f._row_support
+    rows_g = g._row_support
     specs_f = {i: np.fft.fft(f.values[i], size) for i in rows_f}
     specs_g = {j: np.fft.fft(g.values[j], size) for j in rows_g}
     acc: dict[int, np.ndarray] = {}
@@ -333,6 +370,22 @@ def _bilinear_convolution(f: LatticeField, g: LatticeField):
     return out, tau_out
 
 
+def _bilinear_ratios(f: LatticeField, g: LatticeField, s_values) -> list:
+    """[bilinear_ratio(f, g, s) for s in s_values] from one convolution."""
+    dens = [xsb_norm(f, s, 0.5) * xsb_norm(g, s, 0.5) for s in s_values]
+    if 0.0 in dens:
+        raise ValueError("bilinear ratio needs nonzero input fields")
+    conv, tau_out = _bilinear_convolution(f, g)
+    totals = [0.0] * len(dens)
+    for n_out, row in conv.items():
+        amplitude = np.abs(row)
+        modulation = _angle_weight(tau_out + mod_symbol(n_out), -0.5)
+        for k, s in enumerate(s_values):
+            w = abs(n_out) * _angle_weight(float(n_out), s) * modulation
+            totals[k] += float(np.sum((w * amplitude) ** 2))
+    return [math.sqrt(total * f.spec.d_tau) / den for total, den in zip(totals, dens)]
+
+
 def bilinear_ratio(f: LatticeField, g: LatticeField, s: float) -> float:
     """|dx(fg)|_{X^{s,-1/2}} / (|f|_{X^{s,1/2}} |g|_{X^{s,1/2}}).
 
@@ -341,19 +394,7 @@ def bilinear_ratio(f: LatticeField, g: LatticeField, s: float) -> float:
     measures the bare constant of the estimate at the lattice's d_tau.
     Raises on zero input (zero denominator).
     """
-    den = xsb_norm(f, s, 0.5) * xsb_norm(g, s, 0.5)
-    if den == 0.0:
-        raise ValueError("bilinear ratio needs nonzero input fields")
-    conv, tau_out = _bilinear_convolution(f, g)
-    total = 0.0
-    for n_out, row in conv.items():
-        w = (
-            abs(n_out)
-            * _angle_weight(float(n_out), s)
-            * _angle_weight(tau_out + mod_symbol(n_out), -0.5)
-        )
-        total += float(np.sum((w * np.abs(row)) ** 2))
-    return math.sqrt(total * f.spec.d_tau) / den
+    return _bilinear_ratios(f, g, [s])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -469,8 +510,7 @@ def bilinear_sweep(
             else:
                 rng = _philox(seed, (n_max << 20) + (nu << 16) + t)
                 f, g = concentrated_pair(spec, nu, "random", rng=rng, w_cells=w_cells)
-            for s in s_list:
-                r = bilinear_ratio(f, g, s)
+            for s, r in zip(s_list, _bilinear_ratios(f, g, s_list)):
                 cur = best.get((s, n_max))
                 if cur is None or r > cur[0]:
                     best[(s, n_max)] = (r, label, spec.recommendation_met)
@@ -531,14 +571,17 @@ def fs_bound_scan(s: float, r: float, n_max: int, tau_samples: int = 5) -> FsBou
     if int(tau_samples) != tau_samples or tau_samples < 1:
         raise ValueError(f"tau_samples must be a positive integer, got {tau_samples}")
     out_of_hypothesis = (s < -0.5) or not (0.0 < r < 0.25)
-    n_vals = np.concatenate([np.arange(-n_max, -1), np.arange(2, n_max + 1)])
-    n1_vals, n, n1, n2, R, valid = _resonance_grid(n_vals, int(n_max))
-    num = np.abs(n) ** (2.0 * s + 2.0) * np.abs(n1 * n2) ** (-2.0 * s)
-    wfsr_weight = np.abs(n) ** (2.0 - 4.0 * r)
+    n_max = int(n_max)
     offsets = np.linspace(-10.0, 10.0, int(tau_samples))
-    best = {"fs": (-math.inf, None), "fsr": (-math.inf, None)}
-    for x_off in offsets:
-        for y_off in offsets:
+    pairs = [(x_off, y_off) for x_off in offsets for y_off in offsets]
+    # found[key][(pair, block)] = (block maximum, its (n, n1, x_off, y_off))
+    found = {"fs": {}, "fsr": {}}
+    blocks = _admissible_blocks(n_max)
+    for b, rows in enumerate(blocks):
+        n1_vals, n, n1, n2, R, valid = _resonance_grid(rows, n_max)
+        num = np.abs(n) ** (2.0 * s + 2.0) * np.abs(n1 * n2) ** (-2.0 * s)
+        wfsr_weight = np.abs(n) ** (2.0 - 4.0 * r)
+        for o, (x_off, y_off) in enumerate(pairs):
             z = x_off - y_off - R
             sigma = np.maximum(
                 np.maximum(np.sqrt(1.0 + z * z), np.abs(R)),
@@ -548,9 +591,13 @@ def fs_bound_scan(s: float, r: float, n_max: int, tau_samples: int = 5) -> FsBou
             fsr = np.where(valid, wfsr_weight * num / sigma ** (2.0 * (1.0 - r)), -np.inf)
             for key, grid_vals in (("fs", fs), ("fsr", fsr)):
                 i, j = np.unravel_index(np.argmax(grid_vals), grid_vals.shape)
-                val = float(grid_vals[i, j])
-                if val > best[key][0]:
-                    best[key] = (val, (int(n_vals[i]), int(n1_vals[j]), float(x_off), float(y_off)))
+                found[key][o, b] = (
+                    float(grid_vals[i, j]),
+                    (int(rows[i]), int(n1_vals[j]), float(x_off), float(y_off)),
+                )
+    # max() keeps the first of equal values: the first offset pair in loop
+    # order, then the first block, whose argmax is its first cell in row-major order
+    best = {key: max((v[k] for k in sorted(v)), key=lambda m: m[0]) for key, v in found.items()}
     return FsBoundResult(
         s=float(s),
         r=float(r),
@@ -696,11 +743,18 @@ class KernelSumResult:
         return max(row.value + row.tail for row in self.rows)
 
 
-def _sum_form1(tau: float, n: int, k_range: int) -> tuple:
-    """sum over n1 of log(2+|tau+m(n1)+m(n-n1)|)/(1+|same|)."""
+def _symbol_table(k_max: int):
+    """m restricted to 0 < |i| <= k_max: mod_symbol evaluated once, then looked up."""
+    i = np.concatenate([np.arange(-k_max, 0), np.arange(1, k_max + 1)])
+    table = np.insert(mod_symbol(i), k_max, np.nan)
+    return lambda idx: table[idx + k_max]
+
+
+def _sum_form1(tau: float, n: int, k_range: int, m) -> tuple:
+    """sum over n1 of log(2+|tau+m(n1)+m(n-n1)|)/(1+|same|); m is a _symbol_table."""
     n1 = np.arange(-k_range, k_range + 1)
     n1 = n1[(n1 != 0) & (n1 != n)]
-    arg = tau + np.asarray(mod_symbol(n1)) + np.asarray(mod_symbol(n - n1))
+    arg = tau + m(n1) + m(n - n1)
     a = np.abs(arg)
     value = float(np.sum(np.log(2.0 + a) / (1.0 + a)))
     # past k_range, |m(n1)+m(n-n1)| >= (3/4)|n| n1^2 up to O(1) terms;
@@ -713,17 +767,17 @@ def _sum_form1(tau: float, n: int, k_range: int) -> tuple:
     return value, tail
 
 
-def _sum_form23(tau1: float, n1: int, k_range: int, rho: float, form: int) -> tuple:
-    """Forms 2/3: given (tau1, n1), sum over output frequency n."""
+def _sum_form23(tau1: float, n1: int, k_range: int, rho: float, form: int, m) -> tuple:
+    """Forms 2/3: given (tau1, n1), sum over output frequency n; m is a _symbol_table."""
     j = np.arange(-k_range, k_range + 1)  # j = n - n1
     j = j[(j != 0) & (j != -n1)]  # n = n1 + j must be nonzero
-    arg = tau1 + float(mod_symbol(n1)) - np.asarray(mod_symbol(j))
+    arg = tau1 + float(m(n1)) - m(j)
     a = np.abs(arg)
     if form == 2:
         value = float(np.sum(np.log(2.0 + a) / (1.0 + a)))
     else:
         value = float(np.sum(np.log(1.0 + a) / (1.0 + a) ** rho))
-    base = abs(tau1 + float(mod_symbol(n1)))
+    base = abs(tau1 + float(m(n1)))
     if 0.5 * k_range**3 <= base + 3.0:
         raise ValueError("k_range too small for the tail bound")
     c = 0.5  # |arg| >= |j|^3/2 beyond the scan, after absorbing base
@@ -751,6 +805,10 @@ def kernel_sum_scan(tau_list, n_list, rho: float, k_range: int = 10**5) -> Kerne
     """
     if not rho > 2.0 / 3.0:
         raise ValueError(f"rho must be > 2/3, got {rho}")
+    if k_range < 1:
+        raise ValueError("k_range too small for the tail bound")
+    # every index below lies in 0 < |i| <= k_range + max |n|
+    m = _symbol_table(int(k_range) + max((abs(int(n)) for n in n_list), default=0))
     rows = []
     for tau in tau_list:
         tau = float(tau)
@@ -758,9 +816,9 @@ def kernel_sum_scan(tau_list, n_list, rho: float, k_range: int = 10**5) -> Kerne
             n = int(n)
             if n == 0:
                 raise ValueError("n must be nonzero")
-            v1, t1 = _sum_form1(tau, n, k_range)
-            v2, t2 = _sum_form23(tau, n, k_range, rho, form=2)
-            v3, t3 = _sum_form23(tau, n, k_range, rho, form=3)
+            v1, t1 = _sum_form1(tau, n, k_range, m)
+            v2, t2 = _sum_form23(tau, n, k_range, rho, form=2, m=m)
+            v3, t3 = _sum_form23(tau, n, k_range, rho, form=3, m=m)
             rows.append(KernelSumRow(form=1, tau=tau, n=n, value=v1, tail=t1))
             rows.append(KernelSumRow(form=2, tau=tau, n=n, value=v2, tail=t2))
             rows.append(KernelSumRow(form=3, tau=tau, n=n, value=v3, tail=t3))
@@ -798,10 +856,9 @@ def localize(u: LatticeField, T: float) -> LatticeField:
     """Window u in time: convolve each frequency row with the Hann transform."""
     spec = u.spec
     kernel = hann_ft(spec.tau, T) * (spec.d_tau / (2.0 * math.pi))
-    out = np.empty_like(u.values)
-    for i in range(out.shape[0]):
-        row = u.values[i]
-        out[i] = np.convolve(row, kernel, mode="same") if row.any() else 0.0
+    out = np.zeros_like(u.values)
+    for i in u._row_support:
+        out[i] = np.convolve(u.values[i], kernel, mode="same")
     return LatticeField(spec, out)
 
 

@@ -16,9 +16,9 @@ finished but its verdict is FAIL (a ``verify-invariance`` z-gate).
 The default output directory is the environment variable OSTLAB_OUTDIR
 (falling back to the working directory); ``--out`` overrides it.
 ``--threads`` caps worker threads (0 = all cores) for the lattice sizes of
-``bilinear-sweep`` and the row blocks of ``verify-invariance``, which draws
-its ensemble once and integrates it once per time sign; results do not
-depend on the thread count.
+``bilinear-sweep``, the row blocks of ``resonance-scan`` and the row blocks
+of ``verify-invariance``, which draws its ensemble once and integrates it
+once per time sign; results do not depend on the thread count.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ import numpy as np
 
 from . import __version__
 from .bourgain import bilinear_sweep, kernel_integral_scan, kernel_sum_scan, resonance_scan
-from .flow import BlowUpError, FlowParams, convergence_in_m, evolve, flow_map, picard_solve
+from .flow import BlowUpError, FlowParams, _linear_rates, convergence_in_m, evolve, flow_map, picard_solve
 from .gibbs import (
     DegenerateWeightsError,
     GibbsSpec,
@@ -400,6 +400,15 @@ def _make_grid_from(cfg: RunConfig):
     return make_grid(cfg["grid.modes"], cfg["grid.length"], points if points else None)
 
 
+def _max_phase_per_step(grid, dt: float) -> float:
+    """Linear phase the fastest retained mode turns through in one step.
+
+    dt resolves the dispersion only when this is well below 1 rad; the
+    sidecar reports it because no check rejects a grid that misses that.
+    """
+    return float(dt * np.max(np.abs(_linear_rates(grid))))
+
+
 def _initial_field(cfg: RunConfig, grid):
     if cfg["init.kind"] == "cosine":
         coeff = np.zeros(grid.modes, dtype=np.complex128)
@@ -471,7 +480,8 @@ def _cmd_simulate(cfg: RunConfig) -> int:
     _write_csv(out / "final_state.csv", cfg, ["k", "re", "im"], final_rows)
     l2_drift = float(np.max(np.abs(rec.l2 - rec.l2[0]))) / rec.l2[0]
     h_drift = float(np.max(np.abs(rec.hamiltonian - rec.hamiltonian[0])))
-    _write_meta(out, cfg, {"l2_relative_drift": l2_drift, "hamiltonian_drift": h_drift})
+    phase = _max_phase_per_step(grid, p.dt)
+    _write_meta(out, cfg, {"l2_relative_drift": l2_drift, "hamiltonian_drift": h_drift, "max_phase_per_step": phase})
     print(f"relative L2 drift {l2_drift:.3e} over T = {cfg['flow.t']}")
     return 0
 
@@ -518,12 +528,13 @@ def _cmd_verify_invariance(cfg: RunConfig) -> int:
         worst = max(worst, zmax_seen)
         ok = ok and rep.all_passed
         print(f"t = {rep.t}: max |z| = {zmax_seen:.3f} [{flag}]")
-    _write_meta(out, cfg, {"max_abs_z": worst, "all_passed": ok})
+    phase = _max_phase_per_step(grid, p.dt)
+    _write_meta(out, cfg, {"max_abs_z": worst, "all_passed": ok, "max_phase_per_step": phase})
     return 0 if ok else 3
 
 
 def _cmd_resonance_scan(cfg: RunConfig) -> int:
-    scan = resonance_scan(cfg["resonance.n_max"])
+    scan = resonance_scan(cfg["resonance.n_max"], threads=cfg["run.threads"])
     out = _out_dir(cfg)
     rows = [
         ("admissible-min", scan.minimum.n, scan.minimum.n1, scan.minimum.R, scan.minimum.ratio),

@@ -28,7 +28,7 @@ import functools
 import json
 import math
 import zipfile
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -186,6 +186,13 @@ class Ensemble:
         w.setflags(write=False)
         total = math.fsum(w)
         return w, total, (total**2 / math.fsum(w * w) if total > 0.0 else 0.0)
+
+    def _with_coeffs(self, coeffs) -> "Ensemble":
+        """This ensemble with other sample fields; the weights depend only on
+        log_weights and in_support, so the copy shares the cached ones."""
+        out = replace(self, coeffs=coeffs)
+        out.__dict__["_weights"] = self._weights
+        return out
 
 
 def sample_gaussian(spec: GibbsSpec, count: int) -> Ensemble:

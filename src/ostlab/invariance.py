@@ -19,7 +19,6 @@ multiple-comparison correction is applied — raw z-scores are the data.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -259,7 +258,7 @@ def run_invariance(
     )
     reports = []
     for t, coeffs in zip(times, _advance_times(ens.coeffs, spec.grid, p, times, threads)):
-        pushed = dataclasses.replace(ens, coeffs=coeffs)
+        pushed = ens._with_coeffs(coeffs)
         rows = []
         for F, b in zip(obs, before):
             a = gibbs_expectation(pushed, F)

@@ -2,14 +2,19 @@
 bounds, bilinear sweeps, and time localization."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import ostlab.bourgain as bourgain
 from ostlab.bourgain import (
+    FsBoundResult,
     LatticeField,
     LatticeSpec,
+    ResonanceRecord,
+    _bilinear_ratios,
     _resonance_grid,
     bilinear_ratio,
     bilinear_sweep,
@@ -124,6 +129,51 @@ class TestResonanceScan:
                 if a != b:
                     assert n2[i, j] == a - b
                     assert R[i, j] == pytest.approx(float(resonance(int(a), int(b))), rel=1e-14)
+
+    @pytest.mark.parametrize("threads", [1, 2, 0])
+    @pytest.mark.parametrize("n_max, cells", [(300, None), (40, 400)])
+    def test_streamed_scan_matches_full_grid(self, monkeypatch, threads, n_max, cells):
+        # 300: 54-row blocks, the last one 4 rows; 40 with 400 cells: 5-row
+        # blocks, the last one 3 rows.  (n, n1) and (-n, -n1) tie exactly, so
+        # the minimum also checks that ties go to the first pair in row-major order.
+        if cells is not None:
+            monkeypatch.setattr(bourgain, "_BLOCK_CELLS", cells)
+        assert len(bourgain._admissible_blocks(n_max)[-1]) in (3, 4)
+        expected = _full_grid_scan(n_max)
+        scan = resonance_scan(n_max, threads=threads)
+        assert scan.minimum == expected["minimum"]
+        assert scan.minimum.n < 0
+        assert scan.slice_minimum == expected["slice_minimum"]
+        assert scan.hist_counts.dtype == expected["counts"].dtype
+        assert scan.hist_counts.tobytes() == expected["counts"].tobytes()
+        assert scan.hist_edges.tobytes() == expected["edges"].tobytes()
+
+    def test_memory_below_one_full_grid(self):
+        # one (2 n_max)^2 float64 grid at n_max = 1024 is 33.5 MB
+        tracemalloc.start()
+        try:
+            resonance_scan(1024)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < (2 * 1024) ** 2 * 8
+
+
+def _full_grid_scan(n_max):
+    """resonance_scan computed on whole (n, n1) grids, as one array each."""
+
+    def minimum(n_range):
+        n1_range, n, n1, n2, R, valid = _resonance_grid(n_range, n_max)
+        ratio = np.abs(R) / np.abs(n * n1 * n2)
+        ratio[~valid] = np.inf
+        i, j = np.unravel_index(np.argmin(ratio), ratio.shape)
+        a, b = int(n_range[i]), int(n1_range[j])
+        return ResonanceRecord(a, b, float(resonance(a, b)), float(ratio[i, j])), ratio
+
+    main, ratio = minimum(np.concatenate([np.arange(-n_max, -1), np.arange(2, n_max + 1)]))
+    counts, edges = np.histogram(ratio[np.isfinite(ratio)], bins=40)
+    unit, _ = minimum(np.array([-1, 1]))
+    return {"minimum": main, "slice_minimum": unit, "counts": counts, "edges": edges}
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +310,6 @@ class TestBilinearRatio:
         spec = LatticeSpec(n_max=3, tau_max=4.0, d_tau=0.5)
         f = random_lattice_field(spec, make_rng(11, 0))
         g = random_lattice_field(spec, make_rng(11, 1))
-        s = -0.25
         nv, tau, dt = spec.n_values, spec.tau, spec.d_tau
         nt = len(tau)
         conv = {}
@@ -273,17 +322,21 @@ class TestBilinearRatio:
                 for k1 in range(nt):
                     row[k1 : k1 + nt] += f.values[i, k1] * g.values[j] * dt
         tau_out = 2 * tau[0] + np.arange(2 * nt - 1) * dt
-        total = 0.0
-        for n_out, row in conv.items():
-            w = (
-                abs(n_out)
-                * (1 + n_out**2) ** (s / 2)
-                * (1 + (tau_out + mod_symbol(n_out)) ** 2) ** -0.25
-            )
-            total += np.sum((w * np.abs(row)) ** 2)
-        brute = math.sqrt(total * dt) / (xsb_norm(f, s, 0.5) * xsb_norm(g, s, 0.5))
-        got = bilinear_ratio(f, g, s)
-        assert abs(got - brute) < 1e-10 * brute
+        s_values = [0.0, -0.25, -0.5, -0.6]
+        # one convolution serves every s
+        ratios = _bilinear_ratios(f, g, s_values)
+        for s, got in zip(s_values, ratios):
+            total = 0.0
+            for n_out, row in conv.items():
+                w = (
+                    abs(n_out)
+                    * (1 + n_out**2) ** (s / 2)
+                    * (1 + (tau_out + mod_symbol(n_out)) ** 2) ** -0.25
+                )
+                total += np.sum((w * np.abs(row)) ** 2)
+            brute = math.sqrt(total * dt) / (xsb_norm(f, s, 0.5) * xsb_norm(g, s, 0.5))
+            assert abs(got - brute) < 1e-10 * brute
+            assert got == bilinear_ratio(f, g, s)
 
     def test_invariant_under_rotation_and_scaling(self):
         spec = LatticeSpec(n_max=3, tau_max=4.0, d_tau=0.5)
@@ -364,6 +417,20 @@ class TestBilinearSweep:
         b = bilinear_sweep([-0.5], [16], trials=2, seed=3)
         assert a == b
 
+    def test_one_convolution_per_candidate_pair(self, monkeypatch):
+        calls = []
+        convolve = bourgain._bilinear_convolution
+
+        def counted(f, g):
+            calls.append(1)
+            return convolve(f, g)
+
+        monkeypatch.setattr(bourgain, "_bilinear_convolution", counted)
+        res = bilinear_sweep([0.0, -0.5, -0.6], [16], trials=4, seed=0)
+        # nu in {1, 2}: one box pair and 4 random pairs each
+        assert len(calls) == 10
+        assert len(res.rows) == 3
+
 
 # ---------------------------------------------------------------------------
 # pointwise weight fractions
@@ -405,11 +472,49 @@ class TestFsBounds:
         assert res.max_fs > 1.0  # the bound genuinely fails below s = -1/2
         assert fs_bound_scan(-0.5, 0.3, 8).out_of_hypothesis
 
+    @pytest.mark.parametrize("s, r, n_max, tau_samples", [(-0.5, 0.125, 32, 5), (-0.7, 0.125, 16, 5), (-0.5, 0.3, 8, 3)])
+    def test_streamed_scan_matches_full_grid(self, monkeypatch, s, r, n_max, tau_samples):
+        # 100 cells: blocks of 100 // (2 n_max) rows or a single row, the last one partial
+        monkeypatch.setattr(bourgain, "_BLOCK_CELLS", 100)
+        assert fs_bound_scan(s, r, n_max, tau_samples) == _full_grid_fs_scan(s, r, n_max, tau_samples)
+
     def test_scan_validation(self):
         with pytest.raises(ValueError):
             fs_bound_scan(-0.5, 0.125, 1)
         with pytest.raises(ValueError):
             fs_bound_scan(-0.5, 0.125, 8, tau_samples=0)
+
+
+def _full_grid_fs_scan(s, r, n_max, tau_samples):
+    """fs_bound_scan on the whole (n, n1) grid, one offset pair at a time."""
+    n_vals = np.concatenate([np.arange(-n_max, -1), np.arange(2, n_max + 1)])
+    n1_vals, n, n1, n2, R, valid = _resonance_grid(n_vals, n_max)
+    num = np.abs(n) ** (2.0 * s + 2.0) * np.abs(n1 * n2) ** (-2.0 * s)
+    best = {"fs": (-math.inf, None), "fsr": (-math.inf, None)}
+    offsets = np.linspace(-10.0, 10.0, tau_samples)
+    for x_off in offsets:
+        for y_off in offsets:
+            z = x_off - y_off - R
+            sigma = np.maximum(
+                np.maximum(np.sqrt(1.0 + z * z), np.abs(R)),
+                max(math.hypot(1.0, x_off), math.hypot(1.0, y_off)),
+            )
+            fs = np.where(valid, num / sigma, -np.inf)
+            fsr = np.where(valid, np.abs(n) ** (2.0 - 4.0 * r) * num / sigma ** (2.0 * (1.0 - r)), -np.inf)
+            for key, vals in (("fs", fs), ("fsr", fsr)):
+                i, j = np.unravel_index(np.argmax(vals), vals.shape)
+                if vals[i, j] > best[key][0]:
+                    best[key] = (float(vals[i, j]), (int(n_vals[i]), int(n1_vals[j]), float(x_off), float(y_off)))
+    return FsBoundResult(
+        s=float(s),
+        r=float(r),
+        n_max=n_max,
+        max_fs=best["fs"][0],
+        argmax_fs=best["fs"][1],
+        max_weighted_fsr=best["fsr"][0],
+        argmax_fsr=best["fsr"][1],
+        out_of_hypothesis=(s < -0.5) or not (0.0 < r < 0.25),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -460,11 +565,33 @@ class TestKernelSums:
         row = next(r for r in res.rows if r.form == 1)
         assert abs(row.value - value) < 1e-12 * value
 
+    def test_rows_match_per_row_symbol_evaluation(self):
+        # the scan looks m up in one table; evaluating mod_symbol row by row
+        # must give the same bits
+        taus, ns, rho, k = [0.0, 5.0, -25.0, 300.0], [1, 2, -3, 7], 0.7, 200
+        res = kernel_sum_scan(taus, ns, rho=rho, k_range=k)
+        expected = []
+        for tau in taus:
+            for n in ns:
+                n1 = np.arange(-k, k + 1)
+                n1 = n1[(n1 != 0) & (n1 != n)]
+                a = np.abs(tau + mod_symbol(n1) + mod_symbol(n - n1))
+                expected.append(float(np.sum(np.log(2.0 + a) / (1.0 + a))))
+                j = np.arange(-k, k + 1)
+                j = j[(j != 0) & (j != -n)]
+                a = np.abs(tau + float(mod_symbol(n)) - mod_symbol(j))
+                expected.append(float(np.sum(np.log(2.0 + a) / (1.0 + a))))
+                expected.append(float(np.sum(np.log(1.0 + a) / (1.0 + a) ** rho)))
+        assert [row.value for row in res.rows] == expected
+
     def test_validation(self):
         with pytest.raises(ValueError):
             kernel_sum_scan([0.0], [1], rho=0.5)
         with pytest.raises(ValueError):
             kernel_sum_scan([0.0], [0], rho=0.75)
+        for k_range in (0, -5, -1000):
+            with pytest.raises(ValueError, match="k_range too small"):
+                kernel_sum_scan([0.0], [1], rho=0.75, k_range=k_range)
 
 
 def _direct_form1(tau, n, k_range):

@@ -230,6 +230,19 @@ class TestSimulateCommand:
         assert code == 1
         assert "modes" in err
 
+    def test_meta_reports_phase_per_step(self, capsys, tmp_path):
+        # length 1 with 6 modes: the top mode turns 54 rad per 1e-3 step
+        code, _, _ = run(
+            capsys,
+            "simulate", "--length", "1", "--modes", "6", "--t", "0.002", "--dt", "0.001",
+            "--out", str(tmp_path),
+        )
+        assert code == 0
+        meta = json.loads((tmp_path / "simulate.meta.json").read_text())
+        xi = 2.0 * math.pi * 6
+        assert meta["summary"]["max_phase_per_step"] == pytest.approx(1e-3 * (xi**3 + 1.0 / xi), rel=1e-12)
+        assert meta["summary"]["max_phase_per_step"] > 50.0
+
 
 class TestGibbsSampleCommand:
     def test_summary_variances_near_ladder(self, capsys, tmp_path):
@@ -289,6 +302,16 @@ class TestVerifyInvarianceCommand:
         assert "FAIL" in out
         doc = json.loads((tmp_path / "invariance.json").read_text())
         assert not all(r["pass"] for r in doc["reports"][0]["results"])
+
+    def test_meta_reports_phase_per_step(self, capsys, tmp_path):
+        code, _, _ = run(
+            capsys,
+            "verify-invariance", "--modes", "4", "--count", "100", "--dt", "0.002",
+            "--t-values", "0.0", "--out", str(tmp_path),
+        )
+        assert code == 0
+        meta = json.loads((tmp_path / "verify-invariance.meta.json").read_text())
+        assert meta["summary"]["max_phase_per_step"] == pytest.approx(0.002 * (4**3 + 1 / 4), rel=1e-12)
 
     def test_results_independent_of_thread_count(self, capsys, tmp_path):
         # 1500 rows fit in one row block; 4500 span three

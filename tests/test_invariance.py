@@ -1,12 +1,13 @@
 """Invariance experiment: observables, reports, sweeps, recurrence."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
 
 from ostlab.flow import FlowParams
-from ostlab.gibbs import DegenerateWeightsError, GibbsSpec, default_cutoff, sample_gaussian
+from ostlab.gibbs import DegenerateWeightsError, Ensemble, GibbsSpec, default_cutoff, sample_gaussian
 from ostlab.invariance import (
     ball_indicator,
     cubic_integral,
@@ -164,6 +165,24 @@ class TestRunInvariance:
                 "pass",
             }
         assert "no multiple-comparison correction" in doc["note"]
+
+    def test_weights_computed_once(self, monkeypatch):
+        # the pushed ensembles share the drawn ensemble's log weights and support
+        calls = []
+        weights = Ensemble._weights.func
+
+        def counted(ens):
+            calls.append(1)
+            return weights(ens)
+
+        prop = functools.cached_property(counted)
+        prop.__set_name__(Ensemble, "_weights")
+        monkeypatch.setattr(Ensemble, "_weights", prop)
+        g = make_grid(4)
+        spec = GibbsSpec(grid=g, cutoff_R=default_cutoff(g), seed=131)
+        reports = run_invariance(spec, FlowParams(dt=1e-3), [0.01, 0.02], [l2_squared(), mode_power(1)], 300)
+        assert len(reports) == 2
+        assert len(calls) == 1
 
     def test_deterministic(self):
         g = make_grid(4)
