@@ -26,18 +26,23 @@ quadratic term of the flow is estimated.  The module provides:
 Ratios are only comparable at a fixed d_tau (the Riemann-sum convention
 does not cancel between numerator and denominator of the bilinear
 ratios); every sweep therefore keeps d_tau constant across n_max.
+
+A LatticeField holds only its nonzero row windows, never the dense
+lattice, whose tau grid grows like n_max^3; norms and the bilinear
+convolution work window by window, so `bilinear_sweep` reaches n_max 4096
+(2**33 cells per row at d_tau 16) in a fraction of a second and a few
+hundred kB, and any n_max within the tau index limit of 2**52 (about
+4.2e5 at d_tau 16).
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.fft import next_fast_len
 from scipy.integrate import IntegrationWarning, quad
 
 from .spectral import GridSpec, _parallel_map, _philox, dispersion
@@ -90,10 +95,10 @@ def mod_symbol(n):
 class LatticeSpec:
     """Frequency/modulation grid: n in {+-1..+-n_max}, tau in d_tau steps.
 
-    The tau grid is symmetric, tau_j = (j - K) d_tau with K =
-    floor(tau_max/d_tau).  Containing the dispersion curve comfortably
-    wants tau_max >= 8 m(n_max); `recommendation_met` records whether
-    this holds so reports can flag marginal grids.
+    The tau grid is symmetric, tau_j = (j - K) d_tau for j = 0 .. 2K, with
+    K = floor(tau_max/d_tau) <= 2**52.  Containing the dispersion curve
+    comfortably wants tau_max >= 8 m(n_max); `recommendation_met` records
+    whether this holds so reports can flag marginal grids.
     """
 
     n_max: int
@@ -108,6 +113,8 @@ class LatticeSpec:
             raise ValueError(f"d_tau must be positive, got {self.d_tau}")
         if not (self.tau_max >= self.d_tau and math.isfinite(self.tau_max)):
             raise ValueError(f"tau_max must be >= d_tau, got {self.tau_max}")
+        if self.k_tau > 2**52:
+            raise ValueError(f"tau index floor(tau_max/d_tau) = {self.k_tau} exceeds 2**52 (float64 resolution)")
 
     @property
     def n_values(self) -> np.ndarray:
@@ -115,9 +122,18 @@ class LatticeSpec:
         return np.concatenate([np.arange(-n, 0), np.arange(1, n + 1)])
 
     @property
+    def k_tau(self) -> int:
+        """K = floor(tau_max/d_tau), the column of tau = 0."""
+        return int(self.tau_max / self.d_tau)
+
+    @property
+    def shape(self) -> tuple:
+        """(frequency rows, tau columns) of the dense lattice."""
+        return (2 * self.n_max, 2 * self.k_tau + 1)
+
+    @property
     def tau(self) -> np.ndarray:
-        k = int(self.tau_max / self.d_tau)
-        return (np.arange(2 * k + 1) - k) * self.d_tau
+        return (np.arange(2 * self.k_tau + 1) - self.k_tau) * self.d_tau
 
     @property
     def recommendation_met(self) -> bool:
@@ -129,50 +145,72 @@ class LatticeSpec:
         n = int(n)
         return n + self.n_max if n < 0 else n + self.n_max - 1
 
+    def nearest_column(self, tau: float) -> int:
+        """The column nearest tau, the lower of two equidistant ones, without the dense grid.
 
-@dataclass(frozen=True, eq=False)
+        For tau on or near the grid this is np.argmin(np.abs(self.tau - tau)):
+        rounding moves floor(tau/d_tau) by at most one column, so the four
+        columns around it hold the argmin.
+        """
+        k = self.k_tau
+        guess = math.floor(tau / self.d_tau) + k
+        cols = np.arange(min(max(guess - 1, 0), 2 * k), min(max(guess + 2, 0), 2 * k) + 1)
+        return int(cols[np.argmin(np.abs((cols - k) * self.d_tau - tau))])
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class LatticeField:
-    """Complex amplitudes f(n, tau) on a LatticeSpec grid.
+    """Complex amplitudes f(n, tau) on a LatticeSpec grid, held as row windows.
 
-    hermitian=True asserts f(-n, -tau) = conj(f(n, tau)) (the symmetry of
-    transforms of real fields) and is validated at construction.
+    `windows` holds one read-only (row, column, window) per nonzero row,
+    ascending: the row's amplitudes from tau column `column` on, trimmed to
+    its first and last nonzero cell; all other cells are zero.  Pass
+    `windows`, or a dense `values` array of spec.shape to be trimmed; the
+    `values` property rebuilds the dense array on each access (read-only).
     """
 
     spec: LatticeSpec
-    values: np.ndarray
-    hermitian: bool = False
+    windows: tuple
 
-    def __post_init__(self):
-        vals = np.array(self.values, dtype=np.complex128)
-        shape = (2 * self.spec.n_max, len(self.spec.tau))
-        if vals.shape != shape:
-            raise ValueError(f"values must have shape {shape}, got {vals.shape}")
-        if not np.isfinite(vals).all():
-            raise ValueError("values must be finite")
+    def __init__(self, spec: LatticeSpec, values=None, windows=()):
+        if values is not None:
+            vals = np.asarray(values, dtype=np.complex128)
+            if vals.shape != spec.shape:
+                raise ValueError(f"values must have shape {spec.shape}, got {vals.shape}")
+            windows = [(i, 0, row) for i, row in enumerate(vals)]
+        kept = []
+        for row, col, win in windows:
+            win = np.asarray(win, dtype=np.complex128)
+            fits = win.ndim == 1 and 0 <= row < spec.shape[0] and 0 <= col <= spec.shape[1] - len(win)
+            if not (fits and np.isfinite(win).all()):
+                raise ValueError(f"window at row {row}, column {col} must be finite and fit the lattice")
+            nz = np.flatnonzero(win)
+            if nz.size:
+                win = win[nz[0] : nz[-1] + 1].copy()
+                win.setflags(write=False)
+                kept.append((int(row), int(col + nz[0]), win))
+        kept.sort(key=lambda w: w[0])
+        if any(a[0] == b[0] for a, b in zip(kept, kept[1:])):
+            raise ValueError("a row may hold one window only")
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "windows", tuple(kept))
+
+    @property
+    def values(self) -> np.ndarray:
+        vals = np.zeros(self.spec.shape, dtype=np.complex128)
+        for row, col, win in self.windows:
+            vals[row, col : col + len(win)] = win
         vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-        if self.hermitian:
-            mirrored = np.conj(vals[::-1, ::-1])
-            if not np.allclose(vals, mirrored, atol=1e-12):
-                raise ValueError("field is not Hermitian-symmetric")
-
-    @functools.cached_property
-    def _row_support(self) -> np.ndarray:
-        """Indices of the frequency rows holding a nonzero amplitude, ascending."""
-        return np.flatnonzero(self.values.any(axis=1))
+        return vals
 
 
 def delta_lattice_field(spec: LatticeSpec, n: int, tau: float = 0.0, value=1.0) -> LatticeField:
     """Single nonzero cell at frequency n and the grid cell nearest tau."""
-    vals = np.zeros((2 * spec.n_max, len(spec.tau)), dtype=np.complex128)
-    j = int(np.argmin(np.abs(spec.tau - tau)))
-    vals[spec.index(n), j] = value
-    return LatticeField(spec, vals)
+    return LatticeField(spec, windows=[(spec.index(n), spec.nearest_column(tau), [value])])
 
 
 def random_lattice_field(spec: LatticeSpec, rng: np.random.Generator) -> LatticeField:
-    shape = (2 * spec.n_max, len(spec.tau))
-    return LatticeField(spec, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    return LatticeField(spec, rng.standard_normal(spec.shape) + 1j * rng.standard_normal(spec.shape))
 
 
 # ---------------------------------------------------------------------------
@@ -318,15 +356,15 @@ def _angle_weight(x: np.ndarray, power: float) -> np.ndarray:
 
 
 def xsb_norm(f: LatticeField, s: float, b: float) -> float:
-    """Discrete X^{s,b} norm (counting measure in n, d_tau Riemann in tau)."""
+    """Discrete X^{s,b} norm (counting measure in n, d_tau Riemann in tau) over the windows."""
     spec = f.spec
-    tau = spec.tau
     n_values = spec.n_values
     total = 0.0
-    for i in f._row_support:
+    for i, col, win in f.windows:
         n = n_values[i]
+        tau = (np.arange(col, col + len(win)) - spec.k_tau) * spec.d_tau
         w = _angle_weight(float(n), s) * _angle_weight(tau + mod_symbol(int(n)), b)
-        total += float(np.sum((w * np.abs(f.values[i])) ** 2))
+        total += float(np.sum((w * np.abs(win)) ** 2))
     return math.sqrt(total * spec.d_tau)
 
 
@@ -334,40 +372,34 @@ def xsb_norm(f: LatticeField, s: float, b: float) -> float:
 # bilinear convolution ratios
 
 
-def _bilinear_convolution(f: LatticeField, g: LatticeField):
-    """Full discrete convolution of f and g over (n, tau).
+def _bilinear_convolution(f: LatticeField, g: LatticeField) -> dict:
+    """Discrete convolution of f and g over (n, tau), window by window.
 
-    Returns ({n_out: row}, tau_out): the tau_1 integral is a Riemann sum,
-    so each row carries a factor d_tau; tau_out spans 2*tau[0] ..
-    2*tau[-1] with the same spacing.  Output frequencies cover all
-    achievable sums n1 + n2 except 0 (the zero mode is annihilated by the
-    derivative weight anyway).
+    Returns {n_out: (column, row)}: row holds consecutive output cells from
+    `column` on, and output column j sits at tau = (j - 2K) d_tau, so a
+    window pair at columns a and b lands at column a + b.  The tau_1
+    integral is a Riemann sum, so each row carries a factor d_tau.  Output
+    frequencies cover all achievable sums n1 + n2 except 0 (the zero mode is
+    annihilated by the derivative weight anyway).
     """
     spec = f.spec
     if g.spec != spec:
         raise ValueError("fields must share a lattice")
-    nt = len(spec.tau)
-    length = 2 * nt - 1
-    size = next_fast_len(length)
     nv = spec.n_values
-    rows_f = f._row_support
-    rows_g = g._row_support
-    specs_f = {i: np.fft.fft(f.values[i], size) for i in rows_f}
-    specs_g = {j: np.fft.fft(g.values[j], size) for j in rows_g}
-    acc: dict[int, np.ndarray] = {}
-    for i in rows_f:
-        for j in rows_g:
+    parts: dict[int, list] = {}
+    for i, a, u in f.windows:
+        for j, b, v in g.windows:
             n_out = int(nv[i] + nv[j])
-            if n_out == 0:
-                continue
-            prod = specs_f[i] * specs_g[j]
-            if n_out in acc:
-                acc[n_out] += prod
-            else:
-                acc[n_out] = prod
-    tau_out = 2.0 * spec.tau[0] + np.arange(length) * spec.d_tau
-    out = {n: np.fft.ifft(row)[:length] * spec.d_tau for n, row in acc.items()}
-    return out, tau_out
+            if n_out != 0:
+                parts.setdefault(n_out, []).append((a + b, np.convolve(u, v)))
+    out = {}
+    for n_out, pieces in parts.items():
+        lo = min(col for col, _ in pieces)
+        row = np.zeros(max(col + len(p) for col, p in pieces) - lo, dtype=np.complex128)
+        for col, p in pieces:
+            row[col - lo : col - lo + len(p)] += p
+        out[n_out] = (lo, row * spec.d_tau)
+    return out
 
 
 def _bilinear_ratios(f: LatticeField, g: LatticeField, s_values) -> list:
@@ -375,15 +407,16 @@ def _bilinear_ratios(f: LatticeField, g: LatticeField, s_values) -> list:
     dens = [xsb_norm(f, s, 0.5) * xsb_norm(g, s, 0.5) for s in s_values]
     if 0.0 in dens:
         raise ValueError("bilinear ratio needs nonzero input fields")
-    conv, tau_out = _bilinear_convolution(f, g)
+    spec = f.spec
     totals = [0.0] * len(dens)
-    for n_out, row in conv.items():
+    for n_out, (col, row) in _bilinear_convolution(f, g).items():
         amplitude = np.abs(row)
-        modulation = _angle_weight(tau_out + mod_symbol(n_out), -0.5)
+        tau = (np.arange(col, col + len(row)) - 2 * spec.k_tau) * spec.d_tau
+        modulation = _angle_weight(tau + mod_symbol(n_out), -0.5)
         for k, s in enumerate(s_values):
             w = abs(n_out) * _angle_weight(float(n_out), s) * modulation
             totals[k] += float(np.sum((w * amplitude) ** 2))
-    return [math.sqrt(total * f.spec.d_tau) / den for total, den in zip(totals, dens)]
+    return [math.sqrt(total * spec.d_tau) / den for total, den in zip(totals, dens)]
 
 
 def bilinear_ratio(f: LatticeField, g: LatticeField, s: float) -> float:
@@ -435,20 +468,15 @@ def concentrated_pair(
         raise ValueError(f"unknown profile {profile!r}")
     if profile == "random" and rng is None:
         raise ValueError("random profile needs an rng")
-    tau = spec.tau
-    shape = (2 * spec.n_max, len(tau))
 
     def build(n_row):
-        vals = np.zeros(shape, dtype=np.complex128)
-        center = int(np.argmin(np.abs(tau + mod_symbol(n_row))))
-        lo = max(0, center - w_cells // 2)
-        hi = min(len(tau), lo + w_cells)
+        lo = max(0, spec.nearest_column(-mod_symbol(n_row)) - w_cells // 2)
+        width = min(spec.shape[1], lo + w_cells) - lo
         if profile == "box":
-            vals[spec.index(n_row), lo:hi] = 1.0
+            window = np.ones(width)
         else:
-            width = hi - lo
-            vals[spec.index(n_row), lo:hi] = rng.standard_normal(width) + 1j * rng.standard_normal(width)
-        return LatticeField(spec, vals)
+            window = rng.standard_normal(width) + 1j * rng.standard_normal(width)
+        return LatticeField(spec, windows=[(spec.index(n_row), lo, window)])
 
     return build(spec.n_max), build(nu - spec.n_max)
 
@@ -853,13 +881,15 @@ def hann_ft(lam, T: float):
 
 
 def localize(u: LatticeField, T: float) -> LatticeField:
-    """Window u in time: convolve each frequency row with the Hann transform."""
+    """Window u in time: convolve each frequency row with the Hann transform (full-width windows)."""
     spec = u.spec
     kernel = hann_ft(spec.tau, T) * (spec.d_tau / (2.0 * math.pi))
-    out = np.zeros_like(u.values)
-    for i in u._row_support:
-        out[i] = np.convolve(u.values[i], kernel, mode="same")
-    return LatticeField(spec, out)
+    windows = []
+    for i, col, win in u.windows:
+        row = np.zeros(spec.shape[1], dtype=np.complex128)
+        row[col : col + len(win)] = win
+        windows.append((i, 0, np.convolve(row, kernel, mode="same")))
+    return LatticeField(spec, windows=windows)
 
 
 def localization_ratio(u: LatticeField, b: float, T: float, s: float = 0.0) -> float:
@@ -879,11 +909,9 @@ def localization_demo_field(n_max: int = 4, d_tau: float = 1.0, margin: float = 
     integrate — the cleanest exhibit of the T^{1/2-b} gain.
     """
     spec = LatticeSpec(n_max=n_max, tau_max=abs(mod_symbol(n_max)) + margin, d_tau=d_tau)
-    vals = np.zeros((2 * n_max, len(spec.tau)), dtype=np.complex128)
-    for n in spec.n_values:
-        j = int(np.argmin(np.abs(spec.tau + mod_symbol(int(n)))))
-        vals[spec.index(int(n)), j] = 1.0
-    return LatticeField(spec, vals)
+    return LatticeField(
+        spec, windows=[(spec.index(int(n)), spec.nearest_column(-mod_symbol(int(n))), [1.0]) for n in spec.n_values]
+    )
 
 
 @dataclass(frozen=True)

@@ -15,10 +15,10 @@ finished but its verdict is FAIL (a ``verify-invariance`` z-gate).
 
 The default output directory is the environment variable OSTLAB_OUTDIR
 (falling back to the working directory); ``--out`` overrides it.
-``--threads`` caps worker threads (0 = all cores) for the lattice sizes of
-``bilinear-sweep``, the row blocks of ``resonance-scan`` and the row blocks
-of ``verify-invariance``, which draws its ensemble once and integrates it
-once per time sign; results do not depend on the thread count.
+``--threads`` caps worker threads (0 = all cores) for the row blocks of
+``resonance-scan`` and of ``verify-invariance``, which draws its ensemble
+once and integrates it once per time sign; results do not depend on the
+thread count.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bourgain import bilinear_sweep, kernel_integral_scan, kernel_sum_scan, resonance_scan
+from .bourgain import bilinear_sweep, kernel_integral_scan, kernel_sum_scan, resonance_scan, sweep_spec
 from .flow import BlowUpError, FlowParams, _linear_rates, convergence_in_m, evolve, flow_map, picard_solve
 from .gibbs import (
     DegenerateWeightsError,
@@ -339,6 +339,12 @@ def _resolve(command: str, args: argparse.Namespace) -> RunConfig:
     least = 2 if command == "gibbs-sample" else 1
     if values.get("gibbs.count", least) < least:
         raise ConfigError(f"gibbs.count must be at least {least} for {command}, got {values['gibbs.count']}")
+    # every sweep lattice is built here, so a tau index past 2**52 never starts a run
+    for n_max in values.get("bilinear.n_max_values", ()):
+        try:
+            sweep_spec(n_max, d_tau=values["bilinear.d_tau"], w_cells=values["bilinear.w_cells"])
+        except ValueError as exc:
+            raise ConfigError(f"bilinear.n_max_values entry {n_max}, d_tau {values['bilinear.d_tau']}: {exc}") from exc
     return RunConfig(command=command, values=values)
 
 
@@ -564,16 +570,8 @@ def _cmd_bilinear_sweep(cfg: RunConfig) -> int:
     s_values = cfg["bilinear.s_values"]
     trials, d_tau = cfg["bilinear.trials"], cfg["bilinear.d_tau"]
     w_cells, seed = cfg["bilinear.w_cells"], cfg["bilinear.seed"]
-
-    def one(n_max):
-        return bilinear_sweep([*s_values], [n_max], trials, d_tau=d_tau, w_cells=w_cells, seed=seed)
-
-    results = _parallel_map(one, cfg["bilinear.n_max_values"], cfg["run.threads"])
-    rows = sorted(
-        ((row.s, row.n_max, row.max_ratio, row.candidate, row.recommendation_met)
-         for res in results for row in res.rows),
-        key=lambda r: (r[0], r[1]),
-    )
+    result = bilinear_sweep(s_values, cfg["bilinear.n_max_values"], trials, d_tau=d_tau, w_cells=w_cells, seed=seed)
+    rows = [(r.s, r.n_max, r.max_ratio, r.candidate, r.recommendation_met) for r in result.rows]
     out = _out_dir(cfg)
     _write_csv(
         out / "bilinear_sweep.csv",
@@ -581,7 +579,12 @@ def _cmd_bilinear_sweep(cfg: RunConfig) -> int:
         ["s", "n_max", "max_ratio", "candidate", "recommendation_met"],
         rows,
     )
-    _write_meta(out, cfg, {"rows": len(rows)})
+    # least-squares d log(max_ratio) / d log(n_max) per s: about -1 at s = 0, 0 at s = -1/2
+    slopes = {}
+    for s in s_values:
+        log_n, log_r = np.log([(r[1], r[2]) for r in rows if r[0] == s]).T
+        slopes[_fmt(s)] = float(np.polyfit(log_n, log_r, 1)[0]) if len(set(log_n)) > 1 else None
+    _write_meta(out, cfg, {"rows": len(rows), "log_log_slope": slopes})
     for s in s_values:
         ratios = [r[2] for r in rows if r[0] == s]
         print(f"s = {s}: max ratios {', '.join(f'{v:.6f}' for v in ratios)}")

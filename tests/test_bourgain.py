@@ -203,6 +203,29 @@ class TestLatticeSpec:
             LatticeSpec(n_max=4, tau_max=8.0, d_tau=0.0)
         with pytest.raises(ValueError):
             LatticeSpec(n_max=4, tau_max=0.5, d_tau=1.0)
+        # float64 resolves tau columns only up to a tau index of 2**52
+        assert LatticeSpec(n_max=4, tau_max=2.0**52, d_tau=1.0).k_tau == 2**52
+        with pytest.raises(ValueError, match="2\\*\\*52"):
+            LatticeSpec(n_max=4, tau_max=2.0**53, d_tau=1.0)
+
+    @pytest.mark.parametrize("d_tau", [1.0, 16.0, 0.37])
+    @pytest.mark.parametrize("n_max", [4, 16, 64, 100])
+    def test_nearest_column_matches_dense_argmin(self, n_max, d_tau):
+        spec = sweep_spec(n_max, d_tau=d_tau)
+        tau, k = spec.tau, spec.k_tau
+        # the curve cells, as the field constructors use them
+        targets = [-mod_symbol(int(n)) for n in (*spec.n_values[:: max(1, n_max // 8)], n_max)]
+        targets += [(j + 0.5) * d_tau for j in (-k, -7, -1, 0, 3, k - 1)]  # midpoints: ties
+        targets += [c * spec.tau_max for c in (-3.0, -1.0, -0.5, 0.0, 1.0, 3.0)]
+        targets += [t + e for t in (tau[0], tau[-1]) for e in (-2.5 * d_tau, -1e-9, 1e-9, 2.5 * d_tau)]
+        targets += list(make_rng(13, n_max).uniform(-1.1 * spec.tau_max, 1.1 * spec.tau_max, 20))
+        for t in targets:
+            assert spec.nearest_column(t) == int(np.argmin(np.abs(tau - t))), t
+
+    def test_nearest_column_tie_takes_lower_column(self):
+        spec = LatticeSpec(n_max=2, tau_max=8.0, d_tau=1.0)
+        assert spec.nearest_column(0.5) == spec.k_tau
+        assert spec.nearest_column(-0.5) == spec.k_tau - 1
 
     def test_curve_containment_recommendation(self):
         # 8 * m(2) = 60
@@ -223,14 +246,21 @@ class TestLatticeField:
         with pytest.raises(ValueError):
             field.values[0, 0] = 1.0
 
-    def test_hermitian_flag(self):
+    def test_windows_trimmed_to_nonzero_span(self):
         spec = LatticeSpec(n_max=2, tau_max=4.0, d_tau=1.0)
-        rng = make_rng(3, 1)
-        half = rng.standard_normal((4, 9)) + 1j * rng.standard_normal((4, 9))
-        sym = half + np.conj(half[::-1, ::-1])
-        LatticeField(spec, sym, hermitian=True)
+        dense = np.zeros((4, 9), dtype=complex)
+        dense[1, 2:6] = [0.0, 1.0, 2j, 0.0]
+        dense[3, 8] = 3.0
+        field = LatticeField(spec, dense)
+        assert [(row, col, list(win)) for row, col, win in field.windows] == [(1, 3, [1.0, 2j]), (3, 8, [3.0])]
+        assert np.array_equal(field.values, dense)
+        same = LatticeField(spec, windows=[(3, 6, [0.0, 0.0, 3.0]), (1, 0, dense[1]), (0, 0, np.zeros(9))])
+        assert np.array_equal(same.values, dense)
         with pytest.raises(ValueError):
-            LatticeField(spec, half, hermitian=True)
+            field.windows[0][2][0] = 0.0
+        for bad in ([(4, 0, [1.0])], [(0, 8, [1.0, 1.0])], [(0, -1, [1.0])], [(0, 0, [1.0]), (0, 4, [1.0])]):
+            with pytest.raises(ValueError):
+                LatticeField(spec, windows=bad)
 
     def test_delta_field_single_cell(self):
         spec = LatticeSpec(n_max=3, tau_max=8.0, d_tau=0.5)
@@ -416,6 +446,40 @@ class TestBilinearSweep:
         a = bilinear_sweep([-0.5], [16], trials=2, seed=3)
         b = bilinear_sweep([-0.5], [16], trials=2, seed=3)
         assert a == b
+
+    def test_memory_at_criterion_9_point(self):
+        # window lattices: the dense (128, 32 809) fields at n_max 64 took 67 MB each
+        tracemalloc.start()
+        try:
+            bilinear_sweep([0.0, -0.5, -0.6], [16, 32, 64], trials=4, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6
+
+    def test_box_pairs_scale_to_4096_in_bounded_memory(self):
+        n_list = [2**k for k in range(4, 13)]
+        tracemalloc.start()
+        try:
+            res = bilinear_sweep([0.0, -0.5, -0.6], n_list, trials=4, seed=0)
+            box = [_bilinear_ratios(*concentrated_pair(sweep_spec(n), 1), [0.0, -0.5, -0.6]) for n in n_list]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6  # a dense field at n_max 4096 would hold 8192 x 8.6e9 cells
+        assert len(res.rows) == 27
+        # nu = 1 box pairs: s = 0 halves per doubling, s = -1/2 stays flat, s = -0.6 grows 2^0.2
+        expected = {
+            16: (7.5718e-3, 0.098845, 0.16524),
+            64: (1.8550e-3, 0.099061, 0.21949),
+            256: (4.6130e-4, 0.099109, 0.29010),
+            1024: (1.1516e-4, 0.099113, 0.38291),
+            4096: (2.8779e-5, 0.099113, 0.50529),
+        }
+        for n, ratios in expected.items():
+            got = box[n_list.index(n)]
+            for want, r in zip(ratios, got):
+                assert abs(r / want - 1.0) < 1e-4, (n, r, want)
 
     def test_one_convolution_per_candidate_pair(self, monkeypatch):
         calls = []

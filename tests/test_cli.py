@@ -442,6 +442,33 @@ class TestAnalysisCommands:
         keys = [(float(r[0]), int(r[1])) for r in rows]
         assert keys == sorted(keys)
 
+    def test_bilinear_sweep_reaches_4096(self, capsys, tmp_path):
+        nmax = ",".join(str(2**k) for k in range(4, 13))
+        code, _, _ = run(capsys, "bilinear-sweep", "--nmax", nmax, "--out", str(tmp_path))
+        assert code == 0
+        _, _, rows = read_csv(tmp_path / "bilinear_sweep.csv")
+        assert len(rows) == 27
+        slopes = json.loads((tmp_path / "bilinear-sweep.meta.json").read_text())["summary"]["log_log_slope"]
+        # halving per doubling at s = 0, flat at s = -1/2, 2^0.2 per doubling at s = -0.6
+        assert abs(slopes["0.0"] + 1.0) < 0.05
+        assert abs(slopes["-0.5"]) < 0.01
+        assert abs(slopes["-0.6"] - 0.2) < 0.01
+
+    def test_bilinear_sweep_single_size_has_no_slope(self, capsys, tmp_path):
+        code, _, _ = run(capsys, "bilinear-sweep", "--s", "0", "--nmax", "8", "--out", str(tmp_path))
+        assert code == 0
+        meta = json.loads((tmp_path / "bilinear-sweep.meta.json").read_text())
+        assert meta["summary"]["log_log_slope"] == {"0.0": None}
+
+    @pytest.mark.parametrize("nmax", ["16,1048576", "9223372036854775807"])
+    def test_bilinear_tau_index_beyond_2_52_exits_1(self, capsys, tmp_path, nmax):
+        # at d_tau = 16, n_max 2**20 puts floor(tau_max/d_tau) near 7.2e16
+        code, _, err = run(capsys, "bilinear-sweep", "--nmax", nmax, "--out", str(tmp_path))
+        assert code == 1
+        assert "bilinear.n_max_values" in err and "2**52" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "bilinear_sweep.csv").exists()
+
     def test_recurrence_artifacts(self, capsys, tmp_path):
         code, _, _ = run(
             capsys,
