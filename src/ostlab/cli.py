@@ -29,6 +29,7 @@ import math
 import os
 import re
 import sys
+import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -339,6 +340,9 @@ def _resolve(command: str, args: argparse.Namespace) -> RunConfig:
     least = 2 if command == "gibbs-sample" else 1
     if values.get("gibbs.count", least) < least:
         raise ConfigError(f"gibbs.count must be at least {least} for {command}, got {values['gibbs.count']}")
+    beta = values.get("gibbs.beta", 0.0)
+    if not 0.0 <= beta <= 1.0:
+        raise ConfigError(f"--beta (gibbs.beta): expected a finite number in [0, 1], got {beta!r}")
     # every sweep lattice is built here, so a tau index past 2**52 never starts a run
     for n_max in values.get("bilinear.n_max_values", ()):
         try:
@@ -495,10 +499,13 @@ def _cmd_simulate(cfg: RunConfig) -> int:
 def _cmd_gibbs_sample(cfg: RunConfig) -> int:
     grid = make_grid(cfg["grid.modes"], cfg["grid.length"])
     spec = _gibbs_spec(cfg, grid)
+    counters = {}
+    start = time.perf_counter()
     if cfg["gibbs.sampler"] == "pcn-mcmc":
-        ens = pcn_chain(spec, cfg["gibbs.count"], cfg["gibbs.beta"], burn_in=cfg["gibbs.burn_in"])
+        ens = pcn_chain(spec, cfg["gibbs.count"], cfg["gibbs.beta"], burn_in=cfg["gibbs.burn_in"], counters=counters)
     else:
         ens = sample_gaussian(spec, cfg["gibbs.count"])
+    sampled = time.perf_counter()
     out = _out_dir(cfg)
     save_ensemble(ens, out / "ensemble")
     print(f"wrote {out / 'ensemble'}")
@@ -507,7 +514,12 @@ def _cmd_gibbs_sample(cfg: RunConfig) -> int:
     var = _coeff_to_coords(ens.coeffs, grid).var(axis=0)
     rows = [(j + 1, v[j], var[j], var[j] * v[j]) for j in range(2 * grid.modes)]
     _write_csv(out / "gibbs_summary.csv", cfg, ["coordinate", "v", "variance", "variance_times_v"], rows)
-    summary = {"max_abs_variance_times_v_minus_1": float(np.max(np.abs(var * v - 1.0)))}
+    summary = {
+        "max_abs_variance_times_v_minus_1": float(np.max(np.abs(var * v - 1.0))),
+        "sample_s": sampled - start,
+        "write_s": time.perf_counter() - sampled,
+        **counters,
+    }
     if ens.acceptance_rate is not None:
         summary["acceptance_rate"] = ens.acceptance_rate
     _write_meta(out, cfg, summary)

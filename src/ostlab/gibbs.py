@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from .spectral import (
     FourierField,
@@ -43,9 +43,8 @@ from .spectral import (
     _cubic_g,
     _l2,
     _philox,
-    cubic_g,
+    _philox_streams,
     energy_eigenvalues,
-    l2_norm,
 )
 
 ENSEMBLE_FORMAT = "ostlab-ensemble-v2"
@@ -199,7 +198,10 @@ def sample_gaussian(spec: GibbsSpec, count: int) -> Ensemble:
     """count iid draws from w with importance data for the Gibbs measure.
 
     Coordinates a_j ~ N(0, 1/v_j) independently; log_weight = -g(u);
-    in_support = (|u| <= cutoff_R) when a cutoff is configured.
+    in_support = (|u| <= cutoff_R) when a cutoff is configured.  Row i is
+    drawn from the stream keyed by (seed, i), taken from one re-keyed
+    generator (`spectral._philox_streams`), so the first k rows of any
+    larger draw are the draw of count k.
     """
     if int(count) != count or count < 1:
         raise ValueError(f"count must be a positive integer, got {count}")
@@ -207,8 +209,8 @@ def sample_gaussian(spec: GibbsSpec, count: int) -> Ensemble:
     grid = spec.grid
     sigma = 1.0 / np.sqrt(_coord_eigenvalues(grid))
     coords = np.empty((count, 2 * grid.modes))
-    for i in range(count):
-        coords[i] = _philox(spec.seed, i).standard_normal(2 * grid.modes)
+    for row, rng in zip(coords, _philox_streams(spec.seed, range(count))):
+        rng.standard_normal(out=row)
     coords *= sigma
     coeffs = _coords_to_coeff(coords, grid)
     log_weights = -_cubic_g(coeffs, grid)
@@ -226,33 +228,55 @@ def sample_gaussian(spec: GibbsSpec, count: int) -> Ensemble:
     )
 
 
+def _pcn_moves(spec: GibbsSpec, beta: float, rng: np.random.Generator, u=None, g_fn=None):
+    """Successive pCN moves from coefficients u (None: a draw of w, or 0 if that
+    lies outside the cutoff), as (state, accepted, g evaluations so far)."""
+    if not (0.0 <= beta <= 1.0):
+        raise ValueError(f"beta must be in [0, 1], got {beta}")
+    grid, cutoff, keep = spec.grid, spec.cutoff_R, math.sqrt(1.0 - beta**2)
+    root_v = np.sqrt(_coord_eigenvalues(grid))
+
+    def draw():
+        return _coords_to_coeff(rng.standard_normal(root_v.size) / root_v, grid)
+
+    def g(coeff):
+        if g_fn is not None:
+            return g_fn(FourierField(grid, coeff))
+        value = float(_cubic_g(coeff, grid))
+        if not math.isfinite(value):
+            FourierField(grid, coeff)  # raises if a coefficient, not only g, is non-finite
+        return value
+
+    if u is None:
+        u = draw()
+        if cutoff is not None and _l2(u, grid.length) > cutoff:
+            u = np.zeros(grid.modes, dtype=np.complex128)
+    g_u, evaluations = g(u), 1
+    while True:
+        # a non-finite proposal has a NaN L2 norm, so it reaches g, which raises
+        proposal = keep * u + beta * draw()
+        if cutoff is not None and _l2(proposal, grid.length) > cutoff:
+            yield u, False, evaluations
+            continue
+        g_proposal, evaluations = g(proposal), evaluations + 1
+        log_ratio = g_u - g_proposal
+        accepted = bool(log_ratio >= 0.0 or rng.uniform() < math.exp(log_ratio))
+        if accepted:
+            u, g_u = proposal, g_proposal
+        yield u, accepted, evaluations
+
+
 def pcn_step(u: FourierField, beta: float, spec: GibbsSpec, rng: np.random.Generator, g_fn=None):
     """One preconditioned Crank-Nicolson move; returns (state, accepted).
 
     Proposal u' = sqrt(1-beta^2) u + beta xi with xi ~ w preserves w
     exactly, so the acceptance ratio is exp(g(u) - g(u')) alone.  A
     configured cutoff acts as hard rejection outside the ball.  beta = 0
-    degenerates to the identity move (always accepted).
+    degenerates to the identity move (always accepted), and g_fn (default
+    cubic_g) receives a FourierField.  `pcn_chain` repeats this move.
     """
-    if not (0.0 <= beta <= 1.0):
-        raise ValueError(f"beta must be in [0, 1], got {beta}")
-    if g_fn is None:
-        g_fn = cubic_g
-    grid = spec.grid
-    xi = _gaussian_draw(rng, grid)
-    proposal = FourierField(grid, math.sqrt(1.0 - beta**2) * u.coeff + beta * xi)
-    if spec.cutoff_R is not None and l2_norm(proposal) > spec.cutoff_R:
-        return u, False
-    log_ratio = g_fn(u) - g_fn(proposal)
-    if log_ratio >= 0.0 or rng.uniform() < math.exp(log_ratio):
-        return proposal, True
-    return u, False
-
-
-def _gaussian_draw(rng: np.random.Generator, grid: GridSpec) -> np.ndarray:
-    """One draw xi ~ w as a coefficient vector."""
-    z = rng.standard_normal(2 * grid.modes) / np.sqrt(_coord_eigenvalues(grid))
-    return _coords_to_coeff(z, grid)
+    coeff, accepted, _ = next(_pcn_moves(spec, beta, rng, u.coeff, g_fn))
+    return (FourierField(spec.grid, coeff) if accepted else u), accepted
 
 
 def pcn_chain(
@@ -262,6 +286,7 @@ def pcn_chain(
     burn_in: int = 0,
     g_fn=None,
     start: FourierField | None = None,
+    counters: dict | None = None,
 ) -> Ensemble:
     """Length-count pCN chain targeting the (cutoff) Gibbs measure.
 
@@ -270,27 +295,25 @@ def pcn_chain(
     unweighted and use batch means for the standard error.  The chain
     stream is keyed by (seed, 2^63+1), disjoint from the iid sample
     streams of the same seed.
+
+    g(u) travels with the state, so g runs once on the start and once per
+    proposal inside the cutoff (count + burn_in + 1 times with no cutoff).
+    A counters dict, if given, receives chain_steps and g_evaluations.
     """
     if int(count) != count or count < 1:
         raise ValueError(f"count must be a positive integer, got {count}")
     if burn_in < 0:
         raise ValueError(f"burn_in must be >= 0, got {burn_in}")
     count, burn_in = int(count), int(burn_in)
-    grid = spec.grid
-    rng = _philox(spec.seed, _PCN_STREAM)
-    if start is None:
-        u = FourierField(grid, _gaussian_draw(rng, grid))
-        if spec.cutoff_R is not None and l2_norm(u) > spec.cutoff_R:
-            u = FourierField(grid, np.zeros(grid.modes, dtype=np.complex128))
-    else:
-        u = start
-    accepted = 0
-    coeffs = np.empty((count, grid.modes), dtype=np.complex128)
-    for i in range(-burn_in, count):
-        u, ok = pcn_step(u, beta, spec, rng, g_fn=g_fn)
+    moves = _pcn_moves(spec, beta, _philox(spec.seed, _PCN_STREAM), None if start is None else start.coeff, g_fn)
+    accepted = evaluations = 0
+    coeffs = np.empty((count, spec.grid.modes), dtype=np.complex128)
+    for i, (u, ok, evaluations) in zip(range(-burn_in, count), moves):
         accepted += ok
         if i >= 0:
-            coeffs[i] = u.coeff
+            coeffs[i] = u
+    if counters is not None:
+        counters.update(chain_steps=count + burn_in, g_evaluations=evaluations)
     return Ensemble(
         spec=spec,
         sampler="pcn-mcmc",
@@ -323,7 +346,7 @@ def cylinder_probability(spec: GibbsSpec, box) -> float:
             raise ValueError("box bounds must not be NaN")
         if hi <= lo:
             return 0.0
-        prob *= float(norm.cdf(hi / s) - norm.cdf(lo / s))
+        prob *= float(ndtr(hi / s) - ndtr(lo / s))
     return prob
 
 

@@ -355,6 +355,21 @@ def _philox(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))
 
 
+def _philox_streams(seed: int, streams):
+    """Generators in the states _philox(seed, stream) starts in, one per stream.
+
+    One generator is re-keyed in place for each stream (counter 0, empty
+    buffer, no spare 32-bit half), so its draws equal a fresh _philox's bit
+    for bit.  Every item is the same object; draw from it before the next.
+    """
+    rng = _philox(seed, 0)
+    state = rng.bit_generator.state  # counter 0, buffer 0, buffer_pos 4, has_uint32 0, uinteger 0
+    for stream in streams:
+        state["state"]["key"][1] = stream
+        rng.bit_generator.state = state
+        yield rng
+
+
 def _parallel_map(fn, items, threads: int):
     """[fn(x) for x in items] on up to `threads` threads (0 = all cores), in input order."""
     items = list(items)

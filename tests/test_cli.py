@@ -141,6 +141,22 @@ class TestConfigResolution:
         assert "gibbs.count" in err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("beta", ["1.5", "-0.1", "nan"])
+    def test_beta_outside_unit_interval_exits_1(self, capsys, tmp_path, beta):
+        code, _, err = run(capsys, "gibbs-sample", "--sampler", "pcn-mcmc", "--beta", beta, "--out", str(tmp_path))
+        assert code == 1
+        assert "--beta (gibbs.beta)" in err
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_beta_from_config_file_checked(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("gibbs.beta = 2\n")
+        code, _, err = run(capsys, "gibbs-sample", "--config", str(cfg), "--out", str(tmp_path / "out"))
+        assert code == 1
+        assert "gibbs.beta" in err
+        assert not (tmp_path / "out").exists()
+
     def test_count_from_config_file_checked(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("gibbs.count = 1\n")
@@ -275,6 +291,19 @@ class TestGibbsSampleCommand:
         assert code == 0
         meta = json.loads((tmp_path / "gibbs-sample.meta.json").read_text())
         assert 0.0 < meta["summary"]["acceptance_rate"] <= 1.0
+
+    def test_sidecar_reports_phases_and_chain_counters(self, capsys, tmp_path):
+        base = ("gibbs-sample", "--modes", "3", "--count", "200")
+        run(capsys, *base, "--out", str(tmp_path / "iid"))
+        run(capsys, *base, "--sampler", "pcn-mcmc", "--burn-in", "50", "--out", str(tmp_path / "pcn"))
+        iid = json.loads((tmp_path / "iid" / "gibbs-sample.meta.json").read_text())["summary"]
+        pcn = json.loads((tmp_path / "pcn" / "gibbs-sample.meta.json").read_text())["summary"]
+        for summary in (iid, pcn):
+            assert summary["sample_s"] > 0.0 and summary["write_s"] > 0.0
+        assert "chain_steps" not in iid and "g_evaluations" not in iid
+        # no cutoff: g runs on the start state and once per step
+        assert pcn["chain_steps"] == 250
+        assert pcn["g_evaluations"] == 251
 
 
 class TestVerifyInvarianceCommand:

@@ -28,6 +28,9 @@ from ostlab.gibbs import (
 from ostlab.spectral import (
     FourierField,
     _coord_eigenvalues,
+    _coords_to_coeff,
+    _philox,
+    _philox_streams,
     coordinates,
     cubic_g,
     energy_eigenvalues,
@@ -45,6 +48,57 @@ def coords_matrix(ens):
     out[:, 0::2] = -root * ens.coeffs.imag
     out[:, 1::2] = root * ens.coeffs.real
     return out
+
+
+def reference_pcn_chain(spec, count, beta, burn_in=0, g_fn=None, start=None):
+    """The pCN chain written plainly: g on both states at every step, one
+    FourierField per proposal, constants recomputed at every draw.
+
+    Returns (coeffs, acceptance_rate, cutoff_rejections).
+    """
+    g_fn = cubic_g if g_fn is None else g_fn
+    grid = spec.grid
+    rng = _philox(spec.seed, 2**63 + 1)
+
+    def draw():
+        z = rng.standard_normal(2 * grid.modes) / np.sqrt(_coord_eigenvalues(grid))
+        return _coords_to_coeff(z, grid)
+
+    def step(u):
+        proposal = FourierField(grid, math.sqrt(1.0 - beta**2) * u.coeff + beta * draw())
+        if spec.cutoff_R is not None and l2_norm(proposal) > spec.cutoff_R:
+            return u, False, True
+        log_ratio = g_fn(u) - g_fn(proposal)
+        if log_ratio >= 0.0 or rng.uniform() < math.exp(log_ratio):
+            return proposal, True, False
+        return u, False, False
+
+    if start is None:
+        u = FourierField(grid, draw())
+        if spec.cutoff_R is not None and l2_norm(u) > spec.cutoff_R:
+            u = FourierField(grid, np.zeros(grid.modes, dtype=np.complex128))
+    else:
+        u = start
+    accepted = walls = 0
+    coeffs = np.empty((count, grid.modes), dtype=np.complex128)
+    for i in range(-burn_in, count):
+        u, ok, wall = step(u)
+        accepted += ok
+        walls += wall
+        if i >= 0:
+            coeffs[i] = u.coeff
+    return coeffs, accepted / (count + burn_in), walls
+
+
+class CountingG:
+    """cubic_g that counts its calls."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __call__(self, f):
+        self.calls += 1
+        return cubic_g(f)
 
 
 @pytest.fixture(scope="module")
@@ -149,6 +203,35 @@ class TestSampleGaussian:
         long = sample_gaussian(spec, 25)
         assert np.array_equal(long.coeffs[:10], short.coeffs)
 
+    def test_rows_are_the_philox_streams(self):
+        g = make_grid(5)
+        spec = GibbsSpec(grid=g, seed=2**40 + 9)
+        ens = sample_gaussian(spec, 300)
+        z = np.stack([_philox(spec.seed, i).standard_normal(2 * g.modes) for i in range(300)])
+        expected = _coords_to_coeff(z * (1.0 / np.sqrt(_coord_eigenvalues(g))), g)
+        assert ens.coeffs.tobytes() == expected.tobytes()
+
+    def test_rekeyed_streams_equal_fresh_generators(self):
+        # indices past 2**32 and 2**63 use the key's high bits; a 32-bit draw
+        # leaves a spare half behind, which re-keying must discard
+        streams = [0, 1, 7, 2**32 - 1, 2**32, 2**32 + 5, 2**63 + 1, 2**64 - 1, 3]
+        for seed in (0, 11, 2**63 - 1):
+            for stream, rng in zip(streams, _philox_streams(seed, streams)):
+                fresh = _philox(seed, stream)
+                assert rng.integers(0, 2**32, dtype=np.uint32) == fresh.integers(0, 2**32, dtype=np.uint32)
+                assert rng.standard_normal(13).tobytes() == fresh.standard_normal(13).tobytes()
+                assert rng.uniform() == fresh.uniform()
+
+    @pytest.mark.parametrize("k", [1, 2, 17, 64])
+    def test_prefix_rows_equal_shorter_draw(self, k):
+        g = make_grid(4)
+        spec = GibbsSpec(grid=g, cutoff_R=gaussian_rms_l2(g), seed=5)
+        long = sample_gaussian(spec, 64)
+        short = sample_gaussian(spec, k)
+        assert long.coeffs[:k].tobytes() == short.coeffs.tobytes()
+        assert long.log_weights[:k].tobytes() == short.log_weights.tobytes()
+        assert np.array_equal(long.in_support[:k], short.in_support)
+
     def test_mean_clt_bound(self, big_ensemble):
         a = coords_matrix(big_ensemble)
         v = _coord_eigenvalues(big_ensemble.spec.grid)
@@ -205,6 +288,104 @@ class TestPcn:
         u = sample_gaussian(spec, 1).field(0)
         with pytest.raises(ValueError):
             pcn_step(u, 1.5, spec, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("beta", [1.5, -0.1, math.nan, math.inf])
+    def test_chain_rejects_bad_beta(self, beta):
+        with pytest.raises(ValueError, match="beta"):
+            pcn_chain(GibbsSpec(grid=make_grid(2)), 5, beta)
+
+    @pytest.mark.parametrize(
+        "cutoff, beta, burn_in, g_fn",
+        [
+            (None, 0.5, 0, None),
+            ("small", 0.5, 0, None),
+            (None, 0.3, 40, None),
+            ("small", 0.7, 25, None),
+            (None, 0.0, 0, None),
+            (None, 1.0, 0, None),
+            ("small", 1.0, 10, None),
+            (None, 0.5, 5, lambda f: 4.0 * cubic_g(f) + l2_norm(f) ** 2),
+            ("small", 0.5, 0, lambda f: 0.0),
+        ],
+    )
+    def test_chain_matches_plain_loop_bit_for_bit(self, cutoff, beta, burn_in, g_fn):
+        g = make_grid(6)
+        radius = 0.9 * gaussian_rms_l2(g) if cutoff == "small" else None
+        spec = GibbsSpec(grid=g, cutoff_R=radius, seed=61)
+        chain = pcn_chain(spec, 600, beta, burn_in=burn_in, g_fn=g_fn)
+        coeffs, rate, walls = reference_pcn_chain(spec, 600, beta, burn_in=burn_in, g_fn=g_fn)
+        assert chain.coeffs.tobytes() == coeffs.tobytes()
+        assert chain.acceptance_rate == rate
+        if cutoff == "small" and beta > 0.0:
+            assert walls > 0  # the cutoff really rejects
+
+    def test_chain_from_start_state_matches_plain_loop(self):
+        g = make_grid(4)
+        spec = GibbsSpec(grid=g, seed=67)
+        start = FourierField(g, np.full(g.modes, 0.3 - 0.1j))
+        chain = pcn_chain(spec, 300, 0.4, burn_in=3, start=start)
+        coeffs, rate, _ = reference_pcn_chain(spec, 300, 0.4, burn_in=3, start=start)
+        assert chain.coeffs.tobytes() == coeffs.tobytes()
+        assert chain.acceptance_rate == rate
+
+    def test_overflowing_g_is_not_a_non_finite_state(self):
+        # finite coefficients whose cube overflows: g is +-inf, no error
+        g = make_grid(3)
+        spec = GibbsSpec(grid=g, seed=71)
+        start = FourierField(g, np.full(g.modes, 1e120 + 0j))
+        with np.errstate(over="ignore", invalid="ignore"):
+            chain = pcn_chain(spec, 50, 0.5, start=start)
+            coeffs, rate, _ = reference_pcn_chain(spec, 50, 0.5, start=start)
+        assert chain.coeffs.tobytes() == coeffs.tobytes()
+        assert chain.acceptance_rate == rate
+
+    def test_one_g_evaluation_per_proposal(self):
+        spec = GibbsSpec(grid=make_grid(4), seed=73)
+        count_g = CountingG()
+        counters = {}
+        pcn_chain(spec, 500, 0.5, burn_in=20, g_fn=count_g, counters=counters)
+        assert count_g.calls == 500 + 20 + 1
+        assert counters == {"chain_steps": 520, "g_evaluations": 521}
+
+    def test_cutoff_rejection_skips_g(self):
+        g = make_grid(4)
+        spec = GibbsSpec(grid=g, cutoff_R=0.9 * gaussian_rms_l2(g), seed=79)
+        count_g = CountingG()
+        counters = {}
+        pcn_chain(spec, 500, 0.8, g_fn=count_g, counters=counters)
+        _, _, walls = reference_pcn_chain(spec, 500, 0.8)
+        assert walls > 0
+        assert count_g.calls == counters["g_evaluations"] == 500 + 1 - walls
+
+    def test_step_matches_plain_step(self):
+        g = make_grid(4)
+        spec = GibbsSpec(grid=g, cutoff_R=0.9 * gaussian_rms_l2(g), seed=83)
+        u = sample_gaussian(spec, 1).field(0)
+        rng = _philox(5, 2**63 + 1)  # the stream the reference chain of seed 5 draws from
+        ref_spec = dataclasses.replace(spec, seed=5)
+        coeffs, _, walls = reference_pcn_chain(ref_spec, 40, 0.6, start=u)
+        outcomes = set()
+        for i in range(40):
+            nxt, accepted = pcn_step(u, 0.6, spec, rng)
+            assert nxt.coeff.tobytes() == coeffs[i].tobytes()
+            assert type(accepted) is bool and (nxt is u) == (not accepted)
+            outcomes.add(accepted)
+            u = nxt
+        assert outcomes == {True, False} and walls > 0
+
+    @pytest.mark.parametrize("radius", [None, 1.0])
+    def test_step_rejects_non_finite_proposal(self, radius):
+        class InfiniteNormals:
+            def standard_normal(self, n):
+                return np.full(n, np.inf)
+
+            def uniform(self):
+                return 0.5
+
+        spec = GibbsSpec(grid=make_grid(3), cutoff_R=radius)
+        u = sample_gaussian(spec, 1).field(0)
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="finite"):
+            pcn_step(u, 0.5, spec, InfiniteNormals())
 
     def test_gaussian_target_accepts_everything(self):
         spec = GibbsSpec(grid=make_grid(4), seed=19)
