@@ -18,8 +18,6 @@ quadratic term of the flow is estimated.  The module provides:
   * the bilinear map (f, g) -> dx(fg) measured from X^{s,1/2} x X^{s,1/2}
     into X^{s,-1/2}, with adversarial sweeps showing boundedness at
     s >= -1/2 and growth below;
-  * pointwise bounds F_s, F_{s,r} on the weight fractions appearing in
-    the duality argument;
   * the time-localization gain |psi_T u|_{X^{s,b}} ~ T^{1/2-b} |psi_T
     u|_{X^{s,1/2}} measured by windowing with an analytic Hann transform.
 
@@ -52,7 +50,6 @@ _UNIT_GRID = GridSpec(length=2.0 * math.pi, modes=1, points=4)
 
 __all__ = [
     "BilinearSweepResult",
-    "FsBoundResult",
     "KernelIntegralResult",
     "KernelSumResult",
     "LatticeField",
@@ -64,8 +61,6 @@ __all__ = [
     "bilinear_sweep",
     "concentrated_pair",
     "delta_lattice_field",
-    "fs_bound_scan",
-    "fs_values",
     "hann_ft",
     "kernel_integral_scan",
     "kernel_sum_scan",
@@ -277,8 +272,8 @@ def _resonance_grid(n_range: np.ndarray, n_max: int):
     return n1_range, n, n1, n2, R, valid
 
 
-# cells per row block of the resonance and F_s scans: each block array stays
-# near 256 KiB, in cache, and the scans run in O(n_max) memory
+# cells per row block of the resonance scan: each block array stays near
+# 256 KiB, in cache, and the scan runs in O(n_max) memory
 _BLOCK_CELLS = 1 << 15
 
 
@@ -550,95 +545,6 @@ def bilinear_sweep(
 
 
 # ---------------------------------------------------------------------------
-# pointwise weight fractions
-
-
-def fs_values(n: int, n1: int, tau: float, tau1: float, s: float, r: float):
-    """(F_s, F_{s,r}, sigma) at one lattice point.
-
-    sigma = max(<tau + m(n)>, <tau1 + m(n1)>, <tau - tau1 + m(n - n1)>,
-    |R(n, n1)|): the triangle identity forces the largest modulation to
-    be at least |R|/3, and the |R| clamp makes the bound sharp without
-    probing the off-curve directions.
-    F_s = |n|^{2s+2} |n1 (n-n1)|^{-2s} / sigma; F_{s,r} divides by
-    sigma^{2(1-r)} instead.
-    """
-    R = float(resonance(n, n1))
-    x = tau + float(mod_symbol(int(n)))
-    y = tau1 + float(mod_symbol(int(n1)))
-    z = x - y - R
-    sigma = max(
-        math.hypot(1.0, x), math.hypot(1.0, y), math.hypot(1.0, z), abs(R)
-    )
-    num = abs(n) ** (2.0 * s + 2.0) * abs(n1 * (n - n1)) ** (-2.0 * s)
-    return num / sigma, num / sigma ** (2.0 * (1.0 - r)), sigma
-
-
-@dataclass(frozen=True)
-class FsBoundResult:
-    s: float
-    r: float
-    n_max: int
-    max_fs: float
-    argmax_fs: tuple
-    max_weighted_fsr: float
-    argmax_fsr: tuple
-    out_of_hypothesis: bool
-
-
-def fs_bound_scan(s: float, r: float, n_max: int, tau_samples: int = 5) -> FsBoundResult:
-    """Maximize F_s and |n|^{2-4r} F_{s,r} over the lattice box.
-
-    Scans 2 <= |n| <= n_max, nonzero |n1| <= n_max (n1 != n) and a
-    tau_samples x tau_samples grid of modulation offsets around the
-    dispersion curve (the maximizers sit at zero offset; the grid
-    verifies that).  Out-of-range (s, r) are computed anyway and flagged.
-    """
-    if int(n_max) != n_max or n_max < 2:
-        raise ValueError(f"n_max must be an integer >= 2, got {n_max}")
-    if int(tau_samples) != tau_samples or tau_samples < 1:
-        raise ValueError(f"tau_samples must be a positive integer, got {tau_samples}")
-    out_of_hypothesis = (s < -0.5) or not (0.0 < r < 0.25)
-    n_max = int(n_max)
-    offsets = np.linspace(-10.0, 10.0, int(tau_samples))
-    pairs = [(x_off, y_off) for x_off in offsets for y_off in offsets]
-    # found[key][(pair, block)] = (block maximum, its (n, n1, x_off, y_off))
-    found = {"fs": {}, "fsr": {}}
-    blocks = _admissible_blocks(n_max)
-    for b, rows in enumerate(blocks):
-        n1_vals, n, n1, n2, R, valid = _resonance_grid(rows, n_max)
-        num = np.abs(n) ** (2.0 * s + 2.0) * np.abs(n1 * n2) ** (-2.0 * s)
-        wfsr_weight = np.abs(n) ** (2.0 - 4.0 * r)
-        for o, (x_off, y_off) in enumerate(pairs):
-            z = x_off - y_off - R
-            sigma = np.maximum(
-                np.maximum(np.sqrt(1.0 + z * z), np.abs(R)),
-                max(math.hypot(1.0, x_off), math.hypot(1.0, y_off)),
-            )
-            fs = np.where(valid, num / sigma, -np.inf)
-            fsr = np.where(valid, wfsr_weight * num / sigma ** (2.0 * (1.0 - r)), -np.inf)
-            for key, grid_vals in (("fs", fs), ("fsr", fsr)):
-                i, j = np.unravel_index(np.argmax(grid_vals), grid_vals.shape)
-                found[key][o, b] = (
-                    float(grid_vals[i, j]),
-                    (int(rows[i]), int(n1_vals[j]), float(x_off), float(y_off)),
-                )
-    # max() keeps the first of equal values: the first offset pair in loop
-    # order, then the first block, whose argmax is its first cell in row-major order
-    best = {key: max((v[k] for k in sorted(v)), key=lambda m: m[0]) for key, v in found.items()}
-    return FsBoundResult(
-        s=float(s),
-        r=float(r),
-        n_max=int(n_max),
-        max_fs=best["fs"][0],
-        argmax_fs=best["fs"][1],
-        max_weighted_fsr=best["fsr"][0],
-        argmax_fsr=best["fsr"][1],
-        out_of_hypothesis=out_of_hypothesis,
-    )
-
-
-# ---------------------------------------------------------------------------
 # kernel lemmas: integrals over beta and sums over integer frequencies
 
 
@@ -735,8 +641,8 @@ def kernel_integral_scan(alpha_list, rho: float, eps: float = 0.5) -> KernelInte
     """
     if not (0.0 < rho < 1.0):
         raise ValueError(f"rho must be in (0, 1), got {rho}")
-    if eps <= 0.0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    if not 0.0 < eps < math.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps}")
     rows = []
     for form in (1, 2, 3):
         for alpha in alpha_list:

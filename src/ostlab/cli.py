@@ -59,7 +59,6 @@ from .spectral import (
     FourierField,
     _coeff_to_coords,
     _coord_eigenvalues,
-    _parallel_map,
     _philox,
     make_grid,
     random_smooth_field,
@@ -103,11 +102,7 @@ def _parse_floats(text: str) -> tuple:
     items = [t for t in (p.strip() for p in text.split(",")) if t]
     if not items:
         raise ConfigError("expected a comma-separated list of numbers")
-    return tuple(_parse_float(t) for t in items)
-
-
-def _parse_finite_floats(text: str) -> tuple:
-    values = _parse_floats(text)
+    values = tuple(_parse_float(t) for t in items)
     if not all(map(math.isfinite, values)):
         raise ConfigError(f"expected finite numbers, got {text!r}")
     return values
@@ -213,7 +208,7 @@ _SUBCOMMAND_KEYS = {
         _key("gibbs.burn_in", "burn-in", _parse_int, 0, "pCN burn-in steps"),
     ],
     "verify-invariance": _COMMON + _GRID[:2] + _FLOW[:2] + _GIBBS + [
-        _key("invariance.t_values", "t-values", _parse_finite_floats, (0.5,), "flow times to test"),
+        _key("invariance.t_values", "t-values", _parse_floats, (0.5,), "flow times to test"),
         _key("invariance.z_max", "z-max", _parse_float, 3.0, "pass threshold on |z|"),
         _key(
             "invariance.observables",
@@ -324,6 +319,16 @@ class RunConfig:
         return {name: _fmt(v) for name, v in sorted(self.values.items())}
 
 
+# scalar domains checked before any draw or output: (key, expected, predicate)
+_DOMAINS = (
+    ("run.threads", "an integer >= 0", lambda v: v >= 0),
+    ("gibbs.beta", "a finite number in [0, 1]", lambda v: 0.0 <= v <= 1.0),
+    ("gibbs.cutoff_r", "a finite number >= 0", lambda v: 0.0 <= v < math.inf),
+    ("invariance.z_max", "a number >= 0", lambda v: v >= 0.0),
+    ("bilinear.w_cells", "an integer >= 1", lambda v: v >= 1),
+)
+
+
 def _resolve(command: str, args: argparse.Namespace) -> RunConfig:
     keys = {k.name: k for k in _SUBCOMMAND_KEYS[command]}
     values = {k.name: k.default for k in keys.values()}
@@ -340,9 +345,10 @@ def _resolve(command: str, args: argparse.Namespace) -> RunConfig:
     least = 2 if command == "gibbs-sample" else 1
     if values.get("gibbs.count", least) < least:
         raise ConfigError(f"gibbs.count must be at least {least} for {command}, got {values['gibbs.count']}")
-    beta = values.get("gibbs.beta", 0.0)
-    if not 0.0 <= beta <= 1.0:
-        raise ConfigError(f"--beta (gibbs.beta): expected a finite number in [0, 1], got {beta!r}")
+    # NaN fails every comparison, so each domain rejects it
+    for name, expected, inside in _DOMAINS:
+        if name in values and not inside(values[name]):
+            raise ConfigError(f"--{keys[name].flag} ({name}): expected {expected}, got {values[name]!r}")
     # every sweep lattice is built here, so a tau index past 2**52 never starts a run
     for n_max in values.get("bilinear.n_max_values", ()):
         try:

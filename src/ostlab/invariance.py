@@ -29,7 +29,6 @@ from .gibbs import (
     DegenerateWeightsError,
     ESS_FLOOR,
     GibbsSpec,
-    gaussian_rms_l2,
     gibbs_expectation,
     sample_gaussian,
 )
@@ -38,7 +37,6 @@ from .spectral import (
     _cubic_g,
     _hamiltonian,
     _l2,
-    make_grid,
 )
 
 __all__ = [
@@ -46,13 +44,9 @@ __all__ = [
     "InvarianceRow",
     "Observable",
     "RecurrenceStats",
-    "SweepResult",
     "ball_indicator",
     "cubic_integral",
-    "cylinder_indicator",
     "hamiltonian_observable",
-    "hs_norm",
-    "invariance_sweep",
     "l2_squared",
     "mode_power",
     "recurrence_probe",
@@ -88,14 +82,6 @@ def l2_squared() -> Observable:
     return Observable("l2_squared", "l2_squared", False, batch)
 
 
-def hs_norm(s: float) -> Observable:
-    def batch(c, grid):
-        w = (1.0 + grid.xi**2) ** s
-        return np.sqrt(2.0 * grid.length * np.sum(w * np.abs(c) ** 2, axis=-1))
-
-    return Observable(f"hs_norm({s:g})", "hs_norm", False, batch)
-
-
 def mode_power(k: int) -> Observable:
     """Energy 2A|u_hat(k)|^2 carried by mode k (= a_{2k-1}^2 + a_{2k}^2)."""
     if int(k) != k or k < 1:
@@ -122,23 +108,6 @@ def hamiltonian_observable() -> Observable:
         return _hamiltonian(c, grid)
 
     return Observable("hamiltonian", "hamiltonian", False, batch)
-
-
-def cylinder_indicator(j: int, lo: float, hi: float) -> Observable:
-    """1{lo <= a_j <= hi} on the j-th interleaved sine/cosine coordinate."""
-    if int(j) != j or j < 1:
-        raise ValueError(f"j must be a positive integer, got {j}")
-    j = int(j)
-
-    def batch(c, grid):
-        if j > 2 * grid.modes:
-            raise ValueError(f"coordinate {j} exceeds the {2 * grid.modes} available")
-        k = (j - 1) // 2
-        root = math.sqrt(2.0 * grid.length)
-        a = -root * c[..., k].imag if (j - 1) % 2 == 0 else root * c[..., k].real
-        return ((a >= lo) & (a <= hi)).astype(np.float64)
-
-    return Observable(f"cylinder_indicator({j},[{lo:g},{hi:g}])", "cylinder_indicator", True, batch)
 
 
 def ball_indicator(R: float) -> Observable:
@@ -271,73 +240,6 @@ def run_invariance(
 
 
 # ---------------------------------------------------------------------------
-# sweeps over truncation level and time
-
-
-@dataclass(frozen=True)
-class SweepResult:
-    """Grid of invariance reports plus per-m observable moments at t=0.
-
-    moments[i] maps observable name -> (mean, se) under mu_m for
-    m = m_values[i]; their stabilization in m is the empirical stand-in
-    for convergence of the truncated measures.
-    """
-
-    m_values: tuple
-    t_values: tuple
-    reports: tuple  # reports[i][j] for (m_values[i], t_values[j])
-    moments: tuple
-
-    def report(self, m: int, t: float) -> InvarianceReport:
-        return self.reports[self.m_values.index(m)][self.t_values.index(t)]
-
-    def moment_table(self, name: str):
-        """[(m, mean, se)] rows for one observable across the m sweep."""
-        return [
-            (m, *self.moments[i][name]) for i, m in enumerate(self.m_values)
-        ]
-
-
-def invariance_sweep(
-    m_list,
-    t_list,
-    count: int,
-    obs,
-    dt: float = 1e-3,
-    length: float = 2.0 * math.pi,
-    seed: int = 0,
-    cutoff_factor: float = 4.0,
-    z_max: float = 3.0,
-) -> SweepResult:
-    """run_invariance over an (m, t) grid with per-m Gibbs specs.
-
-    Each m gets cutoff R = cutoff_factor x its Gaussian rms L2 norm.
-    Observables must make sense on every grid in the sweep (e.g.
-    mode_power(k) needs k <= min(m_list)).
-    """
-    m_list = [int(m) for m in m_list]
-    t_list = [float(t) for t in t_list]
-    obs = list(obs)
-    if not m_list or not t_list:
-        raise ValueError("m_list and t_list must be nonempty")
-    reports = []
-    moments = []
-    for m in m_list:
-        grid = make_grid(m, length=length)
-        spec = GibbsSpec(grid=grid, cutoff_R=cutoff_factor * gaussian_rms_l2(grid), seed=seed)
-        p = FlowParams(dt=dt)
-        row = tuple(run_invariance(spec, p, t_list, obs, count, z_max=z_max))
-        reports.append(row)
-        moments.append({r.name: (r.mean_before, r.se_before) for r in row[0].rows})
-    return SweepResult(
-        m_values=tuple(m_list),
-        t_values=tuple(t_list),
-        reports=tuple(reports),
-        moments=tuple(moments),
-    )
-
-
-# ---------------------------------------------------------------------------
 # recurrence demonstration
 
 
@@ -381,7 +283,7 @@ def recurrence_probe(
     A demonstration, not a theorem check — the summary histogram has no
     pass/fail attached.  radius = 0 trivially reports no returns.
     """
-    if radius < 0.0:
+    if not radius >= 0.0:
         raise ValueError(f"radius must be >= 0, got {radius}")
     if not (horizon > 0.0 and math.isfinite(horizon)):
         raise ValueError(f"horizon must be positive and finite, got {horizon}")

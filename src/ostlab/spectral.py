@@ -25,16 +25,12 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
-FIELD_FORMAT = "ostlab-field-v1"
-
 __all__ = [
-    "FIELD_FORMAT",
     "FourierField",
     "GridSpec",
     "coordinates",
@@ -48,13 +44,10 @@ __all__ = [
     "hamiltonian",
     "inner",
     "l2_norm",
-    "load_field",
     "make_grid",
-    "project",
     "quadratic_energy",
     "random_smooth_field",
     "regrid",
-    "save_field",
     "sobolev_norm",
     "to_physical",
     "zero_field",
@@ -201,20 +194,6 @@ def dx_inv(f: FourierField) -> FourierField:
     Exact inverse of dx; no zero mode exists, so this is always defined.
     """
     return FourierField(f.grid, f.coeff / (1j * f.grid.xi))
-
-
-def project(f: FourierField, m_prime: int) -> FourierField:
-    """Orthogonal projection onto modes |k| <= m_prime (same grid).
-
-    Idempotent and self-adjoint; m_prime >= modes leaves f unchanged.
-    """
-    if int(m_prime) != m_prime or m_prime <= 0:
-        raise ValueError(f"m_prime must be a positive integer, got {m_prime!r}")
-    if m_prime >= f.grid.modes:
-        return f
-    c = f.coeff.copy()
-    c[int(m_prime):] = 0.0
-    return FourierField(f.grid, c)
 
 
 def regrid(f: FourierField, grid: GridSpec) -> FourierField:
@@ -378,35 +357,3 @@ def _parallel_map(fn, items, threads: int):
         return [fn(x) for x in items]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
-
-
-# ---------------------------------------------------------------------------
-# serialization: CSV of (k, re, im) with a header recording the grid.
-# repr() round-trips doubles exactly, so save/load is bit-exact.
-
-
-def save_field(f: FourierField, path) -> None:
-    lines = [
-        f"# {FIELD_FORMAT} length={f.grid.length!r} modes={f.grid.modes} points={f.grid.points}",
-        "k,re,im",
-    ]
-    for k, c in enumerate(f.coeff, start=1):
-        lines.append(f"{k},{float(c.real)!r},{float(c.imag)!r}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
-
-
-def load_field(path) -> FourierField:
-    text = Path(path).read_text(encoding="ascii").strip().splitlines()
-    if len(text) < 2 or not text[0].startswith(f"# {FIELD_FORMAT} "):
-        raise ValueError(f"{path}: not a {FIELD_FORMAT} file")
-    meta = dict(tok.split("=", 1) for tok in text[0].split()[2:])
-    grid = GridSpec(
-        length=float(meta["length"]), modes=int(meta["modes"]), points=int(meta["points"])
-    )
-    if text[1] != "k,re,im":
-        raise ValueError(f"{path}: missing column header")
-    rows = [line.split(",") for line in text[2:]]
-    if len(rows) != grid.modes or any(int(r[0]) != k for k, r in enumerate(rows, start=1)):
-        raise ValueError(f"{path}: expected rows k = 1..{grid.modes}")
-    c = np.array([float(r[1]) + 1j * float(r[2]) for r in rows], dtype=np.complex128)
-    return FourierField(grid, c)

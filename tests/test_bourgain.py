@@ -10,7 +10,6 @@ import pytest
 
 import ostlab.bourgain as bourgain
 from ostlab.bourgain import (
-    FsBoundResult,
     LatticeField,
     LatticeSpec,
     ResonanceRecord,
@@ -20,8 +19,6 @@ from ostlab.bourgain import (
     bilinear_sweep,
     concentrated_pair,
     delta_lattice_field,
-    fs_bound_scan,
-    fs_values,
     hann_ft,
     kernel_integral_scan,
     kernel_sum_scan,
@@ -118,7 +115,7 @@ class TestResonanceScan:
             resonance_scan(1)
 
     def test_shared_grid_matches_exact_resonance(self):
-        # the (n, n1) grid behind resonance_scan and fs_bound_scan
+        # the (n, n1) grid behind resonance_scan
         n_range = np.array([-5, -2, 1, 3, 6])
         n1_range, n, n1, n2, R, valid = _resonance_grid(n_range, 6)
         assert R.shape == valid.shape == n2.shape == (5, 12)
@@ -494,91 +491,6 @@ class TestBilinearSweep:
         # nu in {1, 2}: one box pair and 4 random pairs each
         assert len(calls) == 10
         assert len(res.rows) == 3
-
-
-# ---------------------------------------------------------------------------
-# pointwise weight fractions
-
-
-class TestFsBounds:
-    def test_single_point_values(self):
-        # n=2, n1=1, tau = tau1 = -m(1) = 0: modulations (7.5, 0, 0), R = 7.5
-        fs, fsr, sigma = fs_values(2, 1, 0.0, 0.0, -0.5, 0.125)
-        assert abs(sigma - math.sqrt(1.0 + 7.5**2)) < 1e-14
-        assert abs(fs - 2.0 / sigma) < 1e-14
-        assert abs(fsr - 2.0 / sigma ** (2 * (1 - 0.125))) < 1e-14
-
-    def test_sigma_dominates_resonance(self):
-        # on-curve point: all three modulation brackets are small but the
-        # |R| clamp keeps sigma at resonance size
-        r = float(resonance(4, 1))
-        _, _, sigma = fs_values(4, 1, -float(mod_symbol(4)), 0.0, -0.5, 0.1)
-        assert sigma >= abs(r)
-        assert abs(sigma - math.hypot(1.0, r)) < 1e-12
-
-    def test_r_zero_identity(self):
-        # F_{s,0} = F_s^2 / (|n|^{2s+2} |n1 (n-n1)|^{-2s})
-        for n, n1, tau, tau1, s in ((2, 1, 0.3, -0.7, -0.3), (5, -3, 10.0, 2.0, -0.5)):
-            fs, fs0, _ = fs_values(n, n1, tau, tau1, s, 0.0)
-            x = abs(n) ** (2 * s + 2) * abs(n1 * (n - n1)) ** (-2 * s)
-            assert abs(fs0 - fs**2 / x) < 1e-14 * max(1.0, fs0)
-
-    def test_scan_bounded_inside_hypothesis(self):
-        res = fs_bound_scan(-0.5, 0.125, 32, tau_samples=5)
-        assert not res.out_of_hypothesis
-        assert res.max_fs <= 1.0
-        assert 0.25 <= res.max_fs <= 0.5  # the 1/|R| >= 1/(3|n n1 (n-n1)|) scale
-        assert res.max_weighted_fsr <= 1.0
-
-    def test_scan_flags_and_grows_outside_hypothesis(self):
-        res = fs_bound_scan(-0.7, 0.125, 16)
-        assert res.out_of_hypothesis
-        assert res.max_fs > 1.0  # the bound genuinely fails below s = -1/2
-        assert fs_bound_scan(-0.5, 0.3, 8).out_of_hypothesis
-
-    @pytest.mark.parametrize("s, r, n_max, tau_samples", [(-0.5, 0.125, 32, 5), (-0.7, 0.125, 16, 5), (-0.5, 0.3, 8, 3)])
-    def test_streamed_scan_matches_full_grid(self, monkeypatch, s, r, n_max, tau_samples):
-        # 100 cells: blocks of 100 // (2 n_max) rows or a single row, the last one partial
-        monkeypatch.setattr(bourgain, "_BLOCK_CELLS", 100)
-        assert fs_bound_scan(s, r, n_max, tau_samples) == _full_grid_fs_scan(s, r, n_max, tau_samples)
-
-    def test_scan_validation(self):
-        with pytest.raises(ValueError):
-            fs_bound_scan(-0.5, 0.125, 1)
-        with pytest.raises(ValueError):
-            fs_bound_scan(-0.5, 0.125, 8, tau_samples=0)
-
-
-def _full_grid_fs_scan(s, r, n_max, tau_samples):
-    """fs_bound_scan on the whole (n, n1) grid, one offset pair at a time."""
-    n_vals = np.concatenate([np.arange(-n_max, -1), np.arange(2, n_max + 1)])
-    n1_vals, n, n1, n2, R, valid = _resonance_grid(n_vals, n_max)
-    num = np.abs(n) ** (2.0 * s + 2.0) * np.abs(n1 * n2) ** (-2.0 * s)
-    best = {"fs": (-math.inf, None), "fsr": (-math.inf, None)}
-    offsets = np.linspace(-10.0, 10.0, tau_samples)
-    for x_off in offsets:
-        for y_off in offsets:
-            z = x_off - y_off - R
-            sigma = np.maximum(
-                np.maximum(np.sqrt(1.0 + z * z), np.abs(R)),
-                max(math.hypot(1.0, x_off), math.hypot(1.0, y_off)),
-            )
-            fs = np.where(valid, num / sigma, -np.inf)
-            fsr = np.where(valid, np.abs(n) ** (2.0 - 4.0 * r) * num / sigma ** (2.0 * (1.0 - r)), -np.inf)
-            for key, vals in (("fs", fs), ("fsr", fsr)):
-                i, j = np.unravel_index(np.argmax(vals), vals.shape)
-                if vals[i, j] > best[key][0]:
-                    best[key] = (float(vals[i, j]), (int(n_vals[i]), int(n1_vals[j]), float(x_off), float(y_off)))
-    return FsBoundResult(
-        s=float(s),
-        r=float(r),
-        n_max=n_max,
-        max_fs=best["fs"][0],
-        argmax_fs=best["fs"][1],
-        max_weighted_fsr=best["fsr"][0],
-        argmax_fsr=best["fsr"][1],
-        out_of_hypothesis=(s < -0.5) or not (0.0 < r < 0.25),
-    )
 
 
 # ---------------------------------------------------------------------------

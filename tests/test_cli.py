@@ -149,6 +149,35 @@ class TestConfigResolution:
         assert "Traceback" not in err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "argv, key",
+        [
+            (["kernel-scan", "--alpha", "inf"], "kernel.alpha_values"),
+            (["kernel-scan", "--alpha", "nan"], "kernel.alpha_values"),
+            (["kernel-scan", "--sum-tau", "nan"], "kernel.sum_tau_values"),
+            (["bilinear-sweep", "--s", "nan"], "bilinear.s_values"),
+            (["bilinear-sweep", "--s", "inf"], "bilinear.s_values"),
+            (["gibbs-sample", "--cutoff", "-3"], "gibbs.cutoff_r"),
+            (["gibbs-sample", "--cutoff", "nan"], "gibbs.cutoff_r"),
+            (["verify-invariance", "--cutoff", "-3"], "gibbs.cutoff_r"),
+            (["verify-invariance", "--cutoff", "nan"], "gibbs.cutoff_r"),
+            (["verify-invariance", "--z-max", "-1"], "invariance.z_max"),
+            (["verify-invariance", "--z-max", "nan"], "invariance.z_max"),
+            (["simulate", "--threads", "-1"], "run.threads"),
+            (["bilinear-sweep", "--w-cells", "0"], "bilinear.w_cells"),
+            # checked by the library call, whose message names its parameter
+            (["recurrence", "--radius", "nan"], "radius"),
+            (["kernel-scan", "--eps", "nan"], "eps"),
+            (["kernel-scan", "--eps", "inf"], "eps"),
+        ],
+    )
+    def test_out_of_domain_value_exits_1_naming_key(self, capsys, tmp_path, argv, key):
+        code, _, err = run(capsys, *argv, "--out", str(tmp_path))
+        assert code == 1
+        assert key in err
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_beta_from_config_file_checked(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("gibbs.beta = 2\n")

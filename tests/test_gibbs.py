@@ -36,7 +36,6 @@ from ostlab.spectral import (
     energy_eigenvalues,
     l2_norm,
     make_grid,
-    save_field,
     to_physical,
 )
 
@@ -608,8 +607,12 @@ class TestPersistence:
         assert digests[0] == digests[1]
 
     def test_rejects_v1_manifest_directory(self, tmp_path):
-        ens = sample_gaussian(GibbsSpec(grid=make_grid(2), seed=1), 1)
-        save_field(ens.field(0), tmp_path / "sample_000000.csv")
+        (tmp_path / "sample_000000.csv").write_text(
+            "# ostlab-field-v1 length=6.283185307179586 modes=2 points=8\n"
+            "k,re,im\n"
+            "1,0.125,-0.25\n"
+            "2,0.0625,0.5\n"
+        )
         manifest = {"format": "ostlab-ensemble-v1", "count": 1, "files": ["sample_000000.csv"]}
         (tmp_path / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(ValueError, match=re.escape(str(tmp_path))):

@@ -1,4 +1,4 @@
-"""Invariance experiment: observables, reports, sweeps, recurrence."""
+"""Invariance experiment: observables, reports, recurrence."""
 
 import functools
 import math
@@ -11,23 +11,18 @@ from ostlab.gibbs import DegenerateWeightsError, Ensemble, GibbsSpec, default_cu
 from ostlab.invariance import (
     ball_indicator,
     cubic_integral,
-    cylinder_indicator,
     hamiltonian_observable,
-    hs_norm,
-    invariance_sweep,
     l2_squared,
     mode_power,
     recurrence_probe,
     run_invariance,
 )
 from ostlab.spectral import (
-    FourierField,
     coordinates,
     cubic_g,
     hamiltonian,
     l2_norm,
     make_grid,
-    sobolev_norm,
 )
 
 
@@ -40,10 +35,6 @@ class TestObservables:
     def test_l2_squared(self):
         f = sample_field()
         assert l2_squared()(f) == pytest.approx(l2_norm(f) ** 2, rel=1e-14)
-
-    def test_hs_norm(self):
-        f = sample_field()
-        assert hs_norm(1.5)(f) == pytest.approx(sobolev_norm(f, 1.5), rel=1e-14)
 
     def test_mode_power_sums_to_l2(self):
         f = sample_field(m=4)
@@ -63,14 +54,6 @@ class TestObservables:
         f = sample_field()
         assert hamiltonian_observable()(f) == pytest.approx(hamiltonian(f), rel=1e-13)
 
-    def test_cylinder_indicator(self):
-        f = sample_field()
-        a = coordinates(f)
-        ind = cylinder_indicator(3, a[2] - 0.1, a[2] + 0.1)
-        assert ind(f) == 1.0
-        assert cylinder_indicator(3, a[2] + 0.1, a[2] + 0.2)(f) == 0.0
-        assert ind.bounded
-
     def test_ball_indicator(self):
         f = sample_field()
         r = l2_norm(f)
@@ -88,8 +71,6 @@ class TestObservables:
     def test_validation(self):
         with pytest.raises(ValueError):
             mode_power(0)
-        with pytest.raises(ValueError):
-            cylinder_indicator(0, -1.0, 1.0)
         with pytest.raises(ValueError):
             ball_indicator(0.0)
         f = sample_field(m=2)
@@ -189,39 +170,6 @@ class TestRunInvariance:
         spec = GibbsSpec(grid=g, cutoff_R=default_cutoff(g), seed=127)
         args = (spec, FlowParams(dt=1e-3), [0.2], [l2_squared(), mode_power(1)], 300)
         assert run_invariance(*args)[0].to_json() == run_invariance(*args)[0].to_json()
-
-
-class TestInvarianceSweep:
-    def test_sweep_shape_and_moments(self):
-        obs = [mode_power(1), l2_squared()]
-        sweep = invariance_sweep([4, 8], [0.2], 1500, obs, seed=3)
-        assert sweep.m_values == (4, 8)
-        assert sweep.t_values == (0.2,)
-        rep = sweep.report(8, 0.2)
-        assert rep.m == 8
-        table = sweep.moment_table("mode_power(1)")
-        assert [row[0] for row in table] == [4, 8]
-
-    def test_moments_stabilize_in_m(self):
-        sweep = invariance_sweep([8, 16], [0.1], 4000, [mode_power(1)], seed=5)
-        (m1, mean1, se1), (m2, mean2, se2) = sweep.moment_table("mode_power(1)")
-        assert abs(mean2 - mean1) <= 3.0 * math.hypot(se1, se2)
-
-    def test_no_drift_in_t(self):
-        obs = [mode_power(1)]
-        ts = [0.2, 0.4, 0.6]
-        sweep = invariance_sweep([4], ts, 1500, obs, seed=7)
-        means = np.array([sweep.report(4, t).rows[0].mean_after for t in ts])
-        ses = np.array([sweep.report(4, t).rows[0].se_after for t in ts])
-        t = np.array(ts)
-        tc = t - t.mean()
-        slope = float(np.sum(tc * (means - means.mean())) / np.sum(tc**2))
-        se_slope = float(np.sqrt(np.sum((tc / np.sum(tc**2)) ** 2 * ses**2)))
-        assert abs(slope) <= 3.0 * se_slope
-
-    def test_zero_count_rejected(self):
-        with pytest.raises(ValueError):
-            invariance_sweep([4], [0.1], 0, [l2_squared()])
 
 
 class TestRecurrence:

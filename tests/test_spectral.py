@@ -1,4 +1,4 @@
-"""Spectral core: transforms, functionals, coordinates, serialization.
+"""Spectral core: transforms, functionals, coordinates.
 
 Reference values are computed two ways: closed forms for trig fields are
 checked against direct quadrature oracles inside the tests, and a handful
@@ -25,12 +25,9 @@ from ostlab.spectral import (
     hamiltonian,
     inner,
     l2_norm,
-    load_field,
     make_grid,
-    project,
     quadratic_energy,
     regrid,
-    save_field,
     sobolev_norm,
     to_physical,
     zero_field,
@@ -173,31 +170,6 @@ class TestCalculus:
         g = make_grid(8)
         f = random_field(g, np.random.default_rng(3))
         assert np.allclose(dx_inv(dx(f)).coeff, f.coeff, atol=1e-14)
-
-    def test_project_truncates(self):
-        g = make_grid(6)
-        f = FourierField(g, np.arange(1, 7, dtype=np.complex128))
-        p = project(f, 2)
-        assert np.allclose(p.coeff, [1, 2, 0, 0, 0, 0])
-
-    def test_project_identity_when_wide(self):
-        g = make_grid(4)
-        f = random_field(g, np.random.default_rng(0))
-        assert project(f, 4) is f
-        assert project(f, 9) is f
-
-    def test_project_idempotent_and_self_adjoint(self):
-        g = make_grid(8)
-        rng = np.random.default_rng(11)
-        f, h = random_field(g, rng), random_field(g, rng)
-        pf = project(f, 3)
-        assert np.allclose(project(pf, 3).coeff, pf.coeff)
-        assert inner(pf, h) == pytest.approx(inner(f, project(h, 3)), abs=1e-12)
-
-    def test_project_rejects_nonpositive(self):
-        g = make_grid(4)
-        with pytest.raises(ValueError):
-            project(zero_field(g), 0)
 
     def test_regrid_round_trip(self):
         g_small, g_big = make_grid(4), make_grid(9)
@@ -371,28 +343,3 @@ class TestCoordinates:
         with pytest.raises(ValueError):
             field_from_coordinates(g, np.array([1.0, np.nan, 0.0, 0.0]))
 
-
-class TestSerialization:
-    def test_round_trip_bit_exact(self, tmp_path):
-        g = GridSpec(length=TWO_PI, modes=6, points=30)
-        f = random_field(g, np.random.default_rng(19), scale=1e-7)
-        p = tmp_path / "f.csv"
-        save_field(f, p)
-        back = load_field(p)
-        assert back.grid == f.grid
-        assert np.array_equal(back.coeff, f.coeff)
-
-    def test_rejects_foreign_file(self, tmp_path):
-        p = tmp_path / "junk.csv"
-        p.write_text("hello\nworld\n")
-        with pytest.raises(ValueError):
-            load_field(p)
-
-    def test_rejects_truncated_rows(self, tmp_path):
-        g = make_grid(3)
-        p = tmp_path / "f.csv"
-        save_field(zero_field(g), p)
-        lines = p.read_text().splitlines()
-        p.write_text("\n".join(lines[:-1]) + "\n")
-        with pytest.raises(ValueError):
-            load_field(p)
