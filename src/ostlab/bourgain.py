@@ -2,7 +2,7 @@
 
 Everything here lives on a discrete (n, tau) lattice: integer spatial
 frequencies 0 < |n| <= n_max (the circle has length 2*pi, so the
-dispersion symbol is m(n) = n^3 - 1/n, shared with `spectral.dispersion`)
+modulation symbol is m(n) = n^3 + 1/n, the flow's own `spectral.dispersion`)
 and a uniform tau grid of spacing d_tau.  The weighted norms
 
     |u|_{X^{s,b}} = ( sum_n sum_tau (<n>^s <tau + m(n)>^b |u(n,tau)|)^2 d_tau )^{1/2}
@@ -43,10 +43,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 
-from .spectral import GridSpec, _parallel_map, _philox, dispersion
-
-# unit-spacing frequency grid: dispersion(n, _UNIT_GRID) = n^3 - 1/n
-_UNIT_GRID = GridSpec(length=2.0 * math.pi, modes=1, points=4)
+from .spectral import _parallel_map, _philox, dispersion
 
 __all__ = [
     "BilinearSweepResult",
@@ -67,7 +64,6 @@ __all__ = [
     "localization_demo_field",
     "localization_ratio",
     "localize",
-    "mod_symbol",
     "random_lattice_field",
     "resonance",
     "resonance_scan",
@@ -75,11 +71,6 @@ __all__ = [
     "time_localization_scan",
     "xsb_norm",
 ]
-
-
-def mod_symbol(n):
-    """m(n) = n^3 - 1/n for nonzero integer frequencies (vectorized)."""
-    return dispersion(n, _UNIT_GRID)
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +123,7 @@ class LatticeSpec:
 
     @property
     def recommendation_met(self) -> bool:
-        return self.tau_max >= 8.0 * abs(mod_symbol(self.n_max))
+        return self.tau_max >= 8.0 * abs(dispersion(self.n_max))
 
     def index(self, n: int) -> int:
         if int(n) != n or n == 0 or abs(n) > self.n_max:
@@ -213,10 +204,12 @@ def random_lattice_field(spec: LatticeSpec, rng: np.random.Generator) -> Lattice
 
 
 def resonance(n: int, n1: int) -> Fraction:
-    """R(n, n1) = m(n) - m(n1) - m(n - n1), exactly.
+    """R(n, n1) = m(n) - m(n1) - m(n - n1) for m = `dispersion`, exactly.
 
     The cubic parts telescope to 3 n n1 (n - n1); the 1/n parts are kept
-    as exact rationals, so the result is an exact Fraction.
+    as exact rationals, so the result is an exact Fraction.  Divided by
+    n n1 (n - n1) it reads 3 - (n1^2 + n1 n2 + n2^2) / (n n1 n2)^2 with
+    n2 = n - n1.
     """
     if int(n) != n or int(n1) != n1:
         raise ValueError("n and n1 must be integers")
@@ -224,7 +217,7 @@ def resonance(n: int, n1: int) -> Fraction:
     n2 = n - n1
     if n == 0 or n1 == 0 or n2 == 0:
         raise ValueError(f"n, n1, n-n1 must all be nonzero, got ({n}, {n1})")
-    return 3 * n * n1 * n2 - Fraction(1, n) + Fraction(1, n1) + Fraction(1, n2)
+    return 3 * n * n1 * n2 + Fraction(1, n) - Fraction(1, n1) - Fraction(1, n2)
 
 
 @dataclass(frozen=True)
@@ -260,6 +253,7 @@ class ResonanceScan:
 def _resonance_grid(n_range: np.ndarray, n_max: int):
     """(n1_range, n, n1, n - n1, R, valid) over n in n_range x all nonzero |n1| <= n_max.
 
+    R is `resonance` in floats, the same telescoped form of `dispersion`.
     n is a float column and n1 a float row; where n1 = n, n - n1 reads 1 and valid is False.
     """
     n1_range = np.concatenate([np.arange(-n_max, 0), np.arange(1, n_max + 1)])
@@ -268,7 +262,7 @@ def _resonance_grid(n_range: np.ndarray, n_max: int):
     n2 = n - n1
     valid = n2 != 0.0
     n2 = np.where(valid, n2, 1.0)
-    R = 3.0 * n * n1 * n2 - 1.0 / n + 1.0 / n1 + 1.0 / n2
+    R = 3.0 * n * n1 * n2 + 1.0 / n - 1.0 / n1 - 1.0 / n2
     return n1_range, n, n1, n2, R, valid
 
 
@@ -307,8 +301,9 @@ def _record(ratio: float, n: int, n1: int) -> ResonanceRecord:
 def resonance_scan(n_max: int, threads: int = 1) -> ResonanceScan:
     """Scan all (n, n1) with 2 <= |n| <= n_max, 1 <= |n1| <= n_max, n != n1.
 
-    The minimum ratio is non-increasing in n_max and stays >= 1 (indeed
-    close to 3): the cubic telescoping dominates the O(1/n) corrections.
+    The minimum ratio is 9/4 at (n, n1) = (-2, -1) for every n_max: the
+    ratio is 3 - (n1^2 + n1 n2 + n2^2) / (n n1 n2)^2 (see `resonance`), and
+    the correction is largest, 3/4, where |n1| = |n2| = 1.
     The grid is streamed in row blocks of about _BLOCK_CELLS cells on
     `threads` workers (0 = all cores), twice: once for the minimum and the
     histogram range, once for the bin counts.  Memory is O(n_max), the
@@ -358,7 +353,7 @@ def xsb_norm(f: LatticeField, s: float, b: float) -> float:
     for i, col, win in f.windows:
         n = n_values[i]
         tau = (np.arange(col, col + len(win)) - spec.k_tau) * spec.d_tau
-        w = _angle_weight(float(n), s) * _angle_weight(tau + mod_symbol(int(n)), b)
+        w = _angle_weight(float(n), s) * _angle_weight(tau + dispersion(int(n)), b)
         total += float(np.sum((w * np.abs(win)) ** 2))
     return math.sqrt(total * spec.d_tau)
 
@@ -407,7 +402,7 @@ def _bilinear_ratios(f: LatticeField, g: LatticeField, s_values) -> list:
     for n_out, (col, row) in _bilinear_convolution(f, g).items():
         amplitude = np.abs(row)
         tau = (np.arange(col, col + len(row)) - 2 * spec.k_tau) * spec.d_tau
-        modulation = _angle_weight(tau + mod_symbol(n_out), -0.5)
+        modulation = _angle_weight(tau + dispersion(n_out), -0.5)
         for k, s in enumerate(s_values):
             w = abs(n_out) * _angle_weight(float(n_out), s) * modulation
             totals[k] += float(np.sum((w * amplitude) ** 2))
@@ -438,7 +433,7 @@ def sweep_spec(n_max: int, d_tau: float = 16.0, w_cells: int = 16) -> LatticeSpe
     the candidates' support is explicitly inside the grid).
     """
     margin = (w_cells + 4) * d_tau
-    return LatticeSpec(n_max=n_max, tau_max=abs(mod_symbol(n_max)) + margin, d_tau=d_tau)
+    return LatticeSpec(n_max=n_max, tau_max=abs(dispersion(n_max)) + margin, d_tau=d_tau)
 
 
 def concentrated_pair(
@@ -465,7 +460,7 @@ def concentrated_pair(
         raise ValueError("random profile needs an rng")
 
     def build(n_row):
-        lo = max(0, spec.nearest_column(-mod_symbol(n_row)) - w_cells // 2)
+        lo = max(0, spec.nearest_column(-dispersion(n_row)) - w_cells // 2)
         width = min(spec.shape[1], lo + w_cells) - lo
         if profile == "box":
             window = np.ones(width)
@@ -678,9 +673,9 @@ class KernelSumResult:
 
 
 def _symbol_table(k_max: int):
-    """m restricted to 0 < |i| <= k_max: mod_symbol evaluated once, then looked up."""
+    """m restricted to 0 < |i| <= k_max: dispersion evaluated once, then looked up."""
     i = np.concatenate([np.arange(-k_max, 0), np.arange(1, k_max + 1)])
-    table = np.insert(mod_symbol(i), k_max, np.nan)
+    table = np.insert(dispersion(i), k_max, np.nan)
     return lambda idx: table[idx + k_max]
 
 
@@ -737,8 +732,8 @@ def kernel_sum_scan(tau_list, n_list, rho: float, k_range: int = 10**5) -> Kerne
     include an integral tail bound beyond |index| = k_range, so max_value
     upper-bounds the full sums.
     """
-    if not rho > 2.0 / 3.0:
-        raise ValueError(f"rho must be > 2/3, got {rho}")
+    if not 2.0 / 3.0 < rho < math.inf:
+        raise ValueError(f"rho must be > 2/3 and finite, got {rho}")
     if k_range < 1:
         raise ValueError("k_range too small for the tail bound")
     # every index below lies in 0 < |i| <= k_range + max |n|
@@ -814,9 +809,9 @@ def localization_demo_field(n_max: int = 4, d_tau: float = 1.0, margin: float = 
     spreads each delta by ~1/T, which is what the b < 1/2 norms then
     integrate — the cleanest exhibit of the T^{1/2-b} gain.
     """
-    spec = LatticeSpec(n_max=n_max, tau_max=abs(mod_symbol(n_max)) + margin, d_tau=d_tau)
+    spec = LatticeSpec(n_max=n_max, tau_max=abs(dispersion(n_max)) + margin, d_tau=d_tau)
     return LatticeField(
-        spec, windows=[(spec.index(int(n)), spec.nearest_column(-mod_symbol(int(n))), [1.0]) for n in spec.n_values]
+        spec, windows=[(spec.index(int(n)), spec.nearest_column(-dispersion(int(n))), [1.0]) for n in spec.n_values]
     )
 
 

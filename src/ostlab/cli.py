@@ -10,7 +10,8 @@ version; the wall-clock timestamp lives only in the sidecar
 byte-identical.
 
 Exit codes: 0 success, 1 configuration or precondition error, 2 numerical
-failure (integrator blow-up or degenerate importance weights), 3 the run
+failure (integrator blow-up, degenerate importance weights or a kernel
+quadrature that overflows or does not converge), 3 the run
 finished but its verdict is FAIL (a ``verify-invariance`` z-gate).
 
 The default output directory is the environment variable OSTLAB_OUTDIR
@@ -777,7 +778,7 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (BlowUpError, DegenerateWeightsError) as exc:
+    except (BlowUpError, DegenerateWeightsError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
 

@@ -40,6 +40,7 @@ from .spectral import (
     _parallel_map,
     coordinates,
     cubic_g,
+    dispersion,
     make_grid,
     regrid,
 )
@@ -140,9 +141,8 @@ class TrajectoryRecord:
 
 
 def _linear_rates(grid: GridSpec) -> np.ndarray:
-    """Diagonal rates lambda_k = -i (xi_k^3 + 1/xi_k) = -i xi_k s_k."""
-    xi = grid.xi
-    return -1j * (xi**3 + 1.0 / xi)
+    """Diagonal rates lambda_k = -i dispersion(xi_k) = -i xi_k s_k."""
+    return -1j * dispersion(grid.xi)
 
 
 def _product_coeff(coeff: np.ndarray, modes: int, npts: int) -> np.ndarray:
@@ -157,11 +157,12 @@ def _product_coeff(coeff: np.ndarray, modes: int, npts: int) -> np.ndarray:
     return np.fft.rfft(u * u, axis=-1)[..., 1 : modes + 1] / npts
 
 
-def _make_rhs(grid: GridSpec, p: FlowParams):
-    """Nonlinear part of the coefficient ODE, or None when disabled."""
-    if not p.nonlinear:
-        return None
-    npts = grid.points if p.dealias else 2 * grid.modes + 1
+def _nonlinear(grid: GridSpec, dealias: bool = True):
+    """The nonlinear part c -> -i xi_k P_m(u^2)^(k) of the coefficient ODE.
+
+    dealias=False evaluates the product on the minimal 2m+1-point grid.
+    """
+    npts = grid.points if dealias else 2 * grid.modes + 1
     xi, m = grid.xi, grid.modes
 
     def rhs(c):
@@ -170,14 +171,18 @@ def _make_rhs(grid: GridSpec, p: FlowParams):
     return rhs
 
 
+def _make_rhs(grid: GridSpec, p: FlowParams):
+    """The stepper's nonlinear part, or None when disabled."""
+    return _nonlinear(grid, p.dealias) if p.nonlinear else None
+
+
 def nonlinear_term(f: FourierField) -> FourierField:
-    """(1/2) P_m dx(u^2), dealiased.
+    """(1/2) P_m dx(u^2), dealiased: -1/2 of the flow's nonlinear part.
 
     Skew against its argument: <nonlinear_term(f), f>_{L2} = 0, which is
     what makes the full flow L2-conserving.
     """
-    c = 0.5j * f.grid.xi * _product_coeff(f.coeff, f.grid.modes, f.grid.points)
-    return FourierField(f.grid, c)
+    return FourierField(f.grid, -0.5 * _nonlinear(f.grid)(f.coeff))
 
 
 # ---------------------------------------------------------------------------
@@ -424,14 +429,11 @@ def liouville_divergence(f: FourierField, h: float, dealias: bool = True) -> Lio
         raise ValueError(f"h must be positive, got {h}")
     grid = f.grid
     n = 2 * grid.modes
-    npts = grid.points if dealias else 2 * grid.modes + 1
-    lam = _linear_rates(grid)
-    xi = grid.xi
+    lam, nonlinear = _linear_rates(grid), _nonlinear(grid, dealias)
 
     def rhs_coords(a):
         c = _coords_to_coeff(a, grid)
-        b = lam * c - 1j * xi * _product_coeff(c, grid.modes, npts)
-        return _coeff_to_coords(b, grid)
+        return _coeff_to_coords(lam * c + nonlinear(c), grid)
 
     v = _coord_eigenvalues(grid)
 
@@ -515,11 +517,10 @@ def picard_solve(phi: FourierField, T: float, iters: int, nodes: int | None = No
     lam = _linear_rates(grid)
     phase = np.exp(np.outer(times, lam))          # (nodes, m): S(t) diagonal
     free = phase * phi.coeff[None, :]
-    xi = grid.xi
+    nonlinear = _nonlinear(grid)
 
     def apply_map(states):
-        forcing = -1j * xi * _product_coeff(states, grid.modes, grid.points)
-        g = forcing / phase                        # interaction picture
+        g = nonlinear(states) / phase              # interaction picture
         integral = np.cumsum(g, axis=0) * dt - 0.5 * dt * (g[0:1] + g)
         return free + phase * integral
 

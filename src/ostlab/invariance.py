@@ -56,16 +56,9 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class Observable:
-    """Named functional of a field, with a vectorized evaluator.
-
-    bounded marks indicator-type observables (values in [0,1]); moment
-    observables are unbounded and rely on the sampling cutoff for finite
-    variance.
-    """
+    """Named functional of a field, with a vectorized evaluator."""
 
     name: str
-    kind: str
-    bounded: bool
     _batch: callable
 
     def batch(self, coeffs: np.ndarray, grid: GridSpec) -> np.ndarray:
@@ -79,7 +72,7 @@ def l2_squared() -> Observable:
     def batch(c, grid):
         return 2.0 * grid.length * np.sum(np.abs(c) ** 2, axis=-1)
 
-    return Observable("l2_squared", "l2_squared", False, batch)
+    return Observable("l2_squared", batch)
 
 
 def mode_power(k: int) -> Observable:
@@ -93,21 +86,21 @@ def mode_power(k: int) -> Observable:
             raise ValueError(f"mode_power({k}) needs modes >= {k}, grid has {grid.modes}")
         return 2.0 * grid.length * np.abs(c[..., k - 1]) ** 2
 
-    return Observable(f"mode_power({k})", "mode_power", False, batch)
+    return Observable(f"mode_power({k})", batch)
 
 
 def cubic_integral() -> Observable:
     def batch(c, grid):
         return 3.0 * _cubic_g(c, grid)
 
-    return Observable("cubic_integral", "cubic_integral", False, batch)
+    return Observable("cubic_integral", batch)
 
 
 def hamiltonian_observable() -> Observable:
     def batch(c, grid):
         return _hamiltonian(c, grid)
 
-    return Observable("hamiltonian", "hamiltonian", False, batch)
+    return Observable("hamiltonian", batch)
 
 
 def ball_indicator(R: float) -> Observable:
@@ -117,7 +110,7 @@ def ball_indicator(R: float) -> Observable:
     def batch(c, grid):
         return (_l2(c, grid.length) <= R).astype(np.float64)
 
-    return Observable(f"ball_indicator({R:g})", "ball_indicator", True, batch)
+    return Observable(f"ball_indicator({R:g})", batch)
 
 
 # ---------------------------------------------------------------------------

@@ -206,18 +206,20 @@ def regrid(f: FourierField, grid: GridSpec) -> FourierField:
     return FourierField(grid, c)
 
 
-def dispersion(k, grid: GridSpec):
-    """Dispersion symbol m(xi) = xi^3 - 1/xi at xi = 2*pi*k/length.
+def dispersion(xi):
+    """Linear symbol phi(xi) = xi^3 + 1/xi = xi * s(xi) at wavenumbers xi.
 
-    Odd in k; undefined (and rejected) at k = 0.  This is the modulation
-    symbol weighting the space-time lattice norms; see the bourgain module.
+    The one definition of the linear part: the flow's rates are -i phi(xi_k)
+    (pass grid.xi, which carries the 2*pi/length scaling), and on the
+    integer lattice of the bourgain module phi(n) is the modulation symbol
+    of the X^{s,b} norms and of the resonance function.  Odd in xi;
+    undefined (and rejected) at xi = 0.
     """
-    karr = np.asarray(k, dtype=np.float64)
-    if np.any(karr == 0):
-        raise ValueError("dispersion is undefined at k = 0")
-    xi = (TWO_PI / grid.length) * karr
-    out = xi**3 - 1.0 / xi
-    return float(out) if karr.ndim == 0 else out
+    xi = np.asarray(xi, dtype=np.float64)
+    if np.any(xi == 0):
+        raise ValueError("dispersion is undefined at xi = 0")
+    out = xi**3 + 1.0 / xi
+    return float(out) if xi.ndim == 0 else out
 
 
 def energy_eigenvalues(grid: GridSpec) -> np.ndarray:

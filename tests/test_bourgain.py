@@ -25,7 +25,6 @@ from ostlab.bourgain import (
     localization_demo_field,
     localization_ratio,
     localize,
-    mod_symbol,
     random_lattice_field,
     resonance,
     resonance_scan,
@@ -33,6 +32,7 @@ from ostlab.bourgain import (
     time_localization_scan,
     xsb_norm,
 )
+from ostlab.spectral import dispersion
 
 
 def make_rng(*key):
@@ -40,7 +40,7 @@ def make_rng(*key):
 
 
 def exact_symbol(n):
-    return n**3 - Fraction(1, n)
+    return n**3 + Fraction(1, n)
 
 
 # ---------------------------------------------------------------------------
@@ -49,9 +49,10 @@ def exact_symbol(n):
 
 class TestResonance:
     def test_frozen_values(self):
-        assert resonance(2, 1) == Fraction(15, 2)
-        assert float(resonance(2, 1)) == 7.5
-        assert resonance(3, 1) == Fraction(115, 6)
+        # m(1) = 2, m(2) = 17/2, m(3) = 82/3
+        assert resonance(2, 1) == Fraction(9, 2)
+        assert float(resonance(2, 1)) == 4.5
+        assert resonance(3, 1) == Fraction(101, 6)
 
     def test_defining_identity_exact(self):
         # R(n, n1) = m(n) - m(n1) - m(n - n1) in exact rational arithmetic
@@ -65,6 +66,16 @@ class TestResonance:
             rhs = exact_symbol(n) - exact_symbol(n1) - exact_symbol(n - n1)
             assert lhs == rhs
             checked += 1
+
+    def test_ratio_closed_form(self):
+        # R / (n n1 n2) = 3 - (n1^2 + n1 n2 + n2^2) / (n n1 n2)^2, n2 = n - n1
+        for n in [*range(-12, 0), *range(1, 13)]:
+            for n1 in [*range(-12, 0), *range(1, 13)]:
+                if n1 == n:
+                    continue
+                n2 = n - n1
+                p = n * n1 * n2
+                assert resonance(n, n1) / p == 3 - Fraction(n1 * n1 + n1 * n2 + n2 * n2, p * p)
 
     def test_symmetry_in_factors(self):
         # n1 and n - n1 enter symmetrically; negating everything flips the sign
@@ -83,11 +94,14 @@ class TestResonance:
 
 
 class TestResonanceScan:
-    def test_minimum_near_three(self):
-        scan = resonance_scan(64)
-        assert scan.minimum.ratio >= 1.0
-        assert 3.0 <= scan.minimum.ratio < 3.0001
-        assert abs(scan.minimum.n) == 64
+    @pytest.mark.parametrize("n_max", [2, 8, 64])
+    def test_minimum_is_nine_quarters(self, n_max):
+        # the correction (n1^2 + n1 n2 + n2^2) / (n n1 n2)^2 peaks at 3/4 when
+        # |n1| = |n2| = 1; (2, 1) ties with (-2, -1), which comes first
+        scan = resonance_scan(n_max)
+        assert (scan.minimum.n, scan.minimum.n1) == (-2, -1)
+        assert scan.minimum.ratio == 2.25
+        assert scan.minimum.R == -4.5
         # the record's exact R must reproduce the ratio
         rec = scan.minimum
         denom = abs(rec.n * rec.n1 * (rec.n - rec.n1))
@@ -211,7 +225,7 @@ class TestLatticeSpec:
         spec = sweep_spec(n_max, d_tau=d_tau)
         tau, k = spec.tau, spec.k_tau
         # the curve cells, as the field constructors use them
-        targets = [-mod_symbol(int(n)) for n in (*spec.n_values[:: max(1, n_max // 8)], n_max)]
+        targets = [-dispersion(int(n)) for n in (*spec.n_values[:: max(1, n_max // 8)], n_max)]
         targets += [(j + 0.5) * d_tau for j in (-k, -7, -1, 0, 3, k - 1)]  # midpoints: ties
         targets += [c * spec.tau_max for c in (-3.0, -1.0, -0.5, 0.0, 1.0, 3.0)]
         targets += [t + e for t in (tau[0], tau[-1]) for e in (-2.5 * d_tau, -1e-9, 1e-9, 2.5 * d_tau)]
@@ -225,9 +239,9 @@ class TestLatticeSpec:
         assert spec.nearest_column(-0.5) == spec.k_tau - 1
 
     def test_curve_containment_recommendation(self):
-        # 8 * m(2) = 60
-        assert LatticeSpec(n_max=2, tau_max=60.0, d_tau=1.0).recommendation_met
-        assert not LatticeSpec(n_max=2, tau_max=59.0, d_tau=1.0).recommendation_met
+        # 8 * m(2) = 8 * 8.5 = 68
+        assert LatticeSpec(n_max=2, tau_max=68.0, d_tau=1.0).recommendation_met
+        assert not LatticeSpec(n_max=2, tau_max=67.0, d_tau=1.0).recommendation_met
 
 
 class TestLatticeField:
@@ -276,21 +290,21 @@ class TestLatticeField:
 
 class TestNorms:
     def test_delta_oracle_on_curve(self):
-        # at n = 1 the symbol vanishes, so the modulation weight is <0> = 1
+        # the curve cell of n = 1 is tau = -m(1) = -2, so the modulation weight is <0> = 1
         spec = LatticeSpec(n_max=4, tau_max=64.0, d_tau=0.5)
-        d = delta_lattice_field(spec, 1, 0.0)
+        d = delta_lattice_field(spec, 1, -2.0)
         for s in (0.0, -0.5, 1.0, 2.0):
             expected = 2.0 ** (s / 2.0) * math.sqrt(0.5)
             assert abs(xsb_norm(d, s, 0.5) - expected) < 1e-14
 
     def test_delta_oracle_off_curve(self):
-        # delta at n = 2, tau = 0: modulation weight <m(2)> = <7.5>
+        # delta at n = 2, tau = 0: modulation weight <m(2)> = <8.5>
         spec = LatticeSpec(n_max=4, tau_max=64.0, d_tau=0.5)
         d = delta_lattice_field(spec, 2, 0.0)
-        expected = 5.0**0.5 * (1.0 + 7.5**2) ** 0.25 * math.sqrt(0.5)
+        expected = 5.0**0.5 * (1.0 + 8.5**2) ** 0.25 * math.sqrt(0.5)
         assert abs(xsb_norm(d, 1.0, 0.5) - expected) < 1e-12
         # and on-curve placement removes the modulation factor
-        on_curve = delta_lattice_field(spec, 2, -7.5)
+        on_curve = delta_lattice_field(spec, 2, -8.5)
         assert abs(xsb_norm(on_curve, 1.0, 0.5) - 5.0**0.5 * math.sqrt(0.5)) < 1e-12
 
     def test_absolute_homogeneity_and_rotation(self):
@@ -319,15 +333,16 @@ class TestNorms:
 class TestBilinearRatio:
     def test_delta_pair_closed_form(self):
         # f = g = delta at (1, 0): the product sits at n = 2, tau = 0 with
-        # amplitude d_tau, so every factor is explicit
+        # amplitude d_tau, so every factor is explicit; m(1) = 2 and m(2) = 8.5
+        # give f the modulation weight <2>^{1/2} and the product <8.5>^{-1/2}
         spec = LatticeSpec(n_max=4, tau_max=64.0, d_tau=0.5)
         f = delta_lattice_field(spec, 1, 0.0)
         for s in (0.0, -0.5, 1.0):
             expected = (
                 2.0
                 * 5.0 ** (s / 2.0)
-                * (1.0 + 7.5**2) ** -0.25
-                / 2.0**s
+                * (1.0 + 8.5**2) ** -0.25
+                / (2.0**s * (1.0 + 2.0**2) ** 0.5)
                 * math.sqrt(spec.d_tau)
             )
             got = bilinear_ratio(f, f, s)
@@ -358,7 +373,7 @@ class TestBilinearRatio:
                 w = (
                     abs(n_out)
                     * (1 + n_out**2) ** (s / 2)
-                    * (1 + (tau_out + mod_symbol(n_out)) ** 2) ** -0.25
+                    * (1 + (tau_out + dispersion(n_out)) ** 2) ** -0.25
                 )
                 total += np.sum((w * np.abs(row)) ** 2)
             brute = math.sqrt(total * dt) / (xsb_norm(f, s, 0.5) * xsb_norm(g, s, 0.5))
@@ -411,7 +426,7 @@ class TestBilinearSweep:
             cols = np.argwhere(field.values[spec.index(n_row)] != 0)[:, 0]
             assert len(cols) == 16
             center = spec.tau[cols].mean()
-            assert abs(center + mod_symbol(n_row)) <= 16 * spec.d_tau
+            assert abs(center + dispersion(n_row)) <= 16 * spec.d_tau
 
     def test_concentrated_pair_validation(self):
         spec = sweep_spec(16)
@@ -467,9 +482,9 @@ class TestBilinearSweep:
         assert len(res.rows) == 27
         # nu = 1 box pairs: s = 0 halves per doubling, s = -1/2 stays flat, s = -0.6 grows 2^0.2
         expected = {
-            16: (7.5718e-3, 0.098845, 0.16524),
-            64: (1.8550e-3, 0.099061, 0.21949),
-            256: (4.6130e-4, 0.099109, 0.29010),
+            16: (7.5827e-3, 0.098987, 0.16547),
+            64: (1.8552e-3, 0.099071, 0.21951),
+            256: (4.6130e-4, 0.099110, 0.29010),
             1024: (1.1516e-4, 0.099113, 0.38291),
             4096: (2.8779e-5, 0.099113, 0.50529),
         }
@@ -542,7 +557,7 @@ class TestKernelSums:
         assert abs(row.value - value) < 1e-12 * value
 
     def test_rows_match_per_row_symbol_evaluation(self):
-        # the scan looks m up in one table; evaluating mod_symbol row by row
+        # the scan looks m up in one table; evaluating dispersion row by row
         # must give the same bits
         taus, ns, rho, k = [0.0, 5.0, -25.0, 300.0], [1, 2, -3, 7], 0.7, 200
         res = kernel_sum_scan(taus, ns, rho=rho, k_range=k)
@@ -551,11 +566,11 @@ class TestKernelSums:
             for n in ns:
                 n1 = np.arange(-k, k + 1)
                 n1 = n1[(n1 != 0) & (n1 != n)]
-                a = np.abs(tau + mod_symbol(n1) + mod_symbol(n - n1))
+                a = np.abs(tau + dispersion(n1) + dispersion(n - n1))
                 expected.append(float(np.sum(np.log(2.0 + a) / (1.0 + a))))
                 j = np.arange(-k, k + 1)
                 j = j[(j != 0) & (j != -n)]
-                a = np.abs(tau + float(mod_symbol(n)) - mod_symbol(j))
+                a = np.abs(tau + float(dispersion(n)) - dispersion(j))
                 expected.append(float(np.sum(np.log(2.0 + a) / (1.0 + a))))
                 expected.append(float(np.sum(np.log(1.0 + a) / (1.0 + a) ** rho)))
         assert [row.value for row in res.rows] == expected
@@ -575,7 +590,7 @@ def _direct_form1(tau, n, k_range):
     for n1 in range(-k_range, k_range + 1):
         if n1 == 0 or n1 == n:
             continue
-        arg = abs(tau + float(mod_symbol(n1)) + float(mod_symbol(n - n1)))
+        arg = abs(tau + float(dispersion(n1)) + float(dispersion(n - n1)))
         total += math.log(2.0 + arg) / (1.0 + arg)
     return total, None
 

@@ -169,12 +169,22 @@ class TestConfigResolution:
             (["recurrence", "--radius", "nan"], "radius"),
             (["kernel-scan", "--eps", "nan"], "eps"),
             (["kernel-scan", "--eps", "inf"], "eps"),
+            (["kernel-scan", "--sum-rho", "inf"], "rho"),
         ],
     )
     def test_out_of_domain_value_exits_1_naming_key(self, capsys, tmp_path, argv, key):
         code, _, err = run(capsys, *argv, "--out", str(tmp_path))
         assert code == 1
         assert key in err
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    # in-domain values whose quadrature overflows or divides by zero
+    @pytest.mark.parametrize("flag, value", [("eps", "700"), ("eps", "1000"), ("rho", "1e-12")])
+    def test_kernel_quadrature_failure_exits_2(self, capsys, tmp_path, flag, value):
+        code, _, err = run(capsys, "kernel-scan", f"--{flag}", value, "--out", str(tmp_path))
+        assert code == 2
+        assert "numerical failure" in err
         assert "Traceback" not in err
         assert list(tmp_path.iterdir()) == []
 

@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from ostlab.flow import _linear_rates
 from ostlab.spectral import (
     FourierField,
     GridSpec,
@@ -188,26 +189,30 @@ class TestCalculus:
 
 class TestDispersion:
     def test_frozen_value_k2(self):
-        # xi^3 - 1/xi at xi = 2: 8 - 0.5
-        assert dispersion(2, make_grid(8)) == pytest.approx(7.5, abs=1e-15)
+        # xi^3 + 1/xi at xi = 2: 8 + 0.5
+        assert dispersion(2) == 8.5
 
     def test_odd_symmetry(self):
-        g = make_grid(8)
         k = np.array([1, 2, 5, -3])
-        assert np.allclose(dispersion(-k, g), -dispersion(k, g))
+        assert np.allclose(dispersion(-k), -dispersion(k))
 
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
-            dispersion(0, make_grid(4))
+            dispersion(0)
         with pytest.raises(ValueError):
-            dispersion(np.array([1, 0, 2]), make_grid(4))
+            dispersion(np.array([1, 0, 2]))
 
     def test_scalar_returns_float(self):
-        assert isinstance(dispersion(3, make_grid(4)), float)
+        assert isinstance(dispersion(3), float)
 
-    def test_scales_with_length(self):
-        g = make_grid(4, length=math.pi)  # xi_k = 2k
-        assert dispersion(1, g) == pytest.approx(8.0 - 0.5)
+    @pytest.mark.parametrize("length", [1.0, math.pi, 6.5, 40.0])
+    def test_flow_rates_read_the_symbol(self, length):
+        # one symbol: the flow's rates are -i dispersion(xi_k), bit for bit,
+        # and dispersion(xi) = xi s(xi) for the energy symbol s = xi^2 + xi^-2
+        grid = make_grid(12, length=length)
+        assert np.array_equal(_linear_rates(grid), -1j * dispersion(grid.xi))
+        s = energy_eigenvalues(grid)
+        assert np.allclose(dispersion(grid.xi), grid.xi * s, rtol=1e-15, atol=0.0)
 
 
 class TestNormsAndFunctionals:
