@@ -793,23 +793,23 @@ def localize(u: LatticeField, T: float) -> LatticeField:
     return LatticeField(spec, windows=windows)
 
 
-def localization_ratio(u: LatticeField, b: float, T: float, s: float = 0.0) -> float:
-    """|psi_T u|_{X^{s,b}} / |psi_T u|_{X^{s,1/2}} for the windowed field."""
+def localization_ratio(u: LatticeField, b: float, T: float) -> float:
+    """|psi_T u|_{X^{0,b}} / |psi_T u|_{X^{0,1/2}} for the windowed field."""
     w = localize(u, T)
-    den = xsb_norm(w, s, 0.5)
+    den = xsb_norm(w, 0.0, 0.5)
     if den == 0.0:
         raise ValueError("localized field is zero")
-    return xsb_norm(w, s, b) / den
+    return xsb_norm(w, 0.0, b) / den
 
 
-def localization_demo_field(n_max: int = 4, d_tau: float = 1.0, margin: float = 1200.0) -> LatticeField:
+def localization_demo_field(n_max: int = 4, margin: float = 1200.0) -> LatticeField:
     """Curve-supported test field: one unit cell at tau = -m(n) per row.
 
     Before windowing all modulation weight sits at <0> = 1; the window
     spreads each delta by ~1/T, which is what the b < 1/2 norms then
     integrate — the cleanest exhibit of the T^{1/2-b} gain.
     """
-    spec = LatticeSpec(n_max=n_max, tau_max=abs(dispersion(n_max)) + margin, d_tau=d_tau)
+    spec = LatticeSpec(n_max=n_max, tau_max=abs(dispersion(n_max)) + margin, d_tau=1.0)
     return LatticeField(
         spec, windows=[(spec.index(int(n)), spec.nearest_column(-dispersion(int(n))), [1.0]) for n in spec.n_values]
     )
@@ -817,7 +817,6 @@ def localization_demo_field(n_max: int = 4, d_tau: float = 1.0, margin: float = 
 
 @dataclass(frozen=True)
 class TimeLocalizationResult:
-    s: float
     b_values: tuple
     T_values: tuple
     ratios: np.ndarray  # shape (len(b_values), len(T_values))
@@ -829,30 +828,27 @@ class TimeLocalizationResult:
         object.__setattr__(self, "ratios", arr)
 
 
-def time_localization_scan(u: LatticeField, b_list, s: float = 0.0, T_list=None) -> TimeLocalizationResult:
+def time_localization_scan(u: LatticeField, b_list) -> TimeLocalizationResult:
     """Measure the localization gain: log-log slope of ratio(T) per b.
 
-    For a field windowed to [-T, T] the X^{s,b} norm loses T^{1/2-b}
-    against X^{s,1/2}; the scan fits the slope over T = 2^-1..2^-6 by
+    For a field windowed to [-T, T] the X^{0,b} norm loses T^{1/2-b}
+    against X^{0,1/2}; the scan fits the slope over T = 2^-1..2^-6 by
     least squares.  b = 1/2 gives ratio identically 1 (slope 0).
     """
     b_list = [float(b) for b in b_list]
     if any(not (0.0 < b <= 0.5) for b in b_list):
         raise ValueError("each b must satisfy 0 < b <= 1/2")
-    if T_list is None:
-        T_list = [2.0**-k for k in range(1, 7)]
-    T_list = [float(T) for T in T_list]
+    T_list = [2.0**-k for k in range(1, 7)]
     ratios = np.empty((len(b_list), len(T_list)))
     for i, b in enumerate(b_list):
         for j, T in enumerate(T_list):
-            ratios[i, j] = localization_ratio(u, b, T, s=s)
+            ratios[i, j] = localization_ratio(u, b, T)
     log_t = np.log(T_list)
     slopes = []
     for i in range(len(b_list)):
         slope = np.polyfit(log_t, np.log(ratios[i]), 1)[0]
         slopes.append(float(slope))
     return TimeLocalizationResult(
-        s=float(s),
         b_values=tuple(b_list),
         T_values=tuple(T_list),
         ratios=ratios,

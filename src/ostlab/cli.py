@@ -2,8 +2,9 @@
 
 Configuration is a flat ``key = value`` text file (``#`` comments allowed)
 plus command-line flags; flags override the file, the file overrides
-defaults.  Each subcommand accepts only its own documented keys and
-rejects anything else with the offending file line.  Outputs are CSV/JSON
+defaults.  Each subcommand accepts only its own documented keys.  A key's
+parser also checks its domain, so an unknown key or bad value is rejected
+naming the flag or the file line that set it.  Outputs are CSV/JSON
 artifacts that embed the fully resolved configuration and the package
 version; the wall-clock timestamp lives only in the sidecar
 ``<command>.meta.json`` so repeated runs with the same configuration are
@@ -60,6 +61,7 @@ from .spectral import (
     FourierField,
     _coeff_to_coords,
     _coord_eigenvalues,
+    _l2,
     _philox,
     make_grid,
     random_smooth_field,
@@ -99,21 +101,29 @@ def _parse_bool(text: str) -> bool:
     raise ConfigError(f"expected true/false, got {text!r}")
 
 
-def _parse_floats(text: str) -> tuple:
-    items = [t for t in (p.strip() for p in text.split(",")) if t]
-    if not items:
-        raise ConfigError("expected a comma-separated list of numbers")
-    values = tuple(_parse_float(t) for t in items)
-    if not all(map(math.isfinite, values)):
-        raise ConfigError(f"expected finite numbers, got {text!r}")
-    return values
+def _within(parse, expected: str, inside):
+    # NaN fails every comparison, so a domain written as comparisons rejects it
+    def parse_within(text: str):
+        value = parse(text)
+        if not inside(value):
+            raise ConfigError(f"expected {expected}, got {value!r}")
+        return value
+
+    return parse_within
 
 
-def _parse_ints(text: str) -> tuple:
-    items = [t for t in (p.strip() for p in text.split(",")) if t]
-    if not items:
-        raise ConfigError("expected a comma-separated list of integers")
-    return tuple(_parse_int(t) for t in items)
+def _parse_list(parse, items: str):
+    def parse_list(text: str) -> tuple:
+        values = tuple(parse(t) for t in (p.strip() for p in text.split(",")) if t)
+        if not values:
+            raise ConfigError(f"expected a comma-separated list of {items}")
+        return values
+
+    return parse_list
+
+
+_FLOATS = _parse_list(_within(_parse_float, "a finite number", math.isfinite), "numbers")
+_INTS = _parse_list(_parse_int, "integers")
 
 
 def _choice(*options: str):
@@ -150,134 +160,46 @@ class _Key:
         return self.name.replace(".", "__")
 
 
-def _key(name, flag, parse, default, help):
-    return _Key(name=name, flag=flag, parse=parse, default=default, help=help)
-
-
 _COMMON = [
-    _key("output.dir", "out", str, "", "output directory ('' = $OSTLAB_OUTDIR or '.')"),
-    _key("run.threads", "threads", _parse_int, 0, "max worker threads (0 = all cores)"),
+    _Key("output.dir", "out", str, "", "output directory ('' = $OSTLAB_OUTDIR or '.')"),
+    _Key("run.threads", "threads", _within(_parse_int, "an integer >= 0", lambda v: v >= 0), 0,
+         "max worker threads (0 = all cores)"),
 ]
 
 _GRID = [
-    _key("grid.length", "length", _parse_float, 2.0 * math.pi, "circle length A"),
-    _key("grid.modes", "modes", _parse_int, 16, "retained positive Fourier modes m"),
-    _key("grid.points", "points", _parse_int, 0, "quadrature points N (0 = 4m, alias-free)"),
+    _Key("grid.length", "length", _parse_float, 2.0 * math.pi, "circle length A"),
+    _Key("grid.modes", "modes", _parse_int, 16, "retained positive Fourier modes m"),
+    _Key("grid.points", "points", _parse_int, 0, "quadrature points N (0 = 4m, alias-free)"),
 ]
 
 _FLOW = [
-    _key("flow.dt", "dt", _parse_float, 1e-3, "integrator time step"),
-    _key(
+    _Key("flow.dt", "dt", _parse_float, 1e-3, "integrator time step"),
+    _Key(
         "flow.integrator",
         "integrator",
         _choice("etdrk4", "strang-split"),
         "etdrk4",
         "time integrator",
     ),
-    _key("flow.dealias", "dealias", _parse_bool, True, "zero-padded products"),
-    _key("flow.record_every", "record-every", _parse_int, 1, "steps between records"),
+    _Key("flow.dealias", "dealias", _parse_bool, True, "zero-padded products"),
+    _Key("flow.record_every", "record-every", _parse_int, 1, "steps between records"),
 ]
 
 _INIT = [
-    _key("init.kind", "init", _choice("gaussian-random", "cosine"), "gaussian-random", "initial data family"),
-    _key("init.seed", "seed", _parse_int, 0, "random-state seed"),
-    _key("init.k0", "k0", _parse_float, 2.0, "spectral decay scale of random data"),
-    _key("init.norm", "norm", _parse_float, 1.0, "L2 norm (gaussian-random) or amplitude (cosine)"),
+    _Key("init.kind", "init", _choice("gaussian-random", "cosine"), "gaussian-random", "initial data family"),
+    _Key("init.seed", "seed", _parse_int, 0, "random-state seed"),
+    _Key("init.k0", "k0", _parse_float, 2.0, "spectral decay scale of random data"),
+    _Key("init.norm", "norm", _parse_float, 1.0, "L2 norm (gaussian-random) or amplitude (cosine)"),
 ]
 
 _GIBBS = [
-    _key("gibbs.count", "count", _parse_int, 1000, "number of samples"),
-    _key("gibbs.seed", "seed", _parse_int, 0, "master seed for sample streams"),
-    _key("gibbs.cutoff_r", "cutoff", _parse_float, 0.0, "L2 cutoff radius R (0 = default 4x Gaussian RMS)"),
+    _Key("gibbs.count", "count", _parse_int, 1000, "number of samples"),
+    _Key("gibbs.seed", "seed", _parse_int, 0, "master seed for sample streams"),
+    _Key("gibbs.cutoff_r", "cutoff", _within(_parse_float, "a finite number >= 0", lambda v: 0.0 <= v < math.inf),
+         0.0, "L2 cutoff radius R (0 = no cutoff)"),
 ]
 
 _OBSERVABLE_NAMES = "mode_power(k), cubic_integral, hamiltonian, ball_indicator, l2_squared"
-
-_SUBCOMMAND_KEYS = {
-    "simulate": _COMMON + _GRID + _FLOW + _INIT + [
-        _key("flow.t", "t", _parse_float, 1.0, "final time T"),
-    ],
-    "gibbs-sample": _COMMON + _GRID[:2] + _GIBBS + [
-        _key(
-            "gibbs.sampler",
-            "sampler",
-            _choice("iid-importance", "pcn-mcmc"),
-            "iid-importance",
-            "sampling scheme",
-        ),
-        _key("gibbs.beta", "beta", _parse_float, 0.5, "pCN proposal step"),
-        _key("gibbs.burn_in", "burn-in", _parse_int, 0, "pCN burn-in steps"),
-    ],
-    "verify-invariance": _COMMON + _GRID[:2] + _FLOW[:2] + _GIBBS + [
-        _key("invariance.t_values", "t-values", _parse_floats, (0.5,), "flow times to test"),
-        _key("invariance.z_max", "z-max", _parse_float, 3.0, "pass threshold on |z|"),
-        _key(
-            "invariance.observables",
-            "observables",
-            str,
-            "mode_power(1),mode_power(2),mode_power(3),mode_power(4),cubic_integral,hamiltonian,ball_indicator",
-            f"comma list from: {_OBSERVABLE_NAMES}",
-        ),
-    ],
-    "resonance-scan": _COMMON + [
-        _key("resonance.n_max", "nmax", _parse_int, 64, "exhaustive scan box |n| <= n_max"),
-    ],
-    "bilinear-sweep": _COMMON + [
-        _key("bilinear.s_values", "s", _parse_floats, (0.0, -0.5, -0.6), "Sobolev indices"),
-        _key("bilinear.n_max_values", "nmax", _parse_ints, (16, 32, 64), "lattice sizes"),
-        _key("bilinear.trials", "trials", _parse_int, 4, "random candidates per structured pair"),
-        _key("bilinear.d_tau", "d-tau", _parse_float, 16.0, "modulation grid spacing (shared)"),
-        _key("bilinear.w_cells", "w-cells", _parse_int, 16, "candidate profile width in cells"),
-        _key("bilinear.seed", "seed", _parse_int, 0, "seed for random profiles"),
-    ],
-    "kernel-scan": _COMMON + [
-        _key(
-            "kernel.alpha_values",
-            "alpha",
-            _parse_floats,
-            (0.0, 1.0, -1.0, 10.0, -10.0, 1e3, -1e3, 1e6, -1e6),
-            "integral scan arguments",
-        ),
-        _key("kernel.rho", "rho", _parse_float, 0.5, "form-2 exponent, in (0,1)"),
-        _key("kernel.eps", "eps", _parse_float, 0.5, "form-3 exponent offset, > 0"),
-        _key("kernel.sum_tau_values", "sum-tau", _parse_floats, (0.0, 5.0, -25.0, 300.0), "sum scan tau grid"),
-        _key("kernel.sum_n_values", "sum-n", _parse_ints, (1, 2, -3, 7), "sum scan frequency grid"),
-        _key("kernel.sum_rho", "sum-rho", _parse_float, 0.7, "form-3 sum exponent, > 2/3"),
-        _key("kernel.k_range", "k-range", _parse_int, 100000, "explicit summation range"),
-    ],
-    "picard": _COMMON + _GRID + _INIT[1:] + [
-        _key("picard.t", "t", _parse_float, 0.1, "contraction interval length T"),
-        _key("picard.iters", "iters", _parse_int, 8, "Picard iterations"),
-        _key("picard.nodes", "nodes", _parse_int, 0, "quadrature nodes (0 = auto)"),
-        _key("picard.ref_dt", "ref-dt", _parse_float, 1e-4, "time step of the reference endpoint"),
-    ],
-    "convergence-m": _COMMON + [
-        _key("grid.length", "length", _parse_float, 2.0 * math.pi, "circle length A"),
-        _key("convergence.m_values", "m", _parse_ints, (8, 16, 32), "truncation sizes (increasing)"),
-        _key("convergence.t", "t", _parse_float, 1.0, "final time T"),
-        _key("flow.dt", "dt", _parse_float, 1e-3, "integrator time step"),
-        _key("flow.record_every", "record-every", _parse_int, 50, "steps between compared records"),
-        _key("init.seed", "seed", _parse_int, 0, "random-state seed"),
-        _key("init.k0", "k0", _parse_float, 4.0, "spectral decay scale of random data"),
-        _key("init.norm", "norm", _parse_float, 1.0, "L2 norm of the initial state"),
-    ],
-    "recurrence": _COMMON + _GRID[:2] + _FLOW[0:1] + _FLOW[3:4] + _GIBBS + [
-        _key("recurrence.horizon", "horizon", _parse_float, 15.0, "probe horizon"),
-        _key("recurrence.radius", "radius", _parse_float, 0.35, "L2 return radius"),
-    ],
-}
-
-_DESCRIPTIONS = {
-    "simulate": "integrate one initial state and record conserved quantities",
-    "gibbs-sample": "draw a Gibbs ensemble and save it with a moment summary",
-    "verify-invariance": "push a Gibbs ensemble through the flow and z-test observables",
-    "resonance-scan": "exhaustive minimum of |R(n,n1)|/|n n1 (n-n1)|",
-    "bilinear-sweep": "adversarial bilinear-estimate ratios across lattice sizes",
-    "kernel-scan": "quadrature and frequency-sum checks of the kernel bounds",
-    "picard": "Picard iteration contraction against the time-stepper endpoint",
-    "convergence-m": "truncation convergence against a finer reference",
-    "recurrence": "return-time statistics of Gibbs samples under the flow",
-}
 
 
 # ---------------------------------------------------------------------------
@@ -320,18 +242,8 @@ class RunConfig:
         return {name: _fmt(v) for name, v in sorted(self.values.items())}
 
 
-# scalar domains checked before any draw or output: (key, expected, predicate)
-_DOMAINS = (
-    ("run.threads", "an integer >= 0", lambda v: v >= 0),
-    ("gibbs.beta", "a finite number in [0, 1]", lambda v: 0.0 <= v <= 1.0),
-    ("gibbs.cutoff_r", "a finite number >= 0", lambda v: 0.0 <= v < math.inf),
-    ("invariance.z_max", "a number >= 0", lambda v: v >= 0.0),
-    ("bilinear.w_cells", "an integer >= 1", lambda v: v >= 1),
-)
-
-
 def _resolve(command: str, args: argparse.Namespace) -> RunConfig:
-    keys = {k.name: k for k in _SUBCOMMAND_KEYS[command]}
+    keys = {k.name: k for k in _COMMANDS[command][1]}
     values = {k.name: k.default for k in keys.values()}
     if args.config is not None:
         values.update(_parse_config_file(args.config, keys))
@@ -346,10 +258,6 @@ def _resolve(command: str, args: argparse.Namespace) -> RunConfig:
     least = 2 if command == "gibbs-sample" else 1
     if values.get("gibbs.count", least) < least:
         raise ConfigError(f"gibbs.count must be at least {least} for {command}, got {values['gibbs.count']}")
-    # NaN fails every comparison, so each domain rejects it
-    for name, expected, inside in _DOMAINS:
-        if name in values and not inside(values[name]):
-            raise ConfigError(f"--{keys[name].flag} ({name}): expected {expected}, got {values[name]!r}")
     # every sweep lattice is built here, so a tau index past 2**52 never starts a run
     for n_max in values.get("bilinear.n_max_values", ()):
         try:
@@ -412,9 +320,10 @@ def _write_meta(out: Path, cfg: RunConfig, summary: dict) -> None:
 # shared construction helpers
 
 
-def _make_grid_from(cfg: RunConfig):
-    points = cfg.values.get("grid.points", 0)
-    return make_grid(cfg["grid.modes"], cfg["grid.length"], points if points else None)
+def _make_grid_from(cfg: RunConfig, modes: int | None = None):
+    """Grid of the grid.* keys; modes, if given, replaces grid.modes."""
+    modes = cfg["grid.modes"] if modes is None else modes
+    return make_grid(modes, cfg["grid.length"], cfg.values.get("grid.points", 0) or None)
 
 
 def _max_phase_per_step(grid, dt: float) -> float:
@@ -427,7 +336,7 @@ def _max_phase_per_step(grid, dt: float) -> float:
 
 
 def _initial_field(cfg: RunConfig, grid):
-    if cfg["init.kind"] == "cosine":
+    if cfg.values.get("init.kind") == "cosine":
         coeff = np.zeros(grid.modes, dtype=np.complex128)
         coeff[0] = 0.5 * cfg["init.norm"]
         return FourierField(grid, coeff)
@@ -478,6 +387,7 @@ def _build_observables(text: str, spec: GibbsSpec):
 
 
 def _cmd_simulate(cfg: RunConfig) -> int:
+    """integrate one initial state and record conserved quantities"""
     grid = _make_grid_from(cfg)
     f0 = _initial_field(cfg, grid)
     p = FlowParams(
@@ -504,7 +414,8 @@ def _cmd_simulate(cfg: RunConfig) -> int:
 
 
 def _cmd_gibbs_sample(cfg: RunConfig) -> int:
-    grid = make_grid(cfg["grid.modes"], cfg["grid.length"])
+    """draw a Gibbs ensemble and save it with a moment summary"""
+    grid = _make_grid_from(cfg)
     spec = _gibbs_spec(cfg, grid)
     counters = {}
     start = time.perf_counter()
@@ -535,7 +446,8 @@ def _cmd_gibbs_sample(cfg: RunConfig) -> int:
 
 
 def _cmd_verify_invariance(cfg: RunConfig) -> int:
-    grid = make_grid(cfg["grid.modes"], cfg["grid.length"])
+    """push a Gibbs ensemble through the flow and z-test observables"""
+    grid = _make_grid_from(cfg)
     spec = _gibbs_spec(cfg, grid)
     obs = _build_observables(cfg["invariance.observables"], spec)
     p = FlowParams(dt=cfg["flow.dt"], integrator=cfg["flow.integrator"])
@@ -559,6 +471,7 @@ def _cmd_verify_invariance(cfg: RunConfig) -> int:
 
 
 def _cmd_resonance_scan(cfg: RunConfig) -> int:
+    """exhaustive minimum of |R(n,n1)|/|n n1 (n-n1)|"""
     scan = resonance_scan(cfg["resonance.n_max"], threads=cfg["run.threads"])
     out = _out_dir(cfg)
     rows = [
@@ -586,6 +499,7 @@ def _cmd_resonance_scan(cfg: RunConfig) -> int:
 
 
 def _cmd_bilinear_sweep(cfg: RunConfig) -> int:
+    """adversarial bilinear-estimate ratios across lattice sizes"""
     s_values = cfg["bilinear.s_values"]
     trials, d_tau = cfg["bilinear.trials"], cfg["bilinear.d_tau"]
     w_cells, seed = cfg["bilinear.w_cells"], cfg["bilinear.seed"]
@@ -611,6 +525,7 @@ def _cmd_bilinear_sweep(cfg: RunConfig) -> int:
 
 
 def _cmd_kernel_scan(cfg: RunConfig) -> int:
+    """quadrature and frequency-sum checks of the kernel bounds"""
     integrals = kernel_integral_scan(
         cfg["kernel.alpha_values"], rho=cfg["kernel.rho"], eps=cfg["kernel.eps"]
     )
@@ -648,15 +563,13 @@ def _cmd_kernel_scan(cfg: RunConfig) -> int:
 
 
 def _cmd_picard(cfg: RunConfig) -> int:
+    """Picard iteration contraction against the time-stepper endpoint"""
     grid = _make_grid_from(cfg)
-    rng = _philox(cfg["init.seed"], 0)
-    phi = random_smooth_field(grid, rng, k0=cfg["init.k0"], norm=cfg["init.norm"])
+    phi = _initial_field(cfg, grid)
     nodes = cfg["picard.nodes"]
     res = picard_solve(phi, cfg["picard.t"], cfg["picard.iters"], nodes=(nodes if nodes else None))
     end = flow_map(phi, cfg["picard.t"], FlowParams(dt=cfg["picard.ref_dt"]))
-    endpoint_error = float(
-        np.sqrt(2.0 * grid.length * np.sum(np.abs(res.final.coeff - end.coeff) ** 2))
-    )
+    endpoint_error = float(_l2(res.final.coeff - end.coeff, grid.length))
     out = _out_dir(cfg)
     rows = [(i + 1, d) for i, d in enumerate(res.distances)]
     _write_csv(out / "picard.csv", cfg, ["iteration", "distance"], rows)
@@ -667,10 +580,10 @@ def _cmd_picard(cfg: RunConfig) -> int:
 
 
 def _cmd_convergence_m(cfg: RunConfig) -> int:
+    """truncation convergence against a finer reference"""
     m_values = cfg["convergence.m_values"]
-    grid = make_grid(2 * max(m_values), cfg["grid.length"])
-    rng = _philox(cfg["init.seed"], 0)
-    f0 = random_smooth_field(grid, rng, k0=cfg["init.k0"], norm=cfg["init.norm"])
+    grid = _make_grid_from(cfg, modes=2 * max(m_values))
+    f0 = _initial_field(cfg, grid)
     study = convergence_in_m(
         f0,
         cfg["convergence.t"],
@@ -694,7 +607,8 @@ def _cmd_convergence_m(cfg: RunConfig) -> int:
 
 
 def _cmd_recurrence(cfg: RunConfig) -> int:
-    grid = make_grid(cfg["grid.modes"], cfg["grid.length"])
+    """return-time statistics of Gibbs samples under the flow"""
+    grid = _make_grid_from(cfg)
     spec = _gibbs_spec(cfg, grid)
     p = FlowParams(dt=cfg["flow.dt"], record_every=cfg["flow.record_every"])
     stats = recurrence_probe(
@@ -715,16 +629,85 @@ def _cmd_recurrence(cfg: RunConfig) -> int:
     return 0
 
 
-_HANDLERS = {
-    "simulate": _cmd_simulate,
-    "gibbs-sample": _cmd_gibbs_sample,
-    "verify-invariance": _cmd_verify_invariance,
-    "resonance-scan": _cmd_resonance_scan,
-    "bilinear-sweep": _cmd_bilinear_sweep,
-    "kernel-scan": _cmd_kernel_scan,
-    "picard": _cmd_picard,
-    "convergence-m": _cmd_convergence_m,
-    "recurrence": _cmd_recurrence,
+# ---------------------------------------------------------------------------
+# command table: name -> (handler, keys), in --help order; the handler's
+# docstring is the command's help line
+
+
+_COMMANDS = {
+    "simulate": (_cmd_simulate, _COMMON + _GRID + _FLOW + _INIT + [
+        _Key("flow.t", "t", _parse_float, 1.0, "final time T"),
+    ]),
+    "gibbs-sample": (_cmd_gibbs_sample, _COMMON + _GRID[:2] + _GIBBS + [
+        _Key(
+            "gibbs.sampler",
+            "sampler",
+            _choice("iid-importance", "pcn-mcmc"),
+            "iid-importance",
+            "sampling scheme",
+        ),
+        _Key("gibbs.beta", "beta", _within(_parse_float, "a finite number in [0, 1]", lambda v: 0.0 <= v <= 1.0), 0.5,
+             "pCN proposal step"),
+        _Key("gibbs.burn_in", "burn-in", _parse_int, 0, "pCN burn-in steps"),
+    ]),
+    "verify-invariance": (_cmd_verify_invariance, _COMMON + _GRID[:2] + _FLOW[:2] + _GIBBS + [
+        _Key("invariance.t_values", "t-values", _FLOATS, (0.5,), "flow times to test"),
+        _Key("invariance.z_max", "z-max", _within(_parse_float, "a number >= 0", lambda v: v >= 0.0), 3.0,
+             "pass threshold on |z|"),
+        _Key(
+            "invariance.observables",
+            "observables",
+            str,
+            "mode_power(1),mode_power(2),mode_power(3),mode_power(4),cubic_integral,hamiltonian,ball_indicator",
+            f"comma list from: {_OBSERVABLE_NAMES}",
+        ),
+    ]),
+    "resonance-scan": (_cmd_resonance_scan, _COMMON + [
+        _Key("resonance.n_max", "nmax", _parse_int, 64, "exhaustive scan box |n| <= n_max"),
+    ]),
+    "bilinear-sweep": (_cmd_bilinear_sweep, _COMMON + [
+        _Key("bilinear.s_values", "s", _FLOATS, (0.0, -0.5, -0.6), "Sobolev indices"),
+        _Key("bilinear.n_max_values", "nmax", _INTS, (16, 32, 64), "lattice sizes"),
+        _Key("bilinear.trials", "trials", _parse_int, 4, "random candidates per structured pair"),
+        _Key("bilinear.d_tau", "d-tau", _parse_float, 16.0, "modulation grid spacing (shared)"),
+        _Key("bilinear.w_cells", "w-cells", _within(_parse_int, "an integer >= 1", lambda v: v >= 1), 16,
+             "candidate profile width in cells"),
+        _Key("bilinear.seed", "seed", _parse_int, 0, "seed for random profiles"),
+    ]),
+    "kernel-scan": (_cmd_kernel_scan, _COMMON + [
+        _Key(
+            "kernel.alpha_values",
+            "alpha",
+            _FLOATS,
+            (0.0, 1.0, -1.0, 10.0, -10.0, 1e3, -1e3, 1e6, -1e6),
+            "integral scan arguments",
+        ),
+        _Key("kernel.rho", "rho", _parse_float, 0.5, "form-2 exponent, in (0,1)"),
+        _Key("kernel.eps", "eps", _parse_float, 0.5, "form-3 exponent offset, > 0"),
+        _Key("kernel.sum_tau_values", "sum-tau", _FLOATS, (0.0, 5.0, -25.0, 300.0), "sum scan tau grid"),
+        _Key("kernel.sum_n_values", "sum-n", _INTS, (1, 2, -3, 7), "sum scan frequency grid"),
+        _Key("kernel.sum_rho", "sum-rho", _parse_float, 0.7, "form-3 sum exponent, > 2/3"),
+        _Key("kernel.k_range", "k-range", _parse_int, 100000, "explicit summation range"),
+    ]),
+    "picard": (_cmd_picard, _COMMON + _GRID + _INIT[1:] + [
+        _Key("picard.t", "t", _parse_float, 0.1, "contraction interval length T"),
+        _Key("picard.iters", "iters", _parse_int, 8, "Picard iterations"),
+        _Key("picard.nodes", "nodes", _parse_int, 0, "quadrature nodes (0 = auto)"),
+        _Key("picard.ref_dt", "ref-dt", _parse_float, 1e-4, "time step of the reference endpoint"),
+    ]),
+    "convergence-m": (_cmd_convergence_m, _COMMON + _GRID[:1] + [
+        _Key("convergence.m_values", "m", _INTS, (8, 16, 32), "truncation sizes (increasing)"),
+        _Key("convergence.t", "t", _parse_float, 1.0, "final time T"),
+        _FLOW[0],
+        _Key("flow.record_every", "record-every", _parse_int, 50, "steps between compared records"),
+        _INIT[1],
+        _Key("init.k0", "k0", _parse_float, 4.0, "spectral decay scale of random data"),
+        _Key("init.norm", "norm", _parse_float, 1.0, "L2 norm of the initial state"),
+    ]),
+    "recurrence": (_cmd_recurrence, _COMMON + _GRID[:2] + _FLOW[0:1] + _FLOW[3:4] + _GIBBS + [
+        _Key("recurrence.horizon", "horizon", _parse_float, 15.0, "probe horizon"),
+        _Key("recurrence.radius", "radius", _parse_float, 0.35, "L2 return radius"),
+    ]),
 }
 
 
@@ -745,8 +728,8 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="ostlab", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--version", action="version", version=f"ostlab {__version__}")
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
-    for command, keys in _SUBCOMMAND_KEYS.items():
-        p = sub.add_parser(command, help=_DESCRIPTIONS[command], description=_DESCRIPTIONS[command])
+    for command, (handler, keys) in _COMMANDS.items():
+        p = sub.add_parser(command, help=handler.__doc__, description=handler.__doc__)
         # every flag but -h has two dashes, so a token such as -0.05,0.1, -1e-1 or -inf
         # is the value of the flag before it (argparse's own pattern accepts only -1 and -.5)
         p._negative_number_matcher = re.compile(r"^-[^-]")
@@ -771,11 +754,8 @@ def main(argv=None) -> int:
         return 1
     try:
         cfg = _resolve(args.command, args)
-        return _HANDLERS[args.command](cfg)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
+        return _COMMANDS[args.command][0](cfg)
+    except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (BlowUpError, DegenerateWeightsError, ArithmeticError) as exc:

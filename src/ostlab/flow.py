@@ -417,7 +417,7 @@ class LiouvilleCheck:
         return abs(self.weighted_divergence) / self.weighted_scale if self.weighted_scale > 0.0 else 0.0
 
 
-def liouville_divergence(f: FourierField, h: float, dealias: bool = True) -> LiouvilleCheck:
+def liouville_divergence(f: FourierField, h: float) -> LiouvilleCheck:
     """Central-difference check that the flow field is divergence-free.
 
     Works in the 2m real coordinates a_j.  Both the plain divergence
@@ -429,7 +429,7 @@ def liouville_divergence(f: FourierField, h: float, dealias: bool = True) -> Lio
         raise ValueError(f"h must be positive, got {h}")
     grid = f.grid
     n = 2 * grid.modes
-    lam, nonlinear = _linear_rates(grid), _nonlinear(grid, dealias)
+    lam, nonlinear = _linear_rates(grid), _nonlinear(grid)
 
     def rhs_coords(a):
         c = _coords_to_coeff(a, grid)

@@ -266,16 +266,16 @@ def _pcn_moves(spec: GibbsSpec, beta: float, rng: np.random.Generator, u=None, g
         yield u, accepted, evaluations
 
 
-def pcn_step(u: FourierField, beta: float, spec: GibbsSpec, rng: np.random.Generator, g_fn=None):
+def pcn_step(u: FourierField, beta: float, spec: GibbsSpec, rng: np.random.Generator):
     """One preconditioned Crank-Nicolson move; returns (state, accepted).
 
     Proposal u' = sqrt(1-beta^2) u + beta xi with xi ~ w preserves w
     exactly, so the acceptance ratio is exp(g(u) - g(u')) alone.  A
     configured cutoff acts as hard rejection outside the ball.  beta = 0
-    degenerates to the identity move (always accepted), and g_fn (default
-    cubic_g) receives a FourierField.  `pcn_chain` repeats this move.
+    degenerates to the identity move (always accepted).  `pcn_chain`
+    repeats this move.
     """
-    coeff, accepted, _ = next(_pcn_moves(spec, beta, rng, u.coeff, g_fn))
+    coeff, accepted, _ = next(_pcn_moves(spec, beta, rng, u.coeff))
     return (FourierField(spec.grid, coeff) if accepted else u), accepted
 
 

@@ -2,10 +2,11 @@
 
 import json
 import math
+import re
 
 import pytest
 
-from ostlab.cli import _build_parser, _resolve, main
+from ostlab.cli import _COMMANDS, _build_parser, _resolve, main
 from ostlab.gibbs import load_ensemble
 
 
@@ -106,6 +107,23 @@ class TestConfigResolution:
         out = capsys.readouterr().out
         assert "gibbs.cutoff_r" in out and "default" in out
 
+    @pytest.mark.parametrize("command", list(_COMMANDS))
+    def test_help_comes_from_command_table(self, capsys, monkeypatch, command):
+        monkeypatch.setenv("COLUMNS", "200")  # no wrapping, so a hyphenated word stays whole
+        pages = []
+        for argv in (["--help"], [command, "--help"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 0
+            pages.append(" ".join(capsys.readouterr().out.split()))
+        top, page = pages
+        handler, keys = _COMMANDS[command]
+        assert f"{command} {handler.__doc__}" in top
+        assert handler.__doc__ in page
+        for k in keys:
+            flag, name = re.escape(f"--{k.flag}"), re.escape(k.name)
+            assert re.search(rf"{flag} V [^\[]*\[default: [^\]]*; key: {name}\]", page), k.name
+
     def test_bad_flag_value_exits_1(self, capsys):
         code, _, err = run(capsys, "resonance-scan", "--nmax", "many")
         assert code == 1
@@ -194,6 +212,25 @@ class TestConfigResolution:
         code, _, err = run(capsys, "gibbs-sample", "--config", str(cfg), "--out", str(tmp_path / "out"))
         assert code == 1
         assert "gibbs.beta" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "command, line, flag",
+        [
+            ("simulate", "run.threads = -1", "--threads"),
+            ("gibbs-sample", "gibbs.beta = 2", "--beta"),
+            ("gibbs-sample", "gibbs.cutoff_r = -3", "--cutoff"),
+            ("verify-invariance", "invariance.z_max = -1", "--z-max"),
+            ("bilinear-sweep", "bilinear.w_cells = 0", "--w-cells"),
+        ],
+    )
+    def test_out_of_domain_file_value_names_file_and_line(self, capsys, tmp_path, command, line, flag):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{line}\n")
+        code, _, err = run(capsys, command, "--config", str(cfg), "--out", str(tmp_path / "out"))
+        assert code == 1
+        assert f"{cfg}:1" in err and line.split(" = ")[0] in err
+        assert flag not in err
         assert not (tmp_path / "out").exists()
 
     def test_count_from_config_file_checked(self, capsys, tmp_path):

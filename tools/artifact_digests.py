@@ -1,0 +1,80 @@
+"""Print the sha256 of every data artifact of a fixed list of ostlab runs.
+
+Usage, from the root of a source checkout:
+
+    python3 tools/artifact_digests.py > digests.txt
+
+Each run calls ``ostlab.cli.main`` in-process, from this checkout's
+``src``, inside one fresh temporary working directory and with a relative
+``--out <label>``, so the ``output.dir`` echoed into every artifact does not
+depend on where the script runs.  Sidecars (``*.meta.json``) carry a
+timestamp and are skipped.  Each output line is ``<label>/<file> <sha256>``,
+sorted.  Running the script at two commits and diffing the outputs checks
+that a change leaves every data artifact byte for byte as it was (within one
+numpy build).  It exits 1 if any run exits non-zero.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from ostlab.cli import main as ostlab_main  # noqa: E402
+
+_SIMULATE = ["--modes", "8", "--t", "0.1", "--dt", "0.002", "--record-every", "10"]
+
+# every subcommand at a small size, then the branches the small runs miss
+RUNS = [
+    ("simulate", ["simulate", *_SIMULATE]),
+    ("gibbs-sample", ["gibbs-sample", "--modes", "4", "--count", "500"]),
+    ("verify-invariance", ["verify-invariance", "--modes", "4", "--count", "500", "--t-values", "0.1", "--dt", "0.005"]),
+    ("resonance-scan", ["resonance-scan", "--nmax", "16"]),
+    ("bilinear-sweep", ["bilinear-sweep", "--s", "0,-0.5", "--nmax", "4,8", "--trials", "1"]),
+    ("kernel-scan", ["kernel-scan", "--alpha", "0,1,-10", "--sum-tau", "0,5", "--sum-n", "1,2", "--k-range", "2000"]),
+    ("picard", ["picard", "--modes", "8", "--norm", "0.1", "--t", "0.05", "--iters", "5", "--ref-dt", "0.001"]),
+    ("convergence-m", ["convergence-m", "--m", "4,8", "--t", "0.1", "--dt", "0.002", "--record-every", "10"]),
+    ("recurrence", ["recurrence", "--modes", "4", "--count", "10", "--dt", "0.01", "--record-every", "10",
+                    "--horizon", "3", "--radius", "0.6"]),
+    ("simulate-strang", ["simulate", *_SIMULATE, "--integrator", "strang-split"]),
+    ("simulate-cosine", ["simulate", *_SIMULATE, "--init", "cosine", "--norm", "0.5"]),
+    ("simulate-no-dealias", ["simulate", *_SIMULATE, "--dealias", "false"]),
+    ("gibbs-pcn-cutoff", ["gibbs-sample", "--modes", "4", "--count", "300", "--sampler", "pcn-mcmc", "--beta", "0.4",
+                          "--burn-in", "20", "--cutoff", "1.5"]),
+    ("verify-invariance-negative-t", ["verify-invariance", "--modes", "4", "--count", "500", "--t-values", "-0.05,0.1",
+                                      "--dt", "0.005"]),
+]
+
+
+def digests(runs) -> list:
+    """Run each (label, argv) in a fresh working directory; return the sorted digest lines."""
+    lines, failed = [], []
+    start = os.getcwd()
+    with tempfile.TemporaryDirectory() as work:
+        os.chdir(work)
+        try:
+            for label, argv in runs:
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
+                    code = ostlab_main([*argv, "--out", label])
+                if code != 0:
+                    failed.append(f"{label}: exit {code}: {err.getvalue().strip()}")
+                for path in sorted(Path(label).rglob("*")):
+                    if path.is_file() and not path.name.endswith(".meta.json"):
+                        lines.append(f"{path.as_posix()} {hashlib.sha256(path.read_bytes()).hexdigest()}")
+        finally:
+            os.chdir(start)
+    for message in failed:
+        print(message, file=sys.stderr)
+    if failed:
+        raise SystemExit(1)
+    return sorted(lines)
+
+
+if __name__ == "__main__":
+    print("\n".join(digests(RUNS)))
