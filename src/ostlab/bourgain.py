@@ -43,7 +43,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 
-from .spectral import _parallel_map, _philox, dispersion
+from .spectral import _philox, dispersion
 
 __all__ = [
     "BilinearSweepResult",
@@ -250,19 +250,30 @@ class ResonanceScan:
             object.__setattr__(self, name, arr)
 
 
-def _resonance_grid(n_range: np.ndarray, n_max: int):
+def _grid_buffers(rows: int, n_max: int) -> tuple:
+    """(n2, R, scratch, valid, mask) arrays for blocks of up to `rows` rows, reused block after block."""
+    return tuple(np.empty((rows, 2 * n_max), dtype) for dtype in (float, float, float, bool, bool))
+
+
+def _resonance_grid(n_range: np.ndarray, n_max: int, buffers: tuple):
     """(n1_range, n, n1, n - n1, R, valid) over n in n_range x all nonzero |n1| <= n_max.
 
     R is `resonance` in floats, the same telescoped form of `dispersion`.
     n is a float column and n1 a float row; where n1 = n, n - n1 reads 1 and valid is False.
+    The arrays are rows of `buffers` (see _grid_buffers).
     """
     n1_range = np.concatenate([np.arange(-n_max, 0), np.arange(1, n_max + 1)])
     n = n_range[:, None].astype(np.float64)
     n1 = n1_range[None, :].astype(np.float64)
-    n2 = n - n1
-    valid = n2 != 0.0
-    n2 = np.where(valid, n2, 1.0)
-    R = 3.0 * n * n1 * n2 + 1.0 / n - 1.0 / n1 - 1.0 / n2
+    n2, R, scratch, valid, mask = (b[: len(n_range)] for b in buffers)
+    np.not_equal(np.subtract(n, n1, out=n2), 0.0, out=valid)
+    np.copyto(n2, 1.0, where=np.logical_not(valid, out=mask))
+    # R = 3 n n1 n2 + 1/n - 1/n1 - 1/n2, left to right
+    R = np.multiply(3.0 * n, n1, out=R)
+    R *= n2
+    R += 1.0 / n
+    R -= 1.0 / n1
+    R -= np.divide(1.0, n2, out=scratch)
     return n1_range, n, n1, n2, R, valid
 
 
@@ -278,20 +289,22 @@ def _admissible_blocks(n_max: int) -> list:
     return [n_range[i : i + rows] for i in range(0, len(n_range), rows)]
 
 
-def _ratio_block(n_block: np.ndarray, n_max: int):
-    """(n1_range, |R| / |n n1 (n-n1)|) over one row block, inf where n1 = n."""
-    n1_range, n, n1, n2, R, valid = _resonance_grid(n_block, n_max)
-    ratio = np.abs(R) / np.abs(n * n1 * n2)
-    ratio[~valid] = np.inf
-    return n1_range, ratio
+def _ratio_block(n_block: np.ndarray, n_max: int, buffers):
+    """(n1_range, |R| / |n n1 (n-n1)| with inf where n1 = n, its isfinite mask) over one row block, in `buffers`."""
+    n1_range, n, n1, n2, R, valid = _resonance_grid(n_block, n_max, buffers)
+    den = np.multiply(n, n1, out=buffers[2][: len(n_block)])
+    den *= n2
+    ratio = np.divide(np.abs(R, out=R), np.abs(den, out=den), out=R)
+    np.copyto(ratio, np.inf, where=np.logical_not(valid, out=buffers[4][: len(n_block)]))
+    return n1_range, ratio, np.isfinite(ratio, out=valid)
 
 
-def _block_minimum(n_block: np.ndarray, n_max: int):
+def _block_minimum(n_block: np.ndarray, n_max: int, buffers):
     """(smallest ratio, its n, its n1, smallest and largest finite ratio) over one row block."""
-    n1_range, ratio = _ratio_block(n_block, n_max)
+    n1_range, ratio, finite = _ratio_block(n_block, n_max, buffers)
     i, j = np.unravel_index(np.argmin(ratio), ratio.shape)
-    finite = ratio[np.isfinite(ratio)]
-    return float(ratio[i, j]), int(n_block[i]), int(n1_range[j]), finite.min(), finite.max()
+    lo, hi = ratio.min(where=finite, initial=np.inf), ratio.max(where=finite, initial=-np.inf)
+    return float(ratio[i, j]), int(n_block[i]), int(n1_range[j]), lo, hi
 
 
 def _record(ratio: float, n: int, n1: int) -> ResonanceRecord:
@@ -304,35 +317,40 @@ def resonance_scan(n_max: int, threads: int = 1) -> ResonanceScan:
     The minimum ratio is 9/4 at (n, n1) = (-2, -1) for every n_max: the
     ratio is 3 - (n1^2 + n1 n2 + n2^2) / (n n1 n2)^2 (see `resonance`), and
     the correction is largest, 3/4, where |n1| = |n2| = 1.
-    The grid is streamed in row blocks of about _BLOCK_CELLS cells on
-    `threads` workers (0 = all cores), twice: once for the minimum and the
-    histogram range, once for the bin counts.  Memory is O(n_max), the
-    result does not depend on `threads`, and of equal ratios the first pair
-    in row-major order wins.
+    The grid is streamed in row blocks of about _BLOCK_CELLS cells through
+    one reused buffer set, twice: once for the minimum and the histogram
+    range, once for the bin counts.  Memory is O(n_max), and of equal
+    ratios the first pair in row-major order wins.  `threads` has no
+    effect: on 2 cores, two workers scanned n_max 2048 no faster than one.
     """
     if int(n_max) != n_max or n_max < 2:
         raise ValueError(f"n_max must be an integer >= 2, got {n_max}")
     n_max = int(n_max)
     blocks = _admissible_blocks(n_max)
-    minima = _parallel_map(lambda rows: _block_minimum(rows, n_max), blocks, threads)
+    buffers = _grid_buffers(len(blocks[0]), n_max)
+    minima = [_block_minimum(rows, n_max, buffers) for rows in blocks]
     # min() keeps the first of equal ratios, and the blocks run in row order
     ratio, a, b, _, _ = min(minima, key=lambda m: m[0])
     extent = (min(m[3] for m in minima), max(m[4] for m in minima))
 
-    def block_histogram(rows):
-        # numpy bins each element on its own, so over the global extent the
-        # block counts add up to the histogram of the whole grid
-        ratios = _ratio_block(rows, n_max)[1]
-        return np.histogram(ratios[np.isfinite(ratios)], bins=40, range=extent)
+    edges = np.histogram_bin_edges(np.empty(0), bins=40, range=extent)
 
-    histograms = _parallel_map(block_histogram, blocks, threads)
-    slice_ratio, c, d, _, _ = _block_minimum(np.array([-1, 1]), n_max)
+    def block_counts(rows):
+        # np.histogram's bins (edges[k] <= ratio < edges[k+1], the last one
+        # closed) as differences of #{ratio < edge}; block counts add up
+        _, ratio, finite = _ratio_block(rows, n_max, buffers)
+        below = buffers[4][: len(rows)]
+        cumulative = [np.count_nonzero(np.less(ratio, e, out=below)) for e in edges[1:-1]]
+        return np.diff([0, *cumulative, np.count_nonzero(finite)])
+
+    counts = [block_counts(rows) for rows in blocks]
+    slice_ratio, c, d, _, _ = _block_minimum(np.array([-1, 1]), n_max, _grid_buffers(2, n_max))
     return ResonanceScan(
         n_max=n_max,
         minimum=_record(ratio, a, b),
         slice_minimum=_record(slice_ratio, c, d),
-        hist_counts=np.sum([h[0] for h in histograms], axis=0),
-        hist_edges=histograms[0][1],
+        hist_counts=np.sum(counts, axis=0),
+        hist_edges=edges,
     )
 
 

@@ -18,9 +18,9 @@ finished but its verdict is FAIL (a ``verify-invariance`` z-gate).
 The default output directory is the environment variable OSTLAB_OUTDIR
 (falling back to the working directory); ``--out`` overrides it.
 ``--threads`` caps worker threads (0 = all cores) for the row blocks of
-``resonance-scan`` and of ``verify-invariance``, which draws its ensemble
-once and integrates it once per time sign; results do not depend on the
-thread count.
+``verify-invariance``, which draws its ensemble once and integrates it
+once per time sign; results do not depend on the thread count.
+``resonance-scan`` accepts it and runs serially.
 """
 
 from __future__ import annotations
@@ -472,7 +472,7 @@ def _cmd_verify_invariance(cfg: RunConfig) -> int:
 
 def _cmd_resonance_scan(cfg: RunConfig) -> int:
     """exhaustive minimum of |R(n,n1)|/|n n1 (n-n1)|"""
-    scan = resonance_scan(cfg["resonance.n_max"], threads=cfg["run.threads"])
+    scan = resonance_scan(cfg["resonance.n_max"])
     out = _out_dir(cfg)
     rows = [
         ("admissible-min", scan.minimum.n, scan.minimum.n1, scan.minimum.R, scan.minimum.ratio),

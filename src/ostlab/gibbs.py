@@ -9,10 +9,11 @@ summability numerically.
 
 The Gibbs measure reweights w by exp(-g(u)), g(u) = (1/3) int u^3 — the
 cubic part of the conserved Hamiltonian.  Because int u^3 is unbounded
-below on the support of w, expectations are taken with an optional hard
-L2-ball cutoff |u| <= R (default 4x the Gaussian root-mean L2 norm, cf.
-`default_cutoff`); the cutoff indicator is itself conserved by the flow,
-so it does not disturb invariance experiments.
+below on the support of w, expectations can be taken with a hard L2-ball
+cutoff |u| <= R, none by default (`gibbs.cutoff_r = 0`); `default_cutoff`,
+4x the Gaussian root-mean L2 norm, is only the radius used where a caller
+asks for one.  The cutoff indicator is itself conserved by the flow, so it
+does not disturb invariance experiments.
 
 Two samplers are provided: iid importance sampling from w with weights
 exp(-g), and a preconditioned Crank-Nicolson chain whose proposal

@@ -131,7 +131,7 @@ class TestResonanceScan:
     def test_shared_grid_matches_exact_resonance(self):
         # the (n, n1) grid behind resonance_scan
         n_range = np.array([-5, -2, 1, 3, 6])
-        n1_range, n, n1, n2, R, valid = _resonance_grid(n_range, 6)
+        n1_range, n, n1, n2, R, valid = _resonance_grid(n_range, 6, bourgain._grid_buffers(len(n_range), 6))
         assert R.shape == valid.shape == n2.shape == (5, 12)
         for i, a in enumerate(n_range):
             for j, b in enumerate(n1_range):
@@ -174,7 +174,7 @@ def _full_grid_scan(n_max):
     """resonance_scan computed on whole (n, n1) grids, as one array each."""
 
     def minimum(n_range):
-        n1_range, n, n1, n2, R, valid = _resonance_grid(n_range, n_max)
+        n1_range, n, n1, n2, R, valid = _resonance_grid(n_range, n_max, bourgain._grid_buffers(len(n_range), n_max))
         ratio = np.abs(R) / np.abs(n * n1 * n2)
         ratio[~valid] = np.inf
         i, j = np.unravel_index(np.argmin(ratio), ratio.shape)

@@ -206,14 +206,6 @@ class TestConfigResolution:
         assert "Traceback" not in err
         assert list(tmp_path.iterdir()) == []
 
-    def test_beta_from_config_file_checked(self, capsys, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("gibbs.beta = 2\n")
-        code, _, err = run(capsys, "gibbs-sample", "--config", str(cfg), "--out", str(tmp_path / "out"))
-        assert code == 1
-        assert "gibbs.beta" in err
-        assert not (tmp_path / "out").exists()
-
     @pytest.mark.parametrize(
         "command, line, flag",
         [

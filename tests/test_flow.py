@@ -1,18 +1,26 @@
 """Galerkin flow: conservation, semigroup structure, Liouville, Picard."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ostlab.flow as flow
 from ostlab.flow import (
     _ROW_BLOCK,
+    BLOW_UP_THRESHOLD,
     BlowUpError,
     FlowParams,
     _advance,
     _advance_times,
+    _check_state,
+    _etdrk4_tables,
+    _linear_rates,
+    _nonlinear,
+    _strang_step,
     convergence_in_m,
     evolve,
     flow_map,
@@ -45,6 +53,55 @@ def smooth_random_field(grid, rng, k0=2.0):
     c = rng.standard_normal(grid.modes) + 1j * rng.standard_normal(grid.modes)
     f = FourierField(grid, c * np.exp(-((k / k0) ** 2)))
     return FourierField(grid, f.coeff / l2_norm(f))
+
+
+def reference_product_coeff(coeff, modes, npts):
+    """The pseudo-spectral product written plainly: fresh arrays at every call."""
+    spec = np.zeros(coeff.shape[:-1] + (npts // 2 + 1,), dtype=np.complex128)
+    spec[..., 1 : modes + 1] = coeff * npts
+    u = np.fft.irfft(spec, n=npts, axis=-1)
+    return np.fft.rfft(u * u, axis=-1)[..., 1 : modes + 1] / npts
+
+
+def reference_rhs(grid, dealias=True):
+    """The flow's nonlinear part -i xi P_m(u^2), one fresh product per call."""
+    npts = grid.points if dealias else 2 * grid.modes + 1
+    return lambda c: -1j * grid.xi * reference_product_coeff(c, grid.modes, npts)
+
+
+def reference_etdrk4_step(c, tables, rhs):
+    """One ETDRK4 step as the textbook sum (Cox-Matthews, Kassam-Trefethen)."""
+    E, E2, Q, f1, f2, f3 = tables
+    n1 = rhs(c)
+    a = E2 * c + Q * n1
+    n2 = rhs(a)
+    b = E2 * c + Q * n2
+    n3 = rhs(b)
+    d = E2 * a + Q * (2.0 * n3 - n1)
+    n4 = rhs(d)
+    return E * c + f1 * n1 + 2.0 * f2 * (n2 + n3) + f3 * n4
+
+
+def reference_run(c, grid, p, steps):
+    """`steps` steps of size p.dt through the reference right-hand side."""
+    rhs = reference_rhs(grid, p.dealias)
+    lam = _linear_rates(grid)
+    if p.integrator == "strang-split":
+        half = np.exp(0.5 * p.dt * lam)
+        step = lambda c: _strang_step(c, half, p.dt, rhs)  # noqa: E731
+    else:
+        E, E2, Q, f1, f2_twice, f3 = _etdrk4_tables(lam, p.dt)
+        # halving is exact, so 2.0 * f2 below gives back the table's bits
+        tables = (E, E2, Q, f1, f2_twice / 2.0, f3)
+        step = lambda c: reference_etdrk4_step(c, tables, rhs)  # noqa: E731
+    for _ in range(steps):
+        c = step(c)
+    return c
+
+
+def random_stack(grid, rng, lead=()):
+    shape = lead + (grid.modes,)
+    return 0.3 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
 
 class TestFlowParams:
@@ -85,6 +142,90 @@ class TestNonlinearTerm:
             f = unit_random_field(g, rng)
             n = nonlinear_term(f)
             assert abs(inner(n, f)) <= 1e-10 * l2_norm(f) ** 3
+
+
+class TestReferenceBits:
+    # the workspace product and the in-place step sum reproduce the plain
+    # expressions bit for bit
+
+    @pytest.mark.parametrize("dealias", [True, False], ids=["dealiased", "odd-grid"])
+    @pytest.mark.parametrize("lead", [(), (5,)], ids=["single", "stack"])
+    @pytest.mark.parametrize("m", [8, 32])
+    def test_rhs_matches_reference(self, m, lead, dealias):
+        g = make_grid(m)
+        c = random_stack(g, np.random.default_rng(41), lead)
+        out = _nonlinear(g, dealias)(c)
+        assert out.tobytes() == reference_rhs(g, dealias)(c).tobytes()
+
+    def test_one_closure_across_alternating_shapes(self):
+        g = make_grid(8)
+        rng = np.random.default_rng(43)
+        rhs, ref = _nonlinear(g), reference_rhs(g)
+        for lead in [(), (4,), (), (7,), (4,), (2, 3), ()]:
+            c = random_stack(g, rng, lead)
+            assert rhs(c).tobytes() == ref(c).tobytes()
+
+    def test_successive_results_do_not_alias(self):
+        g = make_grid(8)
+        rng = np.random.default_rng(47)
+        rhs = _nonlinear(g)
+        first = rhs(random_stack(g, rng, (3,)))
+        kept = first.copy()
+        second = rhs(random_stack(g, rng, (3,)))
+        assert not np.shares_memory(first, second)
+        assert first.tobytes() == kept.tobytes()
+
+    @pytest.mark.parametrize(
+        "params",
+        [FlowParams(dt=1e-2), FlowParams(dt=1e-2, dealias=False), FlowParams(dt=1e-2, integrator="strang-split")],
+        ids=["etdrk4", "odd-grid", "strang-split"],
+    )
+    @pytest.mark.parametrize("lead", [(), (6,)], ids=["single", "stack"])
+    @pytest.mark.parametrize("m", [8, 32])
+    def test_fifty_steps_match_reference(self, m, lead, params):
+        g = make_grid(m)
+        c = random_stack(g, np.random.default_rng(53), lead)
+        out = _advance(c, g, params, 50 * params.dt)
+        assert out.tobytes() == reference_run(c, g, params, 50).tobytes()
+
+
+def full_mask_blow_up(c):
+    """(modes, samples) of BlowUpError from the mask of every offending entry."""
+    bad = ~np.isfinite(c) | (np.abs(c) > BLOW_UP_THRESHOLD)
+    where = np.nonzero(bad)
+    modes = 1 + np.unique(where[-1])
+    samples = np.unique(where[0]) if c.ndim > 1 else ()
+    return tuple(int(k) for k in modes), tuple(int(i) for i in samples)
+
+
+class TestCheckState:
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {(1, 2): complex(math.nan, 0.0)},
+            {(0, 5): complex(0.0, math.inf)},
+            {(3, 0): 2.0 * BLOW_UP_THRESHOLD},
+            {(2, 7): complex(-math.inf, math.nan), (0, 3): math.nan, (2, 1): -3.0 * BLOW_UP_THRESHOLD},
+        ],
+        ids=["nan", "inf", "large", "mixed"],
+    )
+    @pytest.mark.parametrize("stacked", [False, True], ids=["single", "stack"])
+    def test_reports_full_mask(self, bad, stacked):
+        g = make_grid(8)
+        c = random_stack(g, np.random.default_rng(59), (4,))
+        for (i, k), value in bad.items():
+            c[i, k] = value
+        if not stacked:
+            c = c[max(i for i, _ in bad)]
+        with pytest.raises(BlowUpError) as err:
+            _check_state(c, 0.25)
+        assert (err.value.modes, err.value.samples) == full_mask_blow_up(c)
+        assert err.value.time == 0.25
+
+    def test_threshold_itself_passes(self):
+        c = np.full((3, 4), BLOW_UP_THRESHOLD, dtype=np.complex128)
+        _check_state(c, 0.0)
+        _check_state(np.zeros((0, 4), dtype=np.complex128), 0.0)
 
 
 class TestEvolve:
@@ -259,6 +400,23 @@ class TestAdvanceTimes:
         assert len(states) == len(times)
         for t, state in zip(times, states):
             assert state.tobytes() == _advance(stack, g, params, t).tobytes()
+
+    def test_blocks_keep_their_own_right_hand_sides(self, monkeypatch):
+        # more workers than cores, switching often: a shared product
+        # workspace would mix blocks
+        monkeypatch.setattr(flow, "_ROW_BLOCK", 16)
+        g = make_grid(8)
+        stack = random_stack(g, np.random.default_rng(61), (16 * 6 + 5,))
+        p = FlowParams(dt=1e-2)
+        serial = _advance_times(stack, g, p, [0.2, -0.1])
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = _advance_times(stack, g, p, [0.2, -0.1], threads=6)
+        finally:
+            sys.setswitchinterval(interval)
+        for a, b in zip(serial, threaded):
+            assert a.tobytes() == b.tobytes()
 
     def test_blow_up_reports_row_of_whole_stack(self):
         g = make_grid(8)
