@@ -82,9 +82,7 @@ class LatticeSpec:
     """Frequency/modulation grid: n in {+-1..+-n_max}, tau in d_tau steps.
 
     The tau grid is symmetric, tau_j = (j - K) d_tau for j = 0 .. 2K, with
-    K = floor(tau_max/d_tau) <= 2**52.  Containing the dispersion curve
-    comfortably wants tau_max >= 8 m(n_max); `recommendation_met` records
-    whether this holds so reports can flag marginal grids.
+    K = floor(tau_max/d_tau) <= 2**52.
     """
 
     n_max: int
@@ -120,10 +118,6 @@ class LatticeSpec:
     @property
     def tau(self) -> np.ndarray:
         return (np.arange(2 * self.k_tau + 1) - self.k_tau) * self.d_tau
-
-    @property
-    def recommendation_met(self) -> bool:
-        return self.tau_max >= 8.0 * abs(dispersion(self.n_max))
 
     def index(self, n: int) -> int:
         if int(n) != n or n == 0 or abs(n) > self.n_max:
@@ -311,7 +305,7 @@ def _record(ratio: float, n: int, n1: int) -> ResonanceRecord:
     return ResonanceRecord(n=n, n1=n1, R=float(resonance(n, n1)), ratio=ratio)
 
 
-def resonance_scan(n_max: int, threads: int = 1) -> ResonanceScan:
+def resonance_scan(n_max: int) -> ResonanceScan:
     """Scan all (n, n1) with 2 <= |n| <= n_max, 1 <= |n1| <= n_max, n != n1.
 
     The minimum ratio is 9/4 at (n, n1) = (-2, -1) for every n_max: the
@@ -320,8 +314,8 @@ def resonance_scan(n_max: int, threads: int = 1) -> ResonanceScan:
     The grid is streamed in row blocks of about _BLOCK_CELLS cells through
     one reused buffer set, twice: once for the minimum and the histogram
     range, once for the bin counts.  Memory is O(n_max), and of equal
-    ratios the first pair in row-major order wins.  `threads` has no
-    effect: on 2 cores, two workers scanned n_max 2048 no faster than one.
+    ratios the first pair in row-major order wins.  The scan runs serially:
+    on 2 cores, two workers scanned n_max 2048 no faster than one.
     """
     if int(n_max) != n_max or n_max < 2:
         raise ValueError(f"n_max must be an integer >= 2, got {n_max}")
@@ -446,9 +440,8 @@ def sweep_spec(n_max: int, d_tau: float = 16.0, w_cells: int = 16) -> LatticeSpe
     """Lattice sized to contain the dispersion curve up to |n| = n_max.
 
     tau_max = |m(n_max)| plus a margin of w_cells + 4 cells: enough for
-    the curve-concentrated candidates' profiles, far below the 8x
-    recommendation (which sweeps record as unmet — acceptable because
-    the candidates' support is explicitly inside the grid).
+    the curve-concentrated candidates' profiles, whose support lies
+    inside the grid.
     """
     margin = (w_cells + 4) * d_tau
     return LatticeSpec(n_max=n_max, tau_max=abs(dispersion(n_max)) + margin, d_tau=d_tau)
@@ -495,7 +488,6 @@ class BilinearSweepRow:
     n_max: int
     max_ratio: float
     candidate: str
-    recommendation_met: bool
 
 
 @dataclass(frozen=True)
@@ -549,10 +541,9 @@ def bilinear_sweep(
             for s, r in zip(s_list, _bilinear_ratios(f, g, s_list)):
                 cur = best.get((s, n_max))
                 if cur is None or r > cur[0]:
-                    best[(s, n_max)] = (r, label, spec.recommendation_met)
+                    best[(s, n_max)] = (r, label)
     rows = tuple(
-        BilinearSweepRow(s=s, n_max=n, max_ratio=v[0], candidate=v[1], recommendation_met=v[2])
-        for (s, n), v in sorted(best.items())
+        BilinearSweepRow(s=s, n_max=n, max_ratio=v[0], candidate=v[1]) for (s, n), v in sorted(best.items())
     )
     return BilinearSweepResult(d_tau=d_tau, w_cells=w_cells, trials=trials, rows=rows)
 

@@ -504,14 +504,9 @@ def _cmd_bilinear_sweep(cfg: RunConfig) -> int:
     trials, d_tau = cfg["bilinear.trials"], cfg["bilinear.d_tau"]
     w_cells, seed = cfg["bilinear.w_cells"], cfg["bilinear.seed"]
     result = bilinear_sweep(s_values, cfg["bilinear.n_max_values"], trials, d_tau=d_tau, w_cells=w_cells, seed=seed)
-    rows = [(r.s, r.n_max, r.max_ratio, r.candidate, r.recommendation_met) for r in result.rows]
+    rows = [(r.s, r.n_max, r.max_ratio, r.candidate) for r in result.rows]
     out = _out_dir(cfg)
-    _write_csv(
-        out / "bilinear_sweep.csv",
-        cfg,
-        ["s", "n_max", "max_ratio", "candidate", "recommendation_met"],
-        rows,
-    )
+    _write_csv(out / "bilinear_sweep.csv", cfg, ["s", "n_max", "max_ratio", "candidate"], rows)
     # least-squares d log(max_ratio) / d log(n_max) per s: about -1 at s = 0, 0 at s = -1/2
     slopes = {}
     for s in s_values:

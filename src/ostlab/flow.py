@@ -24,6 +24,7 @@ and the contraction of the Duhamel fixed-point map are checked by
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -285,29 +286,18 @@ def _tail_step(c, t: float, lam, rhs, p: FlowParams):
     return c
 
 
-def _advance(coeff: np.ndarray, grid: GridSpec, p: FlowParams, t_final: float, on_step=None):
-    """Advance a (..., m) coefficient stack from t=0 to t_final.
+def _steps(coeff: np.ndarray, grid: GridSpec, p: FlowParams, h: float):
+    """Yield the (..., m) stack after 1, 2, ... steps of size h (+-p.dt), each checked at time i*h.
 
-    Fixed steps of size +-p.dt plus one fractional tail step when dt does
-    not divide t_final.  on_step(step_index, time, coeff) fires after each
-    full step (not after the tail); a truthy return stops the run early.
+    The generator builds its own right-hand side when first pulled, on the
+    thread that pulls it.
     """
-    if t_final == 0.0:
-        return coeff
-    lam = _linear_rates(grid)
-    rhs = _make_rhs(grid, p)
-    h = p.dt if t_final > 0.0 else -p.dt
-    n_full = _full_steps(t_final, p.dt)
+    step = _stepper(_linear_rates(grid), _make_rhs(grid, p), p, h)
     c = coeff
-    if n_full:
-        step = _stepper(lam, rhs, p, h)
-        for i in range(1, n_full + 1):
-            c = step(c)
-            t = i * h
-            _check_state(c, t)
-            if on_step is not None and on_step(i, t, c):
-                return c
-    return _tail_step(c, t_final, lam, rhs, p)
+    for i in itertools.count(1):
+        c = step(c)
+        _check_state(c, i * h)
+        yield c
 
 
 # Rows per block of a stacked run.  On a 2-core Xeon, 2 threads took a (20000, 8) stack to t = 0.05 and 0.1
@@ -316,12 +306,12 @@ _ROW_BLOCK = 2048
 
 
 def _advance_times(coeff: np.ndarray, grid: GridSpec, p: FlowParams, times, threads: int = 1):
-    """States at each t in times: entry j equals _advance(coeff, ..., times[j]).
+    """States at each t in times (either sign); a time of 0 gives the input state.
 
     A single (m,) state runs as one block; a (rows, m) stack runs in
     _ROW_BLOCK-row blocks on `threads` workers (0 = all cores).  Each block
-    makes one _advance run per time sign, snapshots every requested full
-    step and gives each time its own tail step, with a right-hand side of
+    pulls one _steps run per time sign up to each requested number of full
+    steps and gives each time its own tail step, with right-hand sides of
     its own.  BlowUpError.samples index the stack.
     """
     times = [float(t) for t in times]
@@ -336,22 +326,18 @@ def _advance_times(coeff: np.ndarray, grid: GridSpec, p: FlowParams, times, thre
         rhs = _make_rhs(grid, p)
         out = [rows] * len(times)
         for sign in (1.0, -1.0):
-            mine = [j for j, t in enumerate(times) if t * sign > 0.0]
-            if not mine:
-                continue
             wanted = {}
-            for j in mine:
-                wanted.setdefault(_full_steps(times[j], p.dt), []).append(j)
-            last = max(wanted)
-
-            def on_step(n, _t, c):
-                for j in wanted.get(n, ()):
-                    out[j] = _tail_step(c, times[j], lam, rhs, p)
-                return n == last
-
+            for j, t in enumerate(times):
+                if t * sign > 0.0:
+                    wanted.setdefault(_full_steps(t, p.dt), []).append(j)
+            steps = _steps(rows, grid, p, sign * p.dt)
+            c, n = rows, 0
             try:
-                if not on_step(0, 0.0, rows):
-                    _advance(rows, grid, p, max((times[j] for j in mine), key=abs), on_step)
+                for target in sorted(wanted):
+                    while n < target:
+                        c, n = next(steps), n + 1
+                    for j in wanted[target]:
+                        out[j] = _tail_step(c, times[j], lam, rhs, p)
             except BlowUpError as exc:
                 start = block.start or 0
                 raise BlowUpError(exc.time, exc.modes, [start + i for i in exc.samples]) from None
@@ -402,7 +388,7 @@ def flow_map(f0: FourierField, t: float, p: FlowParams) -> FourierField:
         raise ValueError(f"t must be finite, got {t}")
     if t == 0.0:
         return f0
-    return FourierField(f0.grid, _advance(f0.coeff, f0.grid, p, t))
+    return FourierField(f0.grid, _advance_times(f0.coeff, f0.grid, p, [t])[0])
 
 
 # ---------------------------------------------------------------------------

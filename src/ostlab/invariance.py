@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flow import FlowParams, _advance, _advance_times
+from .flow import FlowParams, _advance_times, _full_steps, _steps
 from .gibbs import (
     DegenerateWeightsError,
     ESS_FLOOR,
@@ -289,16 +289,15 @@ def recurrence_probe(
     return_steps = np.full(len(ens), -1, dtype=np.int64)
 
     if radius > 0.0:
-
-        def on_step(i, t, c):
+        # the full steps within the horizon, the range first so zip pulls no
+        # step past it; a fractional tail step would never be probed
+        for i, c in zip(range(1, _full_steps(horizon, p.dt) + 1), _steps(start, grid, p, p.dt)):
             if i % p.record_every:
-                return False
-            dist = _l2(c - start, grid.length)
-            fresh = (return_steps < 0) & (dist < radius)
+                continue
+            fresh = (return_steps < 0) & (_l2(c - start, grid.length) < radius)
             return_steps[fresh] = i
-            return bool(np.all(return_steps >= 0))
-
-        _advance(start, grid, p, horizon, on_step)
+            if np.all(return_steps >= 0):
+                break
 
     times = np.where(return_steps > 0, return_steps * p.dt, math.nan)
     finite = times[np.isfinite(times)]

@@ -255,7 +255,7 @@ def sobolev_norm(f: FourierField, s: float) -> float:
 
 
 def inner(f: FourierField, g: FourierField) -> float:
-    """L2 pairing int f g dx."""
+    """L2 pairing int f g dx; kept as the oracle of the skew-pairing tests."""
     if g.grid != f.grid:
         raise ValueError("fields must share a grid")
     return float(2.0 * f.grid.length * np.sum(f.coeff * np.conj(g.coeff)).real)
@@ -277,7 +277,7 @@ def _quadratic_energy(coeff: np.ndarray, grid: GridSpec) -> np.ndarray:
 
 
 def quadratic_energy(f: FourierField) -> float:
-    """(1/2)(Su, u) = (1/2) int u_x^2 + (1/2) int (dx_inv u)^2."""
+    """(1/2)(Su, u) = (1/2) int u_x^2 + (1/2) int (dx_inv u)^2; kept as the Hamiltonian tests' oracle."""
     return float(_quadratic_energy(f.coeff, f.grid))
 
 

@@ -532,7 +532,7 @@ class TestAnalysisCommands:
         )
         assert code == 0
         _, header, rows = read_csv(tmp_path / "bilinear_sweep.csv")
-        assert header == ["s", "n_max", "max_ratio", "candidate", "recommendation_met"]
+        assert header == ["s", "n_max", "max_ratio", "candidate"]
         assert len(rows) == 4
         assert all(float(r[2]) > 0.0 for r in rows)
         # sorted by (s, n_max)

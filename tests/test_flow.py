@@ -14,7 +14,6 @@ from ostlab.flow import (
     BLOW_UP_THRESHOLD,
     BlowUpError,
     FlowParams,
-    _advance,
     _advance_times,
     _check_state,
     _etdrk4_tables,
@@ -185,7 +184,7 @@ class TestReferenceBits:
     def test_fifty_steps_match_reference(self, m, lead, params):
         g = make_grid(m)
         c = random_stack(g, np.random.default_rng(53), lead)
-        out = _advance(c, g, params, 50 * params.dt)
+        out = _advance_times(c, g, params, [50 * params.dt])[0]
         assert out.tobytes() == reference_run(c, g, params, 50).tobytes()
 
 
@@ -281,8 +280,8 @@ class TestEvolve:
         assert rec.states.shape == (len(rec.times), 4)
         assert np.array_equal(rec.states[0], f.coeff)
         assert np.array_equal(rec.states[-1], rec.final.coeff)
-        for t, state in zip(rec.times, rec.states):
-            assert state.tobytes() == _advance(f.coeff, g, p, t).tobytes()
+        for i, state in enumerate(rec.states):
+            assert state.tobytes() == reference_run(f.coeff, g, p, i * p.record_every).tobytes()
 
     def test_single_state_wider_than_row_block(self):
         # a single state is one block, not _ROW_BLOCK-mode slices
@@ -290,7 +289,7 @@ class TestEvolve:
         f = unit_random_field(g, np.random.default_rng(4), decay=0.01)
         p = FlowParams(dt=1e-3, T=2e-3)
         rec = evolve(f, p)
-        assert rec.final.coeff.tobytes() == _advance(f.coeff, g, p, p.T).tobytes()
+        assert rec.final.coeff.tobytes() == reference_run(f.coeff, g, p, 2).tobytes()
 
     def test_fractional_final_step(self):
         g = make_grid(4)
@@ -371,10 +370,10 @@ class TestFlowMap:
         stack = np.stack([unit_random_field(g, rng, decay=0.3).coeff for _ in range(37)])
         p = FlowParams(dt=1e-2, integrator=integrator)
         t = 0.055  # five full steps and a fractional tail
-        whole = _advance(stack, g, p, t)
-        chunked = np.concatenate([_advance(stack[i : i + 5], g, p, t) for i in range(0, 37, 5)])
+        whole = _advance_times(stack, g, p, [t])[0]
+        chunked = np.concatenate([_advance_times(stack[i : i + 5], g, p, [t])[0] for i in range(0, 37, 5)])
         for i in range(37):
-            single = _advance(stack[i], g, p, t)
+            single = _advance_times(stack[i], g, p, [t])[0]
             assert whole[i].tobytes() == single.tobytes()
             assert chunked[i].tobytes() == single.tobytes()
 
@@ -391,7 +390,7 @@ class TestAdvanceTimes:
     )
     @pytest.mark.parametrize("threads", [1, 2])
     def test_each_time_matches_advance(self, params, threads):
-        # snapshots of one pass over a multi-block stack equal separate runs bit for bit
+        # snapshots of one pass over a multi-block stack equal single-time runs bit for bit
         g = make_grid(8)
         rng = np.random.default_rng(37)
         stack = np.stack([unit_random_field(g, rng, decay=0.3).coeff for _ in range(_ROW_BLOCK + 300)])
@@ -399,7 +398,7 @@ class TestAdvanceTimes:
         states = _advance_times(stack, g, params, times, threads=threads)
         assert len(states) == len(times)
         for t, state in zip(times, states):
-            assert state.tobytes() == _advance(stack, g, params, t).tobytes()
+            assert state.tobytes() == _advance_times(stack, g, params, [t])[0].tobytes()
 
     def test_blocks_keep_their_own_right_hand_sides(self, monkeypatch):
         # more workers than cores, switching often: a shared product

@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from ostlab.flow import FlowParams
+import ostlab.flow as flow
+from ostlab.flow import FlowParams, _advance_times
 from ostlab.gibbs import DegenerateWeightsError, Ensemble, GibbsSpec, default_cutoff, sample_gaussian
 from ostlab.invariance import (
     ball_indicator,
@@ -18,12 +19,26 @@ from ostlab.invariance import (
     run_invariance,
 )
 from ostlab.spectral import (
+    _l2,
     coordinates,
     cubic_g,
     hamiltonian,
     l2_norm,
     make_grid,
 )
+
+
+def counted_steps(monkeypatch) -> list:
+    """One entry per ETDRK4 step taken from now on."""
+    calls = []
+    step = flow._etdrk4_step
+
+    def counted(c, tables, rhs):
+        calls.append(1)
+        return step(c, tables, rhs)
+
+    monkeypatch.setattr(flow, "_etdrk4_step", counted)
+    return calls
 
 
 def sample_field(seed=5, m=4):
@@ -201,6 +216,38 @@ class TestRecurrence:
         stats = recurrence_probe(spec, p, 16, horizon=15.0, radius=0.35)
         assert stats.returned_fraction > 0.0
         assert np.nansum(stats.hist_counts) == np.sum(np.isfinite(stats.return_times))
+
+    def test_stops_once_every_sample_returned(self, monkeypatch):
+        calls = counted_steps(monkeypatch)
+        spec = GibbsSpec(grid=make_grid(4), seed=11)
+        stats = recurrence_probe(spec, FlowParams(dt=1e-2, record_every=5), 8, horizon=1.0, radius=1e6)
+        assert stats.returned_fraction == 1.0
+        assert len(calls) == 5
+
+    def test_takes_no_unprobed_tail_step(self, monkeypatch):
+        # 0.055 / 0.01: five full steps, all probed, and no fractional sixth
+        calls = counted_steps(monkeypatch)
+        spec = GibbsSpec(grid=make_grid(4), seed=13)
+        stats = recurrence_probe(spec, FlowParams(dt=1e-2), 5, horizon=0.055, radius=1e-12)
+        assert stats.returned_fraction == 0.0
+        assert len(calls) == 5
+
+    def test_return_times_match_snapshots(self):
+        # first record time at which each sample's snapshot lies inside the ball
+        g = make_grid(2)
+        spec = GibbsSpec(grid=g, seed=17)
+        p = FlowParams(dt=1e-2, record_every=10)
+        horizon, radius = 6.0, 0.35
+        stats = recurrence_probe(spec, p, 16, horizon=horizon, radius=radius)
+        start = sample_gaussian(spec, 16).coeffs
+        steps = range(p.record_every, round(horizon / p.dt) + 1, p.record_every)
+        snapshots = _advance_times(start, g, p, [k * p.dt for k in steps])
+        expected = np.full(16, math.nan)
+        for k, c in zip(steps, snapshots):
+            fresh = np.isnan(expected) & (_l2(c - start, g.length) < radius)
+            expected[fresh] = k * p.dt
+        assert 0.0 < stats.returned_fraction < 1.0
+        assert stats.return_times.tobytes() == expected.tobytes()
 
     def test_validation(self):
         g = make_grid(2)
