@@ -39,7 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bourgain import bilinear_sweep, kernel_integral_scan, kernel_sum_scan, resonance_scan, sweep_spec
+from .bourgain import _RESONANCE_N_MAX, bilinear_sweep, kernel_integral_scan, kernel_sum_scan, resonance_scan, sweep_spec
 from .flow import BlowUpError, FlowParams, _linear_rates, convergence_in_m, evolve, flow_map, picard_solve
 from .gibbs import (
     DegenerateWeightsError,
@@ -658,7 +658,9 @@ _COMMANDS = {
         ),
     ]),
     "resonance-scan": (_cmd_resonance_scan, _COMMON + [
-        _Key("resonance.n_max", "nmax", _parse_int, 64, "exhaustive scan box |n| <= n_max"),
+        _Key("resonance.n_max", "nmax", _within(_parse_int, f"an integer in [2, {_RESONANCE_N_MAX}]",
+                                             lambda v: 2 <= v <= _RESONANCE_N_MAX), 64,
+             "exhaustive scan box |n| <= n_max"),
     ]),
     "bilinear-sweep": (_cmd_bilinear_sweep, _COMMON + [
         _Key("bilinear.s_values", "s", _FLOATS, (0.0, -0.5, -0.6), "Sobolev indices"),

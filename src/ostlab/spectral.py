@@ -263,7 +263,8 @@ def inner(f: FourierField, g: FourierField) -> float:
 
 def _cubic_g(coeff: np.ndarray, grid: GridSpec) -> np.ndarray:
     u = _to_physical(coeff, grid)
-    return (grid.length / 3.0) * np.mean(u**3, axis=-1)
+    # np.mean's own sum and division, without its Python wrapper
+    return (grid.length / 3.0) * (np.add.reduce(u**3, axis=-1) / grid.points)
 
 
 def cubic_g(f: FourierField) -> float:

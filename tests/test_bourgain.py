@@ -140,6 +140,21 @@ class TestResonanceScan:
         with pytest.raises(ValueError):
             resonance_scan(1)
 
+    def test_rejects_box_above_cap(self):
+        with pytest.raises(ValueError, match="n_max must be an integer in"):
+            resonance_scan(bourgain._RESONANCE_N_MAX + 1)
+
+    def test_row_minus_n_is_row_n_mirrored_bit_for_bit(self):
+        # the scan computes only the rows n <= -2 and counts each twice
+        n_max = 64
+        n_range = np.concatenate([np.arange(-n_max, 0), np.arange(1, n_max + 1)])
+        n1_range, ratio, _ = bourgain._ratio_block(n_range, n_max, bourgain._grid_buffers(len(n_range), n_max))
+        assert n1_range.tolist() == n_range.tolist()
+        for i, n in enumerate(n_range):
+            mirror = len(n_range) - 1 - i
+            assert n_range[mirror] == -n
+            assert ratio[mirror, ::-1].tobytes() == ratio[i].tobytes()
+
     def test_shared_grid_matches_exact_resonance(self):
         # the (n, n1) grid behind resonance_scan
         n_range = np.array([-5, -2, 1, 3, 6])
@@ -155,12 +170,15 @@ class TestResonanceScan:
 
     @pytest.mark.parametrize("n_max, cells", [(300, None), (40, 400)])
     def test_streamed_scan_matches_full_grid(self, monkeypatch, n_max, cells):
-        # 300: 54-row blocks, the last one 4 rows; 40 with 400 cells: 5-row
-        # blocks, the last one 3 rows.  (n, n1) and (-n, -n1) tie exactly, so
-        # the minimum also checks that ties go to the first pair in row-major order.
+        # the scan computes the rows -n_max..-2 only.  300: 54-row blocks, the
+        # last one 29 rows; 40 with 400 cells: 5-row blocks, the last one 4
+        # rows.  (n, n1) and (-n, -n1) tie exactly, so the minimum also checks
+        # that ties go to the first pair in row-major order of the full grid.
         if cells is not None:
             monkeypatch.setattr(bourgain, "_BLOCK_CELLS", cells)
-        assert len(bourgain._admissible_blocks(n_max)[-1]) in (3, 4)
+        blocks = bourgain._admissible_blocks(n_max)
+        assert np.concatenate(blocks).tolist() == list(range(-n_max, -1))
+        assert 0 < len(blocks[-1]) < len(blocks[0])
         expected = _full_grid_scan(n_max)
         scan = resonance_scan(n_max)
         assert scan.minimum == expected["minimum"]
@@ -579,6 +597,27 @@ class TestKernelSums:
                 expected.append(float(np.sum(np.log(2.0 + a) / (1.0 + a))))
                 expected.append(float(np.sum(np.log(1.0 + a) / (1.0 + a) ** rho)))
         assert [row.value for row in res.rows] == expected
+        # |n| = k puts an excluded index at an end of the summed slice; no
+        # tau meets both tail checks there, so each form runs on its own
+        m = bourgain._symbol_table(2 * k)
+        for n in (k, -k):
+            n1 = np.arange(-k, k + 1)
+            n1 = n1[(n1 != 0) & (n1 != n)]
+            a = np.abs(dispersion(n1) + dispersion(n - n1))
+            assert bourgain._sum_form1(0.0, n, k, m)[0] == float(np.sum(np.log(2.0 + a) / (1.0 + a)))
+            j = np.arange(-k, k + 1)
+            j = j[(j != 0) & (j != -n)]
+            tau1 = -float(dispersion(n))
+            a = np.abs(tau1 + float(dispersion(n)) - dispersion(j))
+            (v2, _), (v3, _) = bourgain._sum_forms23(tau1, n, k, rho, m)
+            assert v2 == float(np.sum(np.log(2.0 + a) / (1.0 + a)))
+            assert v3 == float(np.sum(np.log(1.0 + a) / (1.0 + a) ** rho))
+
+    def test_frequency_beyond_k_range_raises_value_error(self):
+        # n1 = n lies outside -k_range..k_range and nothing is dropped for it;
+        # form 2's tail check then rejects the range
+        with pytest.raises(ValueError, match="k_range too small for the tail bound"):
+            kernel_sum_scan([0.0], [7], 0.7, k_range=3)
 
     def test_validation(self):
         with pytest.raises(ValueError):

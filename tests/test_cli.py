@@ -3,6 +3,7 @@
 import json
 import math
 import re
+import time
 
 import pytest
 
@@ -206,6 +207,13 @@ class TestConfigResolution:
         assert "Traceback" not in err
         assert list(tmp_path.iterdir()) == []
 
+    def test_kernel_sum_frequency_beyond_k_range_exits_1(self, capsys, tmp_path):
+        code, _, err = run(capsys, "kernel-scan", "--sum-n", "7", "--k-range", "3", "--out", str(tmp_path))
+        assert code == 1
+        assert "k_range too small for the tail bound" in err
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize(
         "command, line, flag",
         [
@@ -260,6 +268,21 @@ class TestResonanceScanCommand:
         meta1.pop("timestamp")
         meta2.pop("timestamp")
         assert meta1 == meta2
+
+    def test_box_above_cap_exits_1_fast_naming_key(self, capsys, tmp_path):
+        # about 4e10 cells per pass at n_max 1e5: rejected before any scan
+        start = time.perf_counter()
+        code, _, err = run(capsys, "resonance-scan", "--nmax", "100000", "--out", str(tmp_path))
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert "resonance.n_max" in err
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("n_max", [64, 256, 1024, 2048])
+    def test_documented_boxes_within_cap(self, n_max):
+        args = _build_parser().parse_args(["resonance-scan", "--nmax", str(n_max)])
+        assert _resolve("resonance-scan", args)["resonance.n_max"] == n_max
 
 
 class TestSimulateCommand:

@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+import ostlab.spectral as spectral
 from ostlab.flow import _linear_rates
 from ostlab.spectral import (
     FourierField,
@@ -284,6 +285,17 @@ class TestNormsAndFunctionals:
         u = to_physical(regrid(f, dense))
         oracle = quadrature(u**3, g.length) / 3.0
         assert cubic_g(f) == pytest.approx(oracle, rel=1e-12)
+
+    @pytest.mark.parametrize("m", [8, 32])
+    @pytest.mark.parametrize("rows", [None, 5])
+    def test_cubic_g_equals_mean_form_bit_for_bit(self, m, rows):
+        g = make_grid(m)
+        rng = np.random.default_rng(m)
+        shape = (m,) if rows is None else (rows, m)
+        coeff = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        u = spectral._to_physical(coeff, g)
+        expected = (g.length / 3.0) * np.mean(u**3, axis=-1)
+        assert np.asarray(spectral._cubic_g(coeff, g)).tobytes() == np.asarray(expected).tobytes()
 
     def test_cubic_resonance_closed_form(self):
         # u = 2cos(x) + 2cos(2x): int u^3 = 3*2pi/... direct expansion:
