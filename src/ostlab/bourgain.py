@@ -43,7 +43,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 
-from .spectral import _philox, dispersion
+from .spectral import _freeze, _philox, dispersion
 
 __all__ = [
     "BilinearSweepResult",
@@ -238,10 +238,7 @@ class ResonanceScan:
     hist_edges: np.ndarray
 
     def __post_init__(self):
-        for name in ("hist_counts", "hist_edges"):
-            arr = np.asarray(getattr(self, name))
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        _freeze(self, "hist_counts", "hist_edges")
 
 
 def _grid_buffers(rows: int, n_max: int) -> tuple:
@@ -835,9 +832,7 @@ class TimeLocalizationResult:
     slopes: tuple  # fitted d log(ratio) / d log(T) per b
 
     def __post_init__(self):
-        arr = np.asarray(self.ratios)
-        arr.setflags(write=False)
-        object.__setattr__(self, "ratios", arr)
+        _freeze(self, "ratios")
 
 
 def time_localization_scan(u: LatticeField, b_list) -> TimeLocalizationResult:

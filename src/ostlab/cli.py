@@ -48,15 +48,7 @@ from .gibbs import (
     sample_gaussian,
     save_ensemble,
 )
-from .invariance import (
-    ball_indicator,
-    cubic_integral,
-    hamiltonian_observable,
-    l2_squared,
-    mode_power,
-    recurrence_probe,
-    run_invariance,
-)
+from .invariance import OBSERVABLE_NAMES, parse_observables, recurrence_probe, run_invariance
 from .spectral import (
     FourierField,
     _coeff_to_coords,
@@ -198,8 +190,6 @@ _GIBBS = [
     _Key("gibbs.cutoff_r", "cutoff", _within(_parse_float, "a finite number >= 0", lambda v: 0.0 <= v < math.inf),
          0.0, "L2 cutoff radius R (0 = no cutoff)"),
 ]
-
-_OBSERVABLE_NAMES = "mode_power(k), cubic_integral, hamiltonian, ball_indicator, l2_squared"
 
 
 # ---------------------------------------------------------------------------
@@ -349,39 +339,6 @@ def _gibbs_spec(cfg: RunConfig, grid) -> GibbsSpec:
     return GibbsSpec(grid, cutoff_R=(cutoff if cutoff > 0.0 else None), seed=cfg["gibbs.seed"])
 
 
-_OBS_MODE = re.compile(r"^mode_power\((\d+)\)$")
-
-
-def _build_observables(text: str, spec: GibbsSpec):
-    from .gibbs import default_cutoff
-
-    grid = spec.grid
-    radius = spec.cutoff_R if spec.cutoff_R is not None else default_cutoff(grid)
-    obs = []
-    for token in (t.strip() for t in text.split(",")):
-        if not token:
-            continue
-        m = _OBS_MODE.match(token)
-        if m:
-            k = int(m.group(1))
-            if k > grid.modes:
-                raise ConfigError(f"mode_power({k}) exceeds grid.modes = {grid.modes}")
-            obs.append(mode_power(k))
-        elif token == "cubic_integral":
-            obs.append(cubic_integral())
-        elif token == "hamiltonian":
-            obs.append(hamiltonian_observable())
-        elif token == "ball_indicator":
-            obs.append(ball_indicator(radius))
-        elif token == "l2_squared":
-            obs.append(l2_squared())
-        else:
-            raise ConfigError(f"unknown observable {token!r}; choose from {_OBSERVABLE_NAMES}")
-    if not obs:
-        raise ConfigError("need at least one observable")
-    return obs
-
-
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
@@ -449,7 +406,7 @@ def _cmd_verify_invariance(cfg: RunConfig) -> int:
     """push a Gibbs ensemble through the flow and z-test observables"""
     grid = _make_grid_from(cfg)
     spec = _gibbs_spec(cfg, grid)
-    obs = _build_observables(cfg["invariance.observables"], spec)
+    obs = parse_observables(cfg["invariance.observables"], spec)
     p = FlowParams(dt=cfg["flow.dt"], integrator=cfg["flow.integrator"])
     reports = run_invariance(
         spec, p, cfg["invariance.t_values"], obs, cfg["gibbs.count"],
@@ -654,7 +611,7 @@ _COMMANDS = {
             "observables",
             str,
             "mode_power(1),mode_power(2),mode_power(3),mode_power(4),cubic_integral,hamiltonian,ball_indicator",
-            f"comma list from: {_OBSERVABLE_NAMES}",
+            f"comma list from: {OBSERVABLE_NAMES}",
         ),
     ]),
     "resonance-scan": (_cmd_resonance_scan, _COMMON + [

@@ -36,6 +36,7 @@ from .spectral import (
     _coeff_to_coords,
     _coord_eigenvalues,
     _coords_to_coeff,
+    _freeze,
     _hamiltonian,
     _l2,
     _parallel_map,
@@ -127,10 +128,8 @@ class TrajectoryRecord:
     states: np.ndarray
 
     def __post_init__(self):
-        for name in ("times", "l2", "hamiltonian", "states"):
-            arr = np.asarray(getattr(self, name), dtype=np.complex128 if name == "states" else np.float64)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        _freeze(self, "times", "l2", "hamiltonian", dtype=np.float64)
+        _freeze(self, "states", dtype=np.complex128)
         if not (len(self.times) == len(self.l2) == len(self.hamiltonian) == len(self.states)):
             raise ValueError("record arrays must have equal length")
         if np.any(np.diff(self.times) <= 0.0):
@@ -273,8 +272,16 @@ def _stepper(lam, rhs, p: FlowParams, h: float):
     return lambda c: _etdrk4_step(c, tables, rhs)
 
 
+# most full steps one time may take: an m=32 state steps at about 8.6e3 steps/s
+# (ETDRK4, batch 1, one core of a 2-core host), so the cap allows about 2 min
+_MAX_STEPS = 10**6
+
+
 def _full_steps(t: float, dt: float) -> int:
-    return int(abs(t) / dt * (1.0 + 1e-12) + 1e-12)
+    steps = abs(t) / dt * (1.0 + 1e-12) + 1e-12
+    if not steps < _MAX_STEPS + 1:
+        raise ValueError(f"t = {t:g} at dt = {dt:g} takes {steps:.3g} steps, above the cap of {_MAX_STEPS}")
+    return int(steps)
 
 
 def _tail_step(c, t: float, lam, rhs, p: FlowParams):
@@ -489,10 +496,7 @@ class PicardResult:
     diverged: bool
 
     def __post_init__(self):
-        for name in ("times", "states", "distances"):
-            arr = np.asarray(getattr(self, name))
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        _freeze(self, "times", "states", "distances")
 
     @property
     def final(self) -> FourierField:
@@ -561,9 +565,7 @@ class ConvergenceStudy:
     times: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.times)
-        arr.setflags(write=False)
-        object.__setattr__(self, "times", arr)
+        _freeze(self, "times")
 
 
 def convergence_in_m(

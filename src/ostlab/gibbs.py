@@ -29,7 +29,7 @@ import functools
 import json
 import math
 import zipfile
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +42,7 @@ from .spectral import (
     _coord_eigenvalues,
     _coords_to_coeff,
     _cubic_g,
+    _freeze,
     _l2,
     _philox,
     _philox_streams,
@@ -149,19 +150,15 @@ class Ensemble:
     def __post_init__(self):
         if self.sampler not in ("iid-importance", "pcn-mcmc"):
             raise ValueError(f"unknown sampler {self.sampler!r}")
-        coeffs = np.asarray(self.coeffs, dtype=np.complex128)
-        lw = np.asarray(self.log_weights, dtype=np.float64)
-        chi = np.asarray(self.in_support, dtype=bool)
-        n = coeffs.shape[0]
-        if coeffs.shape != (n, self.spec.grid.modes) or lw.shape != (n,) or chi.shape != (n,):
+        n = len(self.coeffs)
+        shapes = (np.shape(self.coeffs), np.shape(self.log_weights), np.shape(self.in_support))
+        if shapes != ((n, self.spec.grid.modes), (n,), (n,)):
             raise ValueError("inconsistent ensemble array shapes")
-        if not np.isfinite(lw).all():
+        if not np.isfinite(self.log_weights).all():
             raise ValueError("log weights must be finite")
-        for arr in (coeffs, lw, chi):
-            arr.setflags(write=False)
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "log_weights", lw)
-        object.__setattr__(self, "in_support", chi)
+        _freeze(self, "coeffs", dtype=np.complex128)
+        _freeze(self, "log_weights", dtype=np.float64)
+        _freeze(self, "in_support", dtype=bool)
 
     def __len__(self) -> int:
         return self.coeffs.shape[0]
@@ -186,13 +183,6 @@ class Ensemble:
         w.setflags(write=False)
         total = math.fsum(w)
         return w, total, (total**2 / math.fsum(w * w) if total > 0.0 else 0.0)
-
-    def _with_coeffs(self, coeffs) -> "Ensemble":
-        """This ensemble with other sample fields; the weights depend only on
-        log_weights and in_support, so the copy shares the cached ones."""
-        out = replace(self, coeffs=coeffs)
-        out.__dict__["_weights"] = self._weights
-        return out
 
 
 def sample_gaussian(spec: GibbsSpec, count: int) -> Ensemble:
@@ -361,15 +351,12 @@ class GibbsEstimate:
     degenerate: bool
 
 
-def _observable_values(ens: Ensemble, F) -> np.ndarray:
-    batch = getattr(F, "batch", None)
-    if batch is not None:
-        return np.asarray(batch(ens.coeffs, ens.spec.grid), dtype=np.float64)
-    return np.array([float(F(ens.field(i))) for i in range(len(ens))])
+def gibbs_expectation(ens: Ensemble, values) -> GibbsEstimate:
+    """E_mu[F] from an ensemble, given values[i] = F(u_i) for each of its samples.
 
-
-def gibbs_expectation(ens: Ensemble, F) -> GibbsEstimate:
-    """E_mu[F] from an ensemble; F is a callable on fields (or has .batch).
+    values must have shape (len(ens),).  The weights depend only on the
+    ensemble's log weights and support, so the values of F after a flow,
+    F(Phi_t u_i), estimate E_mu[F o Phi_t] under the same weights.
 
     Importance ensembles: self-normalized estimate with weights
     chi_i exp(-g(u_i)), delta-method standard error, and effective sample
@@ -381,7 +368,9 @@ def gibbs_expectation(ens: Ensemble, F) -> GibbsEstimate:
     """
     if len(ens) == 0:
         raise ValueError("ensemble is empty")
-    values = _observable_values(ens, F)
+    values = np.asarray(values, dtype=np.float64)
+    if values.shape != (len(ens),):
+        raise ValueError(f"values must have shape ({len(ens)},), got {values.shape}")
     if ens.sampler == "pcn-mcmc":
         n = len(ens)
         mean = math.fsum(values) / n

@@ -20,6 +20,7 @@ multiple-comparison correction is applied — raw z-scores are the data.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,17 +30,16 @@ from .gibbs import (
     DegenerateWeightsError,
     ESS_FLOOR,
     GibbsSpec,
+    default_cutoff,
     gibbs_expectation,
     sample_gaussian,
 )
-from .spectral import (
-    GridSpec,
-    _cubic_g,
-    _hamiltonian,
-    _l2,
-)
+from .spectral import _cubic_g, _freeze, _hamiltonian, _l2
+
+OBSERVABLE_NAMES = "mode_power(k), cubic_integral, hamiltonian, ball_indicator, l2_squared"
 
 __all__ = [
+    "OBSERVABLE_NAMES",
     "InvarianceReport",
     "InvarianceRow",
     "Observable",
@@ -49,6 +49,7 @@ __all__ = [
     "hamiltonian_observable",
     "l2_squared",
     "mode_power",
+    "parse_observables",
     "recurrence_probe",
     "run_invariance",
 ]
@@ -56,16 +57,10 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class Observable:
-    """Named functional of a field, with a vectorized evaluator."""
+    """Named functional F of a field: batch(coeffs, grid) gives F of each row of a (..., m) stack."""
 
     name: str
-    _batch: callable
-
-    def batch(self, coeffs: np.ndarray, grid: GridSpec) -> np.ndarray:
-        return self._batch(coeffs, grid)
-
-    def __call__(self, f) -> float:
-        return float(self._batch(f.coeff[None, :], f.grid)[0])
+    batch: callable
 
 
 def l2_squared() -> Observable:
@@ -111,6 +106,41 @@ def ball_indicator(R: float) -> Observable:
         return (_l2(c, grid.length) <= R).astype(np.float64)
 
     return Observable(f"ball_indicator({R:g})", batch)
+
+
+_MODE_POWER = re.compile(r"^mode_power\((\d+)\)$")
+
+
+def parse_observables(text: str, spec: GibbsSpec) -> list:
+    """The observables a comma list of OBSERVABLE_NAMES tokens names, in order.
+
+    ball_indicator's radius is spec.cutoff_R, or default_cutoff without a
+    cutoff.  An unknown token, a mode above the grid's or an empty list
+    raises ValueError.
+    """
+    grid = spec.grid
+    radius = spec.cutoff_R if spec.cutoff_R is not None else default_cutoff(grid)
+    named = {
+        "cubic_integral": cubic_integral,
+        "hamiltonian": hamiltonian_observable,
+        "ball_indicator": lambda: ball_indicator(radius),
+        "l2_squared": l2_squared,
+    }
+    obs = []
+    for token in filter(None, (t.strip() for t in text.split(","))):
+        m = _MODE_POWER.match(token)
+        if m:
+            k = int(m.group(1))
+            if k > grid.modes:
+                raise ValueError(f"mode_power({k}) exceeds grid.modes = {grid.modes}")
+            obs.append(mode_power(k))
+        elif token in named:
+            obs.append(named[token]())
+        else:
+            raise ValueError(f"unknown observable {token!r}; choose from {OBSERVABLE_NAMES}")
+    if not obs:
+        raise ValueError("need at least one observable")
+    return obs
 
 
 # ---------------------------------------------------------------------------
@@ -204,14 +234,15 @@ def run_invariance(
         raise ValueError("need at least one observable")
     if not times or not all(map(math.isfinite, times)):
         raise ValueError(f"times must be a nonempty list of finite numbers, got {times}")
+    grid = spec.grid
     ens = sample_gaussian(spec, int(count))
-    ess = ens._weights[2]
+    before = [gibbs_expectation(ens, F.batch(ens.coeffs, grid)) for F in obs]
+    ess = before[0].ess
     if ess < ESS_FLOOR:
         raise DegenerateWeightsError(
             f"effective sample size {ess:.2f} below {ESS_FLOOR}; "
             "increase count or tighten the cutoff"
         )
-    before = [gibbs_expectation(ens, F) for F in obs]
     note = (
         f"{len(obs)} observables tested at per-observable gate |z| <= {z_max:g}; "
         "no multiple-comparison correction applied"
@@ -219,15 +250,14 @@ def run_invariance(
         else None
     )
     reports = []
-    for t, coeffs in zip(times, _advance_times(ens.coeffs, spec.grid, p, times, threads)):
-        pushed = ens._with_coeffs(coeffs)
+    for t, coeffs in zip(times, _advance_times(ens.coeffs, grid, p, times, threads)):
         rows = []
         for F, b in zip(obs, before):
-            a = gibbs_expectation(pushed, F)
+            a = gibbs_expectation(ens, F.batch(coeffs, grid))
             z = _z_score(b, a)
             rows.append(InvarianceRow(F.name, b.mean, b.std_error, a.mean, a.std_error, z, abs(z) <= z_max))
         reports.append(
-            InvarianceReport(spec.grid.modes, t, int(count), spec.seed, ess, tuple(rows), float(z_max), note)
+            InvarianceReport(grid.modes, t, int(count), spec.seed, ess, tuple(rows), float(z_max), note)
         )
     return reports
 
@@ -254,10 +284,7 @@ class RecurrenceStats:
     hist_edges: np.ndarray
 
     def __post_init__(self):
-        for name in ("return_times", "hist_counts", "hist_edges"):
-            arr = np.asarray(getattr(self, name))
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        _freeze(self, "return_times", "hist_counts", "hist_edges")
 
     @property
     def returned_fraction(self) -> float:

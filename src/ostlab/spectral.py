@@ -94,6 +94,14 @@ class GridSpec:
         return (self.length / self.points) * np.arange(self.points)
 
 
+def _freeze(record, *names: str, dtype=None) -> None:
+    """Store each named field of a frozen dataclass as a read-only array (of dtype, if given)."""
+    for name in names:
+        arr = np.asarray(getattr(record, name), dtype=dtype)
+        arr.setflags(write=False)
+        object.__setattr__(record, name, arr)
+
+
 def make_grid(modes: int, length: float = TWO_PI, points: int | None = None) -> GridSpec:
     """Grid with the default alias-free quadrature size points = 4*modes."""
     return GridSpec(length=length, modes=modes, points=4 * modes if points is None else points)

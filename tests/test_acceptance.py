@@ -156,21 +156,11 @@ class TestGibbsInvariance:
         grid4 = make_grid(4)
         chain = pcn_chain(GibbsSpec(grid=grid4, seed=1055), 20_000, 0.5, burn_in=500, g_fn=lambda u: 0.0)
 
-        class CoordSquare:
-            def __init__(self, j):
-                self.j = j
-
-            def __call__(self, f):
-                return coords_matrix(f.coeff[None, :], f.grid)[0, self.j] ** 2
-
-            def batch(self, coeffs, grid):
-                return coords_matrix(coeffs, grid)[:, self.j] ** 2
-
         v4 = _coord_eigenvalues(grid4)
         pcn_ok = True
         worst_pcn = 0.0
         for j in range(2 * grid4.modes):
-            est = gibbs_expectation(chain, CoordSquare(j))
+            est = gibbs_expectation(chain, coords_matrix(chain.coeffs, grid4)[:, j] ** 2)
             z = abs(est.mean - 1.0 / v4[j]) / est.std_error
             worst_pcn = max(worst_pcn, z)
             pcn_ok = pcn_ok and z <= 3.0

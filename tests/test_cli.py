@@ -8,6 +8,7 @@ import time
 import pytest
 
 from ostlab.cli import _COMMANDS, _build_parser, _resolve, main
+from ostlab.flow import _MAX_STEPS
 from ostlab.gibbs import load_ensemble
 
 
@@ -602,6 +603,28 @@ class TestAnalysisCommands:
         assert len(rows) == 10
         meta = json.loads((tmp_path / "recurrence.meta.json").read_text())
         assert 0.0 <= meta["summary"]["returned_fraction"] <= 1.0
+
+
+class TestStepCap:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--t", "1e300"],
+            ["convergence-m", "--t", "1e300"],
+            ["recurrence", "--horizon", "1e300"],
+            ["verify-invariance", "--t-values", "1e300"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_huge_time_exits_1_fast_without_artifacts(self, capsys, tmp_path, argv):
+        # 1e303 steps at the default dt: rejected where the time becomes a step count
+        start = time.perf_counter()
+        code, _, err = run(capsys, *argv, "--out", str(tmp_path))
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert f"t = 1e+300 at dt = 0.001 takes 1e+303 steps, above the cap of {_MAX_STEPS}" in err
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestOutputDirectory:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import ostlab.flow as flow
 from ostlab.flow import (
+    _MAX_STEPS,
     _ROW_BLOCK,
     BLOW_UP_THRESHOLD,
     BlowUpError,
@@ -17,6 +18,7 @@ from ostlab.flow import (
     _advance_times,
     _check_state,
     _etdrk4_tables,
+    _full_steps,
     _linear_rates,
     _nonlinear,
     _strang_step,
@@ -424,6 +426,18 @@ class TestAdvanceTimes:
         with pytest.raises(BlowUpError) as err:
             _advance_times(stack, g, FlowParams(dt=1e-3), [0.5, -0.2], threads=2)
         assert err.value.samples == (3000,)
+
+    def test_step_count_capped(self):
+        # the cap itself is allowed, and the longest documented runs sit far below it
+        assert _full_steps(_MAX_STEPS * 1e-3, 1e-3) == _MAX_STEPS
+        assert _full_steps(-15.0, 1e-3) == 15_000
+        for t, dt in (((_MAX_STEPS + 1) * 1e-3, 1e-3), (1e300, 1e-300), (-1e300, 1e-3)):
+            with pytest.raises(ValueError) as exc:
+                _full_steps(t, dt)
+            assert str(exc.value).startswith(f"t = {t:g} at dt = {dt:g} takes ")
+            assert str(exc.value).endswith(f" steps, above the cap of {_MAX_STEPS}")
+        with pytest.raises(ValueError, match="above the cap"):
+            _advance_times(np.zeros((3, 4), complex), make_grid(4), FlowParams(dt=1e-3), [0.1, 1e300])
 
 
 @st.composite

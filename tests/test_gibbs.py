@@ -29,9 +29,9 @@ from ostlab.spectral import (
     FourierField,
     _coord_eigenvalues,
     _coords_to_coeff,
+    _cubic_g,
     _philox,
     _philox_streams,
-    coordinates,
     cubic_g,
     energy_eigenvalues,
     l2_norm,
@@ -47,6 +47,11 @@ def coords_matrix(ens):
     out[:, 0::2] = -root * ens.coeffs.imag
     out[:, 1::2] = root * ens.coeffs.real
     return out
+
+
+def l2_squared(ens):
+    """|u_i|_{L2}^2 of every sample, shape (n,)."""
+    return 2.0 * ens.spec.grid.length * np.sum(np.abs(ens.coeffs) ** 2, axis=1)
 
 
 def reference_pcn_chain(spec, count, beta, burn_in=0, g_fn=None, start=None):
@@ -397,17 +402,7 @@ class TestPcn:
         a = coords_matrix(chain)
         v = _coord_eigenvalues(spec.grid)
         for j in range(8):
-            class Square:
-                def __init__(self, col):
-                    self.col = col
-
-                def __call__(self, f):
-                    return coordinates(f)[self.col] ** 2
-
-                def batch(self, coeffs, grid):
-                    return a[:, self.col] ** 2
-
-            est = gibbs_expectation(chain, Square(j))
+            est = gibbs_expectation(chain, a[:, j] ** 2)
             assert abs(est.mean - 1.0 / v[j]) <= 3.0 * est.std_error
 
     def test_cutoff_is_hard_wall(self):
@@ -421,11 +416,10 @@ class TestPcn:
     def test_two_samplers_agree_on_cubic_integral(self):
         g = make_grid(8)
         spec = GibbsSpec(grid=g, cutoff_R=default_cutoff(g), seed=29)
-        def F(f):
-            return 3.0 * cubic_g(f)
-
-        iid = gibbs_expectation(sample_gaussian(spec, 30_000), F)
-        mcmc = gibbs_expectation(pcn_chain(spec, 30_000, beta=0.5, burn_in=1000), F)
+        iid_ens = sample_gaussian(spec, 30_000)
+        chain = pcn_chain(spec, 30_000, beta=0.5, burn_in=1000)
+        iid = gibbs_expectation(iid_ens, 3.0 * _cubic_g(iid_ens.coeffs, g))
+        mcmc = gibbs_expectation(chain, 3.0 * _cubic_g(chain.coeffs, g))
         combined = math.hypot(iid.std_error, mcmc.std_error)
         assert abs(iid.mean - mcmc.mean) <= 3.0 * combined
 
@@ -466,7 +460,7 @@ class TestCylinderProbability:
 
 class TestGibbsExpectation:
     def test_constant_observable(self, big_ensemble):
-        est = gibbs_expectation(big_ensemble, lambda f: 1.0)
+        est = gibbs_expectation(big_ensemble, np.ones(len(big_ensemble)))
         assert est.mean == 1.0
         assert est.std_error == 0.0
         assert not est.degenerate
@@ -476,14 +470,7 @@ class TestGibbsExpectation:
         unweighted = dataclasses.replace(
             big_ensemble, log_weights=np.zeros(len(big_ensemble))
         )
-        class L2Sq:
-            def __call__(self, f):
-                return l2_norm(f) ** 2
-
-            def batch(self, coeffs, grid):
-                return 2.0 * grid.length * np.sum(np.abs(coeffs) ** 2, axis=1)
-
-        est = gibbs_expectation(unweighted, L2Sq())
+        est = gibbs_expectation(unweighted, l2_squared(unweighted))
         exact = float(np.sum(2.0 / energy_eigenvalues(big_ensemble.spec.grid)))
         assert abs(est.mean - exact) <= 3.0 * est.std_error
 
@@ -493,15 +480,11 @@ class TestGibbsExpectation:
         def F(f):
             return float(np.mean(to_physical(f))) * l2_norm(f)
 
-        est = gibbs_expectation(ens, F)
+        est = gibbs_expectation(ens, [F(ens.field(i)) for i in range(len(ens))])
         assert abs(est.mean) <= 1e-13
 
     def test_permutation_invariance(self, big_ensemble):
-        class L2Sq:
-            def batch(self, coeffs, grid):
-                return 2.0 * grid.length * np.sum(np.abs(coeffs) ** 2, axis=1)
-
-        est = gibbs_expectation(big_ensemble, L2Sq())
+        est = gibbs_expectation(big_ensemble, l2_squared(big_ensemble))
         perm = np.random.default_rng(1).permutation(len(big_ensemble))
         shuffled = Ensemble(
             spec=big_ensemble.spec,
@@ -511,7 +494,7 @@ class TestGibbsExpectation:
             log_weights=big_ensemble.log_weights[perm],
             in_support=big_ensemble.in_support[perm],
         )
-        est2 = gibbs_expectation(shuffled, L2Sq())
+        est2 = gibbs_expectation(shuffled, l2_squared(shuffled))
         assert est.mean == est2.mean
         assert est.ess == est2.ess
 
@@ -521,7 +504,7 @@ class TestGibbsExpectation:
         lw = np.full(100, -1000.0)
         lw[0] = 0.0
         skewed = dataclasses.replace(ens, log_weights=lw)
-        est = gibbs_expectation(skewed, lambda f: l2_norm(f))
+        est = gibbs_expectation(skewed, np.sqrt(l2_squared(skewed)))
         assert est.ess < ESS_FLOOR
         assert est.degenerate
 
@@ -536,8 +519,8 @@ class TestGibbsExpectation:
         chi = np.ones(100, dtype=bool)
         chi[0] = False
         skewed = dataclasses.replace(ens, log_weights=lw, in_support=chi)
-        values = 2.0 * g.length * np.sum(np.abs(ens.coeffs) ** 2, axis=1)
-        est = gibbs_expectation(skewed, lambda f: l2_norm(f) ** 2)
+        values = l2_squared(ens)
+        est = gibbs_expectation(skewed, values)
         assert not est.degenerate
         assert est.ess == pytest.approx(99.0, rel=1e-12)
         assert est.mean == pytest.approx(values[1:].mean(), rel=1e-12)
@@ -546,7 +529,7 @@ class TestGibbsExpectation:
         ens = sample_gaussian(GibbsSpec(grid=make_grid(2), seed=3), 50)
         w = ens._weights[0]
         assert not w.flags.writeable
-        gibbs_expectation(ens, lambda f: l2_norm(f))
+        gibbs_expectation(ens, np.sqrt(l2_squared(ens)))
         assert ens._weights[0] is w
         # a replaced ensemble gets weights of its own
         shifted = dataclasses.replace(ens, log_weights=ens.log_weights + 1.0)
@@ -557,18 +540,25 @@ class TestGibbsExpectation:
         spec = GibbsSpec(grid=make_grid(2), seed=1)
         ens = sample_gaussian(spec, 10)
         dead = dataclasses.replace(ens, in_support=np.zeros(10, dtype=bool))
-        est = gibbs_expectation(dead, lambda f: 1.0)
+        est = gibbs_expectation(dead, np.ones(10))
         assert est.degenerate
         assert math.isnan(est.mean)
+
+    @pytest.mark.parametrize("shape", ["short", "column", "scalar"])
+    def test_values_of_other_shapes_rejected(self, shape):
+        ens = sample_gaussian(GibbsSpec(grid=make_grid(2), seed=3), 20)
+        values = {"short": np.ones(19), "column": np.ones((20, 1)), "scalar": 1.0}[shape]
+        with pytest.raises(ValueError, match=r"values must have shape \(20,\)"):
+            gibbs_expectation(ens, values)
 
     def test_mcmc_batch_means_error(self):
         spec = GibbsSpec(grid=make_grid(4), seed=37)
         chain = pcn_chain(spec, 5000, beta=0.3)
-        est = gibbs_expectation(chain, lambda f: l2_norm(f) ** 2)
+        values = l2_squared(chain)
+        est = gibbs_expectation(chain, values)
         assert est.std_error > 0.0
         assert est.ess == 5000.0
         # correlated chain: batch-means SE exceeds the naive iid estimate
-        values = 2.0 * spec.grid.length * np.sum(np.abs(chain.coeffs) ** 2, axis=1)
         naive = values.std(ddof=1) / math.sqrt(len(chain))
         assert est.std_error > naive
 
@@ -631,3 +621,15 @@ class TestPersistence:
         np.savez(tmp_path / "ensemble.npz", header=np.array('{"format": "something-else"}'))
         with pytest.raises(ValueError, match=re.escape(str(tmp_path))):
             load_ensemble(tmp_path)
+
+
+@pytest.mark.parametrize("field, value", [("coeffs", np.zeros((3, 3), complex)), ("log_weights", np.zeros(2)),
+                                          ("in_support", np.ones(4, bool)), ("log_weights", np.array([0, np.inf, 0]))])
+def test_ensemble_validates_before_freezing(field, value):
+    # a rejected ensemble leaves the caller's arrays writeable
+    arrays = {"coeffs": np.zeros((3, 2), complex), "log_weights": np.zeros(3), "in_support": np.ones(3, bool)}
+    arrays[field] = value
+    spec = GibbsSpec(grid=make_grid(2))
+    with pytest.raises(ValueError, match="shapes|finite"):
+        Ensemble(spec=spec, sampler="iid-importance", master_seed=0, **arrays)
+    assert all(a.flags.writeable for a in arrays.values())

@@ -10,11 +10,13 @@ import ostlab.flow as flow
 from ostlab.flow import FlowParams, _advance_times
 from ostlab.gibbs import DegenerateWeightsError, Ensemble, GibbsSpec, default_cutoff, sample_gaussian
 from ostlab.invariance import (
+    OBSERVABLE_NAMES,
     ball_indicator,
     cubic_integral,
     hamiltonian_observable,
     l2_squared,
     mode_power,
+    parse_observables,
     recurrence_probe,
     run_invariance,
 )
@@ -49,38 +51,38 @@ def sample_field(seed=5, m=4):
 class TestObservables:
     def test_l2_squared(self):
         f = sample_field()
-        assert l2_squared()(f) == pytest.approx(l2_norm(f) ** 2, rel=1e-14)
+        assert l2_squared().batch(f.coeff, f.grid) == pytest.approx(l2_norm(f) ** 2, rel=1e-14)
 
     def test_mode_power_sums_to_l2(self):
         f = sample_field(m=4)
-        total = sum(mode_power(k)(f) for k in range(1, 5))
+        total = sum(mode_power(k).batch(f.coeff, f.grid) for k in range(1, 5))
         assert total == pytest.approx(l2_norm(f) ** 2, rel=1e-13)
 
     def test_mode_power_is_coordinate_energy(self):
         f = sample_field()
         a = coordinates(f)
-        assert mode_power(2)(f) == pytest.approx(a[2] ** 2 + a[3] ** 2, rel=1e-13)
+        assert mode_power(2).batch(f.coeff, f.grid) == pytest.approx(a[2] ** 2 + a[3] ** 2, rel=1e-13)
 
     def test_cubic_integral(self):
         f = sample_field()
-        assert cubic_integral()(f) == pytest.approx(3.0 * cubic_g(f), rel=1e-13)
+        assert cubic_integral().batch(f.coeff, f.grid) == pytest.approx(3.0 * cubic_g(f), rel=1e-13)
 
     def test_hamiltonian(self):
         f = sample_field()
-        assert hamiltonian_observable()(f) == pytest.approx(hamiltonian(f), rel=1e-13)
+        assert hamiltonian_observable().batch(f.coeff, f.grid) == pytest.approx(hamiltonian(f), rel=1e-13)
 
     def test_ball_indicator(self):
         f = sample_field()
         r = l2_norm(f)
-        assert ball_indicator(2.0 * r)(f) == 1.0
-        assert ball_indicator(0.5 * r)(f) == 0.0
+        assert ball_indicator(2.0 * r).batch(f.coeff, f.grid) == 1.0
+        assert ball_indicator(0.5 * r).batch(f.coeff, f.grid) == 0.0
 
     def test_batch_matches_scalar(self):
         spec = GibbsSpec(grid=make_grid(4), seed=9)
         ens = sample_gaussian(spec, 10)
         for obs in (l2_squared(), mode_power(3), cubic_integral(), ball_indicator(1.0)):
             batch = obs.batch(ens.coeffs, spec.grid)
-            single = [obs(ens.field(i)) for i in range(10)]
+            single = [obs.batch(ens.coeffs[i : i + 1], spec.grid)[0] for i in range(10)]
             assert np.allclose(batch, single, atol=1e-14)
 
     def test_validation(self):
@@ -90,7 +92,40 @@ class TestObservables:
             ball_indicator(0.0)
         f = sample_field(m=2)
         with pytest.raises(ValueError):
-            mode_power(5)(f)
+            mode_power(5).batch(f.coeff, f.grid)
+
+    def test_parse_observables_in_order(self):
+        g = make_grid(4)
+        text = "mode_power(1), mode_power(4),cubic_integral,hamiltonian,ball_indicator,l2_squared,"
+        names = [F.name for F in parse_observables(text, GibbsSpec(grid=g, cutoff_R=2.5))]
+        assert names == ["mode_power(1)", "mode_power(4)", "cubic_integral", "hamiltonian", "ball_indicator(2.5)",
+                         "l2_squared"]
+        # the listed vocabulary is the parsed one
+        assert OBSERVABLE_NAMES.split(", ") == ["mode_power(k)", *names[2:4], "ball_indicator", "l2_squared"]
+
+    def test_parse_observables_ball_radius(self):
+        # the cutoff radius, or default_cutoff without a cutoff
+        g = make_grid(4)
+        for spec, radius in ((GibbsSpec(grid=g, cutoff_R=2.5), 2.5), (GibbsSpec(grid=g), default_cutoff(g))):
+            (ball,) = parse_observables("ball_indicator", spec)
+            assert ball.name == f"ball_indicator({radius:g})"
+            # one mode of L2 norm just inside, then just outside, the radius
+            c = np.zeros((2, 4), dtype=complex)
+            c[:, 0] = np.array([0.999, 1.001]) * radius / math.sqrt(2.0 * g.length)
+            assert ball.batch(c, g).tolist() == [1.0, 0.0]
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("mode_power(1),entropy", "unknown observable 'entropy'; choose from " + OBSERVABLE_NAMES),
+            ("mode_power(9)", "mode_power(9) exceeds grid.modes = 4"),
+            (" , ,", "need at least one observable"),
+        ],
+    )
+    def test_parse_observables_rejects(self, text, message):
+        with pytest.raises(ValueError) as exc:
+            parse_observables(text, GibbsSpec(grid=make_grid(4)))
+        assert str(exc.value) == message
 
 
 class TestRunInvariance:

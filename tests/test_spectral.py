@@ -6,13 +6,17 @@ of frozen constants pin the conventions (calibration of norms, dispersion
 values) so regressions cannot drift silently.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 import ostlab.spectral as spectral
-from ostlab.flow import _linear_rates
+from ostlab.bourgain import ResonanceRecord, ResonanceScan, TimeLocalizationResult
+from ostlab.flow import ConvergenceStudy, PicardResult, TrajectoryRecord, _linear_rates
+from ostlab.gibbs import Ensemble, GibbsSpec
+from ostlab.invariance import RecurrenceStats
 from ostlab.spectral import (
     FourierField,
     GridSpec,
@@ -117,6 +121,41 @@ class TestFieldInvariants:
     def test_zero_field(self):
         f = zero_field(make_grid(3))
         assert l2_norm(f) == 0.0
+
+
+def _records():
+    """One record of each type that freezes its arrays, built from plain lists, with its array fields' dtypes."""
+    g = make_grid(1)
+    hit = ResonanceRecord(n=2, n1=1, R=1.0, ratio=1.0)
+    records = [
+        (TrajectoryRecord(times=[0.0, 1.0], l2=[1.0, 1.0], hamiltonian=[0.5, 0.5], final=zero_field(g),
+                          states=[[0.0], [0.0]]),
+         {"times": float, "l2": float, "hamiltonian": float, "states": complex}),
+        (PicardResult(grid=g, times=[0.0, 1.0], states=[[0j], [0j]], distances=[1.0], diverged=False),
+         {"times": float, "states": complex, "distances": float}),
+        (ConvergenceStudy(m_values=(1,), errors=(0.1,), reference_modes=2, times=[0.0, 1.0]),
+         {"times": float}),
+        (RecurrenceStats(return_times=[0.1], horizon=1.0, radius=0.5, t_min=0.1, hist_counts=[1],
+                         hist_edges=[0.1, 1.0]),
+         {"return_times": float, "hist_counts": int, "hist_edges": float}),
+        (ResonanceScan(n_max=2, minimum=hit, slice_minimum=hit, hist_counts=[1], hist_edges=[1.0, 2.0]),
+         {"hist_counts": int, "hist_edges": float}),
+        (TimeLocalizationResult(b_values=(0.25,), T_values=(0.5,), ratios=[[1.0]], slopes=(0.0,)),
+         {"ratios": float}),
+        (Ensemble(spec=GibbsSpec(grid=g), sampler="iid-importance", master_seed=0, coeffs=[[1.0]],
+                  log_weights=[0], in_support=[1]),
+         {"coeffs": complex, "log_weights": float, "in_support": bool}),
+    ]
+    return [pytest.param(record, dtypes, id=type(record).__name__) for record, dtypes in records]
+
+
+@pytest.mark.parametrize("record, dtypes", _records())
+def test_record_array_fields_read_only(record, dtypes):
+    arrays = {f.name: getattr(record, f.name) for f in dataclasses.fields(record)}
+    arrays = {name: value for name, value in arrays.items() if isinstance(value, np.ndarray)}
+    assert {name: value.dtype for name, value in arrays.items()} == {name: np.dtype(t) for name, t in dtypes.items()}
+    for name, value in arrays.items():
+        assert not value.flags.writeable, name
 
 
 class TestTransforms:

@@ -30,11 +30,17 @@ from ostlab.cli import main as ostlab_main  # noqa: E402
 
 _SIMULATE = ["--modes", "8", "--t", "0.1", "--dt", "0.002", "--record-every", "10"]
 
+_INVARIANCE = ["--modes", "4", "--count", "500", "--t-values", "0.1", "--dt", "0.005"]
+
+# every observable name; ball_indicator's radius is the cutoff, or default_cutoff without one
+_ALL_OBSERVABLES = ["--observables", "mode_power(1),mode_power(2),mode_power(3),mode_power(4),cubic_integral,"
+                                     "hamiltonian,ball_indicator,l2_squared"]
+
 # every subcommand at a small size, then the branches the small runs miss
 RUNS = [
     ("simulate", ["simulate", *_SIMULATE]),
     ("gibbs-sample", ["gibbs-sample", "--modes", "4", "--count", "500"]),
-    ("verify-invariance", ["verify-invariance", "--modes", "4", "--count", "500", "--t-values", "0.1", "--dt", "0.005"]),
+    ("verify-invariance", ["verify-invariance", *_INVARIANCE]),
     ("resonance-scan", ["resonance-scan", "--nmax", "16"]),
     ("bilinear-sweep", ["bilinear-sweep", "--s", "0,-0.5", "--nmax", "4,8", "--trials", "1"]),
     ("kernel-scan", ["kernel-scan", "--alpha", "0,1,-10", "--sum-tau", "0,5", "--sum-n", "1,2", "--k-range", "2000"]),
@@ -59,6 +65,9 @@ RUNS = [
     ("verify-invariance-tail", ["verify-invariance", "--modes", "4", "--count", "500",
                                 "--t-values", "-0.0513,0.1037,0.0005", "--dt", "0.005"]),
     ("convergence-m-tail", ["convergence-m", "--m", "4,8", "--t", "0.1013", "--dt", "0.002", "--record-every", "10"]),
+    ("verify-invariance-all-observables", ["verify-invariance", *_INVARIANCE, *_ALL_OBSERVABLES]),
+    ("verify-invariance-all-observables-cutoff", ["verify-invariance", *_INVARIANCE, *_ALL_OBSERVABLES,
+                                                  "--cutoff", "2"]),
 ]
 
 
