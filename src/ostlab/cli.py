@@ -40,7 +40,7 @@ import numpy as np
 
 from . import __version__
 from .bourgain import _RESONANCE_N_MAX, bilinear_sweep, kernel_integral_scan, kernel_sum_scan, resonance_scan, sweep_spec
-from .flow import BlowUpError, FlowParams, _linear_rates, convergence_in_m, evolve, flow_map, picard_solve
+from .flow import _MAX_NODES, BlowUpError, FlowParams, _linear_rates, convergence_in_m, evolve, flow_map, picard_solve
 from .gibbs import (
     DegenerateWeightsError,
     GibbsSpec,
@@ -585,6 +585,8 @@ def _cmd_recurrence(cfg: RunConfig) -> int:
 # command table: name -> (handler, keys), in --help order; the handler's
 # docstring is the command's help line
 
+# longest picard.t whose default grid (6400 nodes per unit time) fits the node cap
+_PICARD_T_MAX = (_MAX_NODES - 1) / 6400.0
 
 _COMMANDS = {
     "simulate": (_cmd_simulate, _COMMON + _GRID + _FLOW + _INIT + [
@@ -644,9 +646,11 @@ _COMMANDS = {
         _Key("kernel.k_range", "k-range", _parse_int, 100000, "explicit summation range"),
     ]),
     "picard": (_cmd_picard, _COMMON + _GRID + _INIT[1:] + [
-        _Key("picard.t", "t", _parse_float, 0.1, "contraction interval length T"),
+        _Key("picard.t", "t", _within(_parse_float, f"a number in (0, {_PICARD_T_MAX:g}]",
+                                      lambda v: 0.0 < v <= _PICARD_T_MAX), 0.1, "contraction interval length T"),
         _Key("picard.iters", "iters", _parse_int, 8, "Picard iterations"),
-        _Key("picard.nodes", "nodes", _parse_int, 0, "quadrature nodes (0 = auto)"),
+        _Key("picard.nodes", "nodes", _within(_parse_int, f"0 or an integer in [2, {_MAX_NODES}]",
+                                              lambda v: v == 0 or 2 <= v <= _MAX_NODES), 0, "quadrature nodes (0 = auto)"),
         _Key("picard.ref_dt", "ref-dt", _parse_float, 1e-4, "time step of the reference endpoint"),
     ]),
     "convergence-m": (_cmd_convergence_m, _COMMON + _GRID[:1] + [

@@ -37,9 +37,11 @@ from .spectral import (
     _coord_eigenvalues,
     _coords_to_coeff,
     _freeze,
+    _from_physical,
     _hamiltonian,
     _l2,
     _parallel_map,
+    _to_physical,
     coordinates,
     cubic_g,
     dispersion,
@@ -153,10 +155,9 @@ def _product_coeff(coeff: np.ndarray, modes: int, npts: int, *, work: tuple) -> 
     holds the spectrum (zero off the band), sample and rfft buffers.
     """
     spec, u, prod = work
-    np.multiply(coeff, npts, out=spec[..., 1 : modes + 1])
-    np.fft.irfft(spec, n=npts, axis=-1, out=u)
+    _to_physical(coeff, npts, spec, out=u)
     u *= u
-    return np.fft.rfft(u, axis=-1, out=prod)[..., 1 : modes + 1] / npts
+    return _from_physical(u, modes, out=prod)
 
 
 def _nonlinear(grid: GridSpec, dealias: bool = True):
@@ -272,9 +273,13 @@ def _stepper(lam, rhs, p: FlowParams, h: float):
     return lambda c: _etdrk4_step(c, tables, rhs)
 
 
-# most full steps one time may take: an m=32 state steps at about 8.6e3 steps/s
-# (ETDRK4, batch 1, one core of a 2-core host), so the cap allows about 2 min
+# most full steps one time may take: an m=32 state steps at about 1.25e4 steps/s
+# (ETDRK4, batch 1, one core of a 2-core host), so the cap allows about 80 s
 _MAX_STEPS = 10**6
+
+# most nodes of a Picard time grid: about 3.3 KB each at m=16, so 0.85 GB and
+# about 6 s for 8 iterations at the cap, which the default density reaches at T = 40
+_MAX_NODES = 256_001
 
 
 def _full_steps(t: float, dt: float) -> int:
@@ -519,8 +524,8 @@ def picard_solve(phi: FourierField, T: float, iters: int, nodes: int | None = No
     grid = phi.grid
     if nodes is None:
         nodes = max(65, int(math.ceil(6400.0 * T)) + 1)
-    if nodes < 2:
-        raise ValueError("nodes must be >= 2")
+    if not 2 <= nodes <= _MAX_NODES:
+        raise ValueError(f"nodes must be in [2, {_MAX_NODES}], got {nodes}")
     times = np.linspace(0.0, T, nodes)
     dt = times[1] - times[0]
     lam = _linear_rates(grid)
@@ -540,14 +545,7 @@ def picard_solve(phi: FourierField, T: float, iters: int, nodes: int | None = No
         distances.append(float(np.max(_l2(u_next - u, grid.length))))
         u = u_next
     d = np.array(distances)
-    increasing = np.diff(d) > 0.0
-    run = 0
-    diverged = False
-    for inc in increasing:
-        run = run + 1 if inc else 0
-        if run >= 3:
-            diverged = True
-            break
+    diverged = any(d[i] < d[i + 1] < d[i + 2] < d[i + 3] for i in range(len(d) - 3))
     return PicardResult(grid=grid, times=times, states=u, distances=d, diverged=diverged)
 
 

@@ -27,6 +27,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.fft import _pocketfft_umath as _pocketfft
 
 TWO_PI = 2.0 * math.pi
 
@@ -152,25 +153,29 @@ def random_smooth_field(grid: GridSpec, rng: np.random.Generator, k0: float = 2.
 # ---------------------------------------------------------------------------
 # transforms
 #
-# The underscore helpers operate on (..., modes) coefficient stacks and
-# (..., points) sample stacks; the public functions wrap single fields.
+# The one coefficient <-> sample convention, on numpy's pocketfft ufuncs called
+# with the factors numpy.fft passes them: the same bytes, without its wrapper.
 
 
-def _to_physical(coeff: np.ndarray, grid: GridSpec) -> np.ndarray:
-    m, n = grid.modes, grid.points
-    spec = np.zeros(coeff.shape[:-1] + (n // 2 + 1,), dtype=np.complex128)
-    spec[..., 1 : m + 1] = coeff * n
-    return np.fft.irfft(spec, n=n, axis=-1)
+def _to_physical(coeff: np.ndarray, points: int, spec=None, out=None) -> np.ndarray:
+    """Samples on `points` nodes of a (..., m) stack; spec, zero off modes 1..m, and out are fresh if omitted."""
+    lead, m = coeff.shape[:-1], coeff.shape[-1]
+    spec = np.zeros(lead + (points // 2 + 1,), np.complex128) if spec is None else spec
+    np.multiply(coeff, points, out=spec[..., 1 : m + 1])
+    return _pocketfft.irfft(spec, 1.0 / points, out=np.empty(lead + (points,)) if out is None else out)
 
 
-def _from_physical(samples: np.ndarray, grid: GridSpec) -> np.ndarray:
-    # rows 1..m of the forward transform; row 0 (the mean) is discarded
-    return np.fft.rfft(samples, axis=-1)[..., 1 : grid.modes + 1] / grid.points
+def _from_physical(samples: np.ndarray, modes: int, out=None) -> np.ndarray:
+    """Modes 1..modes of a (..., n) sample stack as a fresh array; out takes the whole forward transform."""
+    n = samples.shape[-1]
+    out = np.empty(samples.shape[:-1] + (n // 2 + 1,), np.complex128) if out is None else out
+    forward = _pocketfft.rfft_n_even if n % 2 == 0 else _pocketfft.rfft_n_odd
+    return forward(samples, 1, out=out)[..., 1 : modes + 1] / n
 
 
 def to_physical(f: FourierField) -> np.ndarray:
     """Samples of f on the quadrature grid (zero-padded inverse transform)."""
-    return _to_physical(f.coeff, f.grid)
+    return _to_physical(f.coeff, f.grid.points)
 
 
 def from_physical(samples: np.ndarray, grid: GridSpec) -> FourierField:
@@ -184,7 +189,7 @@ def from_physical(samples: np.ndarray, grid: GridSpec) -> FourierField:
         raise ValueError(f"expected {grid.points} samples, got shape {s.shape}")
     if not np.isfinite(s).all():
         raise ValueError("samples must be finite")
-    return FourierField(grid, _from_physical(s, grid))
+    return FourierField(grid, _from_physical(s, grid.modes))
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +275,7 @@ def inner(f: FourierField, g: FourierField) -> float:
 
 
 def _cubic_g(coeff: np.ndarray, grid: GridSpec) -> np.ndarray:
-    u = _to_physical(coeff, grid)
+    u = _to_physical(coeff, grid.points)
     # np.mean's own sum and division, without its Python wrapper
     return (grid.length / 3.0) * (np.add.reduce(u**3, axis=-1) / grid.points)
 

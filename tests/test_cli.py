@@ -8,7 +8,7 @@ import time
 import pytest
 
 from ostlab.cli import _COMMANDS, _build_parser, _resolve, main
-from ostlab.flow import _MAX_STEPS
+from ostlab.flow import _MAX_NODES, _MAX_STEPS
 from ostlab.gibbs import load_ensemble
 
 
@@ -625,6 +625,28 @@ class TestStepCap:
         assert f"t = 1e+300 at dt = 0.001 takes 1e+303 steps, above the cap of {_MAX_STEPS}" in err
         assert "Traceback" not in err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "flag, value, key",
+        [("t", "1e4", "picard.t"), ("t", "1e300", "picard.t"), ("nodes", "100000000", "picard.nodes")],
+    )
+    def test_picard_grid_beyond_node_cap_exits_1_fast(self, capsys, tmp_path, flag, value, key):
+        # the (nodes, m) tables of picard_solve would need gigabytes before any step
+        start = time.perf_counter()
+        code, _, err = run(capsys, "picard", f"--{flag}", value, "--out", str(tmp_path))
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert f"--{flag} ({key}): expected" in err
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_picard_cap_edges_accepted(self, capsys, tmp_path):
+        # T = 40 is the longest default grid inside the cap; nodes may sit on the cap
+        resolve = lambda *argv: _resolve("picard", _build_parser().parse_args(["picard", *argv]))
+        assert resolve("--t", "40")["picard.t"] == 40.0
+        assert resolve("--nodes", str(_MAX_NODES))["picard.nodes"] == _MAX_NODES
+        assert run(capsys, "picard", "--t", "40.001", "--out", str(tmp_path))[0] == 1
+        assert run(capsys, "picard", "--nodes", str(_MAX_NODES + 1), "--out", str(tmp_path))[0] == 1
 
 
 class TestOutputDirectory:

@@ -544,6 +544,10 @@ class TestPicard:
             picard_solve(zero_field(g), T=0.0, iters=3)
         with pytest.raises(ValueError):
             picard_solve(zero_field(g), T=0.1, iters=0)
+        with pytest.raises(ValueError, match="nodes must be in"):
+            picard_solve(zero_field(g), T=0.1, iters=1, nodes=flow._MAX_NODES + 1)
+        with pytest.raises(ValueError, match="nodes must be in"):
+            picard_solve(zero_field(g), T=1e300, iters=1)
 
 
 class TestConvergenceInM:

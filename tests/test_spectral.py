@@ -14,9 +14,9 @@ import pytest
 
 import ostlab.spectral as spectral
 from ostlab.bourgain import ResonanceRecord, ResonanceScan, TimeLocalizationResult
-from ostlab.flow import ConvergenceStudy, PicardResult, TrajectoryRecord, _linear_rates
-from ostlab.gibbs import Ensemble, GibbsSpec
-from ostlab.invariance import RecurrenceStats
+from ostlab.flow import ConvergenceStudy, FlowParams, PicardResult, TrajectoryRecord, _linear_rates, evolve, picard_solve
+from ostlab.gibbs import Ensemble, GibbsSpec, pcn_chain
+from ostlab.invariance import RecurrenceStats, cubic_integral, hamiltonian_observable, mode_power, run_invariance
 from ostlab.spectral import (
     FourierField,
     GridSpec,
@@ -196,6 +196,59 @@ class TestTransforms:
             from_physical(np.zeros(g.points + 1), g)
 
 
+class TestTransformPair:
+    """`_to_physical`/`_from_physical` call numpy's pocketfft ufuncs, not np.fft.
+
+    These tests guard that private dependency: a numpy release that changes
+    the ufuncs' arguments or results fails them.
+    """
+
+    @pytest.mark.parametrize("lead", [(), (5,)], ids=["1d", "2d"])
+    @pytest.mark.parametrize("odd", [False, True], ids=["4m", "2m+1"])
+    @pytest.mark.parametrize("m", [1, 6, 8, 32])
+    def test_equals_numpy_fft_bit_for_bit(self, m, odd, lead):
+        n = 2 * m + 1 if odd else 4 * m
+        rng = np.random.default_rng(100 * m + odd)
+        spec_buf = np.zeros(lead + (n // 2 + 1,), dtype=np.complex128)
+        samples_buf = np.empty(lead + (n,))
+        forward_buf = np.empty(lead + (n // 2 + 1,), dtype=np.complex128)
+        for _ in range(3):  # the buffers are reused across calls
+            coeff = rng.standard_normal(lead + (m,)) + 1j * rng.standard_normal(lead + (m,))
+            spec = np.zeros(lead + (n // 2 + 1,), dtype=np.complex128)
+            spec[..., 1 : m + 1] = coeff * n
+            expected = np.fft.irfft(spec, n=n, axis=-1).tobytes()
+            assert spectral._to_physical(coeff, n).tobytes() == expected
+            into = spectral._to_physical(coeff, n, spec_buf, out=samples_buf)
+            assert into is samples_buf and into.tobytes() == expected
+
+            u = rng.standard_normal(lead + (n,))
+            expected = (np.fft.rfft(u, axis=-1)[..., 1 : m + 1] / n).tobytes()
+            assert spectral._from_physical(u, m).tobytes() == expected
+            assert spectral._from_physical(u, m, out=forward_buf).tobytes() == expected
+
+    def test_flow_and_sampler_never_call_numpy_fft(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.fft wrapper called")
+
+        monkeypatch.setattr(np.fft, "rfft", refuse)
+        monkeypatch.setattr(np.fft, "irfft", refuse)
+        g = make_grid(4)
+        f = random_field(g, np.random.default_rng(3), scale=0.1)
+        for p in (
+            FlowParams(dt=0.01, T=0.05),
+            FlowParams(dt=0.01, T=0.05, integrator="strang-split"),
+            FlowParams(dt=0.01, T=0.05, dealias=False),
+        ):
+            assert np.isfinite(evolve(f, p).states).all()
+        spec = GibbsSpec(grid=g, seed=5)
+        obs = [mode_power(1), cubic_integral(), hamiltonian_observable()]
+        reports = run_invariance(spec, FlowParams(dt=0.01), (0.0, 0.05), obs, 50)
+        assert len(reports) == 2
+        assert len(pcn_chain(spec, 20, 0.5)) == 20
+        assert not picard_solve(f, 0.05, 3, nodes=65).diverged
+        assert np.isfinite(from_physical(to_physical(f), g).coeff).all()
+
+
 class TestCalculus:
     def test_dx_of_sin_is_cos(self):
         g = make_grid(6)
@@ -332,7 +385,7 @@ class TestNormsAndFunctionals:
         rng = np.random.default_rng(m)
         shape = (m,) if rows is None else (rows, m)
         coeff = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        u = spectral._to_physical(coeff, g)
+        u = spectral._to_physical(coeff, g.points)
         expected = (g.length / 3.0) * np.mean(u**3, axis=-1)
         assert np.asarray(spectral._cubic_g(coeff, g)).tobytes() == np.asarray(expected).tobytes()
 
