@@ -36,12 +36,10 @@ hundred kB, and any n_max within the tau index limit of 2**52 (about
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 
 from .spectral import _freeze, _philox, dispersion
 
@@ -561,61 +559,60 @@ def bilinear_sweep(
 # kernel lemmas: integrals over beta and sums over integer frequencies
 
 
-def _integral_bound(form: int, alpha: float, rho: float, eps: float) -> float:
-    a = abs(alpha)
-    if form == 1:
-        return math.log(2.0 + a) / (1.0 + a)
-    if form == 2:
-        return (1.0 + math.log(1.0 + a)) / (1.0 + a) ** rho
-    return (1.0 + a) ** (-(1.0 + eps))
+# tanh-sinh rule on [0, 1] at t = k/64, |t| <= 3.6: nodes 1/(1 + exp(-pi sinh t)), kept as
+# logs, so log(1 - node) is the mirror entry and stays exact next to 1
+_TS_T = np.arange(-230, 231) / 64.0
+_TS_LOG_NODE = -np.logaddexp(0.0, -np.pi * np.sinh(_TS_T))
+_TS_NODE, _TS_LOG_WEIGHT = np.exp(_TS_LOG_NODE), _TS_LOG_NODE + _TS_LOG_NODE[::-1] + np.log(np.pi / 64 * np.cosh(_TS_T))
+
+# largest form-3 eps: up to here the rule resolves the integrand's 1/eps-wide end layers
+# to about 1e-15 (against a 2F1 closed form); at eps = 1e8 it is off by 1e-12
+_KERNEL_EPS_MAX = 1e6
 
 
-def _kernel_integral(form: int, alpha: float, rho: float, eps: float) -> float:
-    if form == 1:
-        p, q = 1.0, 1.0
-    elif form == 2:
-        p, q = rho, 1.0
-    else:
-        p, q = 1.0 + eps, 1.0 + eps
+def _log_quad(phi, length: float) -> float:
+    """log int_0^length exp(phi(x)) dx, summed in log space (-inf at length 0)."""
+    with np.errstate(divide="ignore"):  # log(0) at length 0 or at a node that rounds to 0
+        v = phi(length * _TS_NODE) + _TS_LOG_WEIGHT
+        return float(v.max() + np.log(np.exp(v - v.max()).sum() * length))
+
+
+def _log_pair(n: float, f: float, x0: float) -> float:
+    """log of (1+a)^f int_{beta <= a/2} (1+|beta|)^-n (1+a-beta)^-f dbeta, with x0 = log(1+a).
+
+    Each piece has its features at the ends of its interval: the half-line by
+    1 - beta = e^x for x in [0, x0], then x = x0 + y for y in [0, Y] plus the
+    remainder e^(-sY)/s (exact to e^-40), and [0, a/2] by 1 + beta = e^y.
+    """
+    s, y_max = (max(n, f) - 1.0) + min(n, f), 40.0 + math.log1p(f)  # s = n + f - 1, exact if n or f is 1
+    near = _log_quad(lambda x: (1.0 - n) * x - f * np.logaddexp(0.0, x + np.log(-np.expm1(-x)) - x0), x0)
+    tail = np.logaddexp(_log_quad(lambda y: -s * y - f * np.log1p(-math.expm1(-x0) * np.exp(-y)), y_max),
+                        -s * y_max - math.log(s))
+    mid = _log_quad(lambda y: (1.0 - n) * y - f * np.log1p(-np.expm1(y) * math.exp(-x0)),
+                    math.log1p(math.expm1(x0) / 2))
+    return float(np.logaddexp.reduce([near, (1.0 - n) * x0 + tail, mid]))
+
+
+def _kernel_integral(form: int, alpha: float, rho: float, eps: float) -> tuple:
+    """(integral, bound, ratio) of one kernel form at one alpha.
+
+    The integrand is (1+|beta|)^-p (1+|alpha-beta|)^-q and the bound b (1+|alpha|)^-k.
+    The ratio is summed in log space with the powers (1+|alpha|)^(k-q) and ^(k-p)
+    cancelled exactly, so it stays finite where the integral and the bound underflow.
+    """
     a = abs(alpha)  # the integrand maps beta -> -beta under alpha -> -alpha
-
-    def piece(fun, lo, hi):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", IntegrationWarning)
-            return quad(fun, lo, hi, limit=800, epsabs=1e-13, epsrel=1e-10)
-
-    def half_line(g):
-        # int_0^inf g, with the tail mapped to [0, 1] by u = 1/t so the
-        # adaptive rule sees the power-law decay explicitly
-        return [piece(g, 0.0, 1.0), piece(lambda t: g(1.0 / t) / (t * t), 0.0, 1.0)]
-
-    results = []
-    # beta <= 0: both factors grow with u = -beta
-    results += half_line(lambda u: 1.0 / ((1.0 + u) ** p * (1.0 + a + u) ** q))
-    # beta >= a: both factors grow with v = beta - a
-    results += half_line(lambda v: 1.0 / ((1.0 + a + v) ** p * (1.0 + v) ** q))
-    if a > 0.0:
-        # 0 <= beta <= a, split at a/2; each half via t = 1/(1 + beta) so
-        # the power-law decay away from the near endpoint stays resolved
-        t_mid = 1.0 / (1.0 + 0.5 * a)
-
-        def mid(p_near, q_far):
-            def g(t):
-                beta = 1.0 / t - 1.0
-                return t ** (p_near - 2.0) * (1.0 + a - beta) ** -q_far
-
-            return piece(g, t_mid, 1.0)
-
-        results.append(mid(p, q))
-        results.append(mid(q, p))
-    total = sum(v for v, _ in results)
-    err = sum(e for _, e in results)
-    if err > max(1e-10, 1e-4 * abs(total)):
-        raise ArithmeticError(
-            f"kernel integral form {form} at alpha={alpha} did not converge "
-            f"(error estimate {err:.2e})"
-        )
-    return total
+    x0 = math.log1p(a)
+    p, q, k, b = {1: (1.0, 1.0, 1.0, math.log(2.0 + a)), 2: (rho, 1.0, rho, 1.0 + math.log(1.0 + a)),
+                  3: (1.0 + eps, 1.0 + eps, 1.0 + eps, 1.0)}[form]
+    bound = b / (1.0 + a) ** k if form < 3 else (1.0 + a) ** -k  # a power that underflows, never overflows
+    # beta <= a/2 has near exponent p and far exponent q; beta >= a/2 the reverse
+    low = (k - q) * x0 + _log_pair(p, q, x0)
+    high = (k - p) * x0 + _log_pair(q, p, x0) if p != q else low
+    with np.errstate(over="ignore"):
+        ratio = float(np.exp(np.logaddexp(low, high) - math.log(b)))
+    if not math.isfinite(ratio * bound):  # inf, or inf times an underflowed bound
+        raise OverflowError(f"kernel integral form {form} at alpha={alpha} overflows a float")
+    return ratio * bound, bound, ratio
 
 
 @dataclass(frozen=True)
@@ -645,7 +642,7 @@ def kernel_integral_scan(alpha_list, rho: float, eps: float = 0.5) -> KernelInte
     Form 2: same with (1+|beta|)^rho, rho in (0,1)         <= C (1+log(1+|alpha|))/(1+|alpha|)^rho
     Form 3: (1+|beta|)^{1+eps}(1+|alpha-beta|)^{1+eps}     <= C (1+|alpha|)^{-(1+eps)}
 
-    Each row reports LHS (adaptive quadrature split at 0 and alpha), the
+    Each row reports LHS (a fixed tanh-sinh rule, see `_kernel_integral`), the
     stated RHS shape, and their ratio; the scan's max ratio is the
     empirical constant C.  C depends on the exponents — it grows like
     1/eps and like 1/min(rho, 1-rho) — so the defaults (rho = 1/2 via
@@ -654,20 +651,14 @@ def kernel_integral_scan(alpha_list, rho: float, eps: float = 0.5) -> KernelInte
     """
     if not (0.0 < rho < 1.0):
         raise ValueError(f"rho must be in (0, 1), got {rho}")
-    if not 0.0 < eps < math.inf:
-        raise ValueError(f"eps must be positive and finite, got {eps}")
-    rows = []
-    for form in (1, 2, 3):
-        for alpha in alpha_list:
-            alpha = float(alpha)
-            val = _kernel_integral(form, alpha, rho, eps)
-            bound = _integral_bound(form, alpha, rho, eps)
-            rows.append(
-                KernelIntegralRow(
-                    form=form, alpha=alpha, integral=val, bound=bound, ratio=val / bound
-                )
-            )
-    return KernelIntegralResult(rho=rho, eps=eps, rows=tuple(rows))
+    if not 0.0 < eps <= _KERNEL_EPS_MAX:
+        raise ValueError(f"eps must be in (0, {_KERNEL_EPS_MAX:g}], got {eps}")
+    rows = tuple(
+        KernelIntegralRow(form, float(alpha), *_kernel_integral(form, float(alpha), rho, eps))
+        for form in (1, 2, 3)
+        for alpha in alpha_list
+    )
+    return KernelIntegralResult(rho=rho, eps=eps, rows=rows)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ byte-identical.
 
 Exit codes: 0 success, 1 configuration or precondition error, 2 numerical
 failure (integrator blow-up, degenerate importance weights or a kernel
-quadrature that overflows or does not converge), 3 the run
+integral beyond the float range), 3 the run
 finished but its verdict is FAIL (a ``verify-invariance`` z-gate).
 
 The default output directory is the environment variable OSTLAB_OUTDIR
@@ -39,7 +39,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bourgain import _RESONANCE_N_MAX, bilinear_sweep, kernel_integral_scan, kernel_sum_scan, resonance_scan, sweep_spec
+from .bourgain import (
+    _KERNEL_EPS_MAX, _RESONANCE_N_MAX, bilinear_sweep, kernel_integral_scan, kernel_sum_scan, resonance_scan, sweep_spec,
+)
 from .flow import _MAX_NODES, BlowUpError, FlowParams, _linear_rates, convergence_in_m, evolve, flow_map, picard_solve
 from .gibbs import (
     DegenerateWeightsError,
@@ -248,6 +250,11 @@ def _resolve(command: str, args: argparse.Namespace) -> RunConfig:
     least = 2 if command == "gibbs-sample" else 1
     if values.get("gibbs.count", least) < least:
         raise ConfigError(f"gibbs.count must be at least {least} for {command}, got {values['gibbs.count']}")
+    if command == "picard":  # picard_solve's default density when picard.nodes = 0
+        nodes = values["picard.nodes"] or max(65, math.ceil(6400.0 * values["picard.t"]) + 1)
+        if nodes * values["grid.modes"] > _PICARD_CELLS_MAX:
+            raise ConfigError(f"grid.modes = {values['grid.modes']} on {nodes} nodes (picard.t, picard.nodes) "
+                              f"is {nodes * values['grid.modes']} table cells, above the cap of {_PICARD_CELLS_MAX}")
     # every sweep lattice is built here, so a tau index past 2**52 never starts a run
     for n_max in values.get("bilinear.n_max_values", ()):
         try:
@@ -585,8 +592,10 @@ def _cmd_recurrence(cfg: RunConfig) -> int:
 # command table: name -> (handler, keys), in --help order; the handler's
 # docstring is the command's help line
 
-# longest picard.t whose default grid (6400 nodes per unit time) fits the node cap
+# longest picard.t whose default grid (6400 nodes per unit time) fits the node cap; the
+# (nodes, m) tables may hold as many cells as the node cap's at the default m = 16
 _PICARD_T_MAX = (_MAX_NODES - 1) / 6400.0
+_PICARD_CELLS_MAX = 16 * _MAX_NODES
 
 _COMMANDS = {
     "simulate": (_cmd_simulate, _COMMON + _GRID + _FLOW + _INIT + [
@@ -639,7 +648,8 @@ _COMMANDS = {
             "integral scan arguments",
         ),
         _Key("kernel.rho", "rho", _parse_float, 0.5, "form-2 exponent, in (0,1)"),
-        _Key("kernel.eps", "eps", _parse_float, 0.5, "form-3 exponent offset, > 0"),
+        _Key("kernel.eps", "eps", _within(_parse_float, f"a number in (0, {_KERNEL_EPS_MAX:g}]",
+                                          lambda v: 0.0 < v <= _KERNEL_EPS_MAX), 0.5, "form-3 exponent offset"),
         _Key("kernel.sum_tau_values", "sum-tau", _FLOATS, (0.0, 5.0, -25.0, 300.0), "sum scan tau grid"),
         _Key("kernel.sum_n_values", "sum-n", _INTS, (1, 2, -3, 7), "sum scan frequency grid"),
         _Key("kernel.sum_rho", "sum-rho", _parse_float, 0.7, "form-3 sum exponent, > 2/3"),

@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.special import ndtr
 
 from .spectral import (
     FourierField,
@@ -337,7 +336,7 @@ def cylinder_probability(spec: GibbsSpec, box) -> float:
             raise ValueError("box bounds must not be NaN")
         if hi <= lo:
             return 0.0
-        prob *= float(ndtr(hi / s) - ndtr(lo / s))
+        prob *= 0.5 * (math.erfc(-hi / s / math.sqrt(2.0)) - math.erfc(-lo / s / math.sqrt(2.0)))
     return prob
 
 

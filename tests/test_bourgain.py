@@ -539,6 +539,38 @@ KERNEL_ALPHAS = [0.0, 1.0, -1.0, 10.0, -10.0, 1e3, -1e3, 1e6, -1e6]
 
 
 class TestKernelIntegrals:
+    # Reference values below are mpmath at 40 digits: the half-line beta <= 0 is
+    # (1/s) 2F1(q, s; p+q; -a) with s = p+q-1 (p and q swapped for beta >= a), and each
+    # half of [0, a] is (2+a)^(1-p-q) int x^-p (1-x)^-q dx over [1/(2+a), 1/2]
+    # (exponents swapped for the other half), summed on doubling breakpoints.
+
+    def test_form1_closed_form_at_every_alpha(self):
+        res = kernel_integral_scan(KERNEL_ALPHAS, rho=0.5)
+        for row in (r for r in res.rows if r.form == 1):
+            a = abs(row.alpha)
+            exact = 2.0 * math.log1p(a) / a + 2.0 * math.log1p(a) / (2.0 + a) if a else 2.0
+            assert row.integral == pytest.approx(exact, rel=2e-15)
+
+    def test_forms_2_and_3_at_zero_frequency(self):
+        # 2/rho and 2/(1+2 eps): two half-lines of (1+u)^-(p+q)
+        for rho in (0.5, 0.1, 0.01, 1e-3, 1e-6):
+            row = kernel_integral_scan([0.0], rho=rho).rows[1]
+            assert row.integral == pytest.approx(2.0 / rho, rel=2e-15)
+        for eps in (0.5, 5.0, 60.0, 1000.0, 1e6):
+            row = kernel_integral_scan([0.0], rho=0.5, eps=eps).rows[2]
+            assert row.integral == pytest.approx(2.0 / (1.0 + 2.0 * eps), rel=2e-15)
+
+    def test_default_grid_far_rows(self):
+        rows = {(r.form, r.alpha): r for r in kernel_integral_scan(KERNEL_ALPHAS, rho=0.5, eps=0.5).rows}
+        for alpha in (1e6, -1e6):
+            assert rows[(2, alpha)].integral == pytest.approx(0.03354118929397313, rel=1e-14)
+            assert rows[(3, alpha)].integral == pytest.approx(7.991988000055e-9, rel=1e-14)
+
+    @pytest.mark.parametrize("rho, value", [(0.1, 12.012260253731653389), (0.01, 198.27286865153677432)])
+    def test_small_rho_far_row(self, rho, value):
+        row = kernel_integral_scan([1e6], rho=rho).rows[1]
+        assert row.integral == pytest.approx(value, rel=1e-14)
+
     def test_zero_frequency_oracle(self):
         res = kernel_integral_scan([0.0], rho=0.5)
         form1 = next(r for r in res.rows if r.form == 1)
@@ -563,6 +595,8 @@ class TestKernelIntegrals:
             kernel_integral_scan([0.0], rho=1.5)
         with pytest.raises(ValueError):
             kernel_integral_scan([0.0], rho=0.5, eps=0.0)
+        with pytest.raises(ValueError):
+            kernel_integral_scan([0.0], rho=0.5, eps=1.01e6)
 
 
 class TestKernelSums:

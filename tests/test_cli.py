@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from ostlab.cli import _COMMANDS, _build_parser, _resolve, main
+from ostlab.cli import _COMMANDS, _PICARD_CELLS_MAX, _build_parser, _resolve, main
 from ostlab.flow import _MAX_NODES, _MAX_STEPS
 from ostlab.gibbs import load_ensemble
 
@@ -185,11 +185,13 @@ class TestConfigResolution:
             (["verify-invariance", "--z-max", "nan"], "invariance.z_max"),
             (["simulate", "--threads", "-1"], "run.threads"),
             (["bilinear-sweep", "--w-cells", "0"], "bilinear.w_cells"),
-            # checked by the library call, whose message names its parameter
+            # checked by the library call (eps first by its key), whose message names the parameter
             (["recurrence", "--radius", "nan"], "radius"),
             (["kernel-scan", "--eps", "nan"], "eps"),
             (["kernel-scan", "--eps", "inf"], "eps"),
             (["kernel-scan", "--sum-rho", "inf"], "rho"),
+            # above the largest eps whose end layers the kernel rule resolves
+            (["kernel-scan", "--eps", "1e7"], "kernel.eps"),
         ],
     )
     def test_out_of_domain_value_exits_1_naming_key(self, capsys, tmp_path, argv, key):
@@ -199,12 +201,36 @@ class TestConfigResolution:
         assert "Traceback" not in err
         assert list(tmp_path.iterdir()) == []
 
-    # in-domain values whose quadrature overflows or divides by zero
-    @pytest.mark.parametrize("flag, value", [("eps", "700"), ("eps", "1000"), ("rho", "1e-12")])
-    def test_kernel_quadrature_failure_exits_2(self, capsys, tmp_path, flag, value):
-        code, _, err = run(capsys, "kernel-scan", f"--{flag}", value, "--out", str(tmp_path))
+    # in-domain exponents whose integrands overflowed or whose integrals underflow
+    # a float; references as in tests/test_bourgain.py::TestKernelIntegrals
+    @pytest.mark.parametrize(
+        "flag, value, form, alpha, ratio",
+        [
+            pytest.param("eps", "60", 3, 1e6, 0.066666666666740346628, id="eps-60"),
+            pytest.param("eps", "100", 3, 1e3, 0.04000004238894524186, id="eps-100"),
+            pytest.param("eps", "700", 3, 1e6, 0.0057142857142914777501, id="eps-700"),
+            pytest.param("eps", "1000", 3, 1e6, 0.0040000000000040240641, id="eps-1000"),
+            pytest.param("rho", "0.001", 2, 1e6, 136.85876876362313369, id="rho-0.001"),
+            pytest.param("rho", "1e-6", 2, 1e6, 134995.51623309875713, id="rho-1e-6"),
+            pytest.param("rho", "1e-12", 2, 1e6, 134993651228.50396073, id="rho-1e-12"),
+        ],
+    )
+    def test_in_domain_kernel_exponent_computes(self, capsys, tmp_path, flag, value, form, alpha, ratio):
+        code, _, err = run(capsys, "kernel-scan", f"--{flag}", value, "--k-range", "1000", "--out", str(tmp_path))
+        assert code == 0, err
+        _, _, rows = read_csv(tmp_path / "kernel_integrals.csv")
+        values = {(int(r[0]), float(r[1])): [float(v) for v in r[2:]] for r in rows}
+        assert len(values) == 27 and all(math.isfinite(v) and v >= 0.0 for row in values.values() for v in row)
+        for a in (alpha, -alpha):
+            integral, bound, got = values[(form, a)]
+            assert got == pytest.approx(ratio, rel=1e-14)
+            assert integral == (got * bound)  # 0.0 where the integral underflows
+
+    def test_kernel_integral_overflow_exits_2(self, capsys, tmp_path):
+        # form 2 at alpha = 0 is 2/rho, beyond a float for a subnormal rho
+        code, _, err = run(capsys, "kernel-scan", "--rho", "1e-320", "--out", str(tmp_path))
         assert code == 2
-        assert "numerical failure" in err
+        assert "numerical failure: kernel integral form 2 at alpha=0.0 overflows a float" in err
         assert "Traceback" not in err
         assert list(tmp_path.iterdir()) == []
 
@@ -640,6 +666,19 @@ class TestStepCap:
         assert "Traceback" not in err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("argv", [("--modes", "4096", "--t", "40"), ("--modes", "32", "--t", "40"),
+                                      ("--modes", "4096", "--nodes", "2000")], ids=" ".join)
+    def test_picard_tables_beyond_cell_cap_exit_1_fast(self, capsys, tmp_path, argv):
+        # nodes x modes bounds the (nodes, m) tables: 4096 modes at T = 40 would need 15.6 GiB each
+        start = time.perf_counter()
+        code, _, err = run(capsys, "picard", *argv, "--out", str(tmp_path))
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert "grid.modes" in err and "(picard.t, picard.nodes)" in err
+        assert f"above the cap of {_PICARD_CELLS_MAX}" in err
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_picard_cap_edges_accepted(self, capsys, tmp_path):
         # T = 40 is the longest default grid inside the cap; nodes may sit on the cap
         resolve = lambda *argv: _resolve("picard", _build_parser().parse_args(["picard", *argv]))
@@ -647,6 +686,11 @@ class TestStepCap:
         assert resolve("--nodes", str(_MAX_NODES))["picard.nodes"] == _MAX_NODES
         assert run(capsys, "picard", "--t", "40.001", "--out", str(tmp_path))[0] == 1
         assert run(capsys, "picard", "--nodes", str(_MAX_NODES + 1), "--out", str(tmp_path))[0] == 1
+        # the cell cap: 16 modes on the whole node cap, or 4096 modes on 1000 nodes
+        assert _PICARD_CELLS_MAX == 16 * _MAX_NODES
+        assert resolve("--modes", "4096", "--nodes", str(_PICARD_CELLS_MAX // 4096))["grid.modes"] == 4096
+        assert run(capsys, "picard", "--modes", "4096", "--nodes", str(_PICARD_CELLS_MAX // 4096 + 1),
+                   "--out", str(tmp_path))[0] == 1
 
 
 class TestOutputDirectory:
