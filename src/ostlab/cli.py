@@ -40,7 +40,8 @@ import numpy as np
 
 from . import __version__
 from .bourgain import (
-    _KERNEL_EPS_MAX, _RESONANCE_N_MAX, bilinear_sweep, kernel_integral_scan, kernel_sum_scan, resonance_scan, sweep_spec,
+    _KERNEL_EPS_MAX, _KERNEL_K_MAX, _RESONANCE_N_MAX, bilinear_sweep, kernel_integral_scan, kernel_sum_scan,
+    resonance_scan, sweep_spec,
 )
 from .flow import _MAX_NODES, BlowUpError, FlowParams, _linear_rates, convergence_in_m, evolve, flow_map, picard_solve
 from .gibbs import (
@@ -50,7 +51,7 @@ from .gibbs import (
     sample_gaussian,
     save_ensemble,
 )
-from .invariance import OBSERVABLE_NAMES, parse_observables, recurrence_probe, run_invariance
+from .invariance import OBSERVABLE_NAMES, parse_observables, run_invariance
 from .spectral import (
     FourierField,
     _coeff_to_coords,
@@ -118,6 +119,7 @@ def _parse_list(parse, items: str):
 
 _FLOATS = _parse_list(_within(_parse_float, "a finite number", math.isfinite), "numbers")
 _INTS = _parse_list(_parse_int, "integers")
+_COUNT = _within(_parse_int, "an integer >= 1", lambda v: v >= 1)
 
 
 def _choice(*options: str):
@@ -167,7 +169,8 @@ _GRID = [
 ]
 
 _FLOW = [
-    _Key("flow.dt", "dt", _parse_float, 1e-3, "integrator time step"),
+    _Key("flow.dt", "dt", _within(_parse_float, "a positive finite number", lambda v: 0.0 < v < math.inf), 1e-3,
+         "integrator time step"),
     _Key(
         "flow.integrator",
         "integrator",
@@ -176,7 +179,7 @@ _FLOW = [
         "time integrator",
     ),
     _Key("flow.dealias", "dealias", _parse_bool, True, "zero-padded products"),
-    _Key("flow.record_every", "record-every", _parse_int, 1, "steps between records"),
+    _Key("flow.record_every", "record-every", _COUNT, 1, "steps between records"),
 ]
 
 _INIT = [
@@ -565,29 +568,6 @@ def _cmd_convergence_m(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_recurrence(cfg: RunConfig) -> int:
-    """return-time statistics of Gibbs samples under the flow"""
-    grid = _make_grid_from(cfg)
-    spec = _gibbs_spec(cfg, grid)
-    p = FlowParams(dt=cfg["flow.dt"], record_every=cfg["flow.record_every"])
-    stats = recurrence_probe(
-        spec, p, cfg["gibbs.count"], cfg["recurrence.horizon"], cfg["recurrence.radius"]
-    )
-    out = _out_dir(cfg)
-    rows = [(i, t) for i, t in enumerate(stats.return_times)]
-    _write_csv(out / "recurrence.csv", cfg, ["sample", "return_time"], rows)
-    _write_meta(
-        out,
-        cfg,
-        {
-            "returned_fraction": stats.returned_fraction,
-            "t_min": stats.t_min,
-        },
-    )
-    print(f"returned fraction {stats.returned_fraction:.3f} within horizon {stats.horizon}")
-    return 0
-
-
 # ---------------------------------------------------------------------------
 # command table: name -> (handler, keys), in --help order; the handler's
 # docstring is the command's help line
@@ -633,10 +613,10 @@ _COMMANDS = {
     "bilinear-sweep": (_cmd_bilinear_sweep, _COMMON + [
         _Key("bilinear.s_values", "s", _FLOATS, (0.0, -0.5, -0.6), "Sobolev indices"),
         _Key("bilinear.n_max_values", "nmax", _INTS, (16, 32, 64), "lattice sizes"),
-        _Key("bilinear.trials", "trials", _parse_int, 4, "random candidates per structured pair"),
+        _Key("bilinear.trials", "trials", _within(_parse_int, "an integer >= 0", lambda v: v >= 0), 4,
+             "random candidates per structured pair"),
         _Key("bilinear.d_tau", "d-tau", _parse_float, 16.0, "modulation grid spacing (shared)"),
-        _Key("bilinear.w_cells", "w-cells", _within(_parse_int, "an integer >= 1", lambda v: v >= 1), 16,
-             "candidate profile width in cells"),
+        _Key("bilinear.w_cells", "w-cells", _COUNT, 16, "candidate profile width in cells"),
         _Key("bilinear.seed", "seed", _parse_int, 0, "seed for random profiles"),
     ]),
     "kernel-scan": (_cmd_kernel_scan, _COMMON + [
@@ -647,18 +627,25 @@ _COMMANDS = {
             (0.0, 1.0, -1.0, 10.0, -10.0, 1e3, -1e3, 1e6, -1e6),
             "integral scan arguments",
         ),
-        _Key("kernel.rho", "rho", _parse_float, 0.5, "form-2 exponent, in (0,1)"),
+        _Key("kernel.rho", "rho", _within(_parse_float, "a number in (0, 1)", lambda v: 0.0 < v < 1.0), 0.5,
+             "form-2 exponent, in (0,1)"),
         _Key("kernel.eps", "eps", _within(_parse_float, f"a number in (0, {_KERNEL_EPS_MAX:g}]",
                                           lambda v: 0.0 < v <= _KERNEL_EPS_MAX), 0.5, "form-3 exponent offset"),
         _Key("kernel.sum_tau_values", "sum-tau", _FLOATS, (0.0, 5.0, -25.0, 300.0), "sum scan tau grid"),
-        _Key("kernel.sum_n_values", "sum-n", _INTS, (1, 2, -3, 7), "sum scan frequency grid"),
-        _Key("kernel.sum_rho", "sum-rho", _parse_float, 0.7, "form-3 sum exponent, > 2/3"),
-        _Key("kernel.k_range", "k-range", _parse_int, 100000, "explicit summation range"),
+        _Key("kernel.sum_n_values", "sum-n", _parse_list(_within(_parse_int, f"an integer with |n| <= {_KERNEL_K_MAX}",
+                                                                 lambda v: abs(v) <= _KERNEL_K_MAX), "integers"),
+             (1, 2, -3, 7), "sum scan frequency grid"),
+        _Key("kernel.sum_rho", "sum-rho", _within(_parse_float, "a number > 2/3 and finite",
+                                                  lambda v: 2.0 / 3.0 < v < math.inf), 0.7,
+             "form-3 sum exponent, > 2/3"),
+        _Key("kernel.k_range", "k-range", _within(_parse_int, f"an integer in [1, {_KERNEL_K_MAX}]",
+                                                  lambda v: 1 <= v <= _KERNEL_K_MAX), 100000,
+             "explicit summation range"),
     ]),
     "picard": (_cmd_picard, _COMMON + _GRID + _INIT[1:] + [
         _Key("picard.t", "t", _within(_parse_float, f"a number in (0, {_PICARD_T_MAX:g}]",
                                       lambda v: 0.0 < v <= _PICARD_T_MAX), 0.1, "contraction interval length T"),
-        _Key("picard.iters", "iters", _parse_int, 8, "Picard iterations"),
+        _Key("picard.iters", "iters", _COUNT, 8, "Picard iterations"),
         _Key("picard.nodes", "nodes", _within(_parse_int, f"0 or an integer in [2, {_MAX_NODES}]",
                                               lambda v: v == 0 or 2 <= v <= _MAX_NODES), 0, "quadrature nodes (0 = auto)"),
         _Key("picard.ref_dt", "ref-dt", _parse_float, 1e-4, "time step of the reference endpoint"),
@@ -667,14 +654,10 @@ _COMMANDS = {
         _Key("convergence.m_values", "m", _INTS, (8, 16, 32), "truncation sizes (increasing)"),
         _Key("convergence.t", "t", _parse_float, 1.0, "final time T"),
         _FLOW[0],
-        _Key("flow.record_every", "record-every", _parse_int, 50, "steps between compared records"),
+        _Key("flow.record_every", "record-every", _COUNT, 50, "steps between compared records"),
         _INIT[1],
         _Key("init.k0", "k0", _parse_float, 4.0, "spectral decay scale of random data"),
         _Key("init.norm", "norm", _parse_float, 1.0, "L2 norm of the initial state"),
-    ]),
-    "recurrence": (_cmd_recurrence, _COMMON + _GRID[:2] + _FLOW[0:1] + _FLOW[3:4] + _GIBBS + [
-        _Key("recurrence.horizon", "horizon", _parse_float, 15.0, "probe horizon"),
-        _Key("recurrence.radius", "radius", _parse_float, 0.35, "L2 return radius"),
     ]),
 }
 

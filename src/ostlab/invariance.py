@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flow import FlowParams, _advance_times, _full_steps, _steps
+from .flow import FlowParams, _advance_times
 from .gibbs import (
     DegenerateWeightsError,
     ESS_FLOOR,
@@ -34,7 +34,7 @@ from .gibbs import (
     gibbs_expectation,
     sample_gaussian,
 )
-from .spectral import _cubic_g, _freeze, _hamiltonian, _l2
+from .spectral import _cubic_g, _hamiltonian, _l2
 
 OBSERVABLE_NAMES = "mode_power(k), cubic_integral, hamiltonian, ball_indicator, l2_squared"
 
@@ -43,14 +43,12 @@ __all__ = [
     "InvarianceReport",
     "InvarianceRow",
     "Observable",
-    "RecurrenceStats",
     "ball_indicator",
     "cubic_integral",
     "hamiltonian_observable",
     "l2_squared",
     "mode_power",
     "parse_observables",
-    "recurrence_probe",
     "run_invariance",
 ]
 
@@ -260,80 +258,3 @@ def run_invariance(
             InvarianceReport(grid.modes, t, int(count), spec.seed, ess, tuple(rows), float(z_max), note)
         )
     return reports
-
-
-# ---------------------------------------------------------------------------
-# recurrence demonstration
-
-
-@dataclass(frozen=True)
-class RecurrenceStats:
-    """First return times to an L2 ball around each initial state.
-
-    return_times[i] is the first probed time t >= t_min with
-    |u_i(t) - u_i(0)| < radius, or NaN if none occurred within the
-    horizon.  Probes happen every record_every steps, so t_min =
-    record_every * dt.
-    """
-
-    return_times: np.ndarray
-    horizon: float
-    radius: float
-    t_min: float
-    hist_counts: np.ndarray
-    hist_edges: np.ndarray
-
-    def __post_init__(self):
-        _freeze(self, "return_times", "hist_counts", "hist_edges")
-
-    @property
-    def returned_fraction(self) -> float:
-        return float(np.mean(np.isfinite(self.return_times)))
-
-
-def recurrence_probe(
-    spec: GibbsSpec,
-    p: FlowParams,
-    sample_count: int,
-    horizon: float,
-    radius: float,
-) -> RecurrenceStats:
-    """Measure-preserving flows revisit: probe return times per sample.
-
-    A demonstration, not a theorem check — the summary histogram has no
-    pass/fail attached.  radius = 0 trivially reports no returns.
-    """
-    if not radius >= 0.0:
-        raise ValueError(f"radius must be >= 0, got {radius}")
-    if not (horizon > 0.0 and math.isfinite(horizon)):
-        raise ValueError(f"horizon must be positive and finite, got {horizon}")
-    if int(sample_count) != sample_count or sample_count < 1:
-        raise ValueError(f"sample_count must be a positive integer, got {sample_count}")
-    grid = spec.grid
-    t_min = p.record_every * p.dt
-    ens = sample_gaussian(spec, int(sample_count))
-    start = ens.coeffs.copy()
-    return_steps = np.full(len(ens), -1, dtype=np.int64)
-
-    if radius > 0.0:
-        # the full steps within the horizon, the range first so zip pulls no
-        # step past it; a fractional tail step would never be probed
-        for i, c in zip(range(1, _full_steps(horizon, p.dt) + 1), _steps(start, grid, p, p.dt)):
-            if i % p.record_every:
-                continue
-            fresh = (return_steps < 0) & (_l2(c - start, grid.length) < radius)
-            return_steps[fresh] = i
-            if np.all(return_steps >= 0):
-                break
-
-    times = np.where(return_steps > 0, return_steps * p.dt, math.nan)
-    finite = times[np.isfinite(times)]
-    counts, edges = np.histogram(finite, bins=10, range=(t_min, max(horizon, t_min * 1.0000001)))
-    return RecurrenceStats(
-        return_times=times,
-        horizon=float(horizon),
-        radius=float(radius),
-        t_min=t_min,
-        hist_counts=counts,
-        hist_edges=edges,
-    )

@@ -661,6 +661,11 @@ class TestKernelSums:
         for k_range in (0, -5, -1000):
             with pytest.raises(ValueError, match="k_range too small"):
                 kernel_sum_scan([0.0], [1], rho=0.75, k_range=k_range)
+        # both caps are checked before the symbol table is built
+        with pytest.raises(ValueError, match=f"k_range must be at most {bourgain._KERNEL_K_MAX}"):
+            kernel_sum_scan([0.0], [1], rho=0.75, k_range=bourgain._KERNEL_K_MAX + 1)
+        with pytest.raises(ValueError, match=f"at most {bourgain._KERNEL_K_MAX}, got 10000000000000"):
+            kernel_sum_scan([0.0], [1, -10**13], rho=0.75, k_range=10)
 
 
 def _direct_form1(tau, n, k_range):

@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+from ostlab.bourgain import _KERNEL_K_MAX
 from ostlab.cli import _COMMANDS, _PICARD_CELLS_MAX, _build_parser, _resolve, main
 from ostlab.flow import _MAX_NODES, _MAX_STEPS
 from ostlab.gibbs import load_ensemble
@@ -152,7 +153,7 @@ class TestConfigResolution:
             ["gibbs-sample", "--count", "1"],
             ["gibbs-sample", "--count", "0"],
             ["verify-invariance", "--count", "0"],
-            ["recurrence", "--count", "-2"],
+            ["verify-invariance", "--count", "-2"],
         ],
     )
     def test_count_below_minimum_names_key(self, capsys, tmp_path, argv):
@@ -185,13 +186,19 @@ class TestConfigResolution:
             (["verify-invariance", "--z-max", "nan"], "invariance.z_max"),
             (["simulate", "--threads", "-1"], "run.threads"),
             (["bilinear-sweep", "--w-cells", "0"], "bilinear.w_cells"),
-            # checked by the library call (eps first by its key), whose message names the parameter
-            (["recurrence", "--radius", "nan"], "radius"),
+            (["kernel-scan", "--rho", "0"], "kernel.rho"),
             (["kernel-scan", "--eps", "nan"], "eps"),
             (["kernel-scan", "--eps", "inf"], "eps"),
-            (["kernel-scan", "--sum-rho", "inf"], "rho"),
+            (["kernel-scan", "--sum-rho", "inf"], "kernel.sum_rho"),
             # above the largest eps whose end layers the kernel rule resolves
             (["kernel-scan", "--eps", "1e7"], "kernel.eps"),
+            (["kernel-scan", "--rho", "1"], "kernel.rho"),
+            (["kernel-scan", "--rho", "nan"], "kernel.rho"),
+            (["kernel-scan", "--sum-rho", "0.5"], "kernel.sum_rho"),
+            (["simulate", "--dt", "0"], "flow.dt"),
+            (["simulate", "--record-every", "0"], "flow.record_every"),
+            (["picard", "--iters", "0"], "picard.iters"),
+            (["bilinear-sweep", "--trials", "-1"], "bilinear.trials"),
         ],
     )
     def test_out_of_domain_value_exits_1_naming_key(self, capsys, tmp_path, argv, key):
@@ -616,20 +623,6 @@ class TestAnalysisCommands:
         assert "Traceback" not in err
         assert not (tmp_path / "bilinear_sweep.csv").exists()
 
-    def test_recurrence_artifacts(self, capsys, tmp_path):
-        code, _, _ = run(
-            capsys,
-            "recurrence", "--modes", "4", "--count", "10", "--dt", "0.01",
-            "--record-every", "10", "--horizon", "3", "--radius", "0.6",
-            "--out", str(tmp_path),
-        )
-        assert code == 0
-        _, header, rows = read_csv(tmp_path / "recurrence.csv")
-        assert header == ["sample", "return_time"]
-        assert len(rows) == 10
-        meta = json.loads((tmp_path / "recurrence.meta.json").read_text())
-        assert 0.0 <= meta["summary"]["returned_fraction"] <= 1.0
-
 
 class TestStepCap:
     @pytest.mark.parametrize(
@@ -637,7 +630,6 @@ class TestStepCap:
         [
             ["simulate", "--t", "1e300"],
             ["convergence-m", "--t", "1e300"],
-            ["recurrence", "--horizon", "1e300"],
             ["verify-invariance", "--t-values", "1e300"],
         ],
         ids=lambda argv: argv[0],
@@ -665,6 +657,30 @@ class TestStepCap:
         assert f"--{flag} ({key}): expected" in err
         assert "Traceback" not in err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv, key",
+        [
+            (["--k-range", "0"], "kernel.k_range"),
+            (["--k-range", str(_KERNEL_K_MAX + 1)], "kernel.k_range"),
+            (["--sum-n", "1,10000000000000"], "kernel.sum_n_values"),
+        ],
+    )
+    def test_kernel_sum_range_beyond_cap_exits_1_fast(self, capsys, tmp_path, argv, key):
+        # the symbol table holds 2(k_range + max |n|) + 1 floats, so 1e13 would need 160 TB
+        start = time.perf_counter()
+        code, _, err = run(capsys, "kernel-scan", *argv, "--out", str(tmp_path))
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert f"({key}): expected" in err
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_kernel_sum_cap_edges_accepted(self):
+        resolve = lambda *argv: _resolve("kernel-scan", _build_parser().parse_args(["kernel-scan", *argv]))
+        assert resolve("--k-range", str(_KERNEL_K_MAX))["kernel.k_range"] == _KERNEL_K_MAX
+        cap = _KERNEL_K_MAX
+        assert resolve("--sum-n", f"{-cap},{cap}")["kernel.sum_n_values"] == (-cap, cap)
 
     @pytest.mark.parametrize("argv", [("--modes", "4096", "--t", "40"), ("--modes", "32", "--t", "40"),
                                       ("--modes", "4096", "--nodes", "2000")], ids=" ".join)

@@ -105,6 +105,19 @@ def random_stack(grid, rng, lead=()):
     return 0.3 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
 
+def counted_steps(monkeypatch) -> list:
+    """One entry per ETDRK4 step taken from now on."""
+    calls = []
+    step = flow._etdrk4_step
+
+    def counted(c, tables, rhs):
+        calls.append(1)
+        return step(c, tables, rhs)
+
+    monkeypatch.setattr(flow, "_etdrk4_step", counted)
+    return calls
+
+
 class TestFlowParams:
     def test_rejects_bad_dt(self):
         for dt in (0.0, -1e-3, math.inf):
@@ -418,6 +431,15 @@ class TestAdvanceTimes:
             sys.setswitchinterval(interval)
         for a, b in zip(serial, threaded):
             assert a.tobytes() == b.tobytes()
+
+    def test_one_pass_per_time_sign(self, monkeypatch):
+        # 10 full steps forward and 3 back, shared by every time of that sign, then one tail
+        # step for each 0.055 entry; 0.1 and -0.03 end on a full step
+        g = make_grid(4)
+        stack = random_stack(g, np.random.default_rng(7), (3,))
+        calls = counted_steps(monkeypatch)
+        _advance_times(stack, g, FlowParams(dt=1e-2), [0.055, -0.03, 0.1, 0.055])
+        assert len(calls) == 10 + 3 + 2
 
     def test_blow_up_reports_row_of_whole_stack(self):
         g = make_grid(8)

@@ -1,4 +1,4 @@
-"""Invariance experiment: observables, reports, recurrence."""
+"""Invariance experiment: observables and reports."""
 
 import functools
 import math
@@ -6,8 +6,7 @@ import math
 import numpy as np
 import pytest
 
-import ostlab.flow as flow
-from ostlab.flow import FlowParams, _advance_times
+from ostlab.flow import FlowParams
 from ostlab.gibbs import DegenerateWeightsError, Ensemble, GibbsSpec, default_cutoff, sample_gaussian
 from ostlab.invariance import (
     OBSERVABLE_NAMES,
@@ -17,30 +16,15 @@ from ostlab.invariance import (
     l2_squared,
     mode_power,
     parse_observables,
-    recurrence_probe,
     run_invariance,
 )
 from ostlab.spectral import (
-    _l2,
     coordinates,
     cubic_g,
     hamiltonian,
     l2_norm,
     make_grid,
 )
-
-
-def counted_steps(monkeypatch) -> list:
-    """One entry per ETDRK4 step taken from now on."""
-    calls = []
-    step = flow._etdrk4_step
-
-    def counted(c, tables, rhs):
-        calls.append(1)
-        return step(c, tables, rhs)
-
-    monkeypatch.setattr(flow, "_etdrk4_step", counted)
-    return calls
 
 
 def sample_field(seed=5, m=4):
@@ -220,74 +204,3 @@ class TestRunInvariance:
         spec = GibbsSpec(grid=g, cutoff_R=default_cutoff(g), seed=127)
         args = (spec, FlowParams(dt=1e-3), [0.2], [l2_squared(), mode_power(1)], 300)
         assert run_invariance(*args)[0].to_json() == run_invariance(*args)[0].to_json()
-
-
-class TestRecurrence:
-    def test_huge_radius_returns_at_t_min(self):
-        g = make_grid(4)
-        spec = GibbsSpec(grid=g, seed=11)
-        p = FlowParams(dt=1e-2, record_every=5)
-        ens = sample_gaussian(spec, 8)
-        max_norm = max(l2_norm(ens.field(i)) for i in range(8))
-        stats = recurrence_probe(spec, p, 8, horizon=1.0, radius=2.0 * max_norm + 1.0)
-        assert stats.t_min == pytest.approx(0.05)
-        assert np.allclose(stats.return_times, stats.t_min)
-        assert stats.returned_fraction == 1.0
-
-    def test_zero_radius_no_returns(self):
-        g = make_grid(4)
-        spec = GibbsSpec(grid=g, seed=13)
-        stats = recurrence_probe(spec, FlowParams(dt=1e-2), 5, horizon=0.5, radius=0.0)
-        assert np.all(np.isnan(stats.return_times))
-        assert stats.returned_fraction == 0.0
-        assert np.all(stats.hist_counts == 0)
-
-    def test_some_samples_return(self):
-        # two-mode phases are commensurate (rates 2 and 8.5), so the
-        # weakly nonlinear flow nearly revisits its start within ~4*pi
-        g = make_grid(2)
-        spec = GibbsSpec(grid=g, seed=17)
-        p = FlowParams(dt=1e-2, record_every=10)
-        stats = recurrence_probe(spec, p, 16, horizon=15.0, radius=0.35)
-        assert stats.returned_fraction > 0.0
-        assert np.nansum(stats.hist_counts) == np.sum(np.isfinite(stats.return_times))
-
-    def test_stops_once_every_sample_returned(self, monkeypatch):
-        calls = counted_steps(monkeypatch)
-        spec = GibbsSpec(grid=make_grid(4), seed=11)
-        stats = recurrence_probe(spec, FlowParams(dt=1e-2, record_every=5), 8, horizon=1.0, radius=1e6)
-        assert stats.returned_fraction == 1.0
-        assert len(calls) == 5
-
-    def test_takes_no_unprobed_tail_step(self, monkeypatch):
-        # 0.055 / 0.01: five full steps, all probed, and no fractional sixth
-        calls = counted_steps(monkeypatch)
-        spec = GibbsSpec(grid=make_grid(4), seed=13)
-        stats = recurrence_probe(spec, FlowParams(dt=1e-2), 5, horizon=0.055, radius=1e-12)
-        assert stats.returned_fraction == 0.0
-        assert len(calls) == 5
-
-    def test_return_times_match_snapshots(self):
-        # first record time at which each sample's snapshot lies inside the ball
-        g = make_grid(2)
-        spec = GibbsSpec(grid=g, seed=17)
-        p = FlowParams(dt=1e-2, record_every=10)
-        horizon, radius = 6.0, 0.35
-        stats = recurrence_probe(spec, p, 16, horizon=horizon, radius=radius)
-        start = sample_gaussian(spec, 16).coeffs
-        steps = range(p.record_every, round(horizon / p.dt) + 1, p.record_every)
-        snapshots = _advance_times(start, g, p, [k * p.dt for k in steps])
-        expected = np.full(16, math.nan)
-        for k, c in zip(steps, snapshots):
-            fresh = np.isnan(expected) & (_l2(c - start, g.length) < radius)
-            expected[fresh] = k * p.dt
-        assert 0.0 < stats.returned_fraction < 1.0
-        assert stats.return_times.tobytes() == expected.tobytes()
-
-    def test_validation(self):
-        g = make_grid(2)
-        spec = GibbsSpec(grid=g, seed=1)
-        with pytest.raises(ValueError):
-            recurrence_probe(spec, FlowParams(dt=1e-2), 5, horizon=1.0, radius=-1.0)
-        with pytest.raises(ValueError):
-            recurrence_probe(spec, FlowParams(dt=1e-2), 0, horizon=1.0, radius=0.1)

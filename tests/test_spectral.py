@@ -16,7 +16,7 @@ import ostlab.spectral as spectral
 from ostlab.bourgain import ResonanceRecord, ResonanceScan, TimeLocalizationResult
 from ostlab.flow import ConvergenceStudy, FlowParams, PicardResult, TrajectoryRecord, _linear_rates, evolve, picard_solve
 from ostlab.gibbs import Ensemble, GibbsSpec, pcn_chain
-from ostlab.invariance import RecurrenceStats, cubic_integral, hamiltonian_observable, mode_power, run_invariance
+from ostlab.invariance import cubic_integral, hamiltonian_observable, mode_power, run_invariance
 from ostlab.spectral import (
     FourierField,
     GridSpec,
@@ -135,9 +135,6 @@ def _records():
          {"times": float, "states": complex, "distances": float}),
         (ConvergenceStudy(m_values=(1,), errors=(0.1,), reference_modes=2, times=[0.0, 1.0]),
          {"times": float}),
-        (RecurrenceStats(return_times=[0.1], horizon=1.0, radius=0.5, t_min=0.1, hist_counts=[1],
-                         hist_edges=[0.1, 1.0]),
-         {"return_times": float, "hist_counts": int, "hist_edges": float}),
         (ResonanceScan(n_max=2, minimum=hit, slice_minimum=hit, hist_counts=[1], hist_edges=[1.0, 2.0]),
          {"hist_counts": int, "hist_edges": float}),
         (TimeLocalizationResult(b_values=(0.25,), T_values=(0.5,), ratios=[[1.0]], slopes=(0.0,)),

@@ -46,8 +46,6 @@ RUNS = [
     ("kernel-scan", ["kernel-scan", "--alpha", "0,1,-10", "--sum-tau", "0,5", "--sum-n", "1,2", "--k-range", "2000"]),
     ("picard", ["picard", "--modes", "8", "--norm", "0.1", "--t", "0.05", "--iters", "5", "--ref-dt", "0.001"]),
     ("convergence-m", ["convergence-m", "--m", "4,8", "--t", "0.1", "--dt", "0.002", "--record-every", "10"]),
-    ("recurrence", ["recurrence", "--modes", "4", "--count", "10", "--dt", "0.01", "--record-every", "10",
-                    "--horizon", "3", "--radius", "0.6"]),
     ("simulate-strang", ["simulate", *_SIMULATE, "--integrator", "strang-split"]),
     ("simulate-cosine", ["simulate", *_SIMULATE, "--init", "cosine", "--norm", "0.5"]),
     ("simulate-no-dealias", ["simulate", *_SIMULATE, "--dealias", "false"]),
@@ -55,13 +53,11 @@ RUNS = [
                           "--burn-in", "20", "--cutoff", "1.5"]),
     ("verify-invariance-negative-t", ["verify-invariance", "--modes", "4", "--count", "500", "--t-values", "-0.05,0.1",
                                       "--dt", "0.005"]),
-    # times that dt does not divide (a repeated key's last value wins): fixed-time runs
-    # take a fractional tail step, and the recurrence probe stops at the last full one
+    # times that dt does not divide (a repeated key's last value wins): the
+    # fixed-time runs take a fractional tail step
     ("simulate-tail", ["simulate", *_SIMULATE, "--t", "0.105"]),
     ("simulate-strang-tail", ["simulate", *_SIMULATE, "--t", "0.105", "--integrator", "strang-split"]),
     ("picard-tail", ["picard", "--modes", "8", "--norm", "0.1", "--t", "0.05", "--iters", "5", "--ref-dt", "0.0007"]),
-    ("recurrence-tail", ["recurrence", "--modes", "4", "--count", "10", "--dt", "0.01", "--record-every", "10",
-                         "--horizon", "3.005", "--radius", "0.6"]),
     ("verify-invariance-tail", ["verify-invariance", "--modes", "4", "--count", "500",
                                 "--t-values", "-0.0513,0.1037,0.0005", "--dt", "0.005"]),
     ("convergence-m-tail", ["convergence-m", "--m", "4,8", "--t", "0.1013", "--dt", "0.002", "--record-every", "10"]),
