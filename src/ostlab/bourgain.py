@@ -707,8 +707,6 @@ def _sum_form1(tau: float, n: int, k_range: int, m) -> tuple:
     # past k_range, |m(n1)+m(n-n1)| >= (3/4)|n| n1^2 up to O(1) terms;
     # integrate the monotone envelope log(2+c k^2)/(c k^2)
     c = 0.75 * abs(n)
-    if 0.5 * c * k_range**2 <= abs(tau) + 3.0:
-        raise ValueError("k_range too small for the tail bound")
     c_eff = 0.5 * c
     tail = 2.0 * (math.log(2.0 + c_eff * k_range**2) + 2.0) / (c_eff * k_range)
     return value, tail
@@ -721,13 +719,24 @@ def _sum_forms23(tau1: float, n1: int, k_range: int, rho: float, m) -> tuple:
     a = np.abs(_drop(base - m(0, k_range), k_range, 0, -n1))
     value2 = float(np.sum(np.log(2.0 + a) / (1.0 + a)))
     value3 = float(np.sum(np.log(1.0 + a) / (1.0 + a) ** rho))
-    if 0.5 * k_range**3 <= abs(base) + 3.0:
-        raise ValueError("k_range too small for the tail bound")
     c = 0.5  # |arg| >= |j|^3/2 beyond the scan, after absorbing base
     tail2 = 2.0 * (math.log(2.0 + c * k_range**3) + 3.0) / (2.0 * c * k_range**2)
     p = 3.0 * rho - 1.0
     tail3 = 2.0 * c**-rho * k_range**-p * (math.log(1.0 + c * k_range**3) / p + 3.0 / p**2)
     return (value2, tail2), (value3, tail3)
+
+
+def _check_sum_grid(tau_list, n_list, k_range: int) -> None:
+    """Raise ValueError unless every (tau, n) grid point is nonzero in n and k_range reaches its tail bounds."""
+    for tau in tau_list:
+        for n in n_list:
+            if n == 0:
+                raise ValueError("n must be nonzero")
+            # form 1's envelope past k_range needs (3/4)|n| k^2 / 2 above |tau| + 3;
+            # forms 2 and 3 read (tau, n) as (tau1, n1) and need k^3 / 2 above |tau1 + m(n1)| + 3
+            short1 = 0.5 * (0.75 * abs(n)) * k_range**2 <= abs(tau) + 3.0
+            if short1 or 0.5 * k_range**3 <= abs(tau + dispersion(n)) + 3.0:
+                raise ValueError(f"k_range too small for the tail bound at tau {tau:g}, n {n}")
 
 
 def kernel_sum_scan(tau_list, n_list, rho: float, k_range: int = 10**5) -> KernelSumResult:
@@ -749,6 +758,7 @@ def kernel_sum_scan(tau_list, n_list, rho: float, k_range: int = 10**5) -> Kerne
     n_far = abs(int(max(n_list, key=abs, default=0)))
     if n_far > _KERNEL_K_MAX:
         raise ValueError(f"|n| must be at most {_KERNEL_K_MAX}, got {n_far}")
+    _check_sum_grid(tau_list, n_list, k_range)
     # every index below lies in 0 < |i| <= k_range + max |n|
     m = _symbol_table(int(k_range) + n_far)
     rows = []
@@ -756,8 +766,6 @@ def kernel_sum_scan(tau_list, n_list, rho: float, k_range: int = 10**5) -> Kerne
         tau = float(tau)
         for n in n_list:
             n = int(n)
-            if n == 0:
-                raise ValueError("n must be nonzero")
             v1, t1 = _sum_form1(tau, n, k_range, m)
             (v2, t2), (v3, t3) = _sum_forms23(tau, n, k_range, rho, m)
             rows.append(KernelSumRow(form=1, tau=tau, n=n, value=v1, tail=t1))

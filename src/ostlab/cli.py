@@ -40,8 +40,8 @@ import numpy as np
 
 from . import __version__
 from .bourgain import (
-    _KERNEL_EPS_MAX, _KERNEL_K_MAX, _RESONANCE_N_MAX, bilinear_sweep, kernel_integral_scan, kernel_sum_scan,
-    resonance_scan, sweep_spec,
+    _KERNEL_EPS_MAX, _KERNEL_K_MAX, _RESONANCE_N_MAX, _check_sum_grid, bilinear_sweep, kernel_integral_scan,
+    kernel_sum_scan, resonance_scan, sweep_spec,
 )
 from .flow import _MAX_NODES, BlowUpError, FlowParams, _linear_rates, convergence_in_m, evolve, flow_map, picard_solve
 from .gibbs import (
@@ -120,6 +120,7 @@ def _parse_list(parse, items: str):
 _FLOATS = _parse_list(_within(_parse_float, "a finite number", math.isfinite), "numbers")
 _INTS = _parse_list(_parse_int, "integers")
 _COUNT = _within(_parse_int, "an integer >= 1", lambda v: v >= 1)
+_STEP = _within(_parse_float, "a positive finite number", lambda v: 0.0 < v < math.inf)
 
 
 def _choice(*options: str):
@@ -169,8 +170,7 @@ _GRID = [
 ]
 
 _FLOW = [
-    _Key("flow.dt", "dt", _within(_parse_float, "a positive finite number", lambda v: 0.0 < v < math.inf), 1e-3,
-         "integrator time step"),
+    _Key("flow.dt", "dt", _STEP, 1e-3, "integrator time step"),
     _Key(
         "flow.integrator",
         "integrator",
@@ -264,6 +264,12 @@ def _resolve(command: str, args: argparse.Namespace) -> RunConfig:
             sweep_spec(n_max, d_tau=values["bilinear.d_tau"], w_cells=values["bilinear.w_cells"])
         except ValueError as exc:
             raise ConfigError(f"bilinear.n_max_values entry {n_max}, d_tau {values['bilinear.d_tau']}: {exc}") from exc
+    if "kernel.k_range" in values:
+        try:
+            _check_sum_grid(values["kernel.sum_tau_values"], values["kernel.sum_n_values"], values["kernel.k_range"])
+        except ValueError as exc:
+            raise ConfigError(f"kernel.k_range = {values['kernel.k_range']} (kernel.sum_tau_values, "
+                              f"kernel.sum_n_values): {exc}") from exc
     return RunConfig(command=command, values=values)
 
 
@@ -632,8 +638,9 @@ _COMMANDS = {
         _Key("kernel.eps", "eps", _within(_parse_float, f"a number in (0, {_KERNEL_EPS_MAX:g}]",
                                           lambda v: 0.0 < v <= _KERNEL_EPS_MAX), 0.5, "form-3 exponent offset"),
         _Key("kernel.sum_tau_values", "sum-tau", _FLOATS, (0.0, 5.0, -25.0, 300.0), "sum scan tau grid"),
-        _Key("kernel.sum_n_values", "sum-n", _parse_list(_within(_parse_int, f"an integer with |n| <= {_KERNEL_K_MAX}",
-                                                                 lambda v: abs(v) <= _KERNEL_K_MAX), "integers"),
+        _Key("kernel.sum_n_values", "sum-n",
+             _parse_list(_within(_parse_int, f"a nonzero integer with |n| <= {_KERNEL_K_MAX}",
+                                 lambda v: 0 < abs(v) <= _KERNEL_K_MAX), "integers"),
              (1, 2, -3, 7), "sum scan frequency grid"),
         _Key("kernel.sum_rho", "sum-rho", _within(_parse_float, "a number > 2/3 and finite",
                                                   lambda v: 2.0 / 3.0 < v < math.inf), 0.7,
@@ -648,7 +655,7 @@ _COMMANDS = {
         _Key("picard.iters", "iters", _COUNT, 8, "Picard iterations"),
         _Key("picard.nodes", "nodes", _within(_parse_int, f"0 or an integer in [2, {_MAX_NODES}]",
                                               lambda v: v == 0 or 2 <= v <= _MAX_NODES), 0, "quadrature nodes (0 = auto)"),
-        _Key("picard.ref_dt", "ref-dt", _parse_float, 1e-4, "time step of the reference endpoint"),
+        _Key("picard.ref_dt", "ref-dt", _STEP, 1e-4, "time step of the reference endpoint"),
     ]),
     "convergence-m": (_cmd_convergence_m, _COMMON + _GRID[:1] + [
         _Key("convergence.m_values", "m", _INTS, (8, 16, 32), "truncation sizes (increasing)"),

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spectral import (
+    TWO_PI,
     FourierField,
     GridSpec,
     _coeff_to_coords,
@@ -146,17 +147,85 @@ def _linear_rates(grid: GridSpec) -> np.ndarray:
     return -1j * dispersion(grid.xi)
 
 
+# Up to this many modes the product is two real GEMMs against DFT tables;
+# above it, pocketfft.  With one-thread OpenBLAS on a 2-core Xeon the tables
+# took 0.18-0.65 of the FFT's time at batch 20 and 20 000 for m = 8..32,
+# and 1.7x the FFT's time at batch 20 for m = 64 (tools/layer_bench.py).
+_GEMM_MAX_MODES = 32
+
+# OpenBLAS runs a GEMM with M*N*K at most 65536 * 4 on the calling thread
+# (interface/gemm.c); row chunks stay under it, so the flow's own workers
+# are the only parallelism whether or not BLAS is pinned to one thread.
+_GEMM_SERIAL_MNK = 65536 * 4
+
+
+def _product_tables(modes: int, npts: int):
+    """Real DFT tables (t_in, t_out) of the product on npts points.
+
+    t_in (2m, n) takes interleaved (Re, Im) coefficients to samples,
+    t_out (n, m') samples to interleaved coefficients of u^2.  Angles come
+    from the reduced index k*j mod npts, with exact zeros at the quarter
+    and half turns.  n and m' round npts and 2m up to multiples of 8 with
+    zero columns: an output width off that grid sends edge columns through
+    OpenBLAS kernels whose bits depend on the row count.
+    """
+    r = np.outer(np.arange(1, modes + 1), np.arange(npts)) % npts
+    cos, sin = np.cos(TWO_PI / npts * r), np.sin(TWO_PI / npts * r)
+    cos[(4 * r == npts) | (4 * r == 3 * npts)] = 0.0
+    sin[(r == 0) | (2 * r == npts)] = 0.0
+    n, width = -(-npts // 8) * 8, -(-2 * modes // 8) * 8
+    t_in, t_out = np.zeros((2 * modes, n)), np.zeros((n, width))
+    t_in[0::2, :npts], t_in[1::2, :npts] = 2.0 * cos, -2.0 * sin
+    t_out[:npts, 0 : 2 * modes : 2], t_out[:npts, 1 : 2 * modes : 2] = cos.T / npts, -sin.T / npts
+    return t_in, t_out
+
+
+def _product_work(lead: tuple, npts: int, tables) -> tuple:
+    """Workspace of _product_coeff for a lead + (m,) stack: FFT buffers when tables is None."""
+    if tables is None:
+        half = npts // 2 + 1
+        return np.zeros(lead + (half,), np.complex128), np.empty(lead + (npts,)), np.empty(lead + (half,), np.complex128)
+    t_in, t_out = tables
+    rows = max(2, math.prod(lead))
+    chunk = min(rows, max(4, _GEMM_SERIAL_MNK // t_out.size))
+    return t_in, t_out, np.zeros((2, len(t_in))), np.empty((chunk, len(t_out)))
+
+
 def _product_coeff(coeff: np.ndarray, modes: int, npts: int, *, work: tuple) -> np.ndarray:
     """Modes 1..m of u^2 from an npts-point product grid, as a fresh array.
 
     npts >= 4*modes is alias-free for the quadratic product; smaller grids
     (allowed down to 2m+1) fold high products back onto the band.  `work`
-    holds the spectrum (zero off the band), sample and rfft buffers.
+    (from _product_work) holds the spectrum (zero off the band), sample and
+    rfft buffers above _GEMM_MAX_MODES; else the DFT tables, a zero-padded
+    row pair and a sample buffer of at most one serial GEMM's rows.
     """
-    spec, u, prod = work
-    _to_physical(coeff, npts, spec, out=u)
-    u *= u
-    return _from_physical(u, modes, out=prod)
+    if modes > _GEMM_MAX_MODES:
+        spec, u, prod = work
+        _to_physical(coeff, npts, spec, out=u)
+        u *= u
+        return _from_physical(u, modes, out=prod)
+    t_in, t_out, pad, u = work
+    x = np.ascontiguousarray(coeff, np.complex128).reshape(-1, modes).view(np.float64)
+    rows = len(x)
+    if rows < 2:
+        # numpy sends a 1-row operand to gemv, whose bits differ from gemm's rows
+        pad[:rows] = x
+        x = pad
+    if len(x) == len(u):  # the whole stack in one serial GEMM pair
+        s = np.matmul(x, t_in, out=u)
+        s *= s
+        out = s @ t_out
+    else:
+        out = np.empty((len(x), t_out.shape[1]))
+        # even chunks of at most len(u) >= 4 rows, so none is a lone row
+        chunks = -(-len(x) // len(u))
+        for i in range(chunks):
+            lo, hi = len(x) * i // chunks, len(x) * (i + 1) // chunks
+            s = np.matmul(x[lo:hi], t_in, out=u[: hi - lo])
+            s *= s
+            np.matmul(s, t_out, out=out[lo:hi])
+    return out[:rows, : 2 * modes].view(np.complex128).reshape(coeff.shape)
 
 
 def _nonlinear(grid: GridSpec, dealias: bool = True):
@@ -166,14 +235,15 @@ def _nonlinear(grid: GridSpec, dealias: bool = True):
     Its workspace follows the input shape: never share it between threads.
     """
     npts = grid.points if dealias else 2 * grid.modes + 1
-    m, half, rate = grid.modes, npts // 2 + 1, -1j * grid.xi
-    work = None
+    m, rate = grid.modes, -1j * grid.xi
+    tables = _product_tables(m, npts) if m <= _GEMM_MAX_MODES else None
+    work, lead = None, None
 
     def rhs(c):
-        nonlocal work
-        lead = c.shape[:-1]
-        if work is None or work[1].shape[:-1] != lead:
-            work = (np.zeros(lead + (half,), np.complex128), np.empty(lead + (npts,)), np.empty(lead + (half,), np.complex128))
+        nonlocal work, lead
+        if c.shape[:-1] != lead:
+            lead = c.shape[:-1]
+            work = _product_work(lead, npts, tables)
         product = _product_coeff(c, m, npts, work=work)
         return np.multiply(rate, product, out=product)
 

@@ -8,7 +8,7 @@ import time
 import pytest
 
 from ostlab.bourgain import _KERNEL_K_MAX
-from ostlab.cli import _COMMANDS, _PICARD_CELLS_MAX, _build_parser, _resolve, main
+from ostlab.cli import _COMMANDS, _PICARD_CELLS_MAX, ConfigError, _build_parser, _resolve, main
 from ostlab.flow import _MAX_NODES, _MAX_STEPS
 from ostlab.gibbs import load_ensemble
 
@@ -199,6 +199,9 @@ class TestConfigResolution:
             (["simulate", "--record-every", "0"], "flow.record_every"),
             (["picard", "--iters", "0"], "picard.iters"),
             (["bilinear-sweep", "--trials", "-1"], "bilinear.trials"),
+            (["picard", "--ref-dt", "0"], "picard.ref_dt"),
+            (["picard", "--ref-dt", "nan"], "picard.ref_dt"),
+            (["kernel-scan", "--sum-n", "1,0"], "kernel.sum_n_values"),
         ],
     )
     def test_out_of_domain_value_exits_1_naming_key(self, capsys, tmp_path, argv, key):
@@ -244,7 +247,7 @@ class TestConfigResolution:
     def test_kernel_sum_frequency_beyond_k_range_exits_1(self, capsys, tmp_path):
         code, _, err = run(capsys, "kernel-scan", "--sum-n", "7", "--k-range", "3", "--out", str(tmp_path))
         assert code == 1
-        assert "k_range too small for the tail bound" in err
+        assert "kernel.k_range = 3" in err and "k_range too small for the tail bound at tau 0, n 7" in err
         assert "Traceback" not in err
         assert list(tmp_path.iterdir()) == []
 
@@ -680,7 +683,11 @@ class TestStepCap:
         resolve = lambda *argv: _resolve("kernel-scan", _build_parser().parse_args(["kernel-scan", *argv]))
         assert resolve("--k-range", str(_KERNEL_K_MAX))["kernel.k_range"] == _KERNEL_K_MAX
         cap = _KERNEL_K_MAX
-        assert resolve("--sum-n", f"{-cap},{cap}")["kernel.sum_n_values"] == (-cap, cap)
+        sum_n = next(k for k in _COMMANDS["kernel-scan"][1] if k.name == "kernel.sum_n_values")
+        assert sum_n.parse(f"{-cap},{cap}") == (-cap, cap)
+        # forms 2 and 3 need k_range^3 / 2 above |m(n)| + 3, so no k_range up to the cap serves |n| = cap
+        with pytest.raises(ConfigError, match=rf"^kernel\.k_range = {cap} .*tail bound at tau 0, n -{cap}$"):
+            resolve("--sum-n", f"{-cap},{cap}", "--k-range", str(cap))
 
     @pytest.mark.parametrize("argv", [("--modes", "4096", "--t", "40"), ("--modes", "32", "--t", "40"),
                                       ("--modes", "4096", "--nodes", "2000")], ids=" ".join)

@@ -1,6 +1,8 @@
 """Galerkin flow: conservation, semigroup structure, Liouville, Picard."""
 
 import math
+import os
+import subprocess
 import sys
 
 import numpy as np
@@ -56,12 +58,30 @@ def smooth_random_field(grid, rng, k0=2.0):
     return FourierField(grid, f.coeff / l2_norm(f))
 
 
-def reference_product_coeff(coeff, modes, npts):
-    """The pseudo-spectral product written plainly: fresh arrays at every call."""
+def fft_product_coeff(coeff, modes, npts):
+    """Modes 1..m of u^2 through np.fft on the npts-point grid."""
     spec = np.zeros(coeff.shape[:-1] + (npts // 2 + 1,), dtype=np.complex128)
     spec[..., 1 : modes + 1] = coeff * npts
     u = np.fft.irfft(spec, n=npts, axis=-1)
     return np.fft.rfft(u * u, axis=-1)[..., 1 : modes + 1] / npts
+
+
+def reference_product_coeff(coeff, modes, npts):
+    """The pseudo-spectral product written plainly: fresh arrays at every call.
+
+    Up to flow._GEMM_MAX_MODES it is one pair of table GEMMs over the whole
+    stack, a lone row padded with a zero row; above, the np.fft product.
+    """
+    if modes > flow._GEMM_MAX_MODES:
+        return fft_product_coeff(coeff, modes, npts)
+    t_in, t_out = flow._product_tables(modes, npts)
+    x = coeff.reshape(-1, modes).view(np.float64)
+    rows = len(x)
+    if rows < 2:
+        x = np.concatenate([x, np.zeros((1, 2 * modes))])
+    u = x @ t_in
+    prod = (u * u) @ t_out
+    return prod[:rows, : 2 * modes].copy().view(np.complex128).reshape(coeff.shape)
 
 
 def reference_rhs(grid, dealias=True):
@@ -157,6 +177,24 @@ class TestNonlinearTerm:
             n = nonlinear_term(f)
             assert abs(inner(n, f)) <= 1e-10 * l2_norm(f) ** 3
 
+    @pytest.mark.parametrize("dealias", [True, False], ids=["dealiased", "odd-grid"])
+    @pytest.mark.parametrize("m", [1, 4, 8, 16, 32])
+    def test_product_matches_numpy_fft(self, m, dealias):
+        # the table product is the FFT product up to roundoff, aliasing included on the odd grid
+        g = make_grid(m)
+        npts = g.points if dealias else 2 * m + 1
+        for lead in [(), (7,)]:
+            c = random_stack(g, np.random.default_rng(67), lead)
+            ref = -1j * g.xi * fft_product_coeff(c, m, npts)  # exactly 0 at m = 1 on the dealiased grid
+            assert np.abs(_nonlinear(g, dealias)(c) - ref).max() <= 1e-14 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("m", [1, 8, 32])
+    def test_gemm_rows_stay_under_serial_threshold(self, m):
+        # a larger GEMM would start OpenBLAS threads next to the flow's own workers
+        for npts in (4 * m, 2 * m + 1):
+            _, t_out, _, u = flow._product_work((20000,), npts, flow._product_tables(m, npts))
+            assert len(u) >= 4 and len(u) * t_out.size <= flow._GEMM_SERIAL_MNK
+
 
 class TestReferenceBits:
     # the workspace product and the in-place step sum reproduce the plain
@@ -164,7 +202,7 @@ class TestReferenceBits:
 
     @pytest.mark.parametrize("dealias", [True, False], ids=["dealiased", "odd-grid"])
     @pytest.mark.parametrize("lead", [(), (5,)], ids=["single", "stack"])
-    @pytest.mark.parametrize("m", [8, 32])
+    @pytest.mark.parametrize("m", [8, 32, 33])
     def test_rhs_matches_reference(self, m, lead, dealias):
         g = make_grid(m)
         c = random_stack(g, np.random.default_rng(41), lead)
@@ -440,6 +478,38 @@ class TestAdvanceTimes:
         calls = counted_steps(monkeypatch)
         _advance_times(stack, g, FlowParams(dt=1e-2), [0.055, -0.03, 0.1, 0.055])
         assert len(calls) == 10 + 3 + 2
+
+    @pytest.mark.parametrize("dealias", [True, False], ids=["dealiased", "odd-grid"])
+    @pytest.mark.parametrize("m", [4, 8, 16, 32, 33])
+    def test_lone_tail_row_matches_single_runs(self, m, dealias):
+        # the last block holds one row, which the table product pads rather than send to gemv
+        g = make_grid(m)
+        stack = random_stack(g, np.random.default_rng(71), (_ROW_BLOCK + 1,))
+        p = FlowParams(dt=1e-2, dealias=dealias)
+        whole = _advance_times(stack, g, p, [0.015])[0]
+        for i in (0, 1, 500, 511, 512, _ROW_BLOCK - 1, _ROW_BLOCK):
+            assert whole[i].tobytes() == _advance_times(stack[i], g, p, [0.015])[0].tobytes()
+
+    def test_bytes_independent_of_blas_threads(self):
+        # every GEMM stays under OpenBLAS's serial threshold, and its rows do not depend on the split
+        script = (
+            "import hashlib, numpy as np\n"
+            "from ostlab.flow import FlowParams, _advance_times\n"
+            "from ostlab.spectral import make_grid\n"
+            "rng = np.random.default_rng(73)\n"
+            "for m, rows, dealias in ((8, 3000, True), (32, 300, True), (16, 700, False)):\n"
+            "    c = 0.3 * (rng.standard_normal((rows, m)) + 1j * rng.standard_normal((rows, m)))\n"
+            "    out = _advance_times(c, make_grid(m), FlowParams(dt=1e-2, dealias=dealias), [0.03], threads=2)[0]\n"
+            "    print(hashlib.sha256(out.tobytes()).hexdigest())\n"
+        )
+        digests = []
+        for blas_threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=blas_threads, PYTHONPATH=os.pathsep.join(sys.path))
+            run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+            assert run.returncode == 0, run.stderr
+            digests.append(run.stdout)
+        assert len(digests[0].split()) == 3
+        assert digests[0] == digests[1]
 
     def test_blow_up_reports_row_of_whole_stack(self):
         g = make_grid(8)
