@@ -43,7 +43,10 @@ from .bourgain import (
     _KERNEL_EPS_MAX, _KERNEL_K_MAX, _RESONANCE_N_MAX, _check_sum_grid, bilinear_sweep, kernel_integral_scan,
     kernel_sum_scan, resonance_scan, sweep_spec,
 )
-from .flow import _MAX_NODES, BlowUpError, FlowParams, _linear_rates, convergence_in_m, evolve, flow_map, picard_solve
+from .flow import (
+    _MAX_NODES, _PICARD_T_MAX, BlowUpError, FlowParams, _default_nodes, _linear_rates, convergence_in_m, evolve,
+    flow_map, picard_solve,
+)
 from .gibbs import (
     DegenerateWeightsError,
     GibbsSpec,
@@ -117,10 +120,15 @@ def _parse_list(parse, items: str):
     return parse_list
 
 
-_FLOATS = _parse_list(_within(_parse_float, "a finite number", math.isfinite), "numbers")
+_FINITE = _within(_parse_float, "a finite number", math.isfinite)
+_FLOATS = _parse_list(_FINITE, "numbers")
 _INTS = _parse_list(_parse_int, "integers")
 _COUNT = _within(_parse_int, "an integer >= 1", lambda v: v >= 1)
-_STEP = _within(_parse_float, "a positive finite number", lambda v: 0.0 < v < math.inf)
+_NATURAL = _within(_parse_int, "an integer >= 0", lambda v: v >= 0)
+_POSITIVE = _within(_parse_float, "a positive finite number", lambda v: 0.0 < v < math.inf)
+_NONNEGATIVE = _within(_parse_float, "a finite number >= 0", lambda v: 0.0 <= v < math.inf)
+# GibbsSpec's seed domain, for every seed key
+_SEED = _within(_parse_int, "an integer in [0, 2**63)", lambda v: 0 <= v < 2**63)
 
 
 def _choice(*options: str):
@@ -159,41 +167,31 @@ class _Key:
 
 _COMMON = [
     _Key("output.dir", "out", str, "", "output directory ('' = $OSTLAB_OUTDIR or '.')"),
-    _Key("run.threads", "threads", _within(_parse_int, "an integer >= 0", lambda v: v >= 0), 0,
-         "max worker threads (0 = all cores)"),
+    _Key("run.threads", "threads", _NATURAL, 0, "max worker threads (0 = all cores)"),
 ]
 
 _GRID = [
-    _Key("grid.length", "length", _parse_float, 2.0 * math.pi, "circle length A"),
-    _Key("grid.modes", "modes", _parse_int, 16, "retained positive Fourier modes m"),
-    _Key("grid.points", "points", _parse_int, 0, "quadrature points N (0 = 4m, alias-free)"),
+    _Key("grid.length", "length", _POSITIVE, 2.0 * math.pi, "circle length A"),
+    _Key("grid.modes", "modes", _COUNT, 16, "retained positive Fourier modes m"),
 ]
 
 _FLOW = [
-    _Key("flow.dt", "dt", _STEP, 1e-3, "integrator time step"),
-    _Key(
-        "flow.integrator",
-        "integrator",
-        _choice("etdrk4", "strang-split"),
-        "etdrk4",
-        "time integrator",
-    ),
+    _Key("flow.dt", "dt", _POSITIVE, 1e-3, "ETDRK4 time step"),
     _Key("flow.dealias", "dealias", _parse_bool, True, "zero-padded products"),
     _Key("flow.record_every", "record-every", _COUNT, 1, "steps between records"),
 ]
 
 _INIT = [
     _Key("init.kind", "init", _choice("gaussian-random", "cosine"), "gaussian-random", "initial data family"),
-    _Key("init.seed", "seed", _parse_int, 0, "random-state seed"),
-    _Key("init.k0", "k0", _parse_float, 2.0, "spectral decay scale of random data"),
-    _Key("init.norm", "norm", _parse_float, 1.0, "L2 norm (gaussian-random) or amplitude (cosine)"),
+    _Key("init.seed", "seed", _SEED, 0, "random-state seed"),
+    _Key("init.k0", "k0", _POSITIVE, 2.0, "spectral decay scale of random data"),
+    _Key("init.norm", "norm", _POSITIVE, 1.0, "L2 norm (gaussian-random) or amplitude (cosine)"),
 ]
 
 _GIBBS = [
     _Key("gibbs.count", "count", _parse_int, 1000, "number of samples"),
-    _Key("gibbs.seed", "seed", _parse_int, 0, "master seed for sample streams"),
-    _Key("gibbs.cutoff_r", "cutoff", _within(_parse_float, "a finite number >= 0", lambda v: 0.0 <= v < math.inf),
-         0.0, "L2 cutoff radius R (0 = no cutoff)"),
+    _Key("gibbs.seed", "seed", _SEED, 0, "master seed for sample streams"),
+    _Key("gibbs.cutoff_r", "cutoff", _NONNEGATIVE, 0.0, "L2 cutoff radius R (0 = no cutoff)"),
 ]
 
 
@@ -253,8 +251,8 @@ def _resolve(command: str, args: argparse.Namespace) -> RunConfig:
     least = 2 if command == "gibbs-sample" else 1
     if values.get("gibbs.count", least) < least:
         raise ConfigError(f"gibbs.count must be at least {least} for {command}, got {values['gibbs.count']}")
-    if command == "picard":  # picard_solve's default density when picard.nodes = 0
-        nodes = values["picard.nodes"] or max(65, math.ceil(6400.0 * values["picard.t"]) + 1)
+    if command == "picard":  # picard_solve's default grid when picard.nodes = 0
+        nodes = values["picard.nodes"] or _default_nodes(values["picard.t"])
         if nodes * values["grid.modes"] > _PICARD_CELLS_MAX:
             raise ConfigError(f"grid.modes = {values['grid.modes']} on {nodes} nodes (picard.t, picard.nodes) "
                               f"is {nodes * values['grid.modes']} table cells, above the cap of {_PICARD_CELLS_MAX}")
@@ -326,12 +324,6 @@ def _write_meta(out: Path, cfg: RunConfig, summary: dict) -> None:
 # shared construction helpers
 
 
-def _make_grid_from(cfg: RunConfig, modes: int | None = None):
-    """Grid of the grid.* keys; modes, if given, replaces grid.modes."""
-    modes = cfg["grid.modes"] if modes is None else modes
-    return make_grid(modes, cfg["grid.length"], cfg.values.get("grid.points", 0) or None)
-
-
 def _max_phase_per_step(grid, dt: float) -> float:
     """Linear phase the fastest retained mode turns through in one step.
 
@@ -361,15 +353,10 @@ def _gibbs_spec(cfg: RunConfig, grid) -> GibbsSpec:
 
 def _cmd_simulate(cfg: RunConfig) -> int:
     """integrate one initial state and record conserved quantities"""
-    grid = _make_grid_from(cfg)
+    grid = make_grid(cfg["grid.modes"], cfg["grid.length"])
     f0 = _initial_field(cfg, grid)
-    p = FlowParams(
-        dt=cfg["flow.dt"],
-        T=cfg["flow.t"],
-        integrator=cfg["flow.integrator"],
-        dealias=cfg["flow.dealias"],
-        record_every=cfg["flow.record_every"],
-    )
+    p = FlowParams(dt=cfg["flow.dt"], T=cfg["flow.t"], dealias=cfg["flow.dealias"],
+                   record_every=cfg["flow.record_every"])
     rec = evolve(f0, p)
     out = _out_dir(cfg)
     rows = [(t, l2, h) for t, l2, h in zip(rec.times, rec.l2, rec.hamiltonian)]
@@ -388,7 +375,7 @@ def _cmd_simulate(cfg: RunConfig) -> int:
 
 def _cmd_gibbs_sample(cfg: RunConfig) -> int:
     """draw a Gibbs ensemble and save it with a moment summary"""
-    grid = _make_grid_from(cfg)
+    grid = make_grid(cfg["grid.modes"], cfg["grid.length"])
     spec = _gibbs_spec(cfg, grid)
     counters = {}
     start = time.perf_counter()
@@ -420,10 +407,10 @@ def _cmd_gibbs_sample(cfg: RunConfig) -> int:
 
 def _cmd_verify_invariance(cfg: RunConfig) -> int:
     """push a Gibbs ensemble through the flow and z-test observables"""
-    grid = _make_grid_from(cfg)
+    grid = make_grid(cfg["grid.modes"], cfg["grid.length"])
     spec = _gibbs_spec(cfg, grid)
     obs = parse_observables(cfg["invariance.observables"], spec)
-    p = FlowParams(dt=cfg["flow.dt"], integrator=cfg["flow.integrator"])
+    p = FlowParams(dt=cfg["flow.dt"])
     reports = run_invariance(
         spec, p, cfg["invariance.t_values"], obs, cfg["gibbs.count"],
         z_max=cfg["invariance.z_max"], threads=cfg["run.threads"],
@@ -532,7 +519,7 @@ def _cmd_kernel_scan(cfg: RunConfig) -> int:
 
 def _cmd_picard(cfg: RunConfig) -> int:
     """Picard iteration contraction against the time-stepper endpoint"""
-    grid = _make_grid_from(cfg)
+    grid = make_grid(cfg["grid.modes"], cfg["grid.length"])
     phi = _initial_field(cfg, grid)
     nodes = cfg["picard.nodes"]
     res = picard_solve(phi, cfg["picard.t"], cfg["picard.iters"], nodes=(nodes if nodes else None))
@@ -550,7 +537,7 @@ def _cmd_picard(cfg: RunConfig) -> int:
 def _cmd_convergence_m(cfg: RunConfig) -> int:
     """truncation convergence against a finer reference"""
     m_values = cfg["convergence.m_values"]
-    grid = _make_grid_from(cfg, modes=2 * max(m_values))
+    grid = make_grid(2 * max(m_values), cfg["grid.length"])
     f0 = _initial_field(cfg, grid)
     study = convergence_in_m(
         f0,
@@ -578,16 +565,14 @@ def _cmd_convergence_m(cfg: RunConfig) -> int:
 # command table: name -> (handler, keys), in --help order; the handler's
 # docstring is the command's help line
 
-# longest picard.t whose default grid (6400 nodes per unit time) fits the node cap; the
-# (nodes, m) tables may hold as many cells as the node cap's at the default m = 16
-_PICARD_T_MAX = (_MAX_NODES - 1) / 6400.0
+# the (nodes, m) tables may hold as many cells as the node cap's at the default m = 16
 _PICARD_CELLS_MAX = 16 * _MAX_NODES
 
 _COMMANDS = {
     "simulate": (_cmd_simulate, _COMMON + _GRID + _FLOW + _INIT + [
-        _Key("flow.t", "t", _parse_float, 1.0, "final time T"),
+        _Key("flow.t", "t", _NONNEGATIVE, 1.0, "final time T"),
     ]),
-    "gibbs-sample": (_cmd_gibbs_sample, _COMMON + _GRID[:2] + _GIBBS + [
+    "gibbs-sample": (_cmd_gibbs_sample, _COMMON + _GRID + _GIBBS + [
         _Key(
             "gibbs.sampler",
             "sampler",
@@ -597,9 +582,9 @@ _COMMANDS = {
         ),
         _Key("gibbs.beta", "beta", _within(_parse_float, "a finite number in [0, 1]", lambda v: 0.0 <= v <= 1.0), 0.5,
              "pCN proposal step"),
-        _Key("gibbs.burn_in", "burn-in", _parse_int, 0, "pCN burn-in steps"),
+        _Key("gibbs.burn_in", "burn-in", _NATURAL, 0, "pCN burn-in steps"),
     ]),
-    "verify-invariance": (_cmd_verify_invariance, _COMMON + _GRID[:2] + _FLOW[:2] + _GIBBS + [
+    "verify-invariance": (_cmd_verify_invariance, _COMMON + _GRID + _FLOW[:1] + _GIBBS + [
         _Key("invariance.t_values", "t-values", _FLOATS, (0.5,), "flow times to test"),
         _Key("invariance.z_max", "z-max", _within(_parse_float, "a number >= 0", lambda v: v >= 0.0), 3.0,
              "pass threshold on |z|"),
@@ -619,11 +604,10 @@ _COMMANDS = {
     "bilinear-sweep": (_cmd_bilinear_sweep, _COMMON + [
         _Key("bilinear.s_values", "s", _FLOATS, (0.0, -0.5, -0.6), "Sobolev indices"),
         _Key("bilinear.n_max_values", "nmax", _INTS, (16, 32, 64), "lattice sizes"),
-        _Key("bilinear.trials", "trials", _within(_parse_int, "an integer >= 0", lambda v: v >= 0), 4,
-             "random candidates per structured pair"),
-        _Key("bilinear.d_tau", "d-tau", _parse_float, 16.0, "modulation grid spacing (shared)"),
+        _Key("bilinear.trials", "trials", _NATURAL, 4, "random candidates per structured pair"),
+        _Key("bilinear.d_tau", "d-tau", _POSITIVE, 16.0, "modulation grid spacing (shared)"),
         _Key("bilinear.w_cells", "w-cells", _COUNT, 16, "candidate profile width in cells"),
-        _Key("bilinear.seed", "seed", _parse_int, 0, "seed for random profiles"),
+        _Key("bilinear.seed", "seed", _SEED, 0, "seed for random profiles"),
     ]),
     "kernel-scan": (_cmd_kernel_scan, _COMMON + [
         _Key(
@@ -655,16 +639,18 @@ _COMMANDS = {
         _Key("picard.iters", "iters", _COUNT, 8, "Picard iterations"),
         _Key("picard.nodes", "nodes", _within(_parse_int, f"0 or an integer in [2, {_MAX_NODES}]",
                                               lambda v: v == 0 or 2 <= v <= _MAX_NODES), 0, "quadrature nodes (0 = auto)"),
-        _Key("picard.ref_dt", "ref-dt", _STEP, 1e-4, "time step of the reference endpoint"),
+        _Key("picard.ref_dt", "ref-dt", _POSITIVE, 1e-4, "time step of the reference endpoint"),
     ]),
     "convergence-m": (_cmd_convergence_m, _COMMON + _GRID[:1] + [
-        _Key("convergence.m_values", "m", _INTS, (8, 16, 32), "truncation sizes (increasing)"),
-        _Key("convergence.t", "t", _parse_float, 1.0, "final time T"),
+        _Key("convergence.m_values", "m", _within(_INTS, "strictly increasing integers >= 1",
+                                                  lambda v: v[0] >= 1 and all(a < b for a, b in zip(v, v[1:]))),
+             (8, 16, 32), "truncation sizes (increasing)"),
+        _Key("convergence.t", "t", _FINITE, 1.0, "final time T"),
         _FLOW[0],
         _Key("flow.record_every", "record-every", _COUNT, 50, "steps between compared records"),
         _INIT[1],
-        _Key("init.k0", "k0", _parse_float, 4.0, "spectral decay scale of random data"),
-        _Key("init.norm", "norm", _parse_float, 1.0, "L2 norm of the initial state"),
+        _Key("init.k0", "k0", _POSITIVE, 4.0, "spectral decay scale of random data"),
+        _Key("init.norm", "norm", _POSITIVE, 1.0, "L2 norm of the initial state"),
     ]),
 }
 

@@ -12,8 +12,8 @@ This is the Hamiltonian form u_t = -dx(dH/du) for
 
     H(u) = (1/2)(Su, u) + (1/3) int u^3,
 
-so the flow conserves H and the L2 norm exactly; the integrators below
-conserve them to scheme accuracy.  The linear phase exp(-i(xi^3+1/xi)t)
+so the flow conserves H and the L2 norm exactly; the ETDRK4 integrator
+below conserves them to scheme accuracy.  The linear phase exp(-i(xi^3+1/xi)t)
 is applied exactly per mode (exponential integrator), which removes the
 xi^3 stiffness entirely.
 
@@ -89,17 +89,15 @@ class BlowUpError(RuntimeError):
 
 @dataclass(frozen=True)
 class FlowParams:
-    """Integration controls.
+    """Integration controls of the ETDRK4 integrator.
 
-    integrator: "etdrk4" (4th order, default) or "strang-split" (2nd order
-    cross-check).  dealias=False evaluates the quadratic product on a
-    minimal 2m+1-point grid, deliberately admitting aliasing.  nonlinear=False
-    integrates the linear phase only.
+    dealias=False evaluates the quadratic product on a minimal 2m+1-point
+    grid, deliberately admitting aliasing.  nonlinear=False integrates the
+    linear phase only.
     """
 
     dt: float
     T: float = 0.0
-    integrator: str = "etdrk4"
     dealias: bool = True
     record_every: int = 1
     nonlinear: bool = True
@@ -109,8 +107,6 @@ class FlowParams:
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if not math.isfinite(self.T):
             raise ValueError(f"T must be finite, got {self.T}")
-        if self.integrator not in ("etdrk4", "strang-split"):
-            raise ValueError(f"unknown integrator {self.integrator!r}")
         if int(self.record_every) != self.record_every or self.record_every < 1:
             raise ValueError(f"record_every must be an integer >= 1, got {self.record_every}")
         object.__setattr__(self, "record_every", int(self.record_every))
@@ -212,19 +208,15 @@ def _product_coeff(coeff: np.ndarray, modes: int, npts: int, *, work: tuple) -> 
         # numpy sends a 1-row operand to gemv, whose bits differ from gemm's rows
         pad[:rows] = x
         x = pad
-    if len(x) == len(u):  # the whole stack in one serial GEMM pair
-        s = np.matmul(x, t_in, out=u)
+    out = np.empty((len(x), t_out.shape[1]))
+    # even chunks of at most len(u) rows, so none is a lone row: one chunk when
+    # len(x) <= len(u) (a padded row pair included), else chunks of >= 4 rows
+    chunks = -(-len(x) // len(u))
+    for i in range(chunks):
+        lo, hi = len(x) * i // chunks, len(x) * (i + 1) // chunks
+        s = np.matmul(x[lo:hi], t_in, out=u[: hi - lo])
         s *= s
-        out = s @ t_out
-    else:
-        out = np.empty((len(x), t_out.shape[1]))
-        # even chunks of at most len(u) >= 4 rows, so none is a lone row
-        chunks = -(-len(x) // len(u))
-        for i in range(chunks):
-            lo, hi = len(x) * i // chunks, len(x) * (i + 1) // chunks
-            s = np.matmul(x[lo:hi], t_in, out=u[: hi - lo])
-            s *= s
-            np.matmul(s, t_out, out=out[lo:hi])
+        np.matmul(s, t_out, out=out[lo:hi])
     return out[:rows, : 2 * modes].view(np.complex128).reshape(coeff.shape)
 
 
@@ -248,11 +240,6 @@ def _nonlinear(grid: GridSpec, dealias: bool = True):
         return np.multiply(rate, product, out=product)
 
     return rhs
-
-
-def _make_rhs(grid: GridSpec, p: FlowParams):
-    """The stepper's nonlinear part, or None when disabled."""
-    return _nonlinear(grid, p.dealias) if p.nonlinear else None
 
 
 def nonlinear_term(f: FourierField) -> FourierField:
@@ -307,17 +294,6 @@ def _etdrk4_step(c, tables, rhs):
     return out
 
 
-def _strang_step(c, half_phase, h, rhs):
-    # exact half linear phase, RK4 on the nonlinear part, half phase again
-    c = half_phase * c
-    k1 = rhs(c)
-    k2 = rhs(c + 0.5 * h * k1)
-    k3 = rhs(c + 0.5 * h * k2)
-    k4 = rhs(c + h * k3)
-    c = c + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return half_phase * c
-
-
 def _check_state(c: np.ndarray, t: float) -> None:
     # one reduction in the common case; NaN fails the comparison
     if np.abs(c).max(initial=0.0) <= BLOW_UP_THRESHOLD:
@@ -330,14 +306,11 @@ def _check_state(c: np.ndarray, t: float) -> None:
         raise BlowUpError(t, modes, samples)
 
 
-def _stepper(lam, rhs, p: FlowParams, h: float):
-    """One step of size h (either sign) of the configured scheme, as c -> c'."""
+def _stepper(lam, rhs, h: float):
+    """One step of size h (either sign) as c -> c': ETDRK4, or the exact phase when rhs is None."""
     if rhs is None:
         phase = np.exp(h * lam)
         return lambda c: phase * c
-    if p.integrator == "strang-split":
-        half = np.exp(0.5 * h * lam)
-        return lambda c: _strang_step(c, half, h, rhs)
     tables = _etdrk4_tables(lam, h)
     return lambda c: _etdrk4_step(c, tables, rhs)
 
@@ -349,6 +322,14 @@ _MAX_STEPS = 10**6
 # most nodes of a Picard time grid: about 3.3 KB each at m=16, so 0.85 GB and
 # about 6 s for 8 iterations at the cap, which the default density reaches at T = 40
 _MAX_NODES = 256_001
+
+# picard_solve's default grid: 6400 nodes per unit time, floor 65; _PICARD_T_MAX is the longest T inside the node cap
+_NODES_PER_UNIT_TIME = 6400.0
+_PICARD_T_MAX = (_MAX_NODES - 1) / _NODES_PER_UNIT_TIME
+
+
+def _default_nodes(T: float) -> int:
+    return max(65, math.ceil(_NODES_PER_UNIT_TIME * T) + 1)
 
 
 def _full_steps(t: float, dt: float) -> int:
@@ -362,7 +343,7 @@ def _tail_step(c, t: float, lam, rhs, p: FlowParams):
     """Take the state after _full_steps(t) steps to time t (no-op when dt divides t)."""
     tail = t - _full_steps(t, p.dt) * math.copysign(p.dt, t)
     if abs(tail) > 1e-12 * max(p.dt, abs(t)):
-        c = _stepper(lam, rhs, p, tail)(c)
+        c = _stepper(lam, rhs, tail)(c)
         _check_state(c, t)
     return c
 
@@ -391,7 +372,7 @@ def _advance_times(coeff: np.ndarray, grid: GridSpec, p: FlowParams, times, thre
 
     def run_block(block):
         rows = coeff[block]
-        rhs = _make_rhs(grid, p)
+        rhs = _nonlinear(grid, p.dealias) if p.nonlinear else None
         out = [rows] * len(times)
         for sign in (1.0, -1.0):
             wanted = {}
@@ -401,7 +382,7 @@ def _advance_times(coeff: np.ndarray, grid: GridSpec, p: FlowParams, times, thre
             if not wanted:
                 continue
             h = sign * p.dt
-            step = _stepper(lam, rhs, p, h)
+            step = _stepper(lam, rhs, h)
             c, n = rows, 0
             try:
                 for target in sorted(wanted):
@@ -572,8 +553,8 @@ def picard_solve(phi: FourierField, T: float, iters: int, nodes: int | None = No
     """Iterate the integral map L(u)(t) = S(t)phi - int_0^t S(t-t') dx(P_m u^2) dt'.
 
     S(t) is the exact linear propagator; the time integral is trapezoidal
-    on a uniform grid (default density 6400 nodes per unit time, floor 65,
-    enough for the fastest retained phase at moderate m).  Starting iterate
+    on a uniform grid (by default _default_nodes(T) nodes, enough for the
+    fastest retained phase at moderate m).  Starting iterate
     is the free solution S(t)phi.  Contraction of `distances` certifies a
     fixed point, which solves the truncated equation on [0, T].
     """
@@ -583,7 +564,7 @@ def picard_solve(phi: FourierField, T: float, iters: int, nodes: int | None = No
         raise ValueError(f"iters must be >= 1, got {iters}")
     grid = phi.grid
     if nodes is None:
-        nodes = max(65, int(math.ceil(6400.0 * T)) + 1)
+        nodes = _default_nodes(T)
     if not 2 <= nodes <= _MAX_NODES:
         raise ValueError(f"nodes must be in [2, {_MAX_NODES}], got {nodes}")
     times = np.linspace(0.0, T, nodes)

@@ -434,8 +434,10 @@ def load_ensemble(directory) -> Ensemble:
     if not isinstance(header, dict) or header.get("format") != ENSEMBLE_FORMAT:
         raise ValueError(f"{directory}: not an {ENSEMBLE_FORMAT} directory")
     raw = header["spec"]
+    if raw["points"] != 4 * raw["modes"]:
+        raise ValueError(f"{directory}: points = {raw['points']} is not 4 * modes = {4 * raw['modes']}")
     spec = GibbsSpec(
-        grid=GridSpec(length=raw["length"], modes=raw["modes"], points=raw["points"]),
+        grid=GridSpec(length=raw["length"], modes=raw["modes"]),
         cutoff_R=raw["cutoff_R"],
         seed=raw["seed"],
     )

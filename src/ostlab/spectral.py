@@ -7,7 +7,7 @@ structurally absent (zero mean).  Physically
 
     u(x) = sum_{1<=|k|<=m} u_hat(k) exp(i xi_k x),      xi_k = 2*pi*k/length.
 
-Quadrature uses ``points >= 4*modes`` samples so that cubic integrands of
+Quadrature uses ``points = 4*modes`` samples so that cubic integrands of
 band-limited fields are alias-free: integrals of u^2 and u^3 computed from
 the sample grid are exact for fields on the retained band.
 
@@ -60,29 +60,24 @@ class GridSpec:
     """Truncated Fourier grid on [0, length).
 
     modes:  highest retained wavenumber index m (field carries k = 1..m).
-    points: quadrature grid size N; must satisfy N >= 4*modes so that
-            products up to cubic order are alias-free on the retained band.
+    points: quadrature grid size N = 4*modes, so that products up to cubic
+            order are alias-free on the retained band.
     """
 
     length: float
     modes: int
-    points: int
 
     def __post_init__(self):
         object.__setattr__(self, "length", float(self.length))
-        for name in ("modes", "points"):
-            value = getattr(self, name)
-            if int(value) != value:
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
         if not math.isfinite(self.length) or self.length <= 0.0:
             raise ValueError(f"length must be positive and finite, got {self.length}")
-        if self.modes < 1:
-            raise ValueError(f"modes must be >= 1, got {self.modes}")
-        if self.points < 4 * self.modes:
-            raise ValueError(
-                f"points must be >= 4*modes = {4 * self.modes}, got {self.points}"
-            )
+        if int(self.modes) != self.modes or self.modes < 1:
+            raise ValueError(f"modes must be an integer >= 1, got {self.modes!r}")
+        object.__setattr__(self, "modes", int(self.modes))
+
+    @property
+    def points(self) -> int:
+        return 4 * self.modes
 
     @property
     def xi(self) -> np.ndarray:
@@ -103,9 +98,9 @@ def _freeze(record, *names: str, dtype=None) -> None:
         object.__setattr__(record, name, arr)
 
 
-def make_grid(modes: int, length: float = TWO_PI, points: int | None = None) -> GridSpec:
-    """Grid with the default alias-free quadrature size points = 4*modes."""
-    return GridSpec(length=length, modes=modes, points=4 * modes if points is None else points)
+def make_grid(modes: int, length: float = TWO_PI) -> GridSpec:
+    """Grid of `modes` modes on [0, length)."""
+    return GridSpec(length=length, modes=modes)
 
 
 @dataclass(frozen=True, eq=False)

@@ -103,6 +103,24 @@ class TestConfigResolution:
             main(["resonance-scan", "--frobnicate", "3"])
         assert exc.value.code == 1
 
+    @pytest.mark.parametrize("command", ["simulate", "verify-invariance", "picard"])
+    @pytest.mark.parametrize("flag", ["--integrator", "--points"])
+    def test_removed_flow_and_grid_flags_exit_1(self, capsys, command, flag):
+        # ETDRK4 on the 4m grid is the only flow configuration
+        with pytest.raises(SystemExit) as exc:
+            main([command, flag, "64"])
+        assert exc.value.code == 1
+        assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["flow.integrator = etdrk4", "grid.points = 64"])
+    def test_removed_keys_in_config_file_exit_1_as_unknown(self, capsys, tmp_path, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"grid.modes = 8\n{line}\n")
+        code, _, err = run(capsys, "simulate", "--config", str(cfg), "--out", str(tmp_path / "out"))
+        assert code == 1
+        assert f"{cfg}:2: unknown key '{line.split()[0]}'" in err
+        assert not (tmp_path / "out").exists()
+
     def test_help_documents_keys_and_defaults(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["gibbs-sample", "--help"])
@@ -202,10 +220,38 @@ class TestConfigResolution:
             (["picard", "--ref-dt", "0"], "picard.ref_dt"),
             (["picard", "--ref-dt", "nan"], "picard.ref_dt"),
             (["kernel-scan", "--sum-n", "1,0"], "kernel.sum_n_values"),
+            # seeds key counter-based streams of two 64-bit words; GibbsSpec takes [0, 2**63)
+            (["simulate", "--seed", "-1"], "init.seed"),
+            (["simulate", "--seed", str(2**64)], "init.seed"),
+            (["picard", "--seed", str(2**63)], "init.seed"),
+            (["gibbs-sample", "--seed", "-1"], "gibbs.seed"),
+            (["verify-invariance", "--seed", str(2**63)], "gibbs.seed"),
+            (["bilinear-sweep", "--seed", "-1"], "bilinear.seed"),
+            (["bilinear-sweep", "--seed", str(2**64)], "bilinear.seed"),
+            # a zero norm made a NaN relative drift in simulate.meta.json
+            (["simulate", "--init", "cosine", "--norm", "0"], "init.norm"),
+            (["simulate", "--norm", "nan"], "init.norm"),
+            (["simulate", "--k0", "0"], "init.k0"),
+            (["picard", "--norm", "-0.1"], "init.norm"),
+            (["convergence-m", "--norm", "0"], "init.norm"),
+            (["convergence-m", "--k0", "inf"], "init.k0"),
+            (["simulate", "--modes", "0"], "grid.modes"),
+            (["gibbs-sample", "--modes", "0"], "grid.modes"),
+            (["simulate", "--length", "0"], "grid.length"),
+            (["convergence-m", "--length", "nan"], "grid.length"),
+            (["simulate", "--t", "nan"], "flow.t"),
+            (["simulate", "--t", "-1"], "flow.t"),
+            (["convergence-m", "--t", "nan"], "convergence.t"),
+            (["convergence-m", "--m", "8,4"], "convergence.m_values"),
+            (["convergence-m", "--m", "0,4"], "convergence.m_values"),
+            (["gibbs-sample", "--sampler", "pcn-mcmc", "--burn-in", "-1"], "gibbs.burn_in"),
+            (["bilinear-sweep", "--d-tau", "0"], "bilinear.d_tau"),
         ],
     )
     def test_out_of_domain_value_exits_1_naming_key(self, capsys, tmp_path, argv, key):
+        start = time.perf_counter()
         code, _, err = run(capsys, *argv, "--out", str(tmp_path))
+        assert time.perf_counter() - start < 1.0
         assert code == 1
         assert key in err
         assert "Traceback" not in err

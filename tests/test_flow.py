@@ -23,7 +23,6 @@ from ostlab.flow import (
     _full_steps,
     _linear_rates,
     _nonlinear,
-    _strang_step,
     convergence_in_m,
     evolve,
     flow_map,
@@ -106,17 +105,11 @@ def reference_etdrk4_step(c, tables, rhs):
 def reference_run(c, grid, p, steps):
     """`steps` steps of size p.dt through the reference right-hand side."""
     rhs = reference_rhs(grid, p.dealias)
-    lam = _linear_rates(grid)
-    if p.integrator == "strang-split":
-        half = np.exp(0.5 * p.dt * lam)
-        step = lambda c: _strang_step(c, half, p.dt, rhs)  # noqa: E731
-    else:
-        E, E2, Q, f1, f2_twice, f3 = _etdrk4_tables(lam, p.dt)
-        # halving is exact, so 2.0 * f2 below gives back the table's bits
-        tables = (E, E2, Q, f1, f2_twice / 2.0, f3)
-        step = lambda c: reference_etdrk4_step(c, tables, rhs)  # noqa: E731
+    E, E2, Q, f1, f2_twice, f3 = _etdrk4_tables(_linear_rates(grid), p.dt)
+    # halving is exact, so 2.0 * f2 below gives back the table's bits
+    tables = (E, E2, Q, f1, f2_twice / 2.0, f3)
     for _ in range(steps):
-        c = step(c)
+        c = reference_etdrk4_step(c, tables, rhs)
     return c
 
 
@@ -143,10 +136,6 @@ class TestFlowParams:
         for dt in (0.0, -1e-3, math.inf):
             with pytest.raises(ValueError):
                 FlowParams(dt=dt)
-
-    def test_rejects_unknown_integrator(self):
-        with pytest.raises(ValueError):
-            FlowParams(dt=1e-3, integrator="euler")
 
     def test_rejects_bad_record_every(self):
         with pytest.raises(ValueError):
@@ -229,8 +218,8 @@ class TestReferenceBits:
 
     @pytest.mark.parametrize(
         "params",
-        [FlowParams(dt=1e-2), FlowParams(dt=1e-2, dealias=False), FlowParams(dt=1e-2, integrator="strang-split")],
-        ids=["etdrk4", "odd-grid", "strang-split"],
+        [FlowParams(dt=1e-2), FlowParams(dt=1e-2, dealias=False)],
+        ids=["etdrk4", "odd-grid"],
     )
     @pytest.mark.parametrize("lead", [(), (6,)], ids=["single", "stack"])
     @pytest.mark.parametrize("m", [8, 32])
@@ -401,27 +390,14 @@ class TestFlowMap:
         diff = l2_norm(FourierField(g, back.coeff - f.coeff))
         assert diff <= 1e-7
 
-    def test_strang_split_agrees_with_etdrk4(self):
-        g = make_grid(8)
-        f = unit_random_field(g, np.random.default_rng(15), decay=0.3)
-        a = flow_map(f, 0.5, FlowParams(dt=1e-3))
-        b = flow_map(f, 0.5, FlowParams(dt=1e-4, integrator="strang-split"))
-        assert l2_norm(FourierField(g, a.coeff - b.coeff)) <= 1e-6
-
-    def test_strang_split_conserves_l2(self):
-        g = make_grid(8)
-        f = unit_random_field(g, np.random.default_rng(17), decay=0.3)
-        out = flow_map(f, 1.0, FlowParams(dt=1e-3, integrator="strang-split"))
-        assert abs(l2_norm(out) - 1.0) <= 1e-6
-
-    @pytest.mark.parametrize("integrator", ["etdrk4", "strang-split"])
+    @pytest.mark.parametrize("p", [FlowParams(dt=1e-2), FlowParams(dt=1e-2, dealias=False)],
+                             ids=["etdrk4", "odd-grid"])
     @pytest.mark.parametrize("m", [8, 32])
-    def test_rows_independent_of_batch_and_chunking(self, integrator, m):
+    def test_rows_independent_of_batch_and_chunking(self, p, m):
         # row i of a stacked or chunked run equals its single-row run bit for bit
         g = make_grid(m)
         rng = np.random.default_rng(29)
         stack = np.stack([unit_random_field(g, rng, decay=0.3).coeff for _ in range(37)])
-        p = FlowParams(dt=1e-2, integrator=integrator)
         t = 0.055  # five full steps and a fractional tail
         whole = _advance_times(stack, g, p, [t])[0]
         chunked = np.concatenate([_advance_times(stack[i : i + 5], g, p, [t])[0] for i in range(0, 37, 5)])
@@ -436,10 +412,9 @@ class TestAdvanceTimes:
         "params",
         [
             FlowParams(dt=1e-2),
-            FlowParams(dt=1e-2, integrator="strang-split"),
             FlowParams(dt=1e-2, nonlinear=False),
         ],
-        ids=["etdrk4", "strang-split", "linear"],
+        ids=["etdrk4", "linear"],
     )
     @pytest.mark.parametrize("threads", [1, 2])
     def test_each_time_matches_advance(self, params, threads):
@@ -534,9 +509,9 @@ class TestAdvanceTimes:
 
 @st.composite
 def fields(draw, max_modes, max_amplitude, min_length):
-    """Fields on grids of 1..max_modes modes, lengths min_length..20 and points >= 4m."""
+    """Fields on grids of 1..max_modes modes and lengths min_length..20."""
     m = draw(st.integers(1, max_modes))
-    grid = make_grid(m, draw(st.floats(min_length, 20.0)), 4 * m + draw(st.integers(0, 5)))
+    grid = make_grid(m, draw(st.floats(min_length, 20.0)))
     parts = st.floats(-max_amplitude, max_amplitude)
     return FourierField(grid, np.array([complex(draw(parts), draw(parts)) for _ in range(m)]))
 
@@ -554,15 +529,12 @@ class TestProperties:
         # wavenumbers xi_k <= 8 keep dt * xi^3 near 1/2 or below: the regime the scheme resolves
         fields(8, 0.3, 2.0 * math.pi),
         st.floats(-0.1, 0.1).filter(lambda t: t != 0.0),
-        st.sampled_from(["etdrk4", "strang-split"]),
     )
-    def test_flow_map_round_trip(self, f, t, integrator):
-        # neither scheme is reversible: the round trip closes to scheme error, O(dt^2) for
-        # Strang's tail step when dt does not divide t and O(dt^4) for ETDRK4
-        p = FlowParams(dt=1e-3, integrator=integrator)
+    def test_flow_map_round_trip(self, f, t):
+        # ETDRK4 is not reversible: the round trip closes to scheme error, O(dt^4)
+        p = FlowParams(dt=1e-3)
         back = flow_map(flow_map(f, t, p), -t, p)
-        tol = {"etdrk4": 1e-6, "strang-split": 1e-5}[integrator]
-        assert l2_norm(FourierField(f.grid, back.coeff - f.coeff)) <= tol * max(1.0, l2_norm(f))
+        assert l2_norm(FourierField(f.grid, back.coeff - f.coeff)) <= 1e-6 * max(1.0, l2_norm(f))
 
 
 class TestLiouville:
@@ -629,6 +601,15 @@ class TestPicard:
         with np.errstate(over="ignore", invalid="ignore"):
             res = picard_solve(FourierField(g, c), T=1.0, iters=6, nodes=401)
         assert res.diverged
+
+    @pytest.mark.parametrize("T, nodes", [(0.0078125, 65), (0.015625, 101), (0.25, 1601)])
+    def test_default_grid_density(self, T, nodes):
+        # 6400 nodes per unit time (6400 T exact at these T) plus one, with a floor of 65
+        assert len(picard_solve(zero_field(make_grid(1)), T=T, iters=1).times) == nodes
+
+    def test_default_grid_meets_node_cap_at_longest_t(self):
+        assert flow._default_nodes(flow._PICARD_T_MAX) == flow._MAX_NODES
+        assert flow._default_nodes(math.nextafter(flow._PICARD_T_MAX, math.inf)) > flow._MAX_NODES
 
     def test_rejects_bad_arguments(self):
         g = make_grid(4)

@@ -617,6 +617,19 @@ class TestPersistence:
         with pytest.raises(ValueError, match=re.escape(str(tmp_path))):
             load_ensemble(tmp_path)
 
+    def test_rejects_points_other_than_four_times_modes(self, tmp_path):
+        # the header keeps "points" for an unchanged file format; only the 4m grid reads back
+        save_ensemble(sample_gaussian(GibbsSpec(grid=make_grid(4), seed=53), 5), tmp_path)
+        with np.load(tmp_path / "ensemble.npz") as data:
+            arrays = {name: data[name] for name in data.files}
+        header = json.loads(str(arrays["header"]))
+        assert header["spec"]["points"] == 16
+        header["spec"]["points"] = 17
+        arrays["header"] = np.array(json.dumps(header, sort_keys=True))
+        np.savez(tmp_path / "ensemble.npz", **arrays)
+        with pytest.raises(ValueError, match=re.escape(f"{tmp_path}: points = 17 is not 4 * modes = 16")):
+            load_ensemble(tmp_path)
+
     def test_rejects_foreign_npz(self, tmp_path):
         np.savez(tmp_path / "ensemble.npz", header=np.array('{"format": "something-else"}'))
         with pytest.raises(ValueError, match=re.escape(str(tmp_path))):

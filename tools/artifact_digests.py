@@ -8,10 +8,14 @@ Each run calls ``ostlab.cli.main`` in-process, from this checkout's
 ``src``, inside one fresh temporary working directory and with a relative
 ``--out <label>``, so the ``output.dir`` echoed into every artifact does not
 depend on where the script runs.  Sidecars (``*.meta.json``) carry a
-timestamp and are skipped.  Each output line is ``<label>/<file> <sha256>``,
-sorted.  Running the script at two commits and diffing the outputs checks
-that a change leaves every data artifact byte for byte as it was (within one
-numpy build).  It exits 1 if any run exits non-zero.
+timestamp and are skipped.  Each output line is
+``<label>/<file> <sha256> data=<sha256>``, sorted: the digest of the file's
+bytes, then of its data alone (CSV ``# `` lines and the JSON ``config``
+block removed; other files as they are).  Running the script at two commits
+and diffing the outputs checks that a change leaves every data artifact byte
+for byte as it was (within one numpy build); a change to the config keys
+alters the first digest of a file and leaves the second.  It exits 1 if any
+run exits non-zero.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 import os
 import sys
 import tempfile
@@ -46,7 +51,6 @@ RUNS = [
     ("kernel-scan", ["kernel-scan", "--alpha", "0,1,-10", "--sum-tau", "0,5", "--sum-n", "1,2", "--k-range", "2000"]),
     ("picard", ["picard", "--modes", "8", "--norm", "0.1", "--t", "0.05", "--iters", "5", "--ref-dt", "0.001"]),
     ("convergence-m", ["convergence-m", "--m", "4,8", "--t", "0.1", "--dt", "0.002", "--record-every", "10"]),
-    ("simulate-strang", ["simulate", *_SIMULATE, "--integrator", "strang-split"]),
     ("simulate-cosine", ["simulate", *_SIMULATE, "--init", "cosine", "--norm", "0.5"]),
     ("simulate-no-dealias", ["simulate", *_SIMULATE, "--dealias", "false"]),
     ("gibbs-pcn-cutoff", ["gibbs-sample", "--modes", "4", "--count", "300", "--sampler", "pcn-mcmc", "--beta", "0.4",
@@ -56,7 +60,6 @@ RUNS = [
     # times that dt does not divide (a repeated key's last value wins): the
     # fixed-time runs take a fractional tail step
     ("simulate-tail", ["simulate", *_SIMULATE, "--t", "0.105"]),
-    ("simulate-strang-tail", ["simulate", *_SIMULATE, "--t", "0.105", "--integrator", "strang-split"]),
     ("picard-tail", ["picard", "--modes", "8", "--norm", "0.1", "--t", "0.05", "--iters", "5", "--ref-dt", "0.0007"]),
     ("verify-invariance-tail", ["verify-invariance", "--modes", "4", "--count", "500",
                                 "--t-values", "-0.0513,0.1037,0.0005", "--dt", "0.005"]),
@@ -65,6 +68,18 @@ RUNS = [
     ("verify-invariance-all-observables-cutoff", ["verify-invariance", *_INVARIANCE, *_ALL_OBSERVABLES,
                                                   "--cutoff", "2"]),
 ]
+
+
+def _data_bytes(path: Path) -> bytes:
+    """The file's bytes without the configuration echo it embeds."""
+    raw = path.read_bytes()
+    if path.suffix == ".csv":
+        return b"".join(line for line in raw.splitlines(keepends=True) if not line.startswith(b"# "))
+    if path.suffix == ".json":
+        doc = json.loads(raw)
+        doc.pop("config", None)
+        return json.dumps(doc, indent=2, sort_keys=True).encode()
+    return raw
 
 
 def digests(runs) -> list:
@@ -81,7 +96,8 @@ def digests(runs) -> list:
                     failed.append(f"{label}: exit {code}: {err.getvalue().strip()}")
                 for path in sorted(Path(label).rglob("*")):
                     if path.is_file() and not path.name.endswith(".meta.json"):
-                        lines.append(f"{path.as_posix()} {hashlib.sha256(path.read_bytes()).hexdigest()}")
+                        whole, data = (hashlib.sha256(b).hexdigest() for b in (path.read_bytes(), _data_bytes(path)))
+                        lines.append(f"{path.as_posix()} {whole} data={data}")
         finally:
             os.chdir(start)
     for message in failed:
