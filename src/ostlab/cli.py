@@ -17,10 +17,10 @@ finished but its verdict is FAIL (a ``verify-invariance`` z-gate).
 
 The default output directory is the environment variable OSTLAB_OUTDIR
 (falling back to the working directory); ``--out`` overrides it.
-``--threads`` caps worker threads (0 = all cores) for the row blocks of
-``verify-invariance``, which draws its ensemble once and integrates it
-once per time sign; results do not depend on the thread count.
-``resonance-scan`` accepts it and runs serially.
+Every command accepts ``--threads`` (0 = all cores), and only the row
+blocks of ``verify-invariance`` use it: that command draws its ensemble
+once and integrates it once per time sign, and its results do not depend
+on the thread count.
 """
 
 from __future__ import annotations
@@ -44,8 +44,8 @@ from .bourgain import (
     kernel_sum_scan, resonance_scan, sweep_spec,
 )
 from .flow import (
-    _MAX_NODES, _PICARD_T_MAX, BlowUpError, FlowParams, _default_nodes, _linear_rates, convergence_in_m, evolve,
-    flow_map, picard_solve,
+    _MAX_NODES, _PICARD_T_MAX, BlowUpError, FlowParams, _default_nodes, _full_steps, _linear_rates, convergence_in_m,
+    evolve, flow_map, picard_solve,
 )
 from .gibbs import (
     DegenerateWeightsError,
@@ -90,15 +90,6 @@ def _parse_float(text: str) -> float:
         raise ConfigError(f"expected a number, got {text!r}") from exc
 
 
-def _parse_bool(text: str) -> bool:
-    low = text.strip().lower()
-    if low in ("true", "1", "yes", "on"):
-        return True
-    if low in ("false", "0", "no", "off"):
-        return False
-    raise ConfigError(f"expected true/false, got {text!r}")
-
-
 def _within(parse, expected: str, inside):
     # NaN fails every comparison, so a domain written as comparisons rejects it
     def parse_within(text: str):
@@ -141,8 +132,6 @@ def _choice(*options: str):
 
 
 def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
     if isinstance(value, (float, np.floating)):
         return repr(float(value))  # shortest round-trip decimal
     if isinstance(value, (int, np.integer)):
@@ -177,7 +166,6 @@ _GRID = [
 
 _FLOW = [
     _Key("flow.dt", "dt", _POSITIVE, 1e-3, "ETDRK4 time step"),
-    _Key("flow.dealias", "dealias", _parse_bool, True, "zero-padded products"),
     _Key("flow.record_every", "record-every", _COUNT, 1, "steps between records"),
 ]
 
@@ -251,10 +239,17 @@ def _resolve(command: str, args: argparse.Namespace) -> RunConfig:
     least = 2 if command == "gibbs-sample" else 1
     if values.get("gibbs.count", least) < least:
         raise ConfigError(f"gibbs.count must be at least {least} for {command}, got {values['gibbs.count']}")
-    if command == "picard":  # picard_solve's default grid when picard.nodes = 0
-        nodes = values["picard.nodes"] or _default_nodes(values["picard.t"])
+    if command in _STEPPED:  # before any sample is drawn or Picard iterate taken
+        t_key, dt_key = _STEPPED[command]
+        for t in np.atleast_1d(values[t_key]):
+            try:
+                _full_steps(t, values[dt_key])
+            except ValueError as exc:
+                raise ConfigError(f"{t_key} ({dt_key}): {exc}") from exc
+    if command == "picard":  # the (nodes, m) tables of picard_solve's grid
+        nodes = _default_nodes(values["picard.t"])
         if nodes * values["grid.modes"] > _PICARD_CELLS_MAX:
-            raise ConfigError(f"grid.modes = {values['grid.modes']} on {nodes} nodes (picard.t, picard.nodes) "
+            raise ConfigError(f"grid.modes = {values['grid.modes']} on {nodes} nodes (picard.t = {values['picard.t']}) "
                               f"is {nodes * values['grid.modes']} table cells, above the cap of {_PICARD_CELLS_MAX}")
     # every sweep lattice is built here, so a tau index past 2**52 never starts a run
     for n_max in values.get("bilinear.n_max_values", ()):
@@ -355,8 +350,7 @@ def _cmd_simulate(cfg: RunConfig) -> int:
     """integrate one initial state and record conserved quantities"""
     grid = make_grid(cfg["grid.modes"], cfg["grid.length"])
     f0 = _initial_field(cfg, grid)
-    p = FlowParams(dt=cfg["flow.dt"], T=cfg["flow.t"], dealias=cfg["flow.dealias"],
-                   record_every=cfg["flow.record_every"])
+    p = FlowParams(dt=cfg["flow.dt"], T=cfg["flow.t"], record_every=cfg["flow.record_every"])
     rec = evolve(f0, p)
     out = _out_dir(cfg)
     rows = [(t, l2, h) for t, l2, h in zip(rec.times, rec.l2, rec.hamiltonian)]
@@ -521,14 +515,13 @@ def _cmd_picard(cfg: RunConfig) -> int:
     """Picard iteration contraction against the time-stepper endpoint"""
     grid = make_grid(cfg["grid.modes"], cfg["grid.length"])
     phi = _initial_field(cfg, grid)
-    nodes = cfg["picard.nodes"]
-    res = picard_solve(phi, cfg["picard.t"], cfg["picard.iters"], nodes=(nodes if nodes else None))
+    res = picard_solve(phi, cfg["picard.t"], cfg["picard.iters"])
     end = flow_map(phi, cfg["picard.t"], FlowParams(dt=cfg["picard.ref_dt"]))
     endpoint_error = float(_l2(res.final.coeff - end.coeff, grid.length))
     out = _out_dir(cfg)
     rows = [(i + 1, d) for i, d in enumerate(res.distances)]
     _write_csv(out / "picard.csv", cfg, ["iteration", "distance"], rows)
-    _write_meta(out, cfg, {"diverged": res.diverged, "endpoint_error": endpoint_error})
+    _write_meta(out, cfg, {"diverged": res.diverged, "endpoint_error": endpoint_error, "nodes": len(res.times)})
     state = "diverged" if res.diverged else "contracting"
     print(f"{state}; endpoint error vs reference integrator {endpoint_error:.3e}")
     return 0
@@ -567,6 +560,14 @@ def _cmd_convergence_m(cfg: RunConfig) -> int:
 
 # the (nodes, m) tables may hold as many cells as the node cap's at the default m = 16
 _PICARD_CELLS_MAX = 16 * _MAX_NODES
+
+# (time key, step key) of each command that steps the flow, whose step count flow._full_steps caps
+_STEPPED = {
+    "simulate": ("flow.t", "flow.dt"),
+    "verify-invariance": ("invariance.t_values", "flow.dt"),
+    "picard": ("picard.t", "picard.ref_dt"),
+    "convergence-m": ("convergence.t", "flow.dt"),
+}
 
 _COMMANDS = {
     "simulate": (_cmd_simulate, _COMMON + _GRID + _FLOW + _INIT + [
@@ -637,8 +638,6 @@ _COMMANDS = {
         _Key("picard.t", "t", _within(_parse_float, f"a number in (0, {_PICARD_T_MAX:g}]",
                                       lambda v: 0.0 < v <= _PICARD_T_MAX), 0.1, "contraction interval length T"),
         _Key("picard.iters", "iters", _COUNT, 8, "Picard iterations"),
-        _Key("picard.nodes", "nodes", _within(_parse_int, f"0 or an integer in [2, {_MAX_NODES}]",
-                                              lambda v: v == 0 or 2 <= v <= _MAX_NODES), 0, "quadrature nodes (0 = auto)"),
         _Key("picard.ref_dt", "ref-dt", _POSITIVE, 1e-4, "time step of the reference endpoint"),
     ]),
     "convergence-m": (_cmd_convergence_m, _COMMON + _GRID[:1] + [

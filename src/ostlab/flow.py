@@ -91,14 +91,11 @@ class BlowUpError(RuntimeError):
 class FlowParams:
     """Integration controls of the ETDRK4 integrator.
 
-    dealias=False evaluates the quadratic product on a minimal 2m+1-point
-    grid, deliberately admitting aliasing.  nonlinear=False integrates the
-    linear phase only.
+    nonlinear=False integrates the linear phase only.
     """
 
     dt: float
     T: float = 0.0
-    dealias: bool = True
     record_every: int = 1
     nonlinear: bool = True
 
@@ -220,14 +217,12 @@ def _product_coeff(coeff: np.ndarray, modes: int, npts: int, *, work: tuple) -> 
     return out[:rows, : 2 * modes].view(np.complex128).reshape(coeff.shape)
 
 
-def _nonlinear(grid: GridSpec, dealias: bool = True):
+def _nonlinear(grid: GridSpec):
     """The nonlinear part c -> -i xi_k P_m(u^2)^(k) of the coefficient ODE.
 
-    dealias=False evaluates the product on the minimal 2m+1-point grid.
     Its workspace follows the input shape: never share it between threads.
     """
-    npts = grid.points if dealias else 2 * grid.modes + 1
-    m, rate = grid.modes, -1j * grid.xi
+    m, npts, rate = grid.modes, grid.points, -1j * grid.xi
     tables = _product_tables(m, npts) if m <= _GEMM_MAX_MODES else None
     work, lead = None, None
 
@@ -320,10 +315,10 @@ def _stepper(lam, rhs, h: float):
 _MAX_STEPS = 10**6
 
 # most nodes of a Picard time grid: about 3.3 KB each at m=16, so 0.85 GB and
-# about 6 s for 8 iterations at the cap, which the default density reaches at T = 40
+# about 6 s for 8 iterations at the cap, which the node density reaches at T = 40
 _MAX_NODES = 256_001
 
-# picard_solve's default grid: 6400 nodes per unit time, floor 65; _PICARD_T_MAX is the longest T inside the node cap
+# picard_solve's grid: 6400 nodes per unit time, floor 65; _PICARD_T_MAX is the longest T inside the node cap
 _NODES_PER_UNIT_TIME = 6400.0
 _PICARD_T_MAX = (_MAX_NODES - 1) / _NODES_PER_UNIT_TIME
 
@@ -372,7 +367,7 @@ def _advance_times(coeff: np.ndarray, grid: GridSpec, p: FlowParams, times, thre
 
     def run_block(block):
         rows = coeff[block]
-        rhs = _nonlinear(grid, p.dealias) if p.nonlinear else None
+        rhs = _nonlinear(grid) if p.nonlinear else None
         out = [rows] * len(times)
         for sign in (1.0, -1.0):
             wanted = {}
@@ -549,25 +544,21 @@ class PicardResult:
         return FourierField(self.grid, self.states[-1])
 
 
-def picard_solve(phi: FourierField, T: float, iters: int, nodes: int | None = None) -> PicardResult:
+def picard_solve(phi: FourierField, T: float, iters: int) -> PicardResult:
     """Iterate the integral map L(u)(t) = S(t)phi - int_0^t S(t-t') dx(P_m u^2) dt'.
 
     S(t) is the exact linear propagator; the time integral is trapezoidal
-    on a uniform grid (by default _default_nodes(T) nodes, enough for the
-    fastest retained phase at moderate m).  Starting iterate
-    is the free solution S(t)phi.  Contraction of `distances` certifies a
-    fixed point, which solves the truncated equation on [0, T].
+    on a uniform grid of _default_nodes(T) nodes, enough for the fastest
+    retained phase at moderate m.  Starting iterate is the free solution
+    S(t)phi.  Contraction of `distances` certifies a fixed point, which
+    solves the truncated equation on [0, T].
     """
-    if not (math.isfinite(T) and T > 0.0):
-        raise ValueError(f"T must be positive, got {T}")
+    if not 0.0 < T <= _PICARD_T_MAX:
+        raise ValueError(f"T must be in (0, {_PICARD_T_MAX:g}], got {T}")
     if iters < 1:
         raise ValueError(f"iters must be >= 1, got {iters}")
     grid = phi.grid
-    if nodes is None:
-        nodes = _default_nodes(T)
-    if not 2 <= nodes <= _MAX_NODES:
-        raise ValueError(f"nodes must be in [2, {_MAX_NODES}], got {nodes}")
-    times = np.linspace(0.0, T, nodes)
+    times = np.linspace(0.0, T, _default_nodes(T))
     dt = times[1] - times[0]
     lam = _linear_rates(grid)
     phase = np.exp(np.outer(times, lam))          # (nodes, m): S(t) diagonal

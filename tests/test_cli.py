@@ -104,19 +104,21 @@ class TestConfigResolution:
         assert exc.value.code == 1
 
     @pytest.mark.parametrize("command", ["simulate", "verify-invariance", "picard"])
-    @pytest.mark.parametrize("flag", ["--integrator", "--points"])
+    @pytest.mark.parametrize("flag", ["--integrator", "--points", "--dealias", "--nodes"])
     def test_removed_flow_and_grid_flags_exit_1(self, capsys, command, flag):
-        # ETDRK4 on the 4m grid is the only flow configuration
+        # ETDRK4 on the 4m grid is the only flow configuration, and Picard's node grid follows picard.t
         with pytest.raises(SystemExit) as exc:
             main([command, flag, "64"])
         assert exc.value.code == 1
         assert flag in capsys.readouterr().err
 
-    @pytest.mark.parametrize("line", ["flow.integrator = etdrk4", "grid.points = 64"])
+    @pytest.mark.parametrize("line", ["flow.integrator = etdrk4", "grid.points = 64", "flow.dealias = false",
+                                      "picard.nodes = 2"])
     def test_removed_keys_in_config_file_exit_1_as_unknown(self, capsys, tmp_path, line):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"grid.modes = 8\n{line}\n")
-        code, _, err = run(capsys, "simulate", "--config", str(cfg), "--out", str(tmp_path / "out"))
+        command = "picard" if line.startswith("picard.") else "simulate"
+        code, _, err = run(capsys, command, "--config", str(cfg), "--out", str(tmp_path / "out"))
         assert code == 1
         assert f"{cfg}:2: unknown key '{line.split()[0]}'" in err
         assert not (tmp_path / "out").exists()
@@ -594,6 +596,7 @@ class TestAnalysisCommands:
         meta = json.loads((tmp_path / "picard.meta.json").read_text())
         assert meta["summary"]["diverged"] is False
         assert meta["summary"]["endpoint_error"] < 1e-6
+        assert meta["summary"]["nodes"] == 321  # 6400 per unit time at T = 0.05, plus one
         assert "contracting" in out
 
     def test_convergence_m_decreasing(self, capsys, tmp_path):
@@ -675,27 +678,38 @@ class TestAnalysisCommands:
 
 class TestStepCap:
     @pytest.mark.parametrize(
-        "argv",
+        "argv, keys, steps",
         [
-            ["simulate", "--t", "1e300"],
-            ["convergence-m", "--t", "1e300"],
-            ["verify-invariance", "--t-values", "1e300"],
+            pytest.param(["simulate", "--t", "1e300"], "flow.t (flow.dt)", "t = 1e+300 at dt = 0.001 takes 1e+303",
+                         id="simulate"),
+            pytest.param(["convergence-m", "--t", "1e300"], "convergence.t (flow.dt)",
+                         "t = 1e+300 at dt = 0.001 takes 1e+303", id="convergence-m"),
+            pytest.param(["verify-invariance", "--t-values", "1e300"], "invariance.t_values (flow.dt)",
+                         "t = 1e+300 at dt = 0.001 takes 1e+303", id="verify-invariance"),
+            # these ran for seconds before the cap fired (the draw, or Picard's iterations), or exited 2 on ESS
+            pytest.param(["verify-invariance", "--t-values", "0.5,2000", "--modes", "8", "--count", "200000"],
+                         "invariance.t_values (flow.dt)", "t = 2000 at dt = 0.001 takes 2e+06",
+                         id="verify-invariance-after-draw"),
+            pytest.param(["verify-invariance", "--t-values", "0.5,2000", "--modes", "8", "--count", "10"],
+                         "invariance.t_values (flow.dt)", "t = 2000 at dt = 0.001 takes 2e+06",
+                         id="verify-invariance-small-count"),
+            pytest.param(["picard", "--t", "20", "--ref-dt", "1e-5"], "picard.t (picard.ref_dt)",
+                         "t = 20 at dt = 1e-05 takes 2e+06", id="picard"),
         ],
-        ids=lambda argv: argv[0],
     )
-    def test_huge_time_exits_1_fast_without_artifacts(self, capsys, tmp_path, argv):
-        # 1e303 steps at the default dt: rejected where the time becomes a step count
+    def test_huge_time_exits_1_fast_without_artifacts(self, capsys, tmp_path, argv, keys, steps):
+        # rejected with the configuration, before any sample is drawn or iterate taken
         start = time.perf_counter()
         code, _, err = run(capsys, *argv, "--out", str(tmp_path))
         assert time.perf_counter() - start < 1.0
         assert code == 1
-        assert f"t = 1e+300 at dt = 0.001 takes 1e+303 steps, above the cap of {_MAX_STEPS}" in err
+        assert f"{keys}: {steps} steps, above the cap of {_MAX_STEPS}" in err
         assert "Traceback" not in err
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
         "flag, value, key",
-        [("t", "1e4", "picard.t"), ("t", "1e300", "picard.t"), ("nodes", "100000000", "picard.nodes")],
+        [("t", "1e4", "picard.t"), ("t", "1e300", "picard.t")],
     )
     def test_picard_grid_beyond_node_cap_exits_1_fast(self, capsys, tmp_path, flag, value, key):
         # the (nodes, m) tables of picard_solve would need gigabytes before any step
@@ -736,30 +750,24 @@ class TestStepCap:
             resolve("--sum-n", f"{-cap},{cap}", "--k-range", str(cap))
 
     @pytest.mark.parametrize("argv", [("--modes", "4096", "--t", "40"), ("--modes", "32", "--t", "40"),
-                                      ("--modes", "4096", "--nodes", "2000")], ids=" ".join)
+                                      ("--modes", "17", "--t", "40")], ids=" ".join)
     def test_picard_tables_beyond_cell_cap_exit_1_fast(self, capsys, tmp_path, argv):
         # nodes x modes bounds the (nodes, m) tables: 4096 modes at T = 40 would need 15.6 GiB each
         start = time.perf_counter()
         code, _, err = run(capsys, "picard", *argv, "--out", str(tmp_path))
         assert time.perf_counter() - start < 1.0
         assert code == 1
-        assert "grid.modes" in err and "(picard.t, picard.nodes)" in err
+        assert f"grid.modes = {argv[1]} on {_MAX_NODES} nodes (picard.t = 40.0)" in err
         assert f"above the cap of {_PICARD_CELLS_MAX}" in err
         assert "Traceback" not in err
         assert list(tmp_path.iterdir()) == []
 
     def test_picard_cap_edges_accepted(self, capsys, tmp_path):
-        # T = 40 is the longest default grid inside the cap; nodes may sit on the cap
+        # T = 40 is the longest grid inside the node cap, and 16 modes on it fill the cell cap
         resolve = lambda *argv: _resolve("picard", _build_parser().parse_args(["picard", *argv]))
-        assert resolve("--t", "40")["picard.t"] == 40.0
-        assert resolve("--nodes", str(_MAX_NODES))["picard.nodes"] == _MAX_NODES
+        assert resolve("--modes", "16", "--t", "40")["picard.t"] == 40.0
         assert run(capsys, "picard", "--t", "40.001", "--out", str(tmp_path))[0] == 1
-        assert run(capsys, "picard", "--nodes", str(_MAX_NODES + 1), "--out", str(tmp_path))[0] == 1
-        # the cell cap: 16 modes on the whole node cap, or 4096 modes on 1000 nodes
         assert _PICARD_CELLS_MAX == 16 * _MAX_NODES
-        assert resolve("--modes", "4096", "--nodes", str(_PICARD_CELLS_MAX // 4096))["grid.modes"] == 4096
-        assert run(capsys, "picard", "--modes", "4096", "--nodes", str(_PICARD_CELLS_MAX // 4096 + 1),
-                   "--out", str(tmp_path))[0] == 1
 
 
 class TestOutputDirectory:

@@ -83,10 +83,26 @@ def reference_product_coeff(coeff, modes, npts):
     return prod[:rows, : 2 * modes].copy().view(np.complex128).reshape(coeff.shape)
 
 
-def reference_rhs(grid, dealias=True):
-    """The flow's nonlinear part -i xi P_m(u^2), one fresh product per call."""
-    npts = grid.points if dealias else 2 * grid.modes + 1
+def reference_rhs(grid, npts=None):
+    """The flow's nonlinear part -i xi P_m(u^2) on npts points (default the grid's), one fresh product per call."""
+    npts = npts or grid.points
     return lambda c: -1j * grid.xi * reference_product_coeff(c, grid.modes, npts)
+
+
+def aliased_nonlinear(grid):
+    """flow._nonlinear with its product on the minimal 2m+1-point grid, which aliases."""
+    m, npts = grid.modes, 2 * grid.modes + 1
+    tables = flow._product_tables(m, npts) if m <= flow._GEMM_MAX_MODES else None
+    work = lambda c: flow._product_work(c.shape[:-1], npts, tables)
+    return lambda c: -1j * grid.xi * flow._product_coeff(c, m, npts, work=work(c))
+
+
+def product_points(monkeypatch, grid, aliased):
+    """The flow's product grid size; with aliased, flow._nonlinear is patched onto the 2m+1-point grid."""
+    if not aliased:
+        return grid.points
+    monkeypatch.setattr(flow, "_nonlinear", aliased_nonlinear)
+    return 2 * grid.modes + 1
 
 
 def reference_etdrk4_step(c, tables, rhs):
@@ -102,9 +118,9 @@ def reference_etdrk4_step(c, tables, rhs):
     return E * c + f1 * n1 + 2.0 * f2 * (n2 + n3) + f3 * n4
 
 
-def reference_run(c, grid, p, steps):
-    """`steps` steps of size p.dt through the reference right-hand side."""
-    rhs = reference_rhs(grid, p.dealias)
+def reference_run(c, grid, p, steps, npts=None):
+    """`steps` steps of size p.dt through the reference right-hand side on npts points."""
+    rhs = reference_rhs(grid, npts)
     E, E2, Q, f1, f2_twice, f3 = _etdrk4_tables(_linear_rates(grid), p.dt)
     # halving is exact, so 2.0 * f2 below gives back the table's bits
     tables = (E, E2, Q, f1, f2_twice / 2.0, f3)
@@ -166,16 +182,16 @@ class TestNonlinearTerm:
             n = nonlinear_term(f)
             assert abs(inner(n, f)) <= 1e-10 * l2_norm(f) ** 3
 
-    @pytest.mark.parametrize("dealias", [True, False], ids=["dealiased", "odd-grid"])
+    @pytest.mark.parametrize("aliased", [False, True], ids=["dealiased", "odd-grid"])
     @pytest.mark.parametrize("m", [1, 4, 8, 16, 32])
-    def test_product_matches_numpy_fft(self, m, dealias):
+    def test_product_matches_numpy_fft(self, m, aliased):
         # the table product is the FFT product up to roundoff, aliasing included on the odd grid
         g = make_grid(m)
-        npts = g.points if dealias else 2 * m + 1
+        rhs, npts = (aliased_nonlinear(g), 2 * m + 1) if aliased else (_nonlinear(g), g.points)
         for lead in [(), (7,)]:
             c = random_stack(g, np.random.default_rng(67), lead)
             ref = -1j * g.xi * fft_product_coeff(c, m, npts)  # exactly 0 at m = 1 on the dealiased grid
-            assert np.abs(_nonlinear(g, dealias)(c) - ref).max() <= 1e-14 * np.abs(ref).max()
+            assert np.abs(rhs(c) - ref).max() <= 1e-14 * np.abs(ref).max()
 
     @pytest.mark.parametrize("m", [1, 8, 32])
     def test_gemm_rows_stay_under_serial_threshold(self, m):
@@ -189,14 +205,14 @@ class TestReferenceBits:
     # the workspace product and the in-place step sum reproduce the plain
     # expressions bit for bit
 
-    @pytest.mark.parametrize("dealias", [True, False], ids=["dealiased", "odd-grid"])
+    @pytest.mark.parametrize("aliased", [False, True], ids=["dealiased", "odd-grid"])
     @pytest.mark.parametrize("lead", [(), (5,)], ids=["single", "stack"])
     @pytest.mark.parametrize("m", [8, 32, 33])
-    def test_rhs_matches_reference(self, m, lead, dealias):
+    def test_rhs_matches_reference(self, m, lead, aliased):
         g = make_grid(m)
         c = random_stack(g, np.random.default_rng(41), lead)
-        out = _nonlinear(g, dealias)(c)
-        assert out.tobytes() == reference_rhs(g, dealias)(c).tobytes()
+        rhs, npts = (aliased_nonlinear(g), 2 * m + 1) if aliased else (_nonlinear(g), g.points)
+        assert rhs(c).tobytes() == reference_rhs(g, npts)(c).tobytes()
 
     def test_one_closure_across_alternating_shapes(self):
         g = make_grid(8)
@@ -216,18 +232,16 @@ class TestReferenceBits:
         assert not np.shares_memory(first, second)
         assert first.tobytes() == kept.tobytes()
 
-    @pytest.mark.parametrize(
-        "params",
-        [FlowParams(dt=1e-2), FlowParams(dt=1e-2, dealias=False)],
-        ids=["etdrk4", "odd-grid"],
-    )
+    @pytest.mark.parametrize("aliased", [False, True], ids=["etdrk4", "odd-grid"])
     @pytest.mark.parametrize("lead", [(), (6,)], ids=["single", "stack"])
     @pytest.mark.parametrize("m", [8, 32])
-    def test_fifty_steps_match_reference(self, m, lead, params):
+    def test_fifty_steps_match_reference(self, m, lead, aliased, monkeypatch):
         g = make_grid(m)
+        npts = product_points(monkeypatch, g, aliased)
         c = random_stack(g, np.random.default_rng(53), lead)
-        out = _advance_times(c, g, params, [50 * params.dt])[0]
-        assert out.tobytes() == reference_run(c, g, params, 50).tobytes()
+        p = FlowParams(dt=1e-2)
+        out = _advance_times(c, g, p, [50 * p.dt])[0]
+        assert out.tobytes() == reference_run(c, g, p, 50, npts).tobytes()
 
 
 def full_mask_blow_up(c):
@@ -356,12 +370,14 @@ class TestEvolve:
         with pytest.raises(ValueError):
             evolve(zero_field(g), FlowParams(dt=1e-3, T=-1.0))
 
-    def test_aliased_product_breaks_conservation(self):
+    def test_aliased_product_breaks_conservation(self, monkeypatch):
         # same run with products on the minimal grid: pairing no longer skew
         g = make_grid(8)
         f = unit_random_field(g, np.random.default_rng(7))
-        good = evolve(f, FlowParams(dt=1e-3, T=1.0, record_every=1000))
-        bad = evolve(f, FlowParams(dt=1e-3, T=1.0, record_every=1000, dealias=False))
+        p = FlowParams(dt=1e-3, T=1.0, record_every=1000)
+        good = evolve(f, p)
+        product_points(monkeypatch, g, aliased=True)
+        bad = evolve(f, p)
         drift_good = abs(good.l2[-1] - good.l2[0])
         drift_bad = abs(bad.l2[-1] - bad.l2[0])
         assert drift_bad > 100.0 * max(drift_good, 1e-14)
@@ -390,9 +406,8 @@ class TestFlowMap:
         diff = l2_norm(FourierField(g, back.coeff - f.coeff))
         assert diff <= 1e-7
 
-    @pytest.mark.parametrize("p", [FlowParams(dt=1e-2), FlowParams(dt=1e-2, dealias=False)],
-                             ids=["etdrk4", "odd-grid"])
-    @pytest.mark.parametrize("m", [8, 32])
+    @pytest.mark.parametrize("p", [FlowParams(dt=1e-2)], ids=["etdrk4"])
+    @pytest.mark.parametrize("m", [8, 32, 33])
     def test_rows_independent_of_batch_and_chunking(self, p, m):
         # row i of a stacked or chunked run equals its single-row run bit for bit
         g = make_grid(m)
@@ -454,13 +469,14 @@ class TestAdvanceTimes:
         _advance_times(stack, g, FlowParams(dt=1e-2), [0.055, -0.03, 0.1, 0.055])
         assert len(calls) == 10 + 3 + 2
 
-    @pytest.mark.parametrize("dealias", [True, False], ids=["dealiased", "odd-grid"])
+    @pytest.mark.parametrize("aliased", [False, True], ids=["dealiased", "odd-grid"])
     @pytest.mark.parametrize("m", [4, 8, 16, 32, 33])
-    def test_lone_tail_row_matches_single_runs(self, m, dealias):
+    def test_lone_tail_row_matches_single_runs(self, m, aliased, monkeypatch):
         # the last block holds one row, which the table product pads rather than send to gemv
         g = make_grid(m)
+        product_points(monkeypatch, g, aliased)
         stack = random_stack(g, np.random.default_rng(71), (_ROW_BLOCK + 1,))
-        p = FlowParams(dt=1e-2, dealias=dealias)
+        p = FlowParams(dt=1e-2)
         whole = _advance_times(stack, g, p, [0.015])[0]
         for i in (0, 1, 500, 511, 512, _ROW_BLOCK - 1, _ROW_BLOCK):
             assert whole[i].tobytes() == _advance_times(stack[i], g, p, [0.015])[0].tobytes()
@@ -469,13 +485,17 @@ class TestAdvanceTimes:
         # every GEMM stays under OpenBLAS's serial threshold, and its rows do not depend on the split
         script = (
             "import hashlib, numpy as np\n"
-            "from ostlab.flow import FlowParams, _advance_times\n"
+            "from ostlab.flow import FlowParams, _advance_times, _product_coeff, _product_tables, _product_work\n"
             "from ostlab.spectral import make_grid\n"
             "rng = np.random.default_rng(73)\n"
-            "for m, rows, dealias in ((8, 3000, True), (32, 300, True), (16, 700, False)):\n"
-            "    c = 0.3 * (rng.standard_normal((rows, m)) + 1j * rng.standard_normal((rows, m)))\n"
-            "    out = _advance_times(c, make_grid(m), FlowParams(dt=1e-2, dealias=dealias), [0.03], threads=2)[0]\n"
+            "def stack(rows, m):\n"
+            "    return 0.3 * (rng.standard_normal((rows, m)) + 1j * rng.standard_normal((rows, m)))\n"
+            "for m, rows in ((8, 3000), (32, 300)):\n"
+            "    out = _advance_times(stack(rows, m), make_grid(m), FlowParams(dt=1e-2), [0.03], threads=2)[0]\n"
             "    print(hashlib.sha256(out.tobytes()).hexdigest())\n"
+            "# the product alone on the odd 2m+1-point grid\n"
+            "out = _product_coeff(stack(700, 16), 16, 33, work=_product_work((700,), 33, _product_tables(16, 33)))\n"
+            "print(hashlib.sha256(out.tobytes()).hexdigest())\n"
         )
         digests = []
         for blas_threads in ("1", "2"):
@@ -599,7 +619,7 @@ class TestPicard:
         c = np.zeros(8, dtype=np.complex128)
         c[0] = 2.5  # 5*cos(x)
         with np.errstate(over="ignore", invalid="ignore"):
-            res = picard_solve(FourierField(g, c), T=1.0, iters=6, nodes=401)
+            res = picard_solve(FourierField(g, c), T=1.0, iters=6)
         assert res.diverged
 
     @pytest.mark.parametrize("T, nodes", [(0.0078125, 65), (0.015625, 101), (0.25, 1601)])
@@ -617,10 +637,10 @@ class TestPicard:
             picard_solve(zero_field(g), T=0.0, iters=3)
         with pytest.raises(ValueError):
             picard_solve(zero_field(g), T=0.1, iters=0)
-        with pytest.raises(ValueError, match="nodes must be in"):
-            picard_solve(zero_field(g), T=0.1, iters=1, nodes=flow._MAX_NODES + 1)
-        with pytest.raises(ValueError, match="nodes must be in"):
-            picard_solve(zero_field(g), T=1e300, iters=1)
+        # the T whose node grid stays inside the node cap
+        for T in (math.nextafter(flow._PICARD_T_MAX, math.inf), 1e300, math.nan):
+            with pytest.raises(ValueError, match="T must be in"):
+                picard_solve(zero_field(g), T=T, iters=1)
 
 
 class TestConvergenceInM:

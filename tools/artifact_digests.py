@@ -52,7 +52,6 @@ RUNS = [
     ("picard", ["picard", "--modes", "8", "--norm", "0.1", "--t", "0.05", "--iters", "5", "--ref-dt", "0.001"]),
     ("convergence-m", ["convergence-m", "--m", "4,8", "--t", "0.1", "--dt", "0.002", "--record-every", "10"]),
     ("simulate-cosine", ["simulate", *_SIMULATE, "--init", "cosine", "--norm", "0.5"]),
-    ("simulate-no-dealias", ["simulate", *_SIMULATE, "--dealias", "false"]),
     ("gibbs-pcn-cutoff", ["gibbs-sample", "--modes", "4", "--count", "300", "--sampler", "pcn-mcmc", "--beta", "0.4",
                           "--burn-in", "20", "--cutoff", "1.5"]),
     ("verify-invariance-negative-t", ["verify-invariance", "--modes", "4", "--count", "500", "--t-values", "-0.05,0.1",
