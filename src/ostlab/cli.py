@@ -13,7 +13,8 @@ byte-identical.
 Exit codes: 0 success, 1 configuration or precondition error, 2 numerical
 failure (integrator blow-up, degenerate importance weights or a kernel
 integral beyond the float range), 3 the run
-finished but its verdict is FAIL (a ``verify-invariance`` z-gate).
+finished but its verdict is FAIL (a ``verify-invariance`` z-gate, or a
+``picard`` endpoint error above criterion 11's bound).
 
 The default output directory is the environment variable OSTLAB_OUTDIR
 (falling back to the working directory); ``--out`` overrides it.
@@ -44,8 +45,8 @@ from .bourgain import (
     kernel_sum_scan, resonance_scan, sweep_spec,
 )
 from .flow import (
-    _MAX_NODES, _PICARD_T_MAX, BlowUpError, FlowParams, _default_nodes, _full_steps, _linear_rates, convergence_in_m,
-    evolve, flow_map, picard_solve,
+    _MAX_NODES, _PICARD_ENDPOINT_TOL, _PICARD_T_MAX, BlowUpError, FlowParams, _default_nodes, _full_steps,
+    _linear_rates, convergence_in_m, evolve, flow_map, picard_solve,
 )
 from .gibbs import (
     DegenerateWeightsError,
@@ -239,6 +240,11 @@ def _resolve(command: str, args: argparse.Namespace) -> RunConfig:
     least = 2 if command == "gibbs-sample" else 1
     if values.get("gibbs.count", least) < least:
         raise ConfigError(f"gibbs.count must be at least {least} for {command}, got {values['gibbs.count']}")
+    if "gibbs.count" in values:  # g(u)'s (count, 4 m) float64 samples, the largest stack of a draw
+        count, modes = values["gibbs.count"], values["grid.modes"]
+        if count * 32 * modes > _SAMPLE_STACK_BYTES_MAX:
+            raise ConfigError(f"gibbs.count = {count} at grid.modes = {modes} is a ({count}, {4 * modes}) float64 "
+                              f"sample stack of {count * 32 * modes} bytes, above the cap of {_SAMPLE_STACK_BYTES_MAX}")
     if command in _STEPPED:  # before any sample is drawn or Picard iterate taken
         t_key, dt_key = _STEPPED[command]
         for t in np.atleast_1d(values[t_key]):
@@ -524,7 +530,11 @@ def _cmd_picard(cfg: RunConfig) -> int:
     _write_meta(out, cfg, {"diverged": res.diverged, "endpoint_error": endpoint_error, "nodes": len(res.times)})
     state = "diverged" if res.diverged else "contracting"
     print(f"{state}; endpoint error vs reference integrator {endpoint_error:.3e}")
-    return 0
+    # NaN fails the comparison, so a non-finite endpoint is a FAIL too
+    if endpoint_error <= _PICARD_ENDPOINT_TOL:
+        return 0
+    print(f"endpoint error above {_PICARD_ENDPOINT_TOL:g} [FAIL]")
+    return 3
 
 
 def _cmd_convergence_m(cfg: RunConfig) -> int:
@@ -560,6 +570,10 @@ def _cmd_convergence_m(cfg: RunConfig) -> int:
 
 # the (nodes, m) tables may hold as many cells as the node cap's at the default m = 16
 _PICARD_CELLS_MAX = 16 * _MAX_NODES
+
+# 256 MiB of samples, so g(u)'s stack and its one temporary stay near 0.5 GiB: 1 048 576 samples at
+# m = 8, 52 times the benchmark's and 10 times criterion 5's count
+_SAMPLE_STACK_BYTES_MAX = 2**28
 
 # (time key, step key) of each command that steps the flow, whose step count flow._full_steps caps
 _STEPPED = {

@@ -322,6 +322,10 @@ _MAX_NODES = 256_001
 _NODES_PER_UNIT_TIME = 6400.0
 _PICARD_T_MAX = (_MAX_NODES - 1) / _NODES_PER_UNIT_TIME
 
+# largest L2 distance between Picard's limit and the ETDRK4 endpoint that counts as agreement:
+# criterion 11's bound, above which the picard command exits 3
+_PICARD_ENDPOINT_TOL = 1e-6
+
 
 def _default_nodes(T: float) -> int:
     return max(65, math.ceil(_NODES_PER_UNIT_TIME * T) + 1)

@@ -271,8 +271,11 @@ def inner(f: FourierField, g: FourierField) -> float:
 
 def _cubic_g(coeff: np.ndarray, grid: GridSpec) -> np.ndarray:
     u = _to_physical(coeff, grid.points)
-    # np.mean's own sum and division, without its Python wrapper
-    return (grid.length / 3.0) * (np.add.reduce(u**3, axis=-1) / grid.points)
+    # (u*u)*u by two multiplies, not u**3 (libm pow, about 30x slower on a sample stack);
+    # then np.mean's own sum and division, without its Python wrapper
+    cube = u * u
+    cube *= u
+    return (grid.length / 3.0) * (np.add.reduce(cube, axis=-1) / grid.points)
 
 
 def cubic_g(f: FourierField) -> float:

@@ -19,6 +19,7 @@ from ostlab.bourgain import (
     time_localization_scan,
 )
 from ostlab.flow import (
+    _PICARD_ENDPOINT_TOL,
     FlowParams,
     convergence_in_m,
     evolve,
@@ -250,11 +251,11 @@ class TestWellPosedness:
         contracting = (not res.diverged) and all(f <= 0.5 for f in factors)
         end = flow_map(phi, 0.1, FlowParams(dt=1e-4))
         err = math.sqrt(2.0 * grid.length * float(np.sum(np.abs(res.final.coeff - end.coeff) ** 2)))
-        ok = contracting and err <= 1e-6
+        ok = contracting and err <= _PICARD_ENDPOINT_TOL
         report(
             capsys, 11, "contraction", ok,
             f"worst per-step factor {max(factors):.4f} <= 0.5; "
-            f"limit vs time-stepper endpoint {err:.3e} <= 1e-06",
+            f"limit vs time-stepper endpoint {err:.3e} <= {_PICARD_ENDPOINT_TOL:g}",
         )
         assert ok
 

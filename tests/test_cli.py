@@ -8,8 +8,8 @@ import time
 import pytest
 
 from ostlab.bourgain import _KERNEL_K_MAX
-from ostlab.cli import _COMMANDS, _PICARD_CELLS_MAX, ConfigError, _build_parser, _resolve, main
-from ostlab.flow import _MAX_NODES, _MAX_STEPS
+from ostlab.cli import _COMMANDS, _PICARD_CELLS_MAX, _SAMPLE_STACK_BYTES_MAX, ConfigError, _build_parser, _resolve, main
+from ostlab.flow import _MAX_NODES, _MAX_STEPS, _PICARD_ENDPOINT_TOL
 from ostlab.gibbs import load_ensemble
 
 
@@ -599,6 +599,16 @@ class TestAnalysisCommands:
         assert meta["summary"]["nodes"] == 321  # 6400 per unit time at T = 0.05, plus one
         assert "contracting" in out
 
+    @pytest.mark.parametrize("argv, code", [([], 0), (["--modes", "16", "--k0", "8"], 3)], ids=["default", "k0-8"])
+    def test_picard_exits_3_above_criterion_11_bound(self, capsys, tmp_path, argv, code):
+        # on the default 641-node grid the default data read 2.679e-07, k0 = 8 data 8.948e-06
+        rc, out, _ = run(capsys, "picard", *argv, "--out", str(tmp_path))
+        summary = json.loads((tmp_path / "picard.meta.json").read_text())["summary"]
+        assert (rc, "FAIL" in out, summary["endpoint_error"] > _PICARD_ENDPOINT_TOL) == (code, code == 3, code == 3)
+        assert summary["diverged"] is False
+        assert (tmp_path / "picard.csv").is_file()
+        assert _PICARD_ENDPOINT_TOL == 1e-6
+
     def test_convergence_m_decreasing(self, capsys, tmp_path):
         code, _, _ = run(
             capsys,
@@ -768,6 +778,38 @@ class TestStepCap:
         assert resolve("--modes", "16", "--t", "40")["picard.t"] == 40.0
         assert run(capsys, "picard", "--t", "40.001", "--out", str(tmp_path))[0] == 1
         assert _PICARD_CELLS_MAX == 16 * _MAX_NODES
+
+    @pytest.mark.parametrize(
+        "argv, count, modes",
+        [
+            (["gibbs-sample", "--count", "1000000000"], 1000000000, 16),
+            (["gibbs-sample", "--count", "1000000000", "--sampler", "pcn-mcmc"], 1000000000, 16),
+            (["gibbs-sample", "--modes", "100000000", "--count", "2"], 2, 100000000),
+            (["verify-invariance", "--modes", "8", "--count", "100000000"], 100000000, 8),
+        ],
+        ids=lambda v: " ".join(v) if isinstance(v, list) else None,
+    )
+    def test_sample_stack_beyond_cap_exits_1_fast(self, capsys, tmp_path, argv, count, modes):
+        # g(u) samples a (count, 4 m) float64 stack; these used to end in a numpy _ArrayMemoryError traceback
+        start = time.perf_counter()
+        code, _, err = run(capsys, *argv, "--out", str(tmp_path))
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert (f"gibbs.count = {count} at grid.modes = {modes} is a ({count}, {4 * modes}) float64 sample stack "
+                f"of {32 * count * modes} bytes, above the cap of {_SAMPLE_STACK_BYTES_MAX}") in err
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_sample_stack_cap_edges(self):
+        resolve = lambda *argv: _resolve(argv[0], _build_parser().parse_args(list(argv)))
+        # the cap's edge, criterion 5's draw and the benchmark's stacks
+        for command, count in [("gibbs-sample", 1048576), ("verify-invariance", 1048576), ("gibbs-sample", 100000),
+                               ("verify-invariance", 20000), ("gibbs-sample", 20000)]:
+            assert resolve(command, "--modes", "8", "--count", str(count))["gibbs.count"] == count
+        assert resolve("gibbs-sample")["gibbs.count"] == 1000
+        for command in ("gibbs-sample", "verify-invariance"):
+            with pytest.raises(ConfigError, match=r"^gibbs\.count = 1048577 at grid\.modes = 8 "):
+                resolve(command, "--modes", "8", "--count", "1048577")
 
 
 class TestOutputDirectory:
