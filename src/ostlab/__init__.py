@@ -4,7 +4,7 @@ The package builds the truncated (Galerkin) Ostrovsky flow on the zero-mean
 Fourier band, the Gaussian/Gibbs measures attached to its energy, and the
 statistical and lattice machinery used to verify their interplay numerically:
 
-- ``spectral``:   fields, transforms, multipliers, conserved functionals
+- ``spectral``:   fields, transforms, symbols, conserved functionals
 - ``flow``:       time integration, Liouville check, Picard solver
 - ``gibbs``:      samplers, weighted ensembles and their files
 - ``invariance``: push ensembles through the flow, compare observables

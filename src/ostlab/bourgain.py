@@ -52,17 +52,14 @@ __all__ = [
     "ResonanceRecord",
     "ResonanceScan",
     "TimeLocalizationResult",
-    "bilinear_ratio",
     "bilinear_sweep",
     "concentrated_pair",
-    "delta_lattice_field",
     "hann_ft",
     "kernel_integral_scan",
     "kernel_sum_scan",
     "localization_demo_field",
     "localization_ratio",
     "localize",
-    "random_lattice_field",
     "resonance",
     "resonance_scan",
     "sweep_spec",
@@ -142,20 +139,13 @@ class LatticeField:
 
     `windows` holds one read-only (row, column, window) per nonzero row,
     ascending: the row's amplitudes from tau column `column` on, trimmed to
-    its first and last nonzero cell; all other cells are zero.  Pass
-    `windows`, or a dense `values` array of spec.shape to be trimmed; the
-    `values` property rebuilds the dense array on each access (read-only).
+    its first and last nonzero cell; all other cells are zero.
     """
 
     spec: LatticeSpec
     windows: tuple
 
-    def __init__(self, spec: LatticeSpec, values=None, windows=()):
-        if values is not None:
-            vals = np.asarray(values, dtype=np.complex128)
-            if vals.shape != spec.shape:
-                raise ValueError(f"values must have shape {spec.shape}, got {vals.shape}")
-            windows = [(i, 0, row) for i, row in enumerate(vals)]
+    def __init__(self, spec: LatticeSpec, *, windows=()):
         kept = []
         for row, col, win in windows:
             win = np.asarray(win, dtype=np.complex128)
@@ -172,23 +162,6 @@ class LatticeField:
             raise ValueError("a row may hold one window only")
         object.__setattr__(self, "spec", spec)
         object.__setattr__(self, "windows", tuple(kept))
-
-    @property
-    def values(self) -> np.ndarray:
-        vals = np.zeros(self.spec.shape, dtype=np.complex128)
-        for row, col, win in self.windows:
-            vals[row, col : col + len(win)] = win
-        vals.setflags(write=False)
-        return vals
-
-
-def delta_lattice_field(spec: LatticeSpec, n: int, tau: float = 0.0, value=1.0) -> LatticeField:
-    """Single nonzero cell at frequency n and the grid cell nearest tau."""
-    return LatticeField(spec, windows=[(spec.index(n), spec.nearest_column(tau), [value])])
-
-
-def random_lattice_field(spec: LatticeSpec, rng: np.random.Generator) -> LatticeField:
-    return LatticeField(spec, rng.standard_normal(spec.shape) + 1j * rng.standard_normal(spec.shape))
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +385,13 @@ def _bilinear_convolution(f: LatticeField, g: LatticeField) -> dict:
 
 
 def _bilinear_ratios(f: LatticeField, g: LatticeField, s_values) -> list:
-    """[bilinear_ratio(f, g, s) for s in s_values] from one convolution."""
+    """|dx(fg)|_{X^{s,-1/2}} / (|f|_{X^{s,1/2}} |g|_{X^{s,1/2}}) for each s in s_values, from one convolution.
+
+    The numerator weights the (n, tau) convolution by
+    |n| <n>^s <tau + m(n)>^{-1/2}; no time cutoff is modeled, so this
+    measures the bare constant of the estimate at the lattice's d_tau.
+    Raises on zero input (zero denominator).
+    """
     dens = [xsb_norm(f, s, 0.5) * xsb_norm(g, s, 0.5) for s in s_values]
     if 0.0 in dens:
         raise ValueError("bilinear ratio needs nonzero input fields")
@@ -426,17 +405,6 @@ def _bilinear_ratios(f: LatticeField, g: LatticeField, s_values) -> list:
             w = abs(n_out) * _angle_weight(float(n_out), s) * modulation
             totals[k] += float(np.sum((w * amplitude) ** 2))
     return [math.sqrt(total * spec.d_tau) / den for total, den in zip(totals, dens)]
-
-
-def bilinear_ratio(f: LatticeField, g: LatticeField, s: float) -> float:
-    """|dx(fg)|_{X^{s,-1/2}} / (|f|_{X^{s,1/2}} |g|_{X^{s,1/2}}).
-
-    The numerator weights the (n, tau) convolution by
-    |n| <n>^s <tau + m(n)>^{-1/2}; no time cutoff is modeled, so this
-    measures the bare constant of the estimate at the lattice's d_tau.
-    Raises on zero input (zero denominator).
-    """
-    return _bilinear_ratios(f, g, [s])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -45,8 +45,8 @@ from .bourgain import (
     kernel_sum_scan, resonance_scan, sweep_spec,
 )
 from .flow import (
-    _MAX_NODES, _PICARD_ENDPOINT_TOL, _PICARD_T_MAX, BlowUpError, FlowParams, _default_nodes, _full_steps,
-    _linear_rates, convergence_in_m, evolve, flow_map, picard_solve,
+    _CONTOUR_POINTS, _MAX_NODES, _PICARD_ENDPOINT_TOL, _PICARD_T_MAX, BlowUpError, FlowParams, _default_nodes,
+    _full_steps, _linear_rates, _record_times, convergence_in_m, evolve, flow_map, picard_solve,
 )
 from .gibbs import (
     DegenerateWeightsError,
@@ -242,9 +242,8 @@ def _resolve(command: str, args: argparse.Namespace) -> RunConfig:
         raise ConfigError(f"gibbs.count must be at least {least} for {command}, got {values['gibbs.count']}")
     if "gibbs.count" in values:  # g(u)'s (count, 4 m) float64 samples, the largest stack of a draw
         count, modes = values["gibbs.count"], values["grid.modes"]
-        if count * 32 * modes > _SAMPLE_STACK_BYTES_MAX:
-            raise ConfigError(f"gibbs.count = {count} at grid.modes = {modes} is a ({count}, {4 * modes}) float64 "
-                              f"sample stack of {count * 32 * modes} bytes, above the cap of {_SAMPLE_STACK_BYTES_MAX}")
+        _check_stack(f"gibbs.count = {count} at grid.modes = {modes} is a ({count}, {4 * modes}) float64 sample stack",
+                     count * 32 * modes)
     if command in _STEPPED:  # before any sample is drawn or Picard iterate taken
         t_key, dt_key = _STEPPED[command]
         for t in np.atleast_1d(values[t_key]):
@@ -252,6 +251,18 @@ def _resolve(command: str, args: argparse.Namespace) -> RunConfig:
                 _full_steps(t, values[dt_key])
             except ValueError as exc:
                 raise ConfigError(f"{t_key} ({dt_key}): {exc}") from exc
+        if command == "convergence-m":  # the largest grid stepped is the reference, of twice the largest m
+            modes = 2 * max(values["convergence.m_values"])
+            grid = f"convergence.m_values = {_fmt(values['convergence.m_values'])} (a reference of {modes} modes)"
+        else:
+            modes = values["grid.modes"]
+            grid = f"grid.modes = {modes}"
+        _check_stack(f"{grid} needs a ({modes}, {_CONTOUR_POINTS}) complex ETDRK4 contour table",
+                     16 * _CONTOUR_POINTS * modes)
+        if "flow.record_every" in values:  # simulate and convergence-m keep every recorded state
+            records = len(_record_times(values[t_key], values[dt_key], values["flow.record_every"]))
+            _check_stack(f"{grid} at {records} record times ({t_key}, {dt_key}, flow.record_every) needs a "
+                         f"({records}, {modes}) complex record stack", 16 * records * modes)
     if command == "picard":  # the (nodes, m) tables of picard_solve's grid
         nodes = _default_nodes(values["picard.t"])
         if nodes * values["grid.modes"] > _PICARD_CELLS_MAX:
@@ -270,6 +281,11 @@ def _resolve(command: str, args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"kernel.k_range = {values['kernel.k_range']} (kernel.sum_tau_values, "
                               f"kernel.sum_n_values): {exc}") from exc
     return RunConfig(command=command, values=values)
+
+
+def _check_stack(what: str, nbytes: int) -> None:
+    if nbytes > _STACK_BYTES_MAX:
+        raise ConfigError(f"{what} of {nbytes} bytes, above the cap of {_STACK_BYTES_MAX}")
 
 
 def _out_dir(cfg: RunConfig) -> Path:
@@ -571,9 +587,10 @@ def _cmd_convergence_m(cfg: RunConfig) -> int:
 # the (nodes, m) tables may hold as many cells as the node cap's at the default m = 16
 _PICARD_CELLS_MAX = 16 * _MAX_NODES
 
-# 256 MiB of samples, so g(u)'s stack and its one temporary stay near 0.5 GiB: 1 048 576 samples at
-# m = 8, 52 times the benchmark's and 10 times criterion 5's count
-_SAMPLE_STACK_BYTES_MAX = 2**28
+# largest array a run may ask for, checked in _resolve: g(u)'s float64 sample stack (and its one temporary,
+# so near 0.5 GiB: 1 048 576 samples at m = 8, 52 times the benchmark's and 10 times criterion 5's count),
+# ETDRK4's complex contour table (524 288 modes) and a trajectory's complex record stack
+_STACK_BYTES_MAX = 2**28
 
 # (time key, step key) of each command that steps the flow, whose step count flow._full_steps caps
 _STEPPED = {

@@ -36,14 +36,13 @@ from .spectral import (
     _coeff_to_coords,
     _coord_eigenvalues,
     _coords_to_coeff,
+    _cubic_g,
     _freeze,
     _from_physical,
     _hamiltonian,
     _l2,
     _parallel_map,
     _to_physical,
-    coordinates,
-    cubic_g,
     dispersion,
     make_grid,
     regrid,
@@ -65,7 +64,6 @@ __all__ = [
     "evolve",
     "flow_map",
     "liouville_divergence",
-    "nonlinear_term",
     "picard_solve",
 ]
 
@@ -89,15 +87,11 @@ class BlowUpError(RuntimeError):
 
 @dataclass(frozen=True)
 class FlowParams:
-    """Integration controls of the ETDRK4 integrator.
-
-    nonlinear=False integrates the linear phase only.
-    """
+    """Integration controls of the ETDRK4 integrator."""
 
     dt: float
     T: float = 0.0
     record_every: int = 1
-    nonlinear: bool = True
 
     def __post_init__(self):
         if not (math.isfinite(self.dt) and self.dt > 0.0):
@@ -220,7 +214,9 @@ def _product_coeff(coeff: np.ndarray, modes: int, npts: int, *, work: tuple) -> 
 def _nonlinear(grid: GridSpec):
     """The nonlinear part c -> -i xi_k P_m(u^2)^(k) of the coefficient ODE.
 
-    Its workspace follows the input shape: never share it between threads.
+    Skew against its argument in the L2 pairing, which makes the flow
+    L2-conserving.  Its workspace follows the input shape: never share it
+    between threads.
     """
     m, npts, rate = grid.modes, grid.points, -1j * grid.xi
     tables = _product_tables(m, npts) if m <= _GEMM_MAX_MODES else None
@@ -235,15 +231,6 @@ def _nonlinear(grid: GridSpec):
         return np.multiply(rate, product, out=product)
 
     return rhs
-
-
-def nonlinear_term(f: FourierField) -> FourierField:
-    """(1/2) P_m dx(u^2), dealiased: -1/2 of the flow's nonlinear part.
-
-    Skew against its argument: <nonlinear_term(f), f>_{L2} = 0, which is
-    what makes the full flow L2-conserving.
-    """
-    return FourierField(f.grid, -0.5 * _nonlinear(f.grid)(f.coeff))
 
 
 # ---------------------------------------------------------------------------
@@ -302,10 +289,7 @@ def _check_state(c: np.ndarray, t: float) -> None:
 
 
 def _stepper(lam, rhs, h: float):
-    """One step of size h (either sign) as c -> c': ETDRK4, or the exact phase when rhs is None."""
-    if rhs is None:
-        phase = np.exp(h * lam)
-        return lambda c: phase * c
+    """One ETDRK4 step of size h (either sign) as c -> c'."""
     tables = _etdrk4_tables(lam, h)
     return lambda c: _etdrk4_step(c, tables, rhs)
 
@@ -371,7 +355,7 @@ def _advance_times(coeff: np.ndarray, grid: GridSpec, p: FlowParams, times, thre
 
     def run_block(block):
         rows = coeff[block]
-        rhs = _nonlinear(grid) if p.nonlinear else None
+        rhs = _nonlinear(grid)
         out = [rows] * len(times)
         for sign in (1.0, -1.0):
             wanted = {}
@@ -495,11 +479,9 @@ def liouville_divergence(f: FourierField, h: float) -> LiouvilleCheck:
     v = _coord_eigenvalues(grid)
 
     def log_density(a):
-        c = _coords_to_coeff(a, grid)
-        u = FourierField(grid, c)
-        return -0.5 * float(np.sum(v * a * a)) - cubic_g(u)
+        return -0.5 * float(np.sum(v * a * a)) - float(_cubic_g(_coords_to_coeff(a, grid), grid))
 
-    a0 = coordinates(f)
+    a0 = _coeff_to_coords(f.coeff, grid)
     eye = np.eye(n)
     plus = a0[None, :] + h * eye
     minus = a0[None, :] - h * eye
@@ -608,7 +590,6 @@ def convergence_in_m(
     m_list,
     dt: float = 1e-3,
     record_every: int = 50,
-    nonlinear: bool = True,
 ) -> ConvergenceStudy:
     """Evolve projections of f0 at each m and compare against m_ref = 2*max.
 
@@ -621,7 +602,7 @@ def convergence_in_m(
         raise ValueError("m_list must be strictly increasing positive integers")
     m_ref = 2 * m_list[-1]
     length = f0.grid.length
-    p = FlowParams(dt=dt, T=T, record_every=record_every, nonlinear=nonlinear)
+    p = FlowParams(dt=dt, T=T, record_every=record_every)
     times = _record_times(p.T, p.dt, p.record_every)
 
     def states(m):

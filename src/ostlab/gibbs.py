@@ -69,7 +69,6 @@ __all__ = [
     "gibbs_expectation",
     "load_ensemble",
     "pcn_chain",
-    "pcn_step",
     "sample_gaussian",
     "save_ensemble",
     "trace_check",
@@ -162,9 +161,6 @@ class Ensemble:
     def __len__(self) -> int:
         return self.coeffs.shape[0]
 
-    def field(self, i: int) -> FourierField:
-        return FourierField(self.spec.grid, self.coeffs[i])
-
     @functools.cached_property
     def _weights(self) -> tuple[np.ndarray, float, float]:
         """Importance weights chi_i exp(-g(u_i) - shift), their exact sum and effective sample size.
@@ -254,19 +250,6 @@ def _pcn_moves(spec: GibbsSpec, beta: float, rng: np.random.Generator, u=None, g
         if accepted:
             u, g_u = proposal, g_proposal
         yield u, accepted, evaluations
-
-
-def pcn_step(u: FourierField, beta: float, spec: GibbsSpec, rng: np.random.Generator):
-    """One preconditioned Crank-Nicolson move; returns (state, accepted).
-
-    Proposal u' = sqrt(1-beta^2) u + beta xi with xi ~ w preserves w
-    exactly, so the acceptance ratio is exp(g(u) - g(u')) alone.  A
-    configured cutoff acts as hard rejection outside the ball.  beta = 0
-    degenerates to the identity move (always accepted).  `pcn_chain`
-    repeats this move.
-    """
-    coeff, accepted, _ = next(_pcn_moves(spec, beta, rng, u.coeff))
-    return (FourierField(spec.grid, coeff) if accepted else u), accepted
 
 
 def pcn_chain(

@@ -34,24 +34,11 @@ TWO_PI = 2.0 * math.pi
 __all__ = [
     "FourierField",
     "GridSpec",
-    "coordinates",
-    "cubic_g",
     "dispersion",
-    "dx",
-    "dx_inv",
     "energy_eigenvalues",
-    "field_from_coordinates",
-    "from_physical",
-    "hamiltonian",
-    "inner",
-    "l2_norm",
     "make_grid",
-    "quadratic_energy",
     "random_smooth_field",
     "regrid",
-    "sobolev_norm",
-    "to_physical",
-    "zero_field",
 ]
 
 
@@ -122,10 +109,6 @@ class FourierField:
         object.__setattr__(self, "coeff", c)
 
 
-def zero_field(grid: GridSpec) -> FourierField:
-    return FourierField(grid, np.zeros(grid.modes, dtype=np.complex128))
-
-
 def random_smooth_field(grid: GridSpec, rng: np.random.Generator, k0: float = 2.0, norm: float = 1.0) -> FourierField:
     """Random field with Gaussian-decaying spectrum, scaled to L2 norm ``norm``.
 
@@ -168,40 +151,8 @@ def _from_physical(samples: np.ndarray, modes: int, out=None) -> np.ndarray:
     return forward(samples, 1, out=out)[..., 1 : modes + 1] / n
 
 
-def to_physical(f: FourierField) -> np.ndarray:
-    """Samples of f on the quadrature grid (zero-padded inverse transform)."""
-    return _to_physical(f.coeff, f.grid.points)
-
-
-def from_physical(samples: np.ndarray, grid: GridSpec) -> FourierField:
-    """Field with the coefficients of ``samples`` on modes 1..m.
-
-    The sample mean and any content above mode m are discarded.
-    Rejects non-finite samples.
-    """
-    s = np.asarray(samples, dtype=np.float64)
-    if s.shape != (grid.points,):
-        raise ValueError(f"expected {grid.points} samples, got shape {s.shape}")
-    if not np.isfinite(s).all():
-        raise ValueError("samples must be finite")
-    return FourierField(grid, _from_physical(s, grid.modes))
-
-
 # ---------------------------------------------------------------------------
-# multipliers and projections
-
-
-def dx(f: FourierField) -> FourierField:
-    """Derivative: multiply mode k by i*xi_k."""
-    return FourierField(f.grid, 1j * f.grid.xi * f.coeff)
-
-
-def dx_inv(f: FourierField) -> FourierField:
-    """Antiderivative on the zero-mean band: divide mode k by i*xi_k.
-
-    Exact inverse of dx; no zero mode exists, so this is always defined.
-    """
-    return FourierField(f.grid, f.coeff / (1j * f.grid.xi))
+# projections and symbols
 
 
 def regrid(f: FourierField, grid: GridSpec) -> FourierField:
@@ -233,7 +184,7 @@ def dispersion(xi):
 def energy_eigenvalues(grid: GridSpec) -> np.ndarray:
     """Symbol s_k = xi_k^2 + xi_k^{-2} of the positive operator S.
 
-    S is the quadratic-energy operator: (Su, u) = int u_x^2 + int (dx_inv u)^2.
+    S is the quadratic-energy operator: (Su, u) = int u_x^2 + int (dx^{-1} u)^2.
     Each s_k carries multiplicity two (sine and cosine directions).
     """
     xi = grid.xi
@@ -245,31 +196,12 @@ def energy_eigenvalues(grid: GridSpec) -> np.ndarray:
 
 
 def _l2(coeff: np.ndarray, length: float) -> np.ndarray:
+    """L2 norm of each row of a (..., m) stack, calibrated to the integral: _l2(c)^2 = int u^2 dx."""
     return np.sqrt(2.0 * length * np.sum(np.abs(coeff) ** 2, axis=-1))
 
 
-def l2_norm(f: FourierField) -> float:
-    """L2 norm, calibrated to the integral: l2_norm(f)^2 = int f^2 dx."""
-    return float(_l2(f.coeff, f.grid.length))
-
-
-def sobolev_norm(f: FourierField, s: float) -> float:
-    """Sobolev norm (2A sum <xi_k>^{2s} |u_hat(k)|^2)^{1/2}, <x> = sqrt(1+x^2).
-
-    The 2A normalization makes sobolev_norm(f, 0) == l2_norm(f).
-    """
-    w = (1.0 + f.grid.xi**2) ** s
-    return float(np.sqrt(2.0 * f.grid.length * np.sum(w * np.abs(f.coeff) ** 2)))
-
-
-def inner(f: FourierField, g: FourierField) -> float:
-    """L2 pairing int f g dx; kept as the oracle of the skew-pairing tests."""
-    if g.grid != f.grid:
-        raise ValueError("fields must share a grid")
-    return float(2.0 * f.grid.length * np.sum(f.coeff * np.conj(g.coeff)).real)
-
-
 def _cubic_g(coeff: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Cubic functional g(u) = (1/3) int u^3 dx of each row (alias-free quadrature)."""
     u = _to_physical(coeff, grid.points)
     # (u*u)*u by two multiplies, not u**3 (libm pow, about 30x slower on a sample stack);
     # then np.mean's own sum and division, without its Python wrapper
@@ -278,28 +210,15 @@ def _cubic_g(coeff: np.ndarray, grid: GridSpec) -> np.ndarray:
     return (grid.length / 3.0) * (np.add.reduce(cube, axis=-1) / grid.points)
 
 
-def cubic_g(f: FourierField) -> float:
-    """Cubic functional g(u) = (1/3) int u^3 dx (alias-free quadrature)."""
-    return float(_cubic_g(f.coeff, f.grid))
-
-
 def _quadratic_energy(coeff: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """(1/2)(Su, u) = (1/2) int u_x^2 + (1/2) int (dx^{-1} u)^2 of each row."""
     s = energy_eigenvalues(grid)
     return grid.length * np.sum(s * np.abs(coeff) ** 2, axis=-1)
 
 
-def quadratic_energy(f: FourierField) -> float:
-    """(1/2)(Su, u) = (1/2) int u_x^2 + (1/2) int (dx_inv u)^2; kept as the Hamiltonian tests' oracle."""
-    return float(_quadratic_energy(f.coeff, f.grid))
-
-
 def _hamiltonian(coeff: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """H(u) = (1/2)(Su, u) + g(u) of each row; the quadratic part is nonnegative."""
     return _quadratic_energy(coeff, grid) + _cubic_g(coeff, grid)
-
-
-def hamiltonian(f: FourierField) -> float:
-    """H(u) = (1/2)(Su, u) + g(u); the quadratic part is nonnegative."""
-    return float(_hamiltonian(f.coeff, f.grid))
 
 
 # ---------------------------------------------------------------------------
@@ -307,6 +226,7 @@ def hamiltonian(f: FourierField) -> float:
 
 
 def _coeff_to_coords(coeff: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Coefficients a_j of each row in the interleaved sine/cosine basis (2m values)."""
     root = math.sqrt(2.0 * grid.length)
     a = np.empty(coeff.shape[:-1] + (2 * grid.modes,))
     a[..., 0::2] = -root * coeff.imag
@@ -322,21 +242,6 @@ def _coords_to_coeff(a: np.ndarray, grid: GridSpec) -> np.ndarray:
 def _coord_eigenvalues(grid: GridSpec) -> np.ndarray:
     """energy_eigenvalues per real coordinate: [s_1, s_1, s_2, s_2, ...]."""
     return np.repeat(energy_eigenvalues(grid), 2)
-
-
-def coordinates(f: FourierField) -> np.ndarray:
-    """Coefficients a_j of f in the interleaved sine/cosine basis (2m values)."""
-    return _coeff_to_coords(f.coeff, f.grid)
-
-
-def field_from_coordinates(grid: GridSpec, a) -> FourierField:
-    """Field u = sum_j a_j e_j from 2m interleaved sine/cosine amplitudes."""
-    arr = np.asarray(a, dtype=np.float64)
-    if arr.shape != (2 * grid.modes,):
-        raise ValueError(f"expected {2 * grid.modes} coordinates, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise ValueError("coordinates must be finite")
-    return FourierField(grid, _coords_to_coeff(arr, grid))
 
 
 # ---------------------------------------------------------------------------

@@ -15,17 +15,14 @@ from ostlab.bourgain import (
     ResonanceRecord,
     _bilinear_ratios,
     _resonance_grid,
-    bilinear_ratio,
     bilinear_sweep,
     concentrated_pair,
-    delta_lattice_field,
     hann_ft,
     kernel_integral_scan,
     kernel_sum_scan,
     localization_demo_field,
     localization_ratio,
     localize,
-    random_lattice_field,
     resonance,
     resonance_scan,
     sweep_spec,
@@ -41,6 +38,24 @@ def make_rng(*key):
 
 def exact_symbol(n):
     return n**3 + Fraction(1, n)
+
+
+def delta_field(spec, n, tau, value=1.0):
+    """One nonzero cell, at frequency n and the tau column nearest tau."""
+    return LatticeField(spec, windows=[(spec.index(n), spec.nearest_column(tau), [value])])
+
+
+def dense_field(spec, values):
+    """The field of a dense spec.shape array, as full-row windows."""
+    return LatticeField(spec, windows=[(i, 0, row) for i, row in enumerate(values)])
+
+
+def random_values(spec, rng):
+    return rng.standard_normal(spec.shape) + 1j * rng.standard_normal(spec.shape)
+
+
+def bilinear_ratio(f, g, s):
+    return _bilinear_ratios(f, g, [s])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -271,41 +286,25 @@ class TestLatticeSpec:
 class TestLatticeField:
     def test_shape_and_finiteness_enforced(self):
         spec = LatticeSpec(n_max=2, tau_max=4.0, d_tau=1.0)
-        with pytest.raises(ValueError):
-            LatticeField(spec, np.zeros((3, 9)))
-        bad = np.zeros((4, 9))
-        bad[0, 0] = np.nan
-        with pytest.raises(ValueError):
-            LatticeField(spec, bad)
-        field = LatticeField(spec, np.zeros((4, 9)))
-        with pytest.raises(ValueError):
-            field.values[0, 0] = 1.0
+        for bad in ([(0, 0, np.zeros(10))], [(0, 0, np.zeros((1, 9)))], [(0, 2, [1.0, np.nan])], [(1, 0, [np.inf])]):
+            with pytest.raises(ValueError):
+                LatticeField(spec, windows=bad)
+        with pytest.raises(TypeError):  # windows only: no dense array
+            LatticeField(spec, np.zeros((4, 9)))
+        assert LatticeField(spec).windows == ()
 
     def test_windows_trimmed_to_nonzero_span(self):
         spec = LatticeSpec(n_max=2, tau_max=4.0, d_tau=1.0)
-        dense = np.zeros((4, 9), dtype=complex)
-        dense[1, 2:6] = [0.0, 1.0, 2j, 0.0]
-        dense[3, 8] = 3.0
-        field = LatticeField(spec, dense)
-        assert [(row, col, list(win)) for row, col, win in field.windows] == [(1, 3, [1.0, 2j]), (3, 8, [3.0])]
-        assert np.array_equal(field.values, dense)
-        same = LatticeField(spec, windows=[(3, 6, [0.0, 0.0, 3.0]), (1, 0, dense[1]), (0, 0, np.zeros(9))])
-        assert np.array_equal(same.values, dense)
+        row = np.array([0.0, 0.0, 0.0, 1.0, 2j, 0.0, 0.0, 0.0, 0.0])
+        expected = [(1, 3, [1.0, 2j]), (3, 8, [3.0])]
+        for windows in ([(1, 0, row), (3, 8, [3.0])], [(3, 6, [0.0, 0.0, 3.0]), (1, 2, row[2:6]), (0, 0, np.zeros(9))]):
+            field = LatticeField(spec, windows=windows)
+            assert [(r, col, list(win)) for r, col, win in field.windows] == expected
         with pytest.raises(ValueError):
             field.windows[0][2][0] = 0.0
         for bad in ([(4, 0, [1.0])], [(0, 8, [1.0, 1.0])], [(0, -1, [1.0])], [(0, 0, [1.0]), (0, 4, [1.0])]):
             with pytest.raises(ValueError):
                 LatticeField(spec, windows=bad)
-
-    def test_delta_field_single_cell(self):
-        spec = LatticeSpec(n_max=3, tau_max=8.0, d_tau=0.5)
-        f = delta_lattice_field(spec, 2, tau=-7.5, value=2.0)
-        nz = np.argwhere(f.values != 0)
-        assert nz.shape == (1, 2)
-        row, col = nz[0]
-        assert row == spec.index(2)
-        assert spec.tau[col] == -7.5
-        assert f.values[row, col] == 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +315,7 @@ class TestNorms:
     def test_delta_oracle_on_curve(self):
         # the curve cell of n = 1 is tau = -m(1) = -2, so the modulation weight is <0> = 1
         spec = LatticeSpec(n_max=4, tau_max=64.0, d_tau=0.5)
-        d = delta_lattice_field(spec, 1, -2.0)
+        d = delta_field(spec, 1, -2.0)
         for s in (0.0, -0.5, 1.0, 2.0):
             expected = 2.0 ** (s / 2.0) * math.sqrt(0.5)
             assert abs(xsb_norm(d, s, 0.5) - expected) < 1e-14
@@ -324,28 +323,27 @@ class TestNorms:
     def test_delta_oracle_off_curve(self):
         # delta at n = 2, tau = 0: modulation weight <m(2)> = <8.5>
         spec = LatticeSpec(n_max=4, tau_max=64.0, d_tau=0.5)
-        d = delta_lattice_field(spec, 2, 0.0)
+        d = delta_field(spec, 2, 0.0)
         expected = 5.0**0.5 * (1.0 + 8.5**2) ** 0.25 * math.sqrt(0.5)
         assert abs(xsb_norm(d, 1.0, 0.5) - expected) < 1e-12
         # and on-curve placement removes the modulation factor
-        on_curve = delta_lattice_field(spec, 2, -8.5)
+        on_curve = delta_field(spec, 2, -8.5)
         assert abs(xsb_norm(on_curve, 1.0, 0.5) - 5.0**0.5 * math.sqrt(0.5)) < 1e-12
 
     def test_absolute_homogeneity_and_rotation(self):
         spec = LatticeSpec(n_max=3, tau_max=6.0, d_tau=0.75)
-        f = random_lattice_field(spec, make_rng(5, 0))
-        base = xsb_norm(f, -0.5, 0.5)
-        scaled = LatticeField(spec, 3.5 * f.values)
-        rotated = LatticeField(spec, np.exp(0.7j) * f.values)
+        values = random_values(spec, make_rng(5, 0))
+        base = xsb_norm(dense_field(spec, values), -0.5, 0.5)
+        scaled = dense_field(spec, 3.5 * values)
+        rotated = dense_field(spec, np.exp(0.7j) * values)
         assert abs(xsb_norm(scaled, -0.5, 0.5) - 3.5 * base) < 1e-12 * base
         assert abs(xsb_norm(rotated, -0.5, 0.5) - base) < 1e-12 * base
 
     def test_triangle_inequality(self):
         spec = LatticeSpec(n_max=3, tau_max=6.0, d_tau=0.75)
         for trial in range(5):
-            f = random_lattice_field(spec, make_rng(6, trial))
-            g = random_lattice_field(spec, make_rng(7, trial))
-            h = LatticeField(spec, f.values + g.values)
+            fv, gv = random_values(spec, make_rng(6, trial)), random_values(spec, make_rng(7, trial))
+            f, g, h = dense_field(spec, fv), dense_field(spec, gv), dense_field(spec, fv + gv)
             for s, b in ((0.0, 0.5), (-0.5, 0.25), (1.0, 0.5)):
                 assert xsb_norm(h, s, b) <= xsb_norm(f, s, b) + xsb_norm(g, s, b) + 1e-12
 
@@ -360,7 +358,7 @@ class TestBilinearRatio:
         # amplitude d_tau, so every factor is explicit; m(1) = 2 and m(2) = 8.5
         # give f the modulation weight <2>^{1/2} and the product <8.5>^{-1/2}
         spec = LatticeSpec(n_max=4, tau_max=64.0, d_tau=0.5)
-        f = delta_lattice_field(spec, 1, 0.0)
+        f = delta_field(spec, 1, 0.0)
         for s in (0.0, -0.5, 1.0):
             expected = (
                 2.0
@@ -374,8 +372,8 @@ class TestBilinearRatio:
 
     def test_matches_direct_convolution(self):
         spec = LatticeSpec(n_max=3, tau_max=4.0, d_tau=0.5)
-        f = random_lattice_field(spec, make_rng(11, 0))
-        g = random_lattice_field(spec, make_rng(11, 1))
+        fv, gv = random_values(spec, make_rng(11, 0)), random_values(spec, make_rng(11, 1))
+        f, g = dense_field(spec, fv), dense_field(spec, gv)
         nv, tau, dt = spec.n_values, spec.tau, spec.d_tau
         nt = len(tau)
         conv = {}
@@ -386,7 +384,7 @@ class TestBilinearRatio:
                     continue
                 row = conv.setdefault(n_out, np.zeros(2 * nt - 1, dtype=complex))
                 for k1 in range(nt):
-                    row[k1 : k1 + nt] += f.values[i, k1] * g.values[j] * dt
+                    row[k1 : k1 + nt] += fv[i, k1] * gv[j] * dt
         tau_out = 2 * tau[0] + np.arange(2 * nt - 1) * dt
         s_values = [0.0, -0.25, -0.5, -0.6]
         # one convolution serves every s
@@ -406,25 +404,24 @@ class TestBilinearRatio:
 
     def test_invariant_under_rotation_and_scaling(self):
         spec = LatticeSpec(n_max=3, tau_max=4.0, d_tau=0.5)
-        f = random_lattice_field(spec, make_rng(12, 0))
-        g = random_lattice_field(spec, make_rng(12, 1))
-        base = bilinear_ratio(f, g, -0.5)
-        f2 = LatticeField(spec, 2.0 * np.exp(1.3j) * f.values)
-        g2 = LatticeField(spec, 0.25 * np.exp(-0.4j) * g.values)
+        fv, gv = random_values(spec, make_rng(12, 0)), random_values(spec, make_rng(12, 1))
+        base = bilinear_ratio(dense_field(spec, fv), dense_field(spec, gv), -0.5)
+        f2 = dense_field(spec, 2.0 * np.exp(1.3j) * fv)
+        g2 = dense_field(spec, 0.25 * np.exp(-0.4j) * gv)
         assert abs(bilinear_ratio(f2, g2, -0.5) - base) < 1e-12 * base
 
     def test_zero_input_is_an_error(self):
         spec = LatticeSpec(n_max=2, tau_max=4.0, d_tau=1.0)
-        zero = LatticeField(spec, np.zeros((4, 9)))
-        f = delta_lattice_field(spec, 1, 0.0)
+        zero = LatticeField(spec)
+        f = delta_field(spec, 1, 0.0)
         with pytest.raises(ValueError):
             bilinear_ratio(zero, f, 0.0)
         with pytest.raises(ValueError):
             bilinear_ratio(f, zero, 0.0)
 
     def test_mismatched_lattices_rejected(self):
-        f = delta_lattice_field(LatticeSpec(2, 4.0, 1.0), 1, 0.0)
-        g = delta_lattice_field(LatticeSpec(2, 8.0, 1.0), 1, 0.0)
+        f = delta_field(LatticeSpec(2, 4.0, 1.0), 1, 0.0)
+        g = delta_field(LatticeSpec(2, 8.0, 1.0), 1, 0.0)
         with pytest.raises(ValueError):
             bilinear_ratio(f, g, 0.0)
 
@@ -434,8 +431,8 @@ class TestBilinearRatio:
         spec = LatticeSpec(n_max=32, tau_max=256.0, d_tau=1.0)
         for trial in range(10):
             rng = make_rng(7, trial)
-            f = random_lattice_field(spec, rng)
-            g = random_lattice_field(spec, rng)
+            f = dense_field(spec, random_values(spec, rng))
+            g = dense_field(spec, random_values(spec, rng))
             r = bilinear_ratio(f, g, -0.5)
             assert 0.0 < r < 0.01
 
@@ -445,11 +442,10 @@ class TestBilinearSweep:
         spec = sweep_spec(16)
         f, g = concentrated_pair(spec, nu=2)
         for field, n_row in ((f, 16), (g, 2 - 16)):
-            rows = sorted(set(np.argwhere(field.values != 0)[:, 0]))
-            assert rows == [spec.index(n_row)]
-            cols = np.argwhere(field.values[spec.index(n_row)] != 0)[:, 0]
-            assert len(cols) == 16
-            center = spec.tau[cols].mean()
+            [(row, col, window)] = field.windows
+            assert row == spec.index(n_row)
+            assert len(window) == 16 and np.all(window != 0)
+            center = spec.tau[col : col + 16].mean()
             assert abs(center + dispersion(n_row)) <= 16 * spec.d_tau
 
     def test_concentrated_pair_validation(self):
@@ -715,7 +711,8 @@ class TestTimeLocalization:
         u = localization_demo_field(n_max=2, margin=200.0)
         w = localize(u, 0.5)
         # zero rows stay zero; nonzero rows spread beyond a single cell
-        assert np.count_nonzero(np.abs(w.values) > 1e-12) > np.count_nonzero(u.values)
+        cells = lambda field: sum(np.count_nonzero(np.abs(win) > 1e-12) for _, _, win in field.windows)
+        assert cells(w) > cells(u)
 
     def test_b_half_is_identity_ratio(self):
         u = localization_demo_field(n_max=2, margin=200.0)
@@ -741,6 +738,5 @@ class TestTimeLocalization:
         with pytest.raises(ValueError):
             time_localization_scan(u, [0.0])
         spec = LatticeSpec(n_max=2, tau_max=4.0, d_tau=1.0)
-        zero = LatticeField(spec, np.zeros((4, 9)))
         with pytest.raises(ValueError):
-            localization_ratio(zero, 0.25, 0.5)
+            localization_ratio(LatticeField(spec), 0.25, 0.5)

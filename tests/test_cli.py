@@ -8,7 +8,7 @@ import time
 import pytest
 
 from ostlab.bourgain import _KERNEL_K_MAX
-from ostlab.cli import _COMMANDS, _PICARD_CELLS_MAX, _SAMPLE_STACK_BYTES_MAX, ConfigError, _build_parser, _resolve, main
+from ostlab.cli import _COMMANDS, _PICARD_CELLS_MAX, _STACK_BYTES_MAX, ConfigError, _build_parser, _resolve, main
 from ostlab.flow import _MAX_NODES, _MAX_STEPS, _PICARD_ENDPOINT_TOL
 from ostlab.gibbs import load_ensemble
 
@@ -796,7 +796,7 @@ class TestStepCap:
         assert time.perf_counter() - start < 1.0
         assert code == 1
         assert (f"gibbs.count = {count} at grid.modes = {modes} is a ({count}, {4 * modes}) float64 sample stack "
-                f"of {32 * count * modes} bytes, above the cap of {_SAMPLE_STACK_BYTES_MAX}") in err
+                f"of {32 * count * modes} bytes, above the cap of {_STACK_BYTES_MAX}") in err
         assert "Traceback" not in err
         assert list(tmp_path.iterdir()) == []
 
@@ -810,6 +810,53 @@ class TestStepCap:
         for command in ("gibbs-sample", "verify-invariance"):
             with pytest.raises(ConfigError, match=r"^gibbs\.count = 1048577 at grid\.modes = 8 "):
                 resolve(command, "--modes", "8", "--count", "1048577")
+
+    @pytest.mark.parametrize(
+        "argv, stack",
+        [
+            (["simulate", "--modes", "100000000", "--t", "0.001"],
+             "grid.modes = 100000000 needs a (100000000, 32) complex ETDRK4 contour table of 51200000000 bytes"),
+            (["convergence-m", "--m", "8,1000000", "--t", "0.001"],
+             "convergence.m_values = 8,1000000 (a reference of 2000000 modes) needs a (2000000, 32) complex ETDRK4 "
+             "contour table of 1024000000 bytes"),
+            (["verify-invariance", "--modes", "1000000", "--count", "1"],
+             "grid.modes = 1000000 needs a (1000000, 32) complex ETDRK4 contour table of 512000000 bytes"),
+            (["picard", "--modes", "1000000"],
+             "grid.modes = 1000000 needs a (1000000, 32) complex ETDRK4 contour table of 512000000 bytes"),
+            (["simulate", "--modes", "20000", "--t", "1"],
+             "grid.modes = 20000 at 1001 record times (flow.t, flow.dt, flow.record_every) needs a (1001, 20000) "
+             "complex record stack of 320320000 bytes"),
+            (["convergence-m", "--m", "8,140000", "--t", "1", "--record-every", "1"],
+             "convergence.m_values = 8,140000 (a reference of 280000 modes) at 1001 record times (convergence.t, "
+             "flow.dt, flow.record_every) needs a (1001, 280000) complex record stack of 4484480000 bytes"),
+        ],
+        ids=lambda v: " ".join(v) if isinstance(v, list) else None,
+    )
+    def test_flow_stack_beyond_cap_exits_1_fast(self, capsys, tmp_path, argv, stack):
+        # the first two used to end in a numpy _ArrayMemoryError traceback under a 2 GB address-space limit
+        start = time.perf_counter()
+        code, _, err = run(capsys, *argv, "--out", str(tmp_path))
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert f"{stack}, above the cap of {_STACK_BYTES_MAX}" in err
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_flow_stack_cap_edges(self):
+        resolve = lambda *argv: _resolve(argv[0], _build_parser().parse_args(list(argv)))
+        # each stack at the cap itself, the acceptance operating points and the benchmark's runs
+        for argv in [("simulate", "--modes", "524288", "--t", "0"), ("convergence-m", "--m", "8,262144", "--t", "0"),
+                     ("simulate", "--modes", "16384", "--t", "1.023"),
+                     ("simulate", "--modes", "16", "--t", "1000", "--record-every", "1"),
+                     ("simulate", "--modes", "32", "--t", "10", "--record-every", "100"),
+                     ("convergence-m", "--m", "8,16,32"), ("picard", "--modes", "16"),
+                     ("verify-invariance", "--modes", "8", "--count", "20000", "--t-values", "0.5,1.0")]:
+            resolve(*argv)
+        for argv, key in [(("simulate", "--modes", "524289", "--t", "0"), "grid.modes = 524289 needs"),
+                          (("convergence-m", "--m", "8,262145", "--t", "0"), "convergence.m_values = 8,262145 "),
+                          (("simulate", "--modes", "16384", "--t", "1.024"), "grid.modes = 16384 at 1025 record")]:
+            with pytest.raises(ConfigError, match=rf"^{re.escape(key)}"):
+                resolve(*argv)
 
 
 class TestOutputDirectory:

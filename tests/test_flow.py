@@ -19,6 +19,7 @@ from ostlab.flow import (
     FlowParams,
     _advance_times,
     _check_state,
+    _etdrk4_step,
     _etdrk4_tables,
     _full_steps,
     _linear_rates,
@@ -27,18 +28,27 @@ from ostlab.flow import (
     evolve,
     flow_map,
     liouville_divergence,
-    nonlinear_term,
     picard_solve,
 )
-from ostlab.spectral import (
-    FourierField,
-    cubic_g,
-    hamiltonian,
-    inner,
-    l2_norm,
-    make_grid,
-    zero_field,
-)
+from ostlab.spectral import FourierField, _cubic_g, _hamiltonian, _l2, make_grid
+
+
+def l2(f):
+    return float(_l2(f.coeff, f.grid.length))
+
+
+def pairing(a, b, grid):
+    """The L2 pairing int u v dx of two fields from their coefficients."""
+    return 2.0 * grid.length * float(np.sum(a * np.conj(b)).real)
+
+
+def zero_field(grid):
+    return FourierField(grid, np.zeros(grid.modes))
+
+
+def zero_rhs(grid):
+    """Stands in for flow._nonlinear: with a zero nonlinearity each ETDRK4 step is the exact linear phase."""
+    return lambda c: np.zeros_like(c)
 
 
 def unit_random_field(grid, rng, decay=0.0):
@@ -46,7 +56,7 @@ def unit_random_field(grid, rng, decay=0.0):
     c = rng.standard_normal(grid.modes) + 1j * rng.standard_normal(grid.modes)
     c *= np.exp(-decay * np.arange(1, grid.modes + 1))
     f = FourierField(grid, c)
-    return FourierField(grid, f.coeff / l2_norm(f))
+    return FourierField(grid, f.coeff / l2(f))
 
 
 def smooth_random_field(grid, rng, k0=2.0):
@@ -54,7 +64,7 @@ def smooth_random_field(grid, rng, k0=2.0):
     k = np.arange(1, grid.modes + 1)
     c = rng.standard_normal(grid.modes) + 1j * rng.standard_normal(grid.modes)
     f = FourierField(grid, c * np.exp(-((k / k0) ** 2)))
-    return FourierField(grid, f.coeff / l2_norm(f))
+    return FourierField(grid, f.coeff / l2(f))
 
 
 def fft_product_coeff(coeff, modes, npts):
@@ -161,26 +171,23 @@ class TestFlowParams:
 class TestNonlinearTerm:
     def test_zero_field(self):
         g = make_grid(8)
-        out = nonlinear_term(zero_field(g))
-        assert np.all(out.coeff == 0.0)
+        assert np.all(_nonlinear(g)(np.zeros(8, dtype=np.complex128)) == 0.0)
 
     def test_cos_closed_form(self):
-        # (1/2) d/dx cos^2(x) = -(1/2) sin(2x): mode-2 coefficient i/4
+        # -d/dx cos^2(x) = sin(2x): mode-2 coefficient -i/2
         g = make_grid(8)
         c = np.zeros(8, dtype=np.complex128)
         c[0] = 0.5
-        out = nonlinear_term(FourierField(g, c))
         expected = np.zeros(8, dtype=np.complex128)
-        expected[1] = 0.25j
-        assert np.allclose(out.coeff, expected, atol=1e-15)
+        expected[1] = -0.5j
+        assert np.allclose(_nonlinear(g)(c), expected, atol=1e-15)
 
     def test_skew_pairing_vanishes(self):
         g = make_grid(16)
         rng = np.random.default_rng(101)
         for _ in range(100):
             f = unit_random_field(g, rng)
-            n = nonlinear_term(f)
-            assert abs(inner(n, f)) <= 1e-10 * l2_norm(f) ** 3
+            assert abs(pairing(_nonlinear(g)(f.coeff), f.coeff, g)) <= 2e-10 * l2(f) ** 3
 
     @pytest.mark.parametrize("aliased", [False, True], ids=["dealiased", "odd-grid"])
     @pytest.mark.parametrize("m", [1, 4, 8, 16, 32])
@@ -289,26 +296,21 @@ class TestEvolve:
         rec = evolve(zero_field(g), FlowParams(dt=1e-3, T=0.05))
         assert np.all(rec.l2 == 0.0)
         assert np.all(rec.hamiltonian == 0.0)
-        assert l2_norm(rec.final) == 0.0
+        assert np.all(rec.final.coeff == 0.0)
 
     def test_linear_phase_exact(self):
-        # nonlinearity off: each mode rotates by exp(-i (xi^3 + 1/xi) T)
-        g = make_grid(4)
-        rng = np.random.default_rng(5)
-        f = unit_random_field(g, rng)
-        T = 0.7
-        out = flow_map(f, T, FlowParams(dt=1e-3, nonlinear=False))
-        xi = g.xi
-        expected = np.exp(-1j * (xi**3 + 1.0 / xi) * T) * f.coeff
-        assert np.allclose(out.coeff, expected, atol=1e-10)
+        # ETDRK4's E is the exact phase exp(-i (xi^3 + 1/xi) h), and with a zero
+        # nonlinearity one step is E c bit for bit (Kassam-Trefethen 2005)
+        for g, h in [(make_grid(6), 1e-3), (make_grid(6), -1e-3), (make_grid(6), 0.7), (make_grid(5, 3.0), 0.01)]:
+            xi, c = g.xi, unit_random_field(g, np.random.default_rng(5)).coeff
+            tables = _etdrk4_tables(_linear_rates(g), h)
+            assert np.abs(tables[0] - np.exp(-1j * (xi**3 + 1.0 / xi) * h)).max() <= 1e-15
+            assert _etdrk4_step(c, tables, zero_rhs(g)).tobytes() == (tables[0] * c).tobytes()
 
     def test_single_mode_phase_frozen(self):
         # mode 2 on the 2*pi circle rotates at rate 8.5 = 2^3 + 1/2
-        g = make_grid(4)
-        c = np.zeros(4, dtype=np.complex128)
-        c[1] = 1.0
-        out = flow_map(FourierField(g, c), 0.25, FlowParams(dt=1e-3, nonlinear=False))
-        assert out.coeff[1] == pytest.approx(np.exp(-1j * 8.5 * 0.25), abs=1e-12)
+        E = _etdrk4_tables(_linear_rates(make_grid(4)), 0.25)[0]
+        assert E[1] == pytest.approx(np.exp(-1j * 8.5 * 0.25), abs=1e-15)
 
     def test_l2_and_hamiltonian_drift(self):
         g = make_grid(16)
@@ -395,7 +397,7 @@ class TestFlowMap:
         p = FlowParams(dt=1e-3)
         two_hops = flow_map(flow_map(f, 0.5, p), 0.5, p)
         one_hop = flow_map(f, 1.0, p)
-        diff = l2_norm(FourierField(g, two_hops.coeff - one_hop.coeff))
+        diff = _l2(two_hops.coeff - one_hop.coeff, g.length)
         assert diff <= 1e-7
 
     def test_time_reversal(self):
@@ -403,7 +405,7 @@ class TestFlowMap:
         f = smooth_random_field(g, np.random.default_rng(13))
         p = FlowParams(dt=1e-3)
         back = flow_map(flow_map(f, 0.5, p), -0.5, p)
-        diff = l2_norm(FourierField(g, back.coeff - f.coeff))
+        diff = _l2(back.coeff - f.coeff, g.length)
         assert diff <= 1e-7
 
     @pytest.mark.parametrize("p", [FlowParams(dt=1e-2)], ids=["etdrk4"])
@@ -423,17 +425,14 @@ class TestFlowMap:
 
 
 class TestAdvanceTimes:
-    @pytest.mark.parametrize(
-        "params",
-        [
-            FlowParams(dt=1e-2),
-            FlowParams(dt=1e-2, nonlinear=False),
-        ],
-        ids=["etdrk4", "linear"],
-    )
+    @pytest.mark.parametrize("linear", [False, True], ids=["etdrk4", "linear"])
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_each_time_matches_advance(self, params, threads):
-        # snapshots of one pass over a multi-block stack equal single-time runs bit for bit
+    def test_each_time_matches_advance(self, linear, threads, monkeypatch):
+        # snapshots of one pass over a multi-block stack equal single-time runs bit for bit,
+        # also with a zero nonlinearity, where every step is the exact phase
+        if linear:
+            monkeypatch.setattr(flow, "_nonlinear", zero_rhs)
+        params = FlowParams(dt=1e-2)
         g = make_grid(8)
         rng = np.random.default_rng(37)
         stack = np.stack([unit_random_field(g, rng, decay=0.3).coeff for _ in range(_ROW_BLOCK + 300)])
@@ -541,8 +540,8 @@ class TestProperties:
     @given(fields(24, 10.0, 1.0))
     def test_nonlinear_term_is_skew(self, f):
         # roundoff scale of the pairing: max xi * |u|_2^2 * |u|_inf (up to a factor 2)
-        scale = f.grid.xi[-1] * l2_norm(f) ** 2 * np.sum(np.abs(f.coeff))
-        assert abs(inner(nonlinear_term(f), f)) <= 1e-12 * scale
+        scale = f.grid.xi[-1] * l2(f) ** 2 * np.sum(np.abs(f.coeff))
+        assert abs(pairing(_nonlinear(f.grid)(f.coeff), f.coeff, f.grid)) <= 2e-12 * scale
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(
@@ -554,7 +553,7 @@ class TestProperties:
         # ETDRK4 is not reversible: the round trip closes to scheme error, O(dt^4)
         p = FlowParams(dt=1e-3)
         back = flow_map(flow_map(f, t, p), -t, p)
-        assert l2_norm(FourierField(f.grid, back.coeff - f.coeff)) <= 1e-6 * max(1.0, l2_norm(f))
+        assert _l2(back.coeff - f.coeff, f.grid.length) <= 1e-6 * max(1.0, l2(f))
 
 
 class TestLiouville:
@@ -592,7 +591,7 @@ class TestPicard:
         res = picard_solve(zero_field(g), T=0.1, iters=3)
         assert res.distances[0] == 0.0
         assert not res.diverged
-        assert l2_norm(res.final) == 0.0
+        assert np.all(res.final.coeff == 0.0)
 
     def test_contraction_small_data(self):
         g = make_grid(16)
@@ -611,7 +610,7 @@ class TestPicard:
         phi = FourierField(g, 0.1 * f.coeff)
         res = picard_solve(phi, T=0.1, iters=8)
         end = flow_map(phi, 0.1, FlowParams(dt=1e-4))
-        diff = l2_norm(FourierField(g, res.final.coeff - end.coeff))
+        diff = _l2(res.final.coeff - end.coeff, g.length)
         assert diff <= 1e-6
 
     def test_divergence_flagged_for_large_data(self):
@@ -644,10 +643,12 @@ class TestPicard:
 
 
 class TestConvergenceInM:
-    def test_band_limited_exact_capture(self):
+    def test_band_limited_exact_capture(self, monkeypatch):
+        # with a zero nonlinearity no mode above the data's band is ever excited
+        monkeypatch.setattr(flow, "_nonlinear", zero_rhs)
         g = make_grid(4)
         f = unit_random_field(g, np.random.default_rng(25))
-        study = convergence_in_m(f, T=0.2, m_list=[4, 8], nonlinear=False)
+        study = convergence_in_m(f, T=0.2, m_list=[4, 8])
         assert study.reference_modes == 16
         assert all(e <= 1e-10 for e in study.errors)
 
@@ -656,7 +657,7 @@ class TestConvergenceInM:
         k = np.arange(1, 17)
         c = np.exp(-((k / 2.0) ** 2)) * (1.0 + 0.3j)
         f = FourierField(g, c)
-        f = FourierField(g, f.coeff / l2_norm(f))
+        f = FourierField(g, f.coeff / l2(f))
         study = convergence_in_m(f, T=0.5, m_list=[4, 8])
         assert study.errors[1] < study.errors[0]
 
@@ -685,5 +686,5 @@ class TestConservedFunctionals:
         g = make_grid(16)
         f = smooth_random_field(g, np.random.default_rng(27))
         out = flow_map(f, 0.5, FlowParams(dt=1e-3))
-        assert abs(cubic_g(out) - cubic_g(f)) > 1e-6
-        assert abs(hamiltonian(out) - hamiltonian(f)) <= 1e-8
+        assert abs(_cubic_g(out.coeff, g) - _cubic_g(f.coeff, g)) > 1e-6
+        assert abs(_hamiltonian(out.coeff, g) - _hamiltonian(f.coeff, g)) <= 1e-8

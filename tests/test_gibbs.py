@@ -18,9 +18,9 @@ from ostlab.gibbs import (
     default_cutoff,
     gaussian_rms_l2,
     gibbs_expectation,
+    _pcn_moves,
     load_ensemble,
     pcn_chain,
-    pcn_step,
     sample_gaussian,
     save_ensemble,
     trace_check,
@@ -30,13 +30,12 @@ from ostlab.spectral import (
     _coord_eigenvalues,
     _coords_to_coeff,
     _cubic_g,
+    _l2,
     _philox,
     _philox_streams,
-    cubic_g,
+    _to_physical,
     energy_eigenvalues,
-    l2_norm,
     make_grid,
-    to_physical,
 )
 
 
@@ -52,6 +51,14 @@ def coords_matrix(ens):
 def l2_squared(ens):
     """|u_i|_{L2}^2 of every sample, shape (n,)."""
     return 2.0 * ens.spec.grid.length * np.sum(np.abs(ens.coeffs) ** 2, axis=1)
+
+
+def cubic_g(f):
+    return float(_cubic_g(f.coeff, f.grid))
+
+
+def l2_norm(f):
+    return float(_l2(f.coeff, f.grid.length))
 
 
 def reference_pcn_chain(spec, count, beta, burn_in=0, g_fn=None, start=None):
@@ -263,14 +270,13 @@ class TestSampleGaussian:
         spec = GibbsSpec(grid=make_grid(4), seed=11)
         ens = sample_gaussian(spec, 20)
         for i in range(20):
-            assert ens.log_weights[i] == pytest.approx(-cubic_g(ens.field(i)), abs=1e-14)
+            assert ens.log_weights[i] == pytest.approx(-_cubic_g(ens.coeffs[i], spec.grid), abs=1e-14)
 
     def test_cutoff_indicator(self):
         g = make_grid(4)
         spec = GibbsSpec(grid=g, cutoff_R=gaussian_rms_l2(g), seed=13)
         ens = sample_gaussian(spec, 500)
-        norms = np.array([l2_norm(ens.field(i)) for i in range(500)])
-        assert np.array_equal(ens.in_support, norms <= spec.cutoff_R)
+        assert np.array_equal(ens.in_support, np.sqrt(l2_squared(ens)) <= spec.cutoff_R)
         assert 0 < ens.in_support.sum() < 500  # radius chosen to split
 
     def test_rejects_bad_count(self):
@@ -281,18 +287,16 @@ class TestSampleGaussian:
 class TestPcn:
     def test_beta_zero_is_identity(self):
         spec = GibbsSpec(grid=make_grid(4), seed=17)
-        ens = sample_gaussian(spec, 1)
-        u = ens.field(0)
-        rng = np.random.default_rng(0)
-        out, accepted = pcn_step(u, 0.0, spec, rng)
+        u = sample_gaussian(spec, 1).coeffs[0]
+        out, accepted, _ = next(_pcn_moves(spec, 0.0, np.random.default_rng(0), u))
         assert accepted
-        assert np.array_equal(out.coeff, u.coeff)
+        assert np.array_equal(out, u)
 
     def test_rejects_bad_beta(self):
         spec = GibbsSpec(grid=make_grid(4))
-        u = sample_gaussian(spec, 1).field(0)
+        u = sample_gaussian(spec, 1).coeffs[0]
         with pytest.raises(ValueError):
-            pcn_step(u, 1.5, spec, np.random.default_rng(0))
+            next(_pcn_moves(spec, 1.5, np.random.default_rng(0), u))
 
     @pytest.mark.parametrize("beta", [1.5, -0.1, math.nan, math.inf])
     def test_chain_rejects_bad_beta(self, beta):
@@ -365,14 +369,13 @@ class TestPcn:
     def test_step_matches_plain_step(self):
         g = make_grid(4)
         spec = GibbsSpec(grid=g, cutoff_R=0.9 * gaussian_rms_l2(g), seed=83)
-        u = sample_gaussian(spec, 1).field(0)
+        u = sample_gaussian(spec, 1).coeffs[0]
         rng = _philox(5, 2**63 + 1)  # the stream the reference chain of seed 5 draws from
         ref_spec = dataclasses.replace(spec, seed=5)
-        coeffs, _, walls = reference_pcn_chain(ref_spec, 40, 0.6, start=u)
+        coeffs, _, walls = reference_pcn_chain(ref_spec, 40, 0.6, start=FourierField(g, u))
         outcomes = set()
-        for i in range(40):
-            nxt, accepted = pcn_step(u, 0.6, spec, rng)
-            assert nxt.coeff.tobytes() == coeffs[i].tobytes()
+        for i, (nxt, accepted, _) in zip(range(40), _pcn_moves(spec, 0.6, rng, u)):
+            assert nxt.tobytes() == coeffs[i].tobytes()
             assert type(accepted) is bool and (nxt is u) == (not accepted)
             outcomes.add(accepted)
             u = nxt
@@ -388,9 +391,9 @@ class TestPcn:
                 return 0.5
 
         spec = GibbsSpec(grid=make_grid(3), cutoff_R=radius)
-        u = sample_gaussian(spec, 1).field(0)
+        u = sample_gaussian(spec, 1).coeffs[0]
         with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="finite"):
-            pcn_step(u, 0.5, spec, InfiniteNormals())
+            next(_pcn_moves(spec, 0.5, InfiniteNormals(), u))
 
     def test_gaussian_target_accepts_everything(self):
         spec = GibbsSpec(grid=make_grid(4), seed=19)
@@ -410,8 +413,7 @@ class TestPcn:
         g = make_grid(4)
         spec = GibbsSpec(grid=g, cutoff_R=0.8 * gaussian_rms_l2(g), seed=23)
         chain = pcn_chain(spec, 2000, beta=0.5)
-        norms = np.array([l2_norm(chain.field(i)) for i in range(len(chain))])
-        assert np.all(norms <= spec.cutoff_R)
+        assert np.all(np.sqrt(l2_squared(chain)) <= spec.cutoff_R)
         assert chain.acceptance_rate < 1.0
 
     def test_two_samplers_agree_on_cubic_integral(self):
@@ -478,10 +480,8 @@ class TestGibbsExpectation:
     def test_zero_mean_functional_vanishes(self):
         spec = GibbsSpec(grid=make_grid(4), seed=31)
         ens = sample_gaussian(spec, 200)
-        def F(f):
-            return float(np.mean(to_physical(f))) * l2_norm(f)
-
-        est = gibbs_expectation(ens, [F(ens.field(i)) for i in range(len(ens))])
+        values = np.mean(_to_physical(ens.coeffs, spec.grid.points), axis=1) * np.sqrt(l2_squared(ens))
+        est = gibbs_expectation(ens, values)
         assert abs(est.mean) <= 1e-13
 
     def test_permutation_invariance(self, big_ensemble):

@@ -21,23 +21,18 @@ from ostlab.invariance import cubic_integral, hamiltonian_observable, mode_power
 from ostlab.spectral import (
     FourierField,
     GridSpec,
-    coordinates,
-    cubic_g,
+    _coeff_to_coords,
+    _coords_to_coeff,
+    _cubic_g,
+    _from_physical,
+    _hamiltonian,
+    _l2,
+    _quadratic_energy,
+    _to_physical,
     dispersion,
-    dx,
-    dx_inv,
     energy_eigenvalues,
-    field_from_coordinates,
-    from_physical,
-    hamiltonian,
-    inner,
-    l2_norm,
     make_grid,
-    quadratic_energy,
     regrid,
-    sobolev_norm,
-    to_physical,
-    zero_field,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -65,6 +60,14 @@ def random_field(grid, rng, scale=1.0):
 def quadrature(values, length):
     """Trapezoid-free periodic quadrature: exact for band-limited integrands."""
     return length * float(np.mean(values))
+
+
+def samples(f):
+    return _to_physical(f.coeff, f.grid.points)
+
+
+def l2(f):
+    return float(_l2(f.coeff, f.grid.length))
 
 
 class TestGridSpec:
@@ -121,17 +124,13 @@ class TestFieldInvariants:
         with pytest.raises(ValueError):
             f.coeff[0] = 0.0
 
-    def test_zero_field(self):
-        f = zero_field(make_grid(3))
-        assert l2_norm(f) == 0.0
-
 
 def _records():
     """One record of each type that freezes its arrays, built from plain lists, with its array fields' dtypes."""
     g = make_grid(1)
     hit = ResonanceRecord(n=2, n1=1, R=1.0, ratio=1.0)
     records = [
-        (TrajectoryRecord(times=[0.0, 1.0], l2=[1.0, 1.0], hamiltonian=[0.5, 0.5], final=zero_field(g),
+        (TrajectoryRecord(times=[0.0, 1.0], l2=[1.0, 1.0], hamiltonian=[0.5, 0.5], final=FourierField(g, [0j]),
                           states=[[0.0], [0.0]]),
          {"times": float, "l2": float, "hamiltonian": float, "states": complex}),
         (PicardResult(grid=g, times=[0.0, 1.0], states=[[0j], [0j]], distances=[1.0], diverged=False),
@@ -162,38 +161,24 @@ class TestTransforms:
     def test_cos_samples_match_formula(self):
         g = make_grid(8)
         f = cos_field(g, k=3)
-        assert np.allclose(to_physical(f), np.cos(3.0 * g.x), atol=1e-12)
+        assert np.allclose(samples(f), np.cos(3.0 * g.x), atol=1e-12)
 
     def test_round_trip_spectral(self):
         rng = np.random.default_rng(7)
         g = make_grid(16)
         for _ in range(10):
             f = random_field(g, rng)
-            back = from_physical(to_physical(f), g)
-            assert np.allclose(back.coeff, f.coeff, atol=1e-12)
+            back = _from_physical(samples(f), g.modes)
+            assert np.allclose(back, f.coeff, atol=1e-12)
 
     def test_from_physical_discards_mean(self):
         g = make_grid(4)
-        f = from_physical(np.full(g.points, 2.5), g)
-        assert l2_norm(f) == 0.0
+        assert np.all(_from_physical(np.full(g.points, 2.5), g.modes) == 0.0)
 
     def test_from_physical_discards_high_modes(self):
         g = make_grid(4)
-        samples = np.cos(7.0 * g.x)  # above the retained band, below Nyquist
-        f = from_physical(samples, g)
-        assert np.allclose(f.coeff, 0.0, atol=1e-14)
-
-    def test_from_physical_rejects_nonfinite(self):
-        g = make_grid(2)
-        s = np.zeros(g.points)
-        s[3] = np.inf
-        with pytest.raises(ValueError):
-            from_physical(s, g)
-
-    def test_from_physical_rejects_wrong_size(self):
-        g = make_grid(2)
-        with pytest.raises(ValueError):
-            from_physical(np.zeros(g.points + 1), g)
+        # above the retained band, below Nyquist
+        assert np.allclose(_from_physical(np.cos(7.0 * g.x), g.modes), 0.0, atol=1e-14)
 
 
 class TestTransformPair:
@@ -241,24 +226,21 @@ class TestTransformPair:
         assert len(reports) == 2
         assert len(pcn_chain(spec, 20, 0.5)) == 20
         assert not picard_solve(f, 0.05, 3).diverged
-        assert np.isfinite(from_physical(to_physical(f), g).coeff).all()
+        assert np.isfinite(_from_physical(samples(f), g.modes)).all()
 
 
 class TestCalculus:
+    # the samples read coefficients as u_hat(k) exp(+i xi_k x), so d/dx multiplies mode k
+    # by i xi_k, as the flow's rates -i dispersion(xi_k) and -i xi_k (u^2)^ assume
     def test_dx_of_sin_is_cos(self):
         g = make_grid(6)
-        d = dx(sin_field(g, k=2))
-        assert np.allclose(to_physical(d), 2.0 * np.cos(2.0 * g.x), atol=1e-12)
+        d = 1j * g.xi * sin_field(g, k=2).coeff
+        assert np.allclose(_to_physical(d, g.points), 2.0 * np.cos(2.0 * g.x), atol=1e-12)
 
     def test_dx_inv_of_cos_is_sin(self):
         g = make_grid(6)
-        a = dx_inv(cos_field(g, k=1))
-        assert np.allclose(to_physical(a), np.sin(g.x), atol=1e-12)
-
-    def test_dx_inv_inverts_dx(self):
-        g = make_grid(8)
-        f = random_field(g, np.random.default_rng(3))
-        assert np.allclose(dx_inv(dx(f)).coeff, f.coeff, atol=1e-14)
+        a = cos_field(g, k=1).coeff / (1j * g.xi)
+        assert np.allclose(_to_physical(a, g.points), np.sin(g.x), atol=1e-12)
 
     def test_regrid_round_trip(self):
         g_small, g_big = make_grid(4), make_grid(9)
@@ -270,7 +252,7 @@ class TestCalculus:
         assert np.allclose(back.coeff, f.coeff)
 
     def test_regrid_rejects_length_mismatch(self):
-        f = zero_field(make_grid(4))
+        f = FourierField(make_grid(4), np.zeros(4))
         with pytest.raises(ValueError):
             regrid(f, make_grid(4, length=math.pi))
 
@@ -308,47 +290,17 @@ class TestNormsAndFunctionals:
         g = make_grid(8)
         f = cos_field(g)
         # int cos^2 = pi on [0, 2pi)
-        assert l2_norm(f) == pytest.approx(math.sqrt(math.pi), abs=1e-12)
-        u = to_physical(f)
-        assert l2_norm(f) ** 2 == pytest.approx(quadrature(u * u, g.length), abs=1e-12)
+        assert l2(f) == pytest.approx(math.sqrt(math.pi), abs=1e-12)
+        u = samples(f)
+        assert l2(f) ** 2 == pytest.approx(quadrature(u * u, g.length), abs=1e-12)
 
     def test_l2_parseval_random(self):
         rng = np.random.default_rng(17)
         g = make_grid(12)
         for _ in range(10):
             f = random_field(g, rng)
-            u = to_physical(f)
-            assert l2_norm(f) ** 2 == pytest.approx(
-                quadrature(u * u, g.length), rel=1e-10
-            )
-
-    def test_sobolev_zero_matches_l2(self):
-        f = random_field(make_grid(6), np.random.default_rng(2))
-        assert sobolev_norm(f, 0.0) == pytest.approx(l2_norm(f), rel=1e-14)
-
-    def test_sobolev_monotone_in_s(self):
-        f = random_field(make_grid(6), np.random.default_rng(4))
-        assert sobolev_norm(f, 1.0) > sobolev_norm(f, 0.5) > sobolev_norm(f, 0.0)
-
-    def test_sobolev_cos_closed_form(self):
-        g = make_grid(8)
-        f = cos_field(g, k=2)
-        # ||cos(2x)||_{H^s}^2 = pi * (1+4)^s
-        assert sobolev_norm(f, 1.5) == pytest.approx(
-            math.sqrt(math.pi * 5.0**1.5), rel=1e-14
-        )
-
-    def test_inner_matches_quadrature(self):
-        g = make_grid(10)
-        rng = np.random.default_rng(23)
-        f, h = random_field(g, rng), random_field(g, rng)
-        uf, uh = to_physical(f), to_physical(h)
-        assert inner(f, h) == pytest.approx(quadrature(uf * uh, g.length), rel=1e-10)
-
-    def test_inner_orthogonality(self):
-        g = make_grid(4)
-        assert inner(cos_field(g, 1), sin_field(g, 1)) == pytest.approx(0.0, abs=1e-15)
-        assert inner(cos_field(g, 1), cos_field(g, 2)) == pytest.approx(0.0, abs=1e-15)
+            u = samples(f)
+            assert l2(f) ** 2 == pytest.approx(quadrature(u * u, g.length), rel=1e-10)
 
     def test_energy_eigenvalues_frozen(self):
         s = energy_eigenvalues(make_grid(2))
@@ -357,12 +309,13 @@ class TestNormsAndFunctionals:
     def test_quadratic_energy_is_derivative_norms(self):
         g = make_grid(10)
         f = random_field(g, np.random.default_rng(31))
-        expected = 0.5 * (l2_norm(dx(f)) ** 2 + l2_norm(dx_inv(f)) ** 2)
-        assert quadratic_energy(f) == pytest.approx(expected, rel=1e-12)
+        derivative, antiderivative = 1j * g.xi * f.coeff, f.coeff / (1j * g.xi)
+        expected = 0.5 * (_l2(derivative, g.length) ** 2 + _l2(antiderivative, g.length) ** 2)
+        assert _quadratic_energy(f.coeff, g) == pytest.approx(expected, rel=1e-12)
 
     def test_cubic_g_sin_vanishes(self):
         g = make_grid(8)
-        assert cubic_g(sin_field(g, 1)) == pytest.approx(0.0, abs=1e-14)
+        assert _cubic_g(sin_field(g, 1).coeff, g) == pytest.approx(0.0, abs=1e-14)
 
     def test_cubic_g_quadrature_oracle(self):
         # dense-grid quadrature oracle on a two-mode field
@@ -370,7 +323,7 @@ class TestNormsAndFunctionals:
         f = FourierField(g, np.array([0.5, -0.25j, 0.0, 0.0]))
         u = spectral._to_physical(f.coeff, 4096)
         oracle = quadrature(u**3, g.length) / 3.0
-        assert cubic_g(f) == pytest.approx(oracle, rel=1e-12)
+        assert _cubic_g(f.coeff, g) == pytest.approx(oracle, rel=1e-12)
 
     @pytest.mark.parametrize("m", [8, 32])
     @pytest.mark.parametrize("rows", [None, 5])
@@ -409,61 +362,48 @@ class TestNormsAndFunctionals:
         # only the cos(x)^2 cos(2x) triple resonates: 3 * (2^2*2) * pi/2 = 12pi
         g = make_grid(4)
         f = FourierField(g, np.array([1.0, 1.0, 0.0, 0.0], dtype=np.complex128))
-        assert cubic_g(f) * 3.0 == pytest.approx(12.0 * math.pi, rel=1e-12)
+        assert _cubic_g(f.coeff, g) * 3.0 == pytest.approx(12.0 * math.pi, rel=1e-12)
 
     def test_hamiltonian_cos_frozen(self):
         # H(cos x) = (1/2)(1+1)*pi + 0 = pi
         g = make_grid(8)
-        assert hamiltonian(cos_field(g)) == pytest.approx(math.pi, rel=1e-14)
+        assert _hamiltonian(cos_field(g).coeff, g) == pytest.approx(math.pi, rel=1e-14)
 
     def test_hamiltonian_sum(self):
-        f = random_field(make_grid(7), np.random.default_rng(41))
-        assert hamiltonian(f) == pytest.approx(
-            quadratic_energy(f) + cubic_g(f), rel=1e-14
-        )
+        g = make_grid(7)
+        c = random_field(g, np.random.default_rng(41)).coeff
+        assert _hamiltonian(c, g) == pytest.approx(_quadratic_energy(c, g) + _cubic_g(c, g), rel=1e-14)
 
 
 class TestCoordinates:
     def test_sin_amplitude(self):
         # e_1 = sqrt(2/A) sin(x): u = sin(x) has a_1 = sqrt(A/2) = sqrt(pi)
         g = make_grid(4)
-        a = coordinates(sin_field(g, 1))
+        a = _coeff_to_coords(sin_field(g, 1).coeff, g)
         assert a[0] == pytest.approx(math.sqrt(math.pi), rel=1e-14)
         assert np.allclose(a[1:], 0.0)
 
     def test_cos_amplitude(self):
         g = make_grid(4)
-        a = coordinates(cos_field(g, 2))
+        a = _coeff_to_coords(cos_field(g, 2).coeff, g)
         assert a[3] == pytest.approx(math.sqrt(math.pi), rel=1e-14)
         assert np.count_nonzero(a) == 1
 
     def test_round_trip(self):
         g = make_grid(9)
         f = random_field(g, np.random.default_rng(8))
-        back = field_from_coordinates(g, coordinates(f))
-        assert np.allclose(back.coeff, f.coeff, atol=1e-15)
+        back = _coords_to_coeff(_coeff_to_coords(f.coeff, g), g)
+        assert np.allclose(back, f.coeff, atol=1e-15)
 
     def test_l2_is_euclidean(self):
         g = make_grid(5)
         f = random_field(g, np.random.default_rng(13))
-        a = coordinates(f)
-        assert l2_norm(f) ** 2 == pytest.approx(float(np.dot(a, a)), rel=1e-13)
+        a = _coeff_to_coords(f.coeff, g)
+        assert l2(f) ** 2 == pytest.approx(float(np.dot(a, a)), rel=1e-13)
 
     def test_basis_is_orthonormal(self):
         g = make_grid(3)
-        n = 2 * g.modes
-        for i in range(n):
-            for j in range(i, n):
-                ei = field_from_coordinates(g, np.eye(n)[i])
-                ej = field_from_coordinates(g, np.eye(n)[j])
-                assert inner(ei, ej) == pytest.approx(
-                    1.0 if i == j else 0.0, abs=1e-13
-                )
-
-    def test_rejects_bad_input(self):
-        g = make_grid(2)
-        with pytest.raises(ValueError):
-            field_from_coordinates(g, np.zeros(3))
-        with pytest.raises(ValueError):
-            field_from_coordinates(g, np.array([1.0, np.nan, 0.0, 0.0]))
+        # the L2 pairing of every two basis fields, by quadrature of their samples
+        u = _to_physical(_coords_to_coeff(np.eye(2 * g.modes), g), g.points)
+        assert np.allclose(g.length * (u @ u.T) / g.points, np.eye(2 * g.modes), rtol=0.0, atol=1e-13)
 

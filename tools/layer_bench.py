@@ -66,7 +66,7 @@ def _measure(blas: str) -> None:
             for kernel, cut in (("table", max(MODES)), ("fft", 0)):
                 flow._GEMM_MAX_MODES = cut
                 rhs = flow._nonlinear(grid)
-                step = flow._stepper(lam, rhs, flow.FlowParams(dt=1e-3), 1e-3)
+                step = flow._stepper(lam, rhs, 1e-3)
                 for layer, fn in (("product", lambda: rhs(c)), ("etdrk4_step", lambda: step(c))):
                     record = {"blas": blas, "layer": layer, "kernel": kernel, "m": m, "batch": batch}
                     record.update(_time_per_call(fn, batch))
