@@ -244,8 +244,9 @@ def _resonance_grid(n_range: np.ndarray, n_max: int, buffers: tuple):
 _BLOCK_CELLS = 1 << 15
 
 
-# largest resonance-scan box: two passes over (n_max - 1) x 2 n_max cells at about
-# 6e7 cells/s (one core of a 2-core host: n_max 2048 in 0.26 s, 2**14 in 19 s)
+# largest resonance-scan box: one pass over (n_max - 1) x 2 n_max cells, plus the few
+# blocks below the histogram's last edge (one core of a 2-core host: n_max 2048 in
+# 0.08-0.10 s, 2**14 in 9-11 s, where the blocks are single rows)
 _RESONANCE_N_MAX = 2**14
 
 
@@ -257,21 +258,29 @@ def _admissible_blocks(n_max: int) -> list:
 
 
 def _ratio_block(n_block: np.ndarray, n_max: int, buffers):
-    """(n1_range, |R| / |n n1 (n-n1)| with inf where n1 = n, its isfinite mask) over one row block, in `buffers`."""
+    """(n1_range, |R| / |n n1 (n-n1)| with inf where n1 = n, its finite mask) over one row block, in `buffers`.
+
+    Off n1 = n every factor of n n1 (n - n1) is nonzero, so the ratio is
+    finite exactly where `valid` is True, and `valid` is the finite mask.
+    """
     n1_range, n, n1, n2, R, valid = _resonance_grid(n_block, n_max, buffers)
     den = np.multiply(n, n1, out=buffers[2][: len(n_block)])
     den *= n2
     ratio = np.divide(np.abs(R, out=R), np.abs(den, out=den), out=R)
-    np.copyto(ratio, np.inf, where=np.logical_not(valid, out=buffers[4][: len(n_block)]))
-    return n1_range, ratio, np.isfinite(ratio, out=valid)
+    # buffers[4] still holds _resonance_grid's mask, the complement of valid
+    np.copyto(ratio, np.inf, where=buffers[4][: len(n_block)])
+    return n1_range, ratio, valid
 
 
 def _block_minimum(n_block: np.ndarray, n_max: int, buffers):
-    """(smallest ratio, its n, its n1, smallest and largest finite ratio) over one row block."""
+    """(smallest ratio, its n, its n1, largest finite ratio, finite-cell count) over one row block.
+
+    Every block has finite cells, so the smallest ratio is the smallest finite one.
+    """
     n1_range, ratio, finite = _ratio_block(n_block, n_max, buffers)
     i, j = np.unravel_index(np.argmin(ratio), ratio.shape)
-    lo, hi = ratio.min(where=finite, initial=np.inf), ratio.max(where=finite, initial=-np.inf)
-    return float(ratio[i, j]), int(n_block[i]), int(n1_range[j]), lo, hi
+    hi = ratio.max(where=finite, initial=-np.inf)
+    return float(ratio[i, j]), int(n_block[i]), int(n1_range[j]), hi, np.count_nonzero(finite)
 
 
 def _record(ratio: float, n: int, n1: int) -> ResonanceRecord:
@@ -291,9 +300,14 @@ def resonance_scan(n_max: int) -> ResonanceScan:
     doubled.  Of equal ratios the first pair in row-major order of the full
     grid wins, and that pair lies in a negative row, since those come first.
     The rows are streamed in blocks of about _BLOCK_CELLS cells through one
-    reused buffer set, twice: once for the minimum and the histogram range,
-    once for the bin counts.  Memory is O(n_max).  The scan runs serially:
-    on 2 cores, two workers scanned n_max 2048 no faster than one.
+    reused buffer set.  The first pass keeps each block's minimum, largest
+    finite ratio and finite-cell count; the histogram range is the extent of
+    those.  Every finite ratio is at most the last edge, and np.histogram's
+    last bin is closed, so a block whose minimum is at least the
+    second-to-last edge puts all its cells in the last bin and is not
+    computed again; only the other blocks (one of 256 at n_max 2048) are
+    re-scanned for their bin counts.  Memory is O(n_max).  The scan runs
+    serially: on 2 cores, two workers scanned n_max 2048 no faster than one.
     n_max above _RESONANCE_N_MAX is rejected.
     """
     if int(n_max) != n_max or not 2 <= n_max <= _RESONANCE_N_MAX:
@@ -304,26 +318,29 @@ def resonance_scan(n_max: int) -> ResonanceScan:
     minima = [_block_minimum(rows, n_max, buffers) for rows in blocks]
     # min() keeps the first of equal ratios, and the blocks run in row order
     ratio, a, b, _, _ = min(minima, key=lambda m: m[0])
-    extent = (min(m[3] for m in minima), max(m[4] for m in minima))
-
-    edges = np.histogram_bin_edges(np.empty(0), bins=40, range=extent)
+    edges = np.histogram_bin_edges(np.empty(0), bins=40, range=(ratio, max(m[3] for m in minima)))
 
     def block_counts(rows):
         # np.histogram's bins (edges[k] <= ratio < edges[k+1], the last one
-        # closed) as differences of #{ratio < edge}, doubled for the mirror
-        # rows; block counts add up
+        # closed) as differences of #{ratio < edge}; block counts add up
         _, ratio, finite = _ratio_block(rows, n_max, buffers)
         below = buffers[4][: len(rows)]
         cumulative = [np.count_nonzero(np.less(ratio, e, out=below)) for e in edges[1:-1]]
-        return 2 * np.diff([0, *cumulative, np.count_nonzero(finite)])
+        return np.diff([0, *cumulative, np.count_nonzero(finite)])
 
-    counts = [block_counts(rows) for rows in blocks]
+    counts = np.zeros(len(edges) - 1, dtype=np.intp)
+    for rows, (lo, _, _, _, finite) in zip(blocks, minima):
+        if lo >= edges[-2]:
+            counts[-1] += finite
+        else:
+            counts += block_counts(rows)
     slice_ratio, c, d, _, _ = _block_minimum(np.array([-1, 1]), n_max, _grid_buffers(2, n_max))
     return ResonanceScan(
         n_max=n_max,
         minimum=_record(ratio, a, b),
         slice_minimum=_record(slice_ratio, c, d),
-        hist_counts=np.sum(counts, axis=0),
+        # doubled for the mirror rows
+        hist_counts=2 * counts,
         hist_edges=edges,
     )
 
@@ -650,8 +667,9 @@ class KernelSumResult:
 
 
 # largest summation range and |n| of a frequency-sum scan: the default 4 x 4 (tau, n) grid
-# takes 0.19 s and 40 MB at k_range 1e5, 1.9 s and 108 MB at 1e6, 10.7 s and 345 MB at 4e6
-# (one core of a 2-core host); the symbol table holds 2(k_range + max |n|) + 1 floats
+# takes 0.10 s and 38 MB at k_range 1e5, 0.95 s and 94 MB at 1e6, 4.9 s and 283 MB at 4e6
+# (peak RSS of the process; one core of a 2-core host); the symbol table holds
+# 2(k_range + max |n|) + 1 floats, and the sums one scratch and one summed array of 2 k_range + 1
 _KERNEL_K_MAX = 10**6
 
 
@@ -667,11 +685,21 @@ def _drop(values: np.ndarray, k_range: int, *excluded: int) -> np.ndarray:
     return np.delete(values, [k_range + i for i in excluded if abs(i) <= k_range])
 
 
-def _sum_form1(tau: float, n: int, k_range: int, m) -> tuple:
-    """sum over n1 of log(2+|tau+m(n1)+m(n-n1)|)/(1+|same|); m is a _symbol_table."""
+def _sum_form1(tau: float, n: int, k_range: int, m, scratch: np.ndarray) -> tuple:
+    """sum over n1 of log(2+|tau+m(n1)+m(n-n1)|)/(1+|same|); m is a _symbol_table.
+
+    scratch holds at least 2 k_range + 1 floats; each intermediate is written
+    into it or into the summed array, with the operands and operand order of
+    the plain expression, so the sum has its bits.
+    """
     # m(n - n1) over ascending n1 is m over n-k_range..n+k_range reversed
-    a = np.abs(_drop(tau + m(0, k_range) + m(n, k_range)[::-1], k_range, 0, n))
-    value = float(np.sum(np.log(2.0 + a) / (1.0 + a)))
+    arg = np.add(tau, m(0, k_range), out=scratch[: 2 * k_range + 1])
+    arg += m(n, k_range)[::-1]
+    a = _drop(arg, k_range, 0, n)
+    a, t = np.abs(a, out=a), scratch[: len(a)]
+    np.log(np.add(2.0, a, out=t), out=t)
+    t /= np.add(1.0, a, out=a)
+    value = float(np.sum(t))
     # past k_range, |m(n1)+m(n-n1)| >= (3/4)|n| n1^2 up to O(1) terms;
     # integrate the monotone envelope log(2+c k^2)/(c k^2)
     c = 0.75 * abs(n)
@@ -680,13 +708,25 @@ def _sum_form1(tau: float, n: int, k_range: int, m) -> tuple:
     return value, tail
 
 
-def _sum_forms23(tau1: float, n1: int, k_range: int, rho: float, m) -> tuple:
-    """Forms 2 and 3 as ((value, tail), (value, tail)): given (tau1, n1), sum over output frequency n."""
+def _sum_forms23(tau1: float, n1: int, k_range: int, rho: float, m, scratch: np.ndarray) -> tuple:
+    """Forms 2 and 3 as ((value, tail), (value, tail)): given (tau1, n1), sum over output frequency n.
+
+    scratch is used as in _sum_form1; 1 + |arg| is computed once, for both forms.
+    """
     # j = n - n1 over -k_range..k_range; n = n1 + j must be nonzero
     base = tau1 + float(m(n1, 0)[0])
-    a = np.abs(_drop(base - m(0, k_range), k_range, 0, -n1))
-    value2 = float(np.sum(np.log(2.0 + a) / (1.0 + a)))
-    value3 = float(np.sum(np.log(1.0 + a) / (1.0 + a) ** rho))
+    arg = np.subtract(base, m(0, k_range), out=scratch[: 2 * k_range + 1])
+    a = _drop(arg, k_range, 0, -n1)
+    a, t = np.abs(a, out=a), scratch[: len(a)]
+    np.log(np.add(2.0, a, out=t), out=t)
+    one_plus = np.add(1.0, a, out=a)
+    t /= one_plus
+    value2 = float(np.sum(t))
+    np.log(one_plus, out=t)
+    # **=, not np.power: the same exponent fast paths as (1 + a) ** rho
+    one_plus **= rho
+    t /= one_plus
+    value3 = float(np.sum(t))
     c = 0.5  # |arg| >= |j|^3/2 beyond the scan, after absorbing base
     tail2 = 2.0 * (math.log(2.0 + c * k_range**3) + 3.0) / (2.0 * c * k_range**2)
     p = 3.0 * rho - 1.0
@@ -729,13 +769,14 @@ def kernel_sum_scan(tau_list, n_list, rho: float, k_range: int = 10**5) -> Kerne
     _check_sum_grid(tau_list, n_list, k_range)
     # every index below lies in 0 < |i| <= k_range + max |n|
     m = _symbol_table(int(k_range) + n_far)
+    scratch = np.empty(2 * int(k_range) + 1)
     rows = []
     for tau in tau_list:
         tau = float(tau)
         for n in n_list:
             n = int(n)
-            v1, t1 = _sum_form1(tau, n, k_range, m)
-            (v2, t2), (v3, t3) = _sum_forms23(tau, n, k_range, rho, m)
+            v1, t1 = _sum_form1(tau, n, k_range, m, scratch)
+            (v2, t2), (v3, t3) = _sum_forms23(tau, n, k_range, rho, m, scratch)
             rows.append(KernelSumRow(form=1, tau=tau, n=n, value=v1, tail=t1))
             rows.append(KernelSumRow(form=2, tau=tau, n=n, value=v2, tail=t2))
             rows.append(KernelSumRow(form=3, tau=tau, n=n, value=v3, tail=t3))

@@ -398,6 +398,12 @@ def _record_times(T: float, dt: float, every: int) -> list:
 # public drivers
 
 
+# byte budget of the (records, 4m) float64 sample stack that one _hamiltonian call in evolve
+# transforms and cubes: L2 and H go over record blocks within it (64 records at m = 512), so
+# their temporaries do not grow with the record stack
+_RECORD_SAMPLE_BYTES = 1 << 20
+
+
 def evolve(f0: FourierField, p: FlowParams) -> TrajectoryRecord:
     """Integrate to time p.T, recording state, L2 and H every record_every steps.
 
@@ -409,10 +415,12 @@ def evolve(f0: FourierField, p: FlowParams) -> TrajectoryRecord:
     grid = f0.grid
     times = _record_times(p.T, p.dt, p.record_every)
     states = np.array(_advance_times(f0.coeff, grid, p, times))
+    rows = max(1, _RECORD_SAMPLE_BYTES // (8 * grid.points))
+    blocks = [states[i : i + rows] for i in range(0, len(states), rows)]
     return TrajectoryRecord(
         times=np.array(times),
-        l2=_l2(states, grid.length),
-        hamiltonian=_hamiltonian(states, grid),
+        l2=np.concatenate([_l2(b, grid.length) for b in blocks]),
+        hamiltonian=np.concatenate([_hamiltonian(b, grid) for b in blocks]),
         final=FourierField(grid, states[-1]),
         states=states,
     )

@@ -120,6 +120,20 @@ class TestResonance:
             resonance(2.5, 1)
 
 
+@pytest.fixture
+def ratio_block_calls(monkeypatch):
+    """The row blocks passed to bourgain._ratio_block, one entry per call."""
+    calls = []
+    ratio_block = bourgain._ratio_block
+
+    def counted(n_block, *args):
+        calls.append(n_block)
+        return ratio_block(n_block, *args)
+
+    monkeypatch.setattr(bourgain, "_ratio_block", counted)
+    return calls
+
+
 class TestResonanceScan:
     @pytest.mark.parametrize("n_max", [2, 8, 64])
     def test_minimum_is_nine_quarters(self, n_max):
@@ -183,11 +197,13 @@ class TestResonanceScan:
                     assert n2[i, j] == a - b
                     assert R[i, j] == pytest.approx(float(resonance(int(a), int(b))), rel=1e-14)
 
-    @pytest.mark.parametrize("n_max, cells", [(300, None), (40, 400)])
+    @pytest.mark.parametrize("n_max, cells", [(300, None), (40, 400), (257, None)])
     def test_streamed_scan_matches_full_grid(self, monkeypatch, n_max, cells):
         # the scan computes the rows -n_max..-2 only.  300: 54-row blocks, the
         # last one 29 rows; 40 with 400 cells: 5-row blocks, the last one 4
-        # rows.  (n, n1) and (-n, -n1) tie exactly, so the minimum also checks
+        # rows; 257: 63-row blocks, the last one 4 rows, and only the last two
+        # of the five fall below the histogram's last edge and are re-scanned.
+        # (n, n1) and (-n, -n1) tie exactly, so the minimum also checks
         # that ties go to the first pair in row-major order of the full grid.
         if cells is not None:
             monkeypatch.setattr(bourgain, "_BLOCK_CELLS", cells)
@@ -202,6 +218,32 @@ class TestResonanceScan:
         assert scan.hist_counts.dtype == expected["counts"].dtype
         assert scan.hist_counts.tobytes() == expected["counts"].tobytes()
         assert scan.hist_edges.tobytes() == expected["edges"].tobytes()
+
+    def test_skipped_and_rescanned_blocks_match_full_grid(self, monkeypatch, ratio_block_calls):
+        # blocks of a few rows: in each scan the blocks far from n = -2 lie
+        # wholly in the last bin and are skipped, the ones near it are re-scanned
+        mixed = 0
+        for n_max in range(2, 49):
+            monkeypatch.setattr(bourgain, "_BLOCK_CELLS", 6 * n_max)
+            ratio_block_calls.clear()
+            scan = resonance_scan(n_max)
+            blocks = len(bourgain._admissible_blocks(n_max))
+            rescanned = len(ratio_block_calls) - blocks - 1
+            assert 1 <= rescanned <= blocks
+            mixed += rescanned < blocks
+            expected = _full_grid_scan(n_max)
+            assert scan.minimum == expected["minimum"]
+            assert scan.slice_minimum == expected["slice_minimum"]
+            assert scan.hist_counts.tobytes() == expected["counts"].tobytes()
+            assert scan.hist_edges.tobytes() == expected["edges"].tobytes()
+        assert mixed >= 30
+
+    def test_blocks_in_the_last_bin_are_computed_once(self, ratio_block_calls):
+        # n_max 2048: 256 blocks, of which only the one holding n = -2 is
+        # re-scanned for bin counts, and the |n| = 1 slice
+        resonance_scan(2048)
+        assert len(bourgain._admissible_blocks(2048)) == 256
+        assert len(ratio_block_calls) == 258
 
     def test_memory_below_one_full_grid(self):
         # one (2 n_max)^2 float64 grid at n_max = 1024 is 33.5 MB
@@ -634,14 +676,27 @@ class TestKernelSums:
             n1 = np.arange(-k, k + 1)
             n1 = n1[(n1 != 0) & (n1 != n)]
             a = np.abs(dispersion(n1) + dispersion(n - n1))
-            assert bourgain._sum_form1(0.0, n, k, m)[0] == float(np.sum(np.log(2.0 + a) / (1.0 + a)))
+            assert bourgain._sum_form1(0.0, n, k, m, np.empty(2 * k + 1))[0] == float(np.sum(np.log(2.0 + a) / (1.0 + a)))
             j = np.arange(-k, k + 1)
             j = j[(j != 0) & (j != -n)]
             tau1 = -float(dispersion(n))
             a = np.abs(tau1 + float(dispersion(n)) - dispersion(j))
-            (v2, _), (v3, _) = bourgain._sum_forms23(tau1, n, k, rho, m)
+            (v2, _), (v3, _) = bourgain._sum_forms23(tau1, n, k, rho, m, np.empty(2 * k + 1))
             assert v2 == float(np.sum(np.log(2.0 + a) / (1.0 + a)))
             assert v3 == float(np.sum(np.log(1.0 + a) / (1.0 + a) ** rho))
+
+    def test_sums_run_in_place(self):
+        # the default 4 x 4 grid at k_range 1e5: the symbol table, one scratch
+        # array and one summed array of 2 k_range + 1 floats, not a temporary
+        # per operation
+        k = 10**5
+        tracemalloc.start()
+        try:
+            kernel_sum_scan([0.0, 5.0, -25.0, 300.0], [1, 2, -3, 7], rho=0.7, k_range=k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.5 * (2 * k + 1) * 8
 
     def test_frequency_beyond_k_range_raises_value_error(self):
         # n1 = n lies outside -k_range..k_range and nothing is dropped for it;

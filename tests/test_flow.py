@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -371,6 +372,24 @@ class TestEvolve:
         g = make_grid(4)
         with pytest.raises(ValueError):
             evolve(zero_field(g), FlowParams(dt=1e-3, T=-1.0))
+
+    def test_record_quantities_in_bounded_memory(self):
+        # L2 and H go over record blocks: 256 records at m = 512 are four
+        # 64-record blocks, each row with the bits of the unblocked kernels,
+        # and the peak stays near the record stack and its list of states
+        g = make_grid(512)
+        f = smooth_random_field(g, np.random.default_rng(13), k0=8.0)
+        tracemalloc.start()
+        try:
+            rec = evolve(f, FlowParams(dt=1e-3, T=0.255))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rec.states.shape == (256, 512)
+        assert flow._RECORD_SAMPLE_BYTES // (8 * g.points) == 64
+        assert peak <= 2.5 * rec.states.nbytes
+        assert rec.l2.tobytes() == _l2(rec.states, g.length).tobytes()
+        assert rec.hamiltonian.tobytes() == _hamiltonian(rec.states, g).tobytes()
 
     def test_aliased_product_breaks_conservation(self, monkeypatch):
         # same run with products on the minimal grid: pairing no longer skew

@@ -47,6 +47,8 @@ RUNS = [
     ("gibbs-sample", ["gibbs-sample", "--modes", "4", "--count", "500"]),
     ("verify-invariance", ["verify-invariance", *_INVARIANCE]),
     ("resonance-scan", ["resonance-scan", "--nmax", "16"]),
+    # 300: six row blocks, of which the scan re-scans only those below the last histogram edge
+    ("resonance-scan-blocks", ["resonance-scan", "--nmax", "300"]),
     ("bilinear-sweep", ["bilinear-sweep", "--s", "0,-0.5", "--nmax", "4,8", "--trials", "1"]),
     ("kernel-scan", ["kernel-scan", "--alpha", "0,1,-10", "--sum-tau", "0,5", "--sum-n", "1,2", "--k-range", "2000"]),
     ("picard", ["picard", "--modes", "8", "--norm", "0.1", "--t", "0.05", "--iters", "5", "--ref-dt", "0.001"]),
