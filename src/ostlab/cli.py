@@ -27,6 +27,7 @@ on the thread count.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -698,6 +699,7 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+@functools.cache  # built once per process: about 90 flags, about 2 ms a build
 def _build_parser() -> _Parser:
     parser = _Parser(prog="ostlab", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--version", action="version", version=f"ostlab {__version__}")

@@ -168,47 +168,57 @@ def _product_tables(modes: int, npts: int):
 
 
 def _product_work(lead: tuple, npts: int, tables) -> tuple:
-    """Workspace of _product_coeff for a lead + (m,) stack: FFT buffers when tables is None."""
+    """Workspace of _product_coeff for a lead + (m,) stack: FFT buffers when tables is None.
+
+    Else the DFT tables; below two rows, a zero row pair and the complex view
+    of the rows that take the input (numpy sends a 1-row operand to gemv,
+    whose bits differ from gemm's rows); each chunk's (lo, hi, samples, out),
+    even splits of at most one serial GEMM's rows (one chunk when the rows
+    fit, else chunks of >= 4 rows); and the output's complex band.
+    """
     if tables is None:
         half = npts // 2 + 1
         return np.zeros(lead + (half,), np.complex128), np.empty(lead + (npts,)), np.empty(lead + (half,), np.complex128)
     t_in, t_out = tables
-    rows = max(2, math.prod(lead))
-    chunk = min(rows, max(4, _GEMM_SERIAL_MNK // t_out.size))
-    return t_in, t_out, np.zeros((2, len(t_in))), np.empty((chunk, len(t_out)))
+    n, shape = math.prod(lead), lead + (len(t_in) // 2,)
+    rows = max(2, n)
+    u = np.empty((min(rows, max(4, _GEMM_SERIAL_MNK // t_out.size)), len(t_out)))
+    out = np.empty((rows, t_out.shape[1]))
+    chunks, parts = -(-rows // len(u)), []
+    for i in range(chunks):
+        lo, hi = rows * i // chunks, rows * (i + 1) // chunks
+        parts.append((lo, hi, u[: hi - lo], out[lo:hi]))
+    pad = np.zeros((2, len(t_in))) if n < 2 else None
+    lone = None if pad is None else pad[:n].view(np.complex128).reshape(shape)
+    return t_in, t_out, pad, lone, parts, out[:n, : len(t_in)].view(np.complex128).reshape(shape)
 
 
 def _product_coeff(coeff: np.ndarray, modes: int, npts: int, *, work: tuple) -> np.ndarray:
-    """Modes 1..m of u^2 from an npts-point product grid, as a fresh array.
+    """Modes 1..m of u^2 from an npts-point product grid, in a buffer of `work`.
 
     npts >= 4*modes is alias-free for the quadratic product; smaller grids
     (allowed down to 2m+1) fold high products back onto the band.  `work`
-    (from _product_work) holds the spectrum (zero off the band), sample and
-    rfft buffers above _GEMM_MAX_MODES; else the DFT tables, a zero-padded
-    row pair and a sample buffer of at most one serial GEMM's rows.
+    comes from _product_work for coeff's lead shape.  Above _GEMM_MAX_MODES
+    the result is a fresh array; else it is the workspace's output band,
+    which the next call with the same work overwrites.
     """
     if modes > _GEMM_MAX_MODES:
         spec, u, prod = work
         _to_physical(coeff, npts, spec, out=u)
         u *= u
         return _from_physical(u, modes, out=prod)
-    t_in, t_out, pad, u = work
-    x = np.ascontiguousarray(coeff, np.complex128).reshape(-1, modes).view(np.float64)
-    rows = len(x)
-    if rows < 2:
-        # numpy sends a 1-row operand to gemv, whose bits differ from gemm's rows
-        pad[:rows] = x
-        x = pad
-    out = np.empty((len(x), t_out.shape[1]))
-    # even chunks of at most len(u) rows, so none is a lone row: one chunk when
-    # len(x) <= len(u) (a padded row pair included), else chunks of >= 4 rows
-    chunks = -(-len(x) // len(u))
-    for i in range(chunks):
-        lo, hi = len(x) * i // chunks, len(x) * (i + 1) // chunks
-        s = np.matmul(x[lo:hi], t_in, out=u[: hi - lo])
+    t_in, t_out, pad, lone, parts, band = work
+    if pad is None:
+        x, gemm = np.ascontiguousarray(coeff, np.complex128).reshape(-1, modes).view(np.float64), np.matmul
+    else:
+        # np.dot takes the padded pair faster than np.matmul, with the same bits
+        x, gemm = pad, np.dot
+        np.copyto(lone, coeff)
+    for lo, hi, s, out in parts:
+        gemm(x[lo:hi], t_in, s)
         s *= s
-        np.matmul(s, t_out, out=out[lo:hi])
-    return out[:rows, : 2 * modes].view(np.complex128).reshape(coeff.shape)
+        gemm(s, t_out, out)
+    return band
 
 
 def _nonlinear(grid: GridSpec):
@@ -227,8 +237,7 @@ def _nonlinear(grid: GridSpec):
         if c.shape[:-1] != lead:
             lead = c.shape[:-1]
             work = _product_work(lead, npts, tables)
-        product = _product_coeff(c, m, npts, work=work)
-        return np.multiply(rate, product, out=product)
+        return np.multiply(rate, _product_coeff(c, m, npts, work=work))
 
     return rhs
 
@@ -294,8 +303,8 @@ def _stepper(lam, rhs, h: float):
     return lambda c: _etdrk4_step(c, tables, rhs)
 
 
-# most full steps one time may take: an m=32 state steps at about 1.25e4 steps/s
-# (ETDRK4, batch 1, one core of a 2-core host), so the cap allows about 80 s
+# most full steps one time may take: an m=32 state steps at 2.1e4-3.0e4 steps/s
+# (ETDRK4, batch 1, one core of a 2-core Xeon host), so the cap allows about 35-50 s
 _MAX_STEPS = 10**6
 
 # most nodes of a Picard time grid: about 3.3 KB each at m=16, so 0.85 GB and
@@ -336,18 +345,19 @@ def _tail_step(c, t: float, lam, rhs, p: FlowParams):
 _ROW_BLOCK = 2048
 
 
-def _advance_times(coeff: np.ndarray, grid: GridSpec, p: FlowParams, times, threads: int = 1):
-    """States at each t in times (either sign); a time of 0 gives the input state.
+def _advance_times(coeff: np.ndarray, grid: GridSpec, p: FlowParams, times, threads: int = 1) -> np.ndarray:
+    """States at each t in times (either sign) as one (len(times),) + coeff.shape array; t = 0 gives the input.
 
     A single (m,) state runs as one block; a (rows, m) stack runs in
-    _ROW_BLOCK-row blocks on `threads` workers (0 = all cores).  Each block
-    steps once per time sign up to each requested number of full steps,
-    checking the state after each, and gives each time its own tail step;
-    one right-hand side of its own serves both.  BlowUpError.samples index
-    the stack.
+    _ROW_BLOCK-row blocks on `threads` workers (0 = all cores), each
+    writing its own rows of the result.  Each block steps once per time
+    sign up to each requested number of full steps, checking the state
+    after each, and gives each time its own tail step; one right-hand side
+    of its own serves both.  BlowUpError.samples index the stack.
     """
     times = [float(t) for t in times]
     lam = _linear_rates(grid)
+    states = np.empty((len(times),) + coeff.shape, np.complex128)
     if coeff.ndim == 1:
         blocks = [slice(None)]
     else:
@@ -356,7 +366,9 @@ def _advance_times(coeff: np.ndarray, grid: GridSpec, p: FlowParams, times, thre
     def run_block(block):
         rows = coeff[block]
         rhs = _nonlinear(grid)
-        out = [rows] * len(times)
+        for j, t in enumerate(times):
+            if t == 0.0:
+                states[j, block] = rows
         for sign in (1.0, -1.0):
             wanted = {}
             for j, t in enumerate(times):
@@ -373,14 +385,13 @@ def _advance_times(coeff: np.ndarray, grid: GridSpec, p: FlowParams, times, thre
                         c, n = step(c), n + 1
                         _check_state(c, n * h)
                     for j in wanted[target]:
-                        out[j] = _tail_step(c, times[j], lam, rhs, p)
+                        states[j, block] = _tail_step(c, times[j], lam, rhs, p)
             except BlowUpError as exc:
                 start = block.start or 0
                 raise BlowUpError(exc.time, exc.modes, [start + i for i in exc.samples]) from None
-        return out
 
-    done = _parallel_map(run_block, blocks, threads)
-    return [np.concatenate([b[j] for b in done]) for j in range(len(times))]
+    _parallel_map(run_block, blocks, threads)
+    return states
 
 
 def _record_times(T: float, dt: float, every: int) -> list:
@@ -414,7 +425,7 @@ def evolve(f0: FourierField, p: FlowParams) -> TrajectoryRecord:
         raise ValueError("evolve requires T >= 0; use flow_map for reversed runs")
     grid = f0.grid
     times = _record_times(p.T, p.dt, p.record_every)
-    states = np.array(_advance_times(f0.coeff, grid, p, times))
+    states = _advance_times(f0.coeff, grid, p, times)
     rows = max(1, _RECORD_SAMPLE_BYTES // (8 * grid.points))
     blocks = [states[i : i + rows] for i in range(0, len(states), rows)]
     return TrajectoryRecord(
@@ -615,7 +626,7 @@ def convergence_in_m(
 
     def states(m):
         grid = make_grid(m, length=length)
-        return np.array(_advance_times(regrid(f0, grid).coeff, grid, p, times))
+        return _advance_times(regrid(f0, grid).coeff, grid, p, times)
 
     ref = states(m_ref)
     errors = []

@@ -147,6 +147,25 @@ class TestConfigResolution:
             flag, name = re.escape(f"--{k.flag}"), re.escape(k.name)
             assert re.search(rf"{flag} V [^\[]*\[default: [^\]]*; key: {name}\]", page), k.name
 
+    def test_parser_built_once_per_process(self, capsys):
+        _build_parser.cache_clear()
+        assert run(capsys)[0] == 1 and run(capsys, "resonance-scan", "--nmax", "many")[0] == 1
+        assert _build_parser.cache_info().misses == 1
+
+    @pytest.mark.parametrize("argv, code", [(["--help"], 0), (["simulate", "--help"], 0), (["simulate", "--bogus"], 1)])
+    def test_cached_parser_prints_as_a_fresh_one(self, capsys, argv, code):
+        # after earlier parses, help pages and a usage error read as from a newly built parser
+        run(capsys, "simulate", "--dt", "many")
+
+        def exit_and_output(parse):
+            with pytest.raises(SystemExit) as exc:
+                parse(argv)
+            return exc.value.code, capsys.readouterr()
+
+        fresh = exit_and_output(_build_parser.__wrapped__().parse_args)
+        assert fresh[0] == code and (fresh[1].out if code == 0 else fresh[1].err)
+        assert exit_and_output(main) == fresh
+
     def test_bad_flag_value_exits_1(self, capsys):
         code, _, err = run(capsys, "resonance-scan", "--nmax", "many")
         assert code == 1

@@ -205,8 +205,12 @@ class TestNonlinearTerm:
     def test_gemm_rows_stay_under_serial_threshold(self, m):
         # a larger GEMM would start OpenBLAS threads next to the flow's own workers
         for npts in (4 * m, 2 * m + 1):
-            _, t_out, _, u = flow._product_work((20000,), npts, flow._product_tables(m, npts))
-            assert len(u) >= 4 and len(u) * t_out.size <= flow._GEMM_SERIAL_MNK
+            t_in, t_out, _, _, parts, _ = flow._product_work((20000,), npts, flow._product_tables(m, npts))
+            assert [lo for lo, _, _, _ in parts[1:]] == [hi for _, hi, _, _ in parts[:-1]]
+            assert parts[0][0] == 0 and parts[-1][1] == 20000
+            for lo, hi, s, out in parts:
+                assert hi - lo == len(s) == len(out) >= 4
+                assert len(s) * t_out.size <= flow._GEMM_SERIAL_MNK
 
 
 class TestReferenceBits:
@@ -231,14 +235,24 @@ class TestReferenceBits:
             assert rhs(c).tobytes() == ref(c).tobytes()
 
     def test_successive_results_do_not_alias(self):
+        # the product lands in a buffer the next call overwrites; the right-hand side's result must not
         g = make_grid(8)
         rng = np.random.default_rng(47)
-        rhs = _nonlinear(g)
-        first = rhs(random_stack(g, rng, (3,)))
-        kept = first.copy()
-        second = rhs(random_stack(g, rng, (3,)))
-        assert not np.shares_memory(first, second)
-        assert first.tobytes() == kept.tobytes()
+        for lead in [(3,), ()]:
+            rhs = _nonlinear(g)
+            first = rhs(random_stack(g, rng, lead))
+            kept = first.copy()
+            second = rhs(random_stack(g, rng, lead))
+            assert not np.shares_memory(first, second)
+            assert first.tobytes() == kept.tobytes()
+
+    def test_simulate_point_matches_reference(self):
+        # 1000 batch-1 steps at m = 32, dt 1e-3: the one-state runs of the simulate command
+        g = make_grid(32)
+        c = random_stack(g, np.random.default_rng(59))
+        p = FlowParams(dt=1e-3)
+        out = _advance_times(c, g, p, [1000 * p.dt])[0]
+        assert out.tobytes() == reference_run(c, g, p, 1000).tobytes()
 
     @pytest.mark.parametrize("aliased", [False, True], ids=["etdrk4", "odd-grid"])
     @pytest.mark.parametrize("lead", [(), (6,)], ids=["single", "stack"])
@@ -289,6 +303,17 @@ class TestCheckState:
         c = np.full((3, 4), BLOW_UP_THRESHOLD, dtype=np.complex128)
         _check_state(c, 0.0)
         _check_state(np.zeros((0, 4), dtype=np.complex128), 0.0)
+
+
+def traced_evolve(grid):
+    """evolve of a smooth field to T 0.255 at dt 1e-3, every step recorded, and tracemalloc's peak during it."""
+    f = smooth_random_field(grid, np.random.default_rng(13), k0=8.0)
+    tracemalloc.start()
+    try:
+        rec = evolve(f, FlowParams(dt=1e-3, T=0.255))
+        return rec, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestEvolve:
@@ -376,20 +401,22 @@ class TestEvolve:
     def test_record_quantities_in_bounded_memory(self):
         # L2 and H go over record blocks: 256 records at m = 512 are four
         # 64-record blocks, each row with the bits of the unblocked kernels,
-        # and the peak stays near the record stack and its list of states
+        # and the peak stays near the record stack
         g = make_grid(512)
-        f = smooth_random_field(g, np.random.default_rng(13), k0=8.0)
-        tracemalloc.start()
-        try:
-            rec = evolve(f, FlowParams(dt=1e-3, T=0.255))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        rec, peak = traced_evolve(g)
         assert rec.states.shape == (256, 512)
         assert flow._RECORD_SAMPLE_BYTES // (8 * g.points) == 64
         assert peak <= 2.5 * rec.states.nbytes
         assert rec.l2.tobytes() == _l2(rec.states, g.length).tobytes()
         assert rec.hamiltonian.tobytes() == _hamiltonian(rec.states, g).tobytes()
+
+    def test_record_stack_held_once(self):
+        # each state is written once into the record stack, with no list of
+        # states beside it; at m = 2048 a 1 MiB sample block is 16 records
+        g = make_grid(2048)
+        rec, peak = traced_evolve(g)
+        assert rec.states.shape == (256, 2048)
+        assert peak <= 1.75 * rec.states.nbytes
 
     def test_aliased_product_breaks_conservation(self, monkeypatch):
         # same run with products on the minimal grid: pairing no longer skew
