@@ -47,7 +47,7 @@ from .bourgain import (
 )
 from .flow import (
     _CONTOUR_POINTS, _MAX_NODES, _PICARD_ENDPOINT_TOL, _PICARD_T_MAX, BlowUpError, FlowParams, _default_nodes,
-    _full_steps, _linear_rates, _record_times, convergence_in_m, evolve, flow_map, picard_solve,
+    _full_steps, _linear_rates, convergence_in_m, evolve, flow_map, picard_solve,
 )
 from .gibbs import (
     DegenerateWeightsError,
@@ -260,10 +260,6 @@ def _resolve(command: str, args: argparse.Namespace) -> RunConfig:
             grid = f"grid.modes = {modes}"
         _check_stack(f"{grid} needs a ({modes}, {_CONTOUR_POINTS}) complex ETDRK4 contour table",
                      16 * _CONTOUR_POINTS * modes)
-        if "flow.record_every" in values:  # simulate and convergence-m keep every recorded state
-            records = len(_record_times(values[t_key], values[dt_key], values["flow.record_every"]))
-            _check_stack(f"{grid} at {records} record times ({t_key}, {dt_key}, flow.record_every) needs a "
-                         f"({records}, {modes}) complex record stack", 16 * records * modes)
     if command == "picard":  # the (nodes, m) tables of picard_solve's grid
         nodes = _default_nodes(values["picard.t"])
         if nodes * values["grid.modes"] > _PICARD_CELLS_MAX:
@@ -590,7 +586,8 @@ _PICARD_CELLS_MAX = 16 * _MAX_NODES
 
 # largest array a run may ask for, checked in _resolve: g(u)'s float64 sample stack (and its one temporary,
 # so near 0.5 GiB: 1 048 576 samples at m = 8, 52 times the benchmark's and 10 times criterion 5's count),
-# ETDRK4's complex contour table (524 288 modes) and a trajectory's complex record stack
+# and ETDRK4's complex contour table (524 288 modes); simulate and convergence-m hold no record stack, so their
+# record count needs no cap
 _STACK_BYTES_MAX = 2**28
 
 # (time key, step key) of each command that steps the flow, whose step count flow._full_steps caps

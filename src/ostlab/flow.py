@@ -105,21 +105,16 @@ class FlowParams:
 
 @dataclass(frozen=True)
 class TrajectoryRecord:
-    """States and conserved quantities at the record times of one trajectory.
-
-    states[i] holds the coefficients at times[i]; final is states[-1].
-    """
+    """Conserved quantities at the record times of one trajectory, and its final state."""
 
     times: np.ndarray
     l2: np.ndarray
     hamiltonian: np.ndarray
     final: FourierField
-    states: np.ndarray
 
     def __post_init__(self):
         _freeze(self, "times", "l2", "hamiltonian", dtype=np.float64)
-        _freeze(self, "states", dtype=np.complex128)
-        if not (len(self.times) == len(self.l2) == len(self.hamiltonian) == len(self.states)):
+        if not (len(self.times) == len(self.l2) == len(self.hamiltonian)):
             raise ValueError("record arrays must have equal length")
         if np.any(np.diff(self.times) <= 0.0):
             raise ValueError("times must be strictly increasing")
@@ -345,18 +340,45 @@ def _tail_step(c, t: float, lam, rhs, p: FlowParams):
 _ROW_BLOCK = 2048
 
 
+def _walk(rows: np.ndarray, grid: GridSpec, p: FlowParams, times):
+    """Yield (j, state at times[j]) for one state or stack: t = 0 first, then each sign in order of |t|.
+
+    Steps once per time sign up to each requested number of full steps,
+    checking the state after each, and gives each time its own tail step;
+    one right-hand side of its own serves both.  A yielded state is never
+    written to again.
+    """
+    lam, rhs = _linear_rates(grid), _nonlinear(grid)
+    for j, t in enumerate(times):
+        if t == 0.0:
+            yield j, rows
+    for sign in (1.0, -1.0):
+        wanted = {}
+        for j, t in enumerate(times):
+            if t * sign > 0.0:
+                wanted.setdefault(_full_steps(t, p.dt), []).append(j)
+        if not wanted:
+            continue
+        h = sign * p.dt
+        step = _stepper(lam, rhs, h)
+        c, n = rows, 0
+        for target in sorted(wanted):
+            while n < target:
+                c, n = step(c), n + 1
+                _check_state(c, n * h)
+            for j in wanted[target]:
+                yield j, _tail_step(c, times[j], lam, rhs, p)
+
+
 def _advance_times(coeff: np.ndarray, grid: GridSpec, p: FlowParams, times, threads: int = 1) -> np.ndarray:
     """States at each t in times (either sign) as one (len(times),) + coeff.shape array; t = 0 gives the input.
 
     A single (m,) state runs as one block; a (rows, m) stack runs in
     _ROW_BLOCK-row blocks on `threads` workers (0 = all cores), each
-    writing its own rows of the result.  Each block steps once per time
-    sign up to each requested number of full steps, checking the state
-    after each, and gives each time its own tail step; one right-hand side
-    of its own serves both.  BlowUpError.samples index the stack.
+    writing what its _walk yields into its own rows of the result.
+    BlowUpError.samples index the stack.
     """
     times = [float(t) for t in times]
-    lam = _linear_rates(grid)
     states = np.empty((len(times),) + coeff.shape, np.complex128)
     if coeff.ndim == 1:
         blocks = [slice(None)]
@@ -364,31 +386,12 @@ def _advance_times(coeff: np.ndarray, grid: GridSpec, p: FlowParams, times, thre
         blocks = [slice(i, i + _ROW_BLOCK) for i in range(0, len(coeff), _ROW_BLOCK)]
 
     def run_block(block):
-        rows = coeff[block]
-        rhs = _nonlinear(grid)
-        for j, t in enumerate(times):
-            if t == 0.0:
-                states[j, block] = rows
-        for sign in (1.0, -1.0):
-            wanted = {}
-            for j, t in enumerate(times):
-                if t * sign > 0.0:
-                    wanted.setdefault(_full_steps(t, p.dt), []).append(j)
-            if not wanted:
-                continue
-            h = sign * p.dt
-            step = _stepper(lam, rhs, h)
-            c, n = rows, 0
-            try:
-                for target in sorted(wanted):
-                    while n < target:
-                        c, n = step(c), n + 1
-                        _check_state(c, n * h)
-                    for j in wanted[target]:
-                        states[j, block] = _tail_step(c, times[j], lam, rhs, p)
-            except BlowUpError as exc:
-                start = block.start or 0
-                raise BlowUpError(exc.time, exc.modes, [start + i for i in exc.samples]) from None
+        try:
+            for j, c in _walk(coeff[block], grid, p, times):
+                states[j, block] = c
+        except BlowUpError as exc:
+            start = block.start or 0
+            raise BlowUpError(exc.time, exc.modes, [start + i for i in exc.samples]) from None
 
     _parallel_map(run_block, blocks, threads)
     return states
@@ -410,31 +413,33 @@ def _record_times(T: float, dt: float, every: int) -> list:
 
 
 # byte budget of the (records, 4m) float64 sample stack that one _hamiltonian call in evolve
-# transforms and cubes: L2 and H go over record blocks within it (64 records at m = 512), so
-# their temporaries do not grow with the record stack
+# transforms and cubes: evolve's reused record block holds that many records (64 at m = 512);
+# one call per record would slow simulate, which records every step by default
 _RECORD_SAMPLE_BYTES = 1 << 20
 
 
 def evolve(f0: FourierField, p: FlowParams) -> TrajectoryRecord:
-    """Integrate to time p.T, recording state, L2 and H every record_every steps.
+    """Integrate to time p.T, recording L2 and H every record_every steps.
 
-    The record always contains t = 0 and t = T.  Raises BlowUpError with
+    The record always contains t = 0 and t = T.  Each state is copied into
+    one reused block of records, whose L2 and H are taken when it fills, so
+    memory does not grow with the record count.  Raises BlowUpError with
     the failure time if the state leaves the trusted range.
     """
     if p.T < 0.0:
         raise ValueError("evolve requires T >= 0; use flow_map for reversed runs")
     grid = f0.grid
     times = _record_times(p.T, p.dt, p.record_every)
-    states = _advance_times(f0.coeff, grid, p, times)
     rows = max(1, _RECORD_SAMPLE_BYTES // (8 * grid.points))
-    blocks = [states[i : i + rows] for i in range(0, len(states), rows)]
-    return TrajectoryRecord(
-        times=np.array(times),
-        l2=np.concatenate([_l2(b, grid.length) for b in blocks]),
-        hamiltonian=np.concatenate([_hamiltonian(b, grid) for b in blocks]),
-        final=FourierField(grid, states[-1]),
-        states=states,
-    )
+    block = np.empty((min(rows, len(times)), grid.modes), np.complex128)
+    l2, h = np.empty(len(times)), np.empty(len(times))
+    # the record times are nonnegative and increasing, so _walk yields them in order
+    for j, c in _walk(f0.coeff, grid, p, times):
+        i = j % rows
+        block[i] = c
+        if i == rows - 1 or j == len(times) - 1:
+            l2[j - i : j + 1], h[j - i : j + 1] = _l2(block[: i + 1], grid.length), _hamiltonian(block[: i + 1], grid)
+    return TrajectoryRecord(times=np.array(times), l2=l2, hamiltonian=h, final=FourierField(grid, c))
 
 
 def flow_map(f0: FourierField, t: float, p: FlowParams) -> FourierField:
@@ -597,10 +602,6 @@ class ConvergenceStudy:
     m_values: tuple
     errors: tuple
     reference_modes: int
-    times: np.ndarray
-
-    def __post_init__(self):
-        _freeze(self, "times")
 
 
 def convergence_in_m(
@@ -614,7 +615,8 @@ def convergence_in_m(
 
     Errors are sup over the shared record times of the L2 distance, with
     the coarse run zero-padded onto the reference band (missing reference
-    mass above mode m counts as error).
+    mass above mode m counts as error).  The reference and every m walk in
+    lockstep, one state each at a time.
     """
     m_list = [int(m) for m in m_list]
     if not m_list or any(b <= a for a, b in zip(m_list, m_list[1:])) or m_list[0] < 1:
@@ -624,16 +626,14 @@ def convergence_in_m(
     p = FlowParams(dt=dt, T=T, record_every=record_every)
     times = _record_times(p.T, p.dt, p.record_every)
 
-    def states(m):
+    def walk(m):
         grid = make_grid(m, length=length)
-        return _advance_times(regrid(f0, grid).coeff, grid, p, times)
+        return (c for _, c in _walk(regrid(f0, grid).coeff, grid, p, times))
 
-    ref = states(m_ref)
-    errors = []
-    for m in m_list:
-        padded = np.zeros_like(ref)
-        padded[:, :m] = states(m)
-        errors.append(float(np.max(_l2(padded - ref, length))))
-    return ConvergenceStudy(
-        m_values=tuple(m_list), errors=tuple(errors), reference_modes=m_ref, times=np.array(times)
-    )
+    errors = [0.0] * len(m_list)
+    for ref, *coarse in zip(walk(m_ref), *map(walk, m_list)):
+        for i, (m, c) in enumerate(zip(m_list, coarse)):
+            diff = -ref
+            diff[:m] += c
+            errors[i] = max(errors[i], float(_l2(diff, length)))
+    return ConvergenceStudy(m_values=tuple(m_list), errors=tuple(errors), reference_modes=m_ref)

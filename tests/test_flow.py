@@ -25,13 +25,14 @@ from ostlab.flow import (
     _full_steps,
     _linear_rates,
     _nonlinear,
+    _record_times,
     convergence_in_m,
     evolve,
     flow_map,
     liouville_divergence,
     picard_solve,
 )
-from ostlab.spectral import FourierField, _cubic_g, _hamiltonian, _l2, make_grid
+from ostlab.spectral import FourierField, _cubic_g, _hamiltonian, _l2, make_grid, regrid
 
 
 def l2(f):
@@ -305,12 +306,11 @@ class TestCheckState:
         _check_state(np.zeros((0, 4), dtype=np.complex128), 0.0)
 
 
-def traced_evolve(grid):
-    """evolve of a smooth field to T 0.255 at dt 1e-3, every step recorded, and tracemalloc's peak during it."""
-    f = smooth_random_field(grid, np.random.default_rng(13), k0=8.0)
+def traced_evolve(f, T):
+    """evolve of f to T at dt 1e-3, every step recorded, and tracemalloc's peak during it."""
     tracemalloc.start()
     try:
-        rec = evolve(f, FlowParams(dt=1e-3, T=0.255))
+        rec = evolve(f, FlowParams(dt=1e-3, T=T))
         return rec, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -361,10 +361,11 @@ class TestEvolve:
         f = unit_random_field(g, np.random.default_rng(2))
         p = FlowParams(dt=1e-3, T=0.004, record_every=2)
         rec = evolve(f, p)
-        assert rec.states.shape == (len(rec.times), 4)
-        assert np.array_equal(rec.states[0], f.coeff)
-        assert np.array_equal(rec.states[-1], rec.final.coeff)
-        for i, state in enumerate(rec.states):
+        states = _advance_times(f.coeff, g, p, rec.times)
+        assert states.shape == (len(rec.times), 4)
+        assert np.array_equal(states[0], f.coeff)
+        assert np.array_equal(states[-1], rec.final.coeff)
+        for i, state in enumerate(states):
             assert state.tobytes() == reference_run(f.coeff, g, p, i * p.record_every).tobytes()
 
     def test_single_state_wider_than_row_block(self):
@@ -399,24 +400,21 @@ class TestEvolve:
             evolve(zero_field(g), FlowParams(dt=1e-3, T=-1.0))
 
     def test_record_quantities_in_bounded_memory(self):
-        # L2 and H go over record blocks: 256 records at m = 512 are four
-        # 64-record blocks, each row with the bits of the unblocked kernels,
-        # and the peak stays near the record stack
+        # each state is copied into one reused block of 64 records at m = 512,
+        # whose L2 and H are taken when it fills: ten times the records leave
+        # the peak near where it was, and every row keeps the bits of the
+        # kernels on the whole record stack (2556 records end in a partial block)
         g = make_grid(512)
-        rec, peak = traced_evolve(g)
-        assert rec.states.shape == (256, 512)
         assert flow._RECORD_SAMPLE_BYTES // (8 * g.points) == 64
-        assert peak <= 2.5 * rec.states.nbytes
-        assert rec.l2.tobytes() == _l2(rec.states, g.length).tobytes()
-        assert rec.hamiltonian.tobytes() == _hamiltonian(rec.states, g).tobytes()
-
-    def test_record_stack_held_once(self):
-        # each state is written once into the record stack, with no list of
-        # states beside it; at m = 2048 a 1 MiB sample block is 16 records
-        g = make_grid(2048)
-        rec, peak = traced_evolve(g)
-        assert rec.states.shape == (256, 2048)
-        assert peak <= 1.75 * rec.states.nbytes
+        f = smooth_random_field(g, np.random.default_rng(13), k0=8.0)
+        short, short_peak = traced_evolve(f, 0.255)
+        rec, peak = traced_evolve(f, 2.555)
+        assert (len(short.times), len(rec.times)) == (256, 2556)
+        assert peak <= 1.5 * short_peak
+        states = _advance_times(f.coeff, g, FlowParams(dt=1e-3), rec.times)
+        assert rec.l2.tobytes() == _l2(states, g.length).tobytes()
+        for lo in range(0, len(states), 512):
+            assert rec.hamiltonian[lo : lo + 512].tobytes() == _hamiltonian(states[lo : lo + 512], g).tobytes()
 
     def test_aliased_product_breaks_conservation(self, monkeypatch):
         # same run with products on the minimal grid: pairing no longer skew
@@ -715,10 +713,29 @@ class TestConvergenceInM:
     @pytest.mark.parametrize("T", [0.2555, -0.2555])
     def test_record_grid_ends_at_T(self, T):
         # 0.2555 is not a multiple of record_every * dt = 0.05 in either direction
-        f = unit_random_field(make_grid(8), np.random.default_rng(31), decay=0.3)
-        study = convergence_in_m(f, T, [8, 16])
-        assert study.times[-1] == T
-        assert np.allclose(np.abs(study.times[:-1]), 0.05 * np.arange(6), rtol=0, atol=1e-15)
+        times = _record_times(T, 1e-3, 50)
+        assert times[-1] == T
+        assert np.allclose(np.abs(times[:-1]), 0.05 * np.arange(6), rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("T", [0.1, -0.1013, 0.1013])
+    def test_errors_match_padded_record_stacks(self, T):
+        # the lockstep walk gives the bits of each m's whole record stack,
+        # zero-padded onto the reference's, minus the reference's stack
+        f = unit_random_field(make_grid(16), np.random.default_rng(33), decay=0.3)
+        length, p, times = f.grid.length, FlowParams(dt=2e-3), _record_times(T, 2e-3, 10)
+
+        def states(m):
+            grid = make_grid(m, length=length)
+            return _advance_times(regrid(f, grid).coeff, grid, p, times)
+
+        ref, expected = states(16), []
+        for m in (4, 8):
+            padded = np.zeros_like(ref)
+            padded[:, :m] = states(m)
+            expected.append(float(np.max(_l2(padded - ref, length))))
+        study = convergence_in_m(f, T, [4, 8], dt=2e-3, record_every=10)
+        assert study.reference_modes == 16
+        assert np.array(study.errors).tobytes() == np.array(expected).tobytes()
 
     def test_rejects_unsorted_m_list(self):
         g = make_grid(4)

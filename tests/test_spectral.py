@@ -126,17 +126,15 @@ class TestFieldInvariants:
 
 
 def _records():
-    """One record of each type that freezes its arrays, built from plain lists, with its array fields' dtypes."""
+    """One record of each result type, built from plain lists, with its (frozen) array fields' dtypes."""
     g = make_grid(1)
     hit = ResonanceRecord(n=2, n1=1, R=1.0, ratio=1.0)
     records = [
-        (TrajectoryRecord(times=[0.0, 1.0], l2=[1.0, 1.0], hamiltonian=[0.5, 0.5], final=FourierField(g, [0j]),
-                          states=[[0.0], [0.0]]),
-         {"times": float, "l2": float, "hamiltonian": float, "states": complex}),
+        (TrajectoryRecord(times=[0.0, 1.0], l2=[1.0, 1.0], hamiltonian=[0.5, 0.5], final=FourierField(g, [0j])),
+         {"times": float, "l2": float, "hamiltonian": float}),
         (PicardResult(grid=g, times=[0.0, 1.0], states=[[0j], [0j]], distances=[1.0], diverged=False),
          {"times": float, "states": complex, "distances": float}),
-        (ConvergenceStudy(m_values=(1,), errors=(0.1,), reference_modes=2, times=[0.0, 1.0]),
-         {"times": float}),
+        (ConvergenceStudy(m_values=(1,), errors=(0.1,), reference_modes=2), {}),
         (ResonanceScan(n_max=2, minimum=hit, slice_minimum=hit, hist_counts=[1], hist_edges=[1.0, 2.0]),
          {"hist_counts": int, "hist_edges": float}),
         (TimeLocalizationResult(b_values=(0.25,), T_values=(0.5,), ratios=[[1.0]], slopes=(0.0,)),
@@ -219,7 +217,7 @@ class TestTransformPair:
         monkeypatch.setattr(np.fft, "irfft", refuse)
         g = make_grid(4)
         f = random_field(g, np.random.default_rng(3), scale=0.1)
-        assert np.isfinite(evolve(f, FlowParams(dt=0.01, T=0.05)).states).all()
+        assert np.isfinite(evolve(f, FlowParams(dt=0.01, T=0.05)).hamiltonian).all()
         spec = GibbsSpec(grid=g, seed=5)
         obs = [mode_power(1), cubic_integral(), hamiltonian_observable()]
         reports = run_invariance(spec, FlowParams(dt=0.01), (0.0, 0.05), obs, 50)

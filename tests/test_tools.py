@@ -2,7 +2,10 @@
 
 import importlib.util
 import json
+import re
 from pathlib import Path
+
+import pytest
 
 import ostlab.flow as flow
 
@@ -30,3 +33,17 @@ def test_layer_bench_measures_one_configuration(monkeypatch, capsys):
     for r in records:
         assert (r["blas"], r["m"], r["batch"], r["repeats"], r["calls_per_repeat"]) == ("pinned", 8, 20, 3, 200)
         assert r["us"] > 0.0 and r["q1_us"] <= r["us"] <= r["q3_us"]
+
+
+def test_artifact_digests_of_one_tiny_run(capsys):
+    tool = load_tool("artifact_digests")
+    lines = tool.digests([("tiny", ["simulate", "--modes", "2", "--t", "0.002", "--dt", "0.001"])])
+    # one line per data file, sorted; the run's simulate.meta.json sidecar has none
+    assert [line.split()[0] for line in lines] == ["tiny/final_state.csv", "tiny/simulate.csv"]
+    for line in lines:
+        whole, data = re.fullmatch(r"tiny/\S+ ([0-9a-f]{64}) data=([0-9a-f]{64})", line).groups()
+        assert whole != data  # the CSV's "# " configuration lines are left out of the second
+    with pytest.raises(SystemExit) as exc:
+        tool.digests([("bad", ["simulate", "--dt", "0"])])
+    assert exc.value.code == 1
+    assert "bad: exit 1" in capsys.readouterr().err

@@ -65,6 +65,11 @@ RUNS = [
     ("verify-invariance-tail", ["verify-invariance", "--modes", "4", "--count", "500",
                                 "--t-values", "-0.0513,0.1037,0.0005", "--dt", "0.005"]),
     ("convergence-m-tail", ["convergence-m", "--m", "4,8", "--t", "0.1013", "--dt", "0.002", "--record-every", "10"]),
+    # the lockstep walk of reference and truncations backwards in time
+    ("convergence-m-negative-t", ["convergence-m", "--m", "4,8", "--t", "-0.1013", "--dt", "0.002",
+                                  "--record-every", "10"]),
+    # 51 records at m = 2048 are four 16-record L2/H blocks, the last one partial
+    ("simulate-blocks", ["simulate", "--modes", "2048", "--t", "0.05", "--dt", "0.001"]),
     ("verify-invariance-all-observables", ["verify-invariance", *_INVARIANCE, *_ALL_OBSERVABLES]),
     ("verify-invariance-all-observables-cutoff", ["verify-invariance", *_INVARIANCE, *_ALL_OBSERVABLES,
                                                   "--cutoff", "2"]),
