@@ -241,10 +241,15 @@ def _resolve(command: str, args: argparse.Namespace) -> RunConfig:
     least = 2 if command == "gibbs-sample" else 1
     if values.get("gibbs.count", least) < least:
         raise ConfigError(f"gibbs.count must be at least {least} for {command}, got {values['gibbs.count']}")
-    if "gibbs.count" in values:  # g(u)'s (count, 4 m) float64 samples, the largest stack of a draw
+    if "gibbs.count" in values:  # the ensemble and gibbs-sample's real coordinates of it
         count, modes = values["gibbs.count"], values["grid.modes"]
-        _check_stack(f"gibbs.count = {count} at grid.modes = {modes} is a ({count}, {4 * modes}) float64 sample stack",
-                     count * 32 * modes)
+        _check_stack(f"gibbs.count = {count} at grid.modes = {modes} is a ({count}, {modes}) complex ensemble and "
+                     f"its ({count}, {2 * modes}) float64 coordinates", count * 32 * modes)
+    if command == "verify-invariance":  # run_invariance's value stack, held with the ensemble through the flow
+        walk = 1 + len(values["invariance.t_values"])
+        obs = sum(1 for token in values["invariance.observables"].split(",") if token.strip())
+        _check_stack(f"invariance.t_values ({walk - 1} times, and t = 0) with gibbs.count = {count} and {obs} "
+                     f"observables is a ({walk}, {obs}, {count}) float64 value stack", walk * obs * count * 8)
     if command in _STEPPED:  # before any sample is drawn or Picard iterate taken
         t_key, dt_key = _STEPPED[command]
         for t in np.atleast_1d(values[t_key]):
@@ -584,10 +589,10 @@ def _cmd_convergence_m(cfg: RunConfig) -> int:
 # the (nodes, m) tables may hold as many cells as the node cap's at the default m = 16
 _PICARD_CELLS_MAX = 16 * _MAX_NODES
 
-# largest array a run may ask for, checked in _resolve: g(u)'s float64 sample stack (and its one temporary,
-# so near 0.5 GiB: 1 048 576 samples at m = 8, 52 times the benchmark's and 10 times criterion 5's count),
-# and ETDRK4's complex contour table (524 288 modes); simulate and convergence-m hold no record stack, so their
-# record count needs no cap
+# largest array a run may ask for, checked in _resolve: an ensemble with its real coordinates (1 048 576 samples
+# at m = 8, 52 times the benchmark's and 10 times criterion 5's count), verify-invariance's value stack and
+# ETDRK4's complex contour table (524 288 modes); simulate and convergence-m hold no record stack and
+# verify-invariance no state stack, so no cap counts their states
 _STACK_BYTES_MAX = 2**28
 
 # (time key, step key) of each command that steps the flow, whose step count flow._full_steps caps

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spectral import (
+    _SAMPLE_BLOCK_BYTES,
     TWO_PI,
     FourierField,
     GridSpec,
@@ -370,16 +371,18 @@ def _walk(rows: np.ndarray, grid: GridSpec, p: FlowParams, times):
                 yield j, _tail_step(c, times[j], lam, rhs, p)
 
 
-def _advance_times(coeff: np.ndarray, grid: GridSpec, p: FlowParams, times, threads: int = 1) -> np.ndarray:
+def _advance_times(coeff: np.ndarray, grid: GridSpec, p: FlowParams, times, threads: int = 1, take=None):
     """States at each t in times (either sign) as one (len(times),) + coeff.shape array; t = 0 gives the input.
 
     A single (m,) state runs as one block; a (rows, m) stack runs in
-    _ROW_BLOCK-row blocks on `threads` workers (0 = all cores), each
-    writing what its _walk yields into its own rows of the result.
-    BlowUpError.samples index the stack.
+    _ROW_BLOCK-row blocks on `threads` workers (0 = all cores), each calling
+    take(j, rows, state) for every state its _walk yields, rows indexing the
+    stack.  The default take writes it into the result; with another, the
+    result is None.  BlowUpError.samples index the stack.
     """
     times = [float(t) for t in times]
-    states = np.empty((len(times),) + coeff.shape, np.complex128)
+    states = np.empty((len(times),) + coeff.shape, np.complex128) if take is None else None
+    take = take or (lambda j, rows, state: states.__setitem__((j, rows), state))
     if coeff.ndim == 1:
         blocks = [slice(None)]
     else:
@@ -388,7 +391,7 @@ def _advance_times(coeff: np.ndarray, grid: GridSpec, p: FlowParams, times, thre
     def run_block(block):
         try:
             for j, c in _walk(coeff[block], grid, p, times):
-                states[j, block] = c
+                take(j, block, c)
         except BlowUpError as exc:
             start = block.start or 0
             raise BlowUpError(exc.time, exc.modes, [start + i for i in exc.samples]) from None
@@ -412,12 +415,6 @@ def _record_times(T: float, dt: float, every: int) -> list:
 # public drivers
 
 
-# byte budget of the (records, 4m) float64 sample stack that one _hamiltonian call in evolve
-# transforms and cubes: evolve's reused record block holds that many records (64 at m = 512);
-# one call per record would slow simulate, which records every step by default
-_RECORD_SAMPLE_BYTES = 1 << 20
-
-
 def evolve(f0: FourierField, p: FlowParams) -> TrajectoryRecord:
     """Integrate to time p.T, recording L2 and H every record_every steps.
 
@@ -430,7 +427,8 @@ def evolve(f0: FourierField, p: FlowParams) -> TrajectoryRecord:
         raise ValueError("evolve requires T >= 0; use flow_map for reversed runs")
     grid = f0.grid
     times = _record_times(p.T, p.dt, p.record_every)
-    rows = max(1, _RECORD_SAMPLE_BYTES // (8 * grid.points))
+    # one _hamiltonian call per record would slow simulate, which records every step by default
+    rows = max(1, _SAMPLE_BLOCK_BYTES // (8 * grid.points))
     block = np.empty((min(rows, len(times)), grid.modes), np.complex128)
     l2, h = np.empty(len(times)), np.empty(len(times))
     # the record times are nonnegative and increasing, so _walk yields them in order

@@ -35,6 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from .spectral import (
+    _SAMPLE_BLOCK_BYTES,
     FourierField,
     GridSpec,
     TWO_PI,
@@ -187,23 +188,26 @@ def sample_gaussian(spec: GibbsSpec, count: int) -> Ensemble:
     in_support = (|u| <= cutoff_R) when a cutoff is configured.  Row i is
     drawn from the stream keyed by (seed, i), taken from one re-keyed
     generator (`spectral._philox_streams`), so the first k rows of any
-    larger draw are the draw of count k.
+    larger draw are the draw of count k.  Rows are drawn and weighed in
+    blocks of _SAMPLE_BLOCK_BYTES of g's samples, straight into the ensemble.
     """
     if int(count) != count or count < 1:
         raise ValueError(f"count must be a positive integer, got {count}")
     count = int(count)
     grid = spec.grid
     sigma = 1.0 / np.sqrt(_coord_eigenvalues(grid))
-    coords = np.empty((count, 2 * grid.modes))
-    for row, rng in zip(coords, _philox_streams(spec.seed, range(count))):
-        rng.standard_normal(out=row)
-    coords *= sigma
-    coeffs = _coords_to_coeff(coords, grid)
-    log_weights = -_cubic_g(coeffs, grid)
-    if spec.cutoff_R is not None:
-        in_support = _l2(coeffs, grid.length) <= spec.cutoff_R
-    else:
-        in_support = np.ones(count, dtype=bool)
+    coeffs, log_weights, in_support = np.empty((count, grid.modes), complex), np.empty(count), np.ones(count, bool)
+    streams, size = _philox_streams(spec.seed, range(count)), max(1, _SAMPLE_BLOCK_BYTES // (8 * grid.points))
+    for lo in range(0, count, size):
+        coords = np.empty((min(size, count - lo), 2 * grid.modes))
+        for row, rng in zip(coords, streams):  # coords first: zip stops before taking a stream too many
+            rng.standard_normal(out=row)
+        coords *= sigma
+        block = slice(lo, lo + len(coords))
+        c = coeffs[block] = _coords_to_coeff(coords, grid)
+        log_weights[block] = -_cubic_g(c, grid)
+        if spec.cutoff_R is not None:
+            in_support[block] = _l2(c, grid.length) <= spec.cutoff_R
     return Ensemble(
         spec=spec,
         sampler="iid-importance",

@@ -3,8 +3,9 @@
 The central identity under test: for the Gibbs measure mu built in
 `gibbs` and the flow of `flow`, E_mu[F] = E_mu[F o flow_map(., t)] for
 every observable F and every time t.  The experiment draws a weighted
-ensemble representing mu, evolves every sample field by t, and compares
-the weighted estimate of each observable before and after — with the
+ensemble representing mu, evolves it by t in row blocks, evaluating each
+observable per block as the walk yields it (t = 0 first, for the values
+before), and compares the weighted estimates before and after — with the
 ORIGINAL weights kept on the evolved samples.  That is the pushforward
 reading of invariance: if the flow preserves mu, the pushed ensemble
 with unchanged weights still represents mu.  Recomputing weights after
@@ -219,10 +220,12 @@ def run_invariance(
 
     One report per time, in input order: the ensemble is drawn once and
     integrated once per time sign, its rows in blocks on `threads` workers
-    (0 = all cores; results do not depend on it).  Weights are those of the
-    initial ensemble throughout (pushforward semantics).  Raises
-    DegenerateWeightsError when the effective sample size is below the
-    floor, and propagates integrator blow-ups (with the offending samples).
+    (0 = all cores; results do not depend on it), which evaluate every
+    observable on their block into one value stack, the values before the
+    flow from a t = 0 entry of the walk.  Weights are those of the initial
+    ensemble throughout (pushforward semantics).  Raises
+    DegenerateWeightsError before any step when the effective sample size
+    is below the floor, and propagates blow-ups (with the offending samples).
     """
     times = [float(t) for t in times]
     obs = list(obs)
@@ -234,13 +237,17 @@ def run_invariance(
         raise ValueError(f"times must be a nonempty list of finite numbers, got {times}")
     grid = spec.grid
     ens = sample_gaussian(spec, int(count))
-    before = [gibbs_expectation(ens, F.batch(ens.coeffs, grid)) for F in obs]
-    ess = before[0].ess
+    ess = ens._weights[2]
     if ess < ESS_FLOOR:
-        raise DegenerateWeightsError(
-            f"effective sample size {ess:.2f} below {ESS_FLOOR}; "
-            "increase count or tighten the cutoff"
-        )
+        raise DegenerateWeightsError(f"effective sample size {ess:.2f} below {ESS_FLOOR}; "
+                                     "increase count or tighten the cutoff")
+    values = np.empty((1 + len(times), len(obs), int(count)))
+
+    def take(j, rows, state):
+        values[j, :, rows] = [F.batch(state, grid) for F in obs]
+
+    _advance_times(ens.coeffs, grid, p, [0.0, *times], threads, take)
+    before = [gibbs_expectation(ens, v) for v in values[0]]
     note = (
         f"{len(obs)} observables tested at per-observable gate |z| <= {z_max:g}; "
         "no multiple-comparison correction applied"
@@ -248,13 +255,11 @@ def run_invariance(
         else None
     )
     reports = []
-    for t, coeffs in zip(times, _advance_times(ens.coeffs, grid, p, times, threads)):
+    for t, after in zip(times, values[1:]):
         rows = []
-        for F, b in zip(obs, before):
-            a = gibbs_expectation(ens, F.batch(coeffs, grid))
+        for F, b, v in zip(obs, before, after):
+            a = gibbs_expectation(ens, v)
             z = _z_score(b, a)
             rows.append(InvarianceRow(F.name, b.mean, b.std_error, a.mean, a.std_error, z, abs(z) <= z_max))
-        reports.append(
-            InvarianceReport(grid.modes, t, int(count), spec.seed, ess, tuple(rows), float(z_max), note)
-        )
+        reports.append(InvarianceReport(grid.modes, t, int(count), spec.seed, ess, tuple(rows), float(z_max), note))
     return reports

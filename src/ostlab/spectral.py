@@ -31,6 +31,9 @@ from numpy.fft import _pocketfft_umath as _pocketfft
 
 TWO_PI = 2.0 * math.pi
 
+# byte budget of the (rows, 4m) float64 samples of one _cubic_g or _hamiltonian call on a block of rows
+_SAMPLE_BLOCK_BYTES = 1 << 20
+
 __all__ = [
     "FourierField",
     "GridSpec",

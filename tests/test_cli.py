@@ -809,13 +809,14 @@ class TestStepCap:
         ids=lambda v: " ".join(v) if isinstance(v, list) else None,
     )
     def test_sample_stack_beyond_cap_exits_1_fast(self, capsys, tmp_path, argv, count, modes):
-        # g(u) samples a (count, 4 m) float64 stack; these used to end in a numpy _ArrayMemoryError traceback
+        # the ensemble and its real coordinates; these used to end in a numpy _ArrayMemoryError traceback
         start = time.perf_counter()
         code, _, err = run(capsys, *argv, "--out", str(tmp_path))
         assert time.perf_counter() - start < 1.0
         assert code == 1
-        assert (f"gibbs.count = {count} at grid.modes = {modes} is a ({count}, {4 * modes}) float64 sample stack "
-                f"of {32 * count * modes} bytes, above the cap of {_STACK_BYTES_MAX}") in err
+        assert (f"gibbs.count = {count} at grid.modes = {modes} is a ({count}, {modes}) complex ensemble and its "
+                f"({count}, {2 * modes}) float64 coordinates of {32 * count * modes} bytes, above the cap of "
+                f"{_STACK_BYTES_MAX}") in err
         assert "Traceback" not in err
         assert list(tmp_path.iterdir()) == []
 
@@ -829,6 +830,32 @@ class TestStepCap:
         for command in ("gibbs-sample", "verify-invariance"):
             with pytest.raises(ConfigError, match=r"^gibbs\.count = 1048577 at grid\.modes = 8 "):
                 resolve(command, "--modes", "8", "--count", "1048577")
+
+    def test_value_stack_beyond_cap_exits_1_fast(self, capsys, tmp_path):
+        # 101 x 7 x 2**20 float64 observable values, 22 times the cap, passed _resolve when a state stack was held
+        times = ",".join(f"{0.001 * (i + 1):g}" for i in range(100))
+        start = time.perf_counter()
+        code, _, err = run(capsys, "verify-invariance", "--modes", "8", "--count", "1048576", "--t-values", times,
+                           "--out", str(tmp_path))
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert ("invariance.t_values (100 times, and t = 0) with gibbs.count = 1048576 and 7 observables is a "
+                f"(101, 7, 1048576) float64 value stack of {101 * 7 * 8 << 20} bytes, above the cap of "
+                f"{_STACK_BYTES_MAX}") in err
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_value_stack_cap_edges(self):
+        resolve = lambda *argv: _resolve("verify-invariance", _build_parser().parse_args(["verify-invariance", *argv]))
+        # 16 walk entries of 4 observables over 2**19 samples fill the cap; one more sample or time exceeds it
+        obs = ["--observables", " mode_power(1), mode_power(2),,mode_power(3),mode_power(4) "]
+        times = [f"{0.001 * (i + 1):g}" for i in range(16)]
+        edge = resolve("--modes", "8", "--count", str(2**19), "--t-values", ",".join(times[:15]), *obs)
+        assert 16 * 4 * 8 * edge["gibbs.count"] == _STACK_BYTES_MAX
+        for count, walk in ((2**19 + 1, 15), (2**19, 16)):
+            with pytest.raises(ConfigError, match=rf"^invariance\.t_values \({walk} times, and t = 0\) with "
+                                                  rf"gibbs\.count = {count} and 4 observables is a "):
+                resolve("--modes", "8", "--count", str(count), "--t-values", ",".join(times[:walk]), *obs)
 
     @pytest.mark.parametrize(
         "argv, stack",

@@ -32,7 +32,7 @@ from ostlab.flow import (
     liouville_divergence,
     picard_solve,
 )
-from ostlab.spectral import FourierField, _cubic_g, _hamiltonian, _l2, make_grid, regrid
+from ostlab.spectral import _SAMPLE_BLOCK_BYTES, FourierField, _cubic_g, _hamiltonian, _l2, make_grid, regrid
 
 
 def l2(f):
@@ -316,6 +316,34 @@ def traced_evolve(f, T):
         tracemalloc.stop()
 
 
+class TestEtdrk4Tables:
+    def test_tables_match_60_digit_phi_functions(self):
+        # the contour averages against the closed forms (Kassam-Trefethen 2005) at 60 digits, where their
+        # cancellation near 0 costs nothing; at |h lambda| = 1 a contour node lies 0.098 from the origin, and
+        # f1 there is the worst entry (2.4e-13 measured)
+        mpmath = pytest.importorskip("mpmath")
+        y = np.concatenate([np.logspace(-6, math.log10(2000.0), 41), [0.098, 0.9, 1.0, 1.1]])
+        z = np.concatenate([1j * y, -1j * y])
+        tables = _etdrk4_tables(z, 1.0)
+        worst = {}
+        with mpmath.workdps(60):
+            for k, zk in enumerate(z):
+                w = mpmath.mpc(complex(zk))
+                e, e2 = mpmath.exp(w), mpmath.exp(w / 2)
+                exact = {
+                    "E": e,
+                    "E2": e2,
+                    "Q": (e2 - 1) / w,
+                    "f1": (-4 - w + e * (4 - 3 * w + w**2)) / w**3,
+                    "2f2": 2 * (2 + w + e * (w - 2)) / w**3,
+                    "f3": (-4 - 3 * w - w**2 + e * (4 - w)) / w**3,
+                }
+                for (name, value), table in zip(exact.items(), tables):
+                    err = float(abs(mpmath.mpc(complex(table[k])) - value) / abs(value))
+                    worst[name] = max(worst.get(name, 0.0), err)
+        assert max(worst.values()) <= 1e-12, worst
+
+
 class TestEvolve:
     def test_zero_initial_state(self):
         g = make_grid(8)
@@ -405,7 +433,7 @@ class TestEvolve:
         # the peak near where it was, and every row keeps the bits of the
         # kernels on the whole record stack (2556 records end in a partial block)
         g = make_grid(512)
-        assert flow._RECORD_SAMPLE_BYTES // (8 * g.points) == 64
+        assert _SAMPLE_BLOCK_BYTES // (8 * g.points) == 64
         f = smooth_random_field(g, np.random.default_rng(13), k0=8.0)
         short, short_peak = traced_evolve(f, 0.255)
         rec, peak = traced_evolve(f, 2.555)

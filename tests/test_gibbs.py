@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -243,6 +244,33 @@ class TestSampleGaussian:
         assert long.coeffs[:k].tobytes() == short.coeffs.tobytes()
         assert long.log_weights[:k].tobytes() == short.log_weights.tobytes()
         assert np.array_equal(long.in_support[:k], short.in_support)
+
+    @pytest.mark.parametrize("m, count", [(8, 20000), (16, 5000), (3, 7)])
+    def test_blocks_match_whole_stack_draw(self, m, count):
+        # 4096 and 2048 rows per block at m = 8 and 16, the last one partial: every array equals
+        # the draw made as one (count, 2m) stack, bit for bit
+        g = make_grid(m)
+        spec = GibbsSpec(grid=g, cutoff_R=gaussian_rms_l2(g), seed=23)
+        ens = sample_gaussian(spec, count)
+        coords = np.empty((count, 2 * m))
+        for row, rng in zip(coords, _philox_streams(spec.seed, range(count))):
+            rng.standard_normal(out=row)
+        coeffs = _coords_to_coeff(coords * (1.0 / np.sqrt(_coord_eigenvalues(g))), g)
+        assert ens.coeffs.tobytes() == coeffs.tobytes()
+        assert ens.log_weights.tobytes() == (-_cubic_g(coeffs, g)).tobytes()
+        assert ens.in_support.tobytes() == (_l2(coeffs, g.length) <= spec.cutoff_R).tobytes()
+
+    def test_draw_peak_bounded_by_the_ensemble(self):
+        # g's samples are cubed 1 MiB at a time, not as one (count, 4m) stack: the whole draw
+        # peaked at 6.0 times the ensemble's own bytes, and peaks at 2.25 times them in blocks
+        spec = GibbsSpec(grid=make_grid(8), seed=29)
+        tracemalloc.start()
+        try:
+            ens = sample_gaussian(spec, 20000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * (ens.coeffs.nbytes + ens.log_weights.nbytes + ens.in_support.nbytes)
 
     def test_mean_clt_bound(self, big_ensemble):
         a = coords_matrix(big_ensemble)

@@ -2,14 +2,27 @@
 
 import functools
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from ostlab.flow import FlowParams
-from ostlab.gibbs import DegenerateWeightsError, Ensemble, GibbsSpec, default_cutoff, sample_gaussian
+import ostlab.flow as flow
+import ostlab.invariance as invariance
+from ostlab.flow import FlowParams, _advance_times
+from ostlab.gibbs import (
+    DegenerateWeightsError,
+    Ensemble,
+    GibbsEstimate,
+    GibbsSpec,
+    default_cutoff,
+    gibbs_expectation,
+    sample_gaussian,
+)
 from ostlab.invariance import (
     OBSERVABLE_NAMES,
+    _z_score,
     ball_indicator,
     cubic_integral,
     hamiltonian_observable,
@@ -28,6 +41,23 @@ def sample_field(seed=5, m=4):
 
 def l2_norm(f):
     return float(_l2(f.coeff, f.grid.length))
+
+
+def reference_reports(spec, p, times, obs, count):
+    """run_invariance's (name, means, errors, z) rows from whole-stack observables of the drawn and flowed states."""
+    ens, grid = sample_gaussian(spec, count), spec.grid
+    before = [gibbs_expectation(ens, F.batch(ens.coeffs, grid)) for F in obs]
+    out = []
+    for states in _advance_times(ens.coeffs, grid, p, times):
+        after = [gibbs_expectation(ens, F.batch(states, grid)) for F in obs]
+        out.append([(F.name, b.mean, b.std_error, a.mean, a.std_error, _z_score(b, a))
+                    for F, b, a in zip(obs, before, after)])
+    return out
+
+
+def all_observables(grid):
+    return parse_observables("mode_power(1),mode_power(2),mode_power(3),mode_power(4),cubic_integral,hamiltonian,"
+                             "ball_indicator", GibbsSpec(grid=grid))
 
 
 class TestObservables:
@@ -196,6 +226,68 @@ class TestRunInvariance:
         reports = run_invariance(spec, FlowParams(dt=1e-3), [0.01, 0.02], [l2_squared(), mode_power(1)], 300)
         assert len(reports) == 2
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("threads, row_block", [(1, None), (0, None), (2, 7)])
+    def test_reports_match_whole_stack_reference(self, threads, row_block, monkeypatch):
+        # per-block observables, the t = 0 values taken from the walk, equal the observables of the
+        # whole drawn and flowed stacks bit for bit, for any thread count and block size
+        if row_block is not None:
+            monkeypatch.setattr(flow, "_ROW_BLOCK", row_block)
+        g = make_grid(4)
+        spec = GibbsSpec(grid=g, cutoff_R=default_cutoff(g) / 3.0, seed=137)
+        p, times, obs = FlowParams(dt=5e-3), [0.0, -0.02, 0.03, 0.0213], all_observables(g)
+        reports = run_invariance(spec, p, times, obs, 4500 if row_block is None else 300, threads=threads)
+        reference = reference_reports(spec, p, times, obs, reports[0].count)
+        for report, rows in zip(reports, reference, strict=True):
+            got = [(r.name, r.mean_before, r.se_before, r.mean_after, r.se_after, r.z) for r in report.rows]
+            assert [(name, *map(float.hex, v)) for name, *v in got] == [(name, *map(float.hex, v)) for name, *v in rows]
+
+    def test_reports_independent_of_threads_and_blocks(self, monkeypatch):
+        # the workers write their blocks' values into one shared stack; with 7-row blocks, more
+        # workers than cores and frequent switches, a lost or misplaced write would change a report
+        g = make_grid(8)
+        spec = GibbsSpec(grid=g, seed=139)
+        args = (spec, FlowParams(dt=5e-3), [0.01, -0.015, 0.0], all_observables(g), 300)
+        serial = [r.to_json() for r in run_invariance(*args, threads=1)]
+        for threads in (2, 0):
+            assert [r.to_json() for r in run_invariance(*args, threads=threads)] == serial
+        monkeypatch.setattr(flow, "_ROW_BLOCK", 7)
+        assert [r.to_json() for r in run_invariance(*args, threads=2)] == serial
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            assert [r.to_json() for r in run_invariance(*args, threads=6)] == serial
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_degenerate_ensemble_raises_before_any_step(self, monkeypatch):
+        def walk(*args):
+            raise AssertionError("the flow ran on a degenerate ensemble")
+
+        monkeypatch.setattr(flow, "_walk", walk)
+        g = make_grid(4)
+        spec = GibbsSpec(grid=g, cutoff_R=1e-6, seed=109)
+        with pytest.raises(DegenerateWeightsError):
+            run_invariance(spec, FlowParams(dt=1e-3), [0.1], [l2_squared()], 200)
+
+    def test_peak_grows_by_the_value_rows_alone(self, monkeypatch):
+        # from 1 to 8 times, a run adds 7 rows of 7 observables' values (7.48 MiB) and no states: with a
+        # held (len(times), count, m) state stack the traced peak grew by 17.1 MiB.  The estimates, whose
+        # fsum over Python floats takes seconds under tracemalloc and allocates the same for both runs,
+        # are stubbed
+        g = make_grid(8)
+        spec, obs = GibbsSpec(grid=g, seed=149), all_observables(g)
+        stub = lambda ens, values: GibbsEstimate(0.0, 1.0, ens._weights[2], False)
+        monkeypatch.setattr(invariance, "gibbs_expectation", stub)
+        peaks = []
+        for times in ([0.001], [0.001 * k for k in range(1, 9)]):
+            tracemalloc.start()
+            try:
+                run_invariance(spec, FlowParams(dt=1e-3), times, obs, 20000, threads=1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= 1.25 * 7 * len(obs) * 20000 * 8
 
     def test_deterministic(self):
         g = make_grid(4)

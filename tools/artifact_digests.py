@@ -73,6 +73,11 @@ RUNS = [
     ("verify-invariance-all-observables", ["verify-invariance", *_INVARIANCE, *_ALL_OBSERVABLES]),
     ("verify-invariance-all-observables-cutoff", ["verify-invariance", *_INVARIANCE, *_ALL_OBSERVABLES,
                                                   "--cutoff", "2"]),
+    # 4500 rows are two full 2048-row flow blocks and a partial one, walked with a t = 0 entry and a negative time
+    ("verify-invariance-blocks", ["verify-invariance", "--modes", "4", "--count", "4500", "--t-values", "0,-0.02,0.03",
+                                  "--dt", "0.005", "--threads", "2"]),
+    # 2500 rows at m = 32 are three 1024-row draw blocks, the last one partial, with a cutoff that splits them
+    ("gibbs-sample-blocks", ["gibbs-sample", "--modes", "32", "--count", "2500", "--cutoff", "1.5"]),
 ]
 
 
