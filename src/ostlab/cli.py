@@ -46,7 +46,7 @@ from .bourgain import (
     kernel_sum_scan, resonance_scan, sweep_spec,
 )
 from .flow import (
-    _CONTOUR_POINTS, _MAX_NODES, _PICARD_ENDPOINT_TOL, _PICARD_T_MAX, BlowUpError, FlowParams, _default_nodes,
+    _CONTOUR_POINTS, _MAX_NODES, _PICARD_ENDPOINT_TOL, _PICARD_T_MAX, BlowUpError, _default_nodes,
     _full_steps, _linear_rates, convergence_in_m, evolve, flow_map, picard_solve,
 )
 from .gibbs import (
@@ -179,7 +179,7 @@ _INIT = [
 ]
 
 _GIBBS = [
-    _Key("gibbs.count", "count", _parse_int, 1000, "number of samples"),
+    _Key("gibbs.count", "count", _COUNT, 1000, "number of samples"),
     _Key("gibbs.seed", "seed", _SEED, 0, "master seed for sample streams"),
     _Key("gibbs.cutoff_r", "cutoff", _NONNEGATIVE, 0.0, "L2 cutoff radius R (0 = no cutoff)"),
 ]
@@ -237,10 +237,6 @@ def _resolve(command: str, args: argparse.Namespace) -> RunConfig:
                 values[k.name] = k.parse(text)
             except ConfigError as exc:
                 raise ConfigError(f"--{k.flag} ({k.name}): {exc}") from exc
-    # one sample has no variance, so the ladder check of gibbs-sample needs two
-    least = 2 if command == "gibbs-sample" else 1
-    if values.get("gibbs.count", least) < least:
-        raise ConfigError(f"gibbs.count must be at least {least} for {command}, got {values['gibbs.count']}")
     if "gibbs.count" in values:  # the ensemble and gibbs-sample's real coordinates of it
         count, modes = values["gibbs.count"], values["grid.modes"]
         _check_stack(f"gibbs.count = {count} at grid.modes = {modes} is a ({count}, {modes}) complex ensemble and "
@@ -374,8 +370,7 @@ def _cmd_simulate(cfg: RunConfig) -> int:
     """integrate one initial state and record conserved quantities"""
     grid = make_grid(cfg["grid.modes"], cfg["grid.length"])
     f0 = _initial_field(cfg, grid)
-    p = FlowParams(dt=cfg["flow.dt"], T=cfg["flow.t"], record_every=cfg["flow.record_every"])
-    rec = evolve(f0, p)
+    rec = evolve(f0, cfg["flow.t"], cfg["flow.dt"], cfg["flow.record_every"])
     out = _out_dir(cfg)
     rows = [(t, l2, h) for t, l2, h in zip(rec.times, rec.l2, rec.hamiltonian)]
     _write_csv(out / "simulate.csv", cfg, ["t", "l2", "hamiltonian"], rows)
@@ -385,7 +380,7 @@ def _cmd_simulate(cfg: RunConfig) -> int:
     _write_csv(out / "final_state.csv", cfg, ["k", "re", "im"], final_rows)
     l2_drift = float(np.max(np.abs(rec.l2 - rec.l2[0]))) / rec.l2[0]
     h_drift = float(np.max(np.abs(rec.hamiltonian - rec.hamiltonian[0])))
-    phase = _max_phase_per_step(grid, p.dt)
+    phase = _max_phase_per_step(grid, cfg["flow.dt"])
     _write_meta(out, cfg, {"l2_relative_drift": l2_drift, "hamiltonian_drift": h_drift, "max_phase_per_step": phase})
     print(f"relative L2 drift {l2_drift:.3e} over T = {cfg['flow.t']}")
     return 0
@@ -428,9 +423,8 @@ def _cmd_verify_invariance(cfg: RunConfig) -> int:
     grid = make_grid(cfg["grid.modes"], cfg["grid.length"])
     spec = _gibbs_spec(cfg, grid)
     obs = parse_observables(cfg["invariance.observables"], spec)
-    p = FlowParams(dt=cfg["flow.dt"])
     reports = run_invariance(
-        spec, p, cfg["invariance.t_values"], obs, cfg["gibbs.count"],
+        spec, cfg["flow.dt"], cfg["invariance.t_values"], obs, cfg["gibbs.count"],
         z_max=cfg["invariance.z_max"], threads=cfg["run.threads"],
     )
     out = _out_dir(cfg)
@@ -443,7 +437,7 @@ def _cmd_verify_invariance(cfg: RunConfig) -> int:
         worst = max(worst, zmax_seen)
         ok = ok and rep.all_passed
         print(f"t = {rep.t}: max |z| = {zmax_seen:.3f} [{flag}]")
-    phase = _max_phase_per_step(grid, p.dt)
+    phase = _max_phase_per_step(grid, cfg["flow.dt"])
     _write_meta(out, cfg, {"max_abs_z": worst, "all_passed": ok, "max_phase_per_step": phase})
     return 0 if ok else 3
 
@@ -540,7 +534,7 @@ def _cmd_picard(cfg: RunConfig) -> int:
     grid = make_grid(cfg["grid.modes"], cfg["grid.length"])
     phi = _initial_field(cfg, grid)
     res = picard_solve(phi, cfg["picard.t"], cfg["picard.iters"])
-    end = flow_map(phi, cfg["picard.t"], FlowParams(dt=cfg["picard.ref_dt"]))
+    end = flow_map(phi, cfg["picard.t"], cfg["picard.ref_dt"])
     endpoint_error = float(_l2(res.final.coeff - end.coeff, grid.length))
     out = _out_dir(cfg)
     rows = [(i + 1, d) for i, d in enumerate(res.distances)]
@@ -607,7 +601,11 @@ _COMMANDS = {
     "simulate": (_cmd_simulate, _COMMON + _GRID + _FLOW + _INIT + [
         _Key("flow.t", "t", _NONNEGATIVE, 1.0, "final time T"),
     ]),
-    "gibbs-sample": (_cmd_gibbs_sample, _COMMON + _GRID + _GIBBS + [
+    # one sample has no variance, so the ladder check of gibbs-sample needs two
+    "gibbs-sample": (_cmd_gibbs_sample, _COMMON + _GRID + [
+        _Key("gibbs.count", "count", _within(_parse_int, "an integer >= 2", lambda v: v >= 2), 1000,
+             "number of samples"),
+        *_GIBBS[1:],
         _Key(
             "gibbs.sampler",
             "sampler",

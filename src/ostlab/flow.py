@@ -57,7 +57,6 @@ __all__ = [
     "BLOW_UP_THRESHOLD",
     "BlowUpError",
     "ConvergenceStudy",
-    "FlowParams",
     "LiouvilleCheck",
     "PicardResult",
     "TrajectoryRecord",
@@ -84,24 +83,6 @@ class BlowUpError(RuntimeError):
             f"blow-up at t={self.time:.6g}: modes {self.modes}{where} "
             f"non-finite or above {BLOW_UP_THRESHOLD:.0e}"
         )
-
-
-@dataclass(frozen=True)
-class FlowParams:
-    """Integration controls of the ETDRK4 integrator."""
-
-    dt: float
-    T: float = 0.0
-    record_every: int = 1
-
-    def __post_init__(self):
-        if not (math.isfinite(self.dt) and self.dt > 0.0):
-            raise ValueError(f"dt must be positive and finite, got {self.dt}")
-        if not math.isfinite(self.T):
-            raise ValueError(f"T must be finite, got {self.T}")
-        if int(self.record_every) != self.record_every or self.record_every < 1:
-            raise ValueError(f"record_every must be an integer >= 1, got {self.record_every}")
-        object.__setattr__(self, "record_every", int(self.record_every))
 
 
 @dataclass(frozen=True)
@@ -321,16 +302,18 @@ def _default_nodes(T: float) -> int:
 
 
 def _full_steps(t: float, dt: float) -> int:
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise ValueError(f"dt must be positive and finite, got {dt}")
     steps = abs(t) / dt * (1.0 + 1e-12) + 1e-12
     if not steps < _MAX_STEPS + 1:
         raise ValueError(f"t = {t:g} at dt = {dt:g} takes {steps:.3g} steps, above the cap of {_MAX_STEPS}")
     return int(steps)
 
 
-def _tail_step(c, t: float, lam, rhs, p: FlowParams):
-    """Take the state after _full_steps(t) steps to time t (no-op when dt divides t)."""
-    tail = t - _full_steps(t, p.dt) * math.copysign(p.dt, t)
-    if abs(tail) > 1e-12 * max(p.dt, abs(t)):
+def _tail_step(c, t: float, lam, rhs, dt: float):
+    """Take the state after _full_steps(t, dt) steps to time t (no-op when dt divides t)."""
+    tail = t - _full_steps(t, dt) * math.copysign(dt, t)
+    if abs(tail) > 1e-12 * max(dt, abs(t)):
         c = _stepper(lam, rhs, tail)(c)
         _check_state(c, t)
     return c
@@ -341,7 +324,7 @@ def _tail_step(c, t: float, lam, rhs, p: FlowParams):
 _ROW_BLOCK = 2048
 
 
-def _walk(rows: np.ndarray, grid: GridSpec, p: FlowParams, times):
+def _walk(rows: np.ndarray, grid: GridSpec, dt: float, times):
     """Yield (j, state at times[j]) for one state or stack: t = 0 first, then each sign in order of |t|.
 
     Steps once per time sign up to each requested number of full steps,
@@ -357,10 +340,10 @@ def _walk(rows: np.ndarray, grid: GridSpec, p: FlowParams, times):
         wanted = {}
         for j, t in enumerate(times):
             if t * sign > 0.0:
-                wanted.setdefault(_full_steps(t, p.dt), []).append(j)
+                wanted.setdefault(_full_steps(t, dt), []).append(j)
         if not wanted:
             continue
-        h = sign * p.dt
+        h = sign * dt
         step = _stepper(lam, rhs, h)
         c, n = rows, 0
         for target in sorted(wanted):
@@ -368,10 +351,10 @@ def _walk(rows: np.ndarray, grid: GridSpec, p: FlowParams, times):
                 c, n = step(c), n + 1
                 _check_state(c, n * h)
             for j in wanted[target]:
-                yield j, _tail_step(c, times[j], lam, rhs, p)
+                yield j, _tail_step(c, times[j], lam, rhs, dt)
 
 
-def _advance_times(coeff: np.ndarray, grid: GridSpec, p: FlowParams, times, threads: int = 1, take=None):
+def _advance_times(coeff: np.ndarray, grid: GridSpec, dt: float, times, threads: int = 1, take=None):
     """States at each t in times (either sign) as one (len(times),) + coeff.shape array; t = 0 gives the input.
 
     A single (m,) state runs as one block; a (rows, m) stack runs in
@@ -390,7 +373,7 @@ def _advance_times(coeff: np.ndarray, grid: GridSpec, p: FlowParams, times, thre
 
     def run_block(block):
         try:
-            for j, c in _walk(coeff[block], grid, p, times):
+            for j, c in _walk(coeff[block], grid, dt, times):
                 take(j, block, c)
         except BlowUpError as exc:
             start = block.start or 0
@@ -402,8 +385,12 @@ def _advance_times(coeff: np.ndarray, grid: GridSpec, p: FlowParams, times, thre
 
 def _record_times(T: float, dt: float, every: int) -> list:
     """Every `every`-th step time i*dt (signed like T) from 0, then T itself if not yet reached."""
+    if not math.isfinite(T):
+        raise ValueError(f"T must be finite, got {T}")
+    if int(every) != every or every < 1:
+        raise ValueError(f"record_every must be an integer >= 1, got {every}")
     h = math.copysign(dt, T)
-    times = [i * h for i in range(0, _full_steps(T, dt) + 1, every)]
+    times = [i * h for i in range(0, _full_steps(T, dt) + 1, int(every))]
     # i*dt can overshoot T by an ulp when dt does not divide T exactly;
     # only append the endpoint if the last record is genuinely earlier
     if abs(times[-1]) < abs(T):
@@ -415,24 +402,24 @@ def _record_times(T: float, dt: float, every: int) -> list:
 # public drivers
 
 
-def evolve(f0: FourierField, p: FlowParams) -> TrajectoryRecord:
-    """Integrate to time p.T, recording L2 and H every record_every steps.
+def evolve(f0: FourierField, T: float, dt: float, record_every: int = 1) -> TrajectoryRecord:
+    """Integrate to time T at step dt, recording L2 and H every record_every steps.
 
     The record always contains t = 0 and t = T.  Each state is copied into
     one reused block of records, whose L2 and H are taken when it fills, so
     memory does not grow with the record count.  Raises BlowUpError with
     the failure time if the state leaves the trusted range.
     """
-    if p.T < 0.0:
+    if T < 0.0:
         raise ValueError("evolve requires T >= 0; use flow_map for reversed runs")
     grid = f0.grid
-    times = _record_times(p.T, p.dt, p.record_every)
+    times = _record_times(T, dt, record_every)
     # one _hamiltonian call per record would slow simulate, which records every step by default
     rows = max(1, _SAMPLE_BLOCK_BYTES // (8 * grid.points))
     block = np.empty((min(rows, len(times)), grid.modes), np.complex128)
     l2, h = np.empty(len(times)), np.empty(len(times))
     # the record times are nonnegative and increasing, so _walk yields them in order
-    for j, c in _walk(f0.coeff, grid, p, times):
+    for j, c in _walk(f0.coeff, grid, dt, times):
         i = j % rows
         block[i] = c
         if i == rows - 1 or j == len(times) - 1:
@@ -440,13 +427,13 @@ def evolve(f0: FourierField, p: FlowParams) -> TrajectoryRecord:
     return TrajectoryRecord(times=np.array(times), l2=l2, hamiltonian=h, final=FourierField(grid, c))
 
 
-def flow_map(f0: FourierField, t: float, p: FlowParams) -> FourierField:
-    """Endpoint of the flow after time t (either sign); flow_map(f, 0) is f."""
+def flow_map(f0: FourierField, t: float, dt: float) -> FourierField:
+    """Endpoint of the flow after time t (either sign) at step dt; flow_map(f, 0, dt) is f."""
     if not math.isfinite(t):
         raise ValueError(f"t must be finite, got {t}")
     if t == 0.0:
         return f0
-    return FourierField(f0.grid, _advance_times(f0.coeff, f0.grid, p, [t])[0])
+    return FourierField(f0.grid, _advance_times(f0.coeff, f0.grid, dt, [t])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -621,12 +608,11 @@ def convergence_in_m(
         raise ValueError("m_list must be strictly increasing positive integers")
     m_ref = 2 * m_list[-1]
     length = f0.grid.length
-    p = FlowParams(dt=dt, T=T, record_every=record_every)
-    times = _record_times(p.T, p.dt, p.record_every)
+    times = _record_times(T, dt, record_every)
 
     def walk(m):
         grid = make_grid(m, length=length)
-        return (c for _, c in _walk(regrid(f0, grid).coeff, grid, p, times))
+        return (c for _, c in _walk(regrid(f0, grid).coeff, grid, dt, times))
 
     errors = [0.0] * len(m_list)
     for ref, *coarse in zip(walk(m_ref), *map(walk, m_list)):

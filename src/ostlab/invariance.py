@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flow import FlowParams, _advance_times
+from .flow import _advance_times
 from .gibbs import (
     DegenerateWeightsError,
     ESS_FLOOR,
@@ -209,26 +209,29 @@ def _z_score(before, after) -> float:
 
 def run_invariance(
     spec: GibbsSpec,
-    p: FlowParams,
+    dt: float,
     times,
     obs,
     count: int,
     z_max: float = 3.0,
     threads: int = 1,
 ) -> list[InvarianceReport]:
-    """Compare E[F] over a mu-ensemble before and after flowing by each t in times.
+    """Compare E[F] over a mu-ensemble before and after flowing by each t in times at step dt.
 
     One report per time, in input order: the ensemble is drawn once and
     integrated once per time sign, its rows in blocks on `threads` workers
     (0 = all cores; results do not depend on it), which evaluate every
     observable on their block into one value stack, the values before the
     flow from a t = 0 entry of the walk.  Weights are those of the initial
-    ensemble throughout (pushforward semantics).  Raises
-    DegenerateWeightsError before any step when the effective sample size
-    is below the floor, and propagates blow-ups (with the offending samples).
+    ensemble throughout (pushforward semantics).  Raises ValueError before
+    the draw for a dt that is not positive and finite, DegenerateWeightsError
+    before any step when the effective sample size is below the floor, and
+    propagates blow-ups (with the offending samples).
     """
     times = [float(t) for t in times]
     obs = list(obs)
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise ValueError(f"dt must be positive and finite, got {dt}")
     if int(count) != count or count < 1:
         raise ValueError(f"count must be a positive integer, got {count}")
     if not obs:
@@ -246,7 +249,7 @@ def run_invariance(
     def take(j, rows, state):
         values[j, :, rows] = [F.batch(state, grid) for F in obs]
 
-    _advance_times(ens.coeffs, grid, p, [0.0, *times], threads, take)
+    _advance_times(ens.coeffs, grid, dt, [0.0, *times], threads, take)
     before = [gibbs_expectation(ens, v) for v in values[0]]
     note = (
         f"{len(obs)} observables tested at per-observable gate |z| <= {z_max:g}; "

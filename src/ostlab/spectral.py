@@ -74,11 +74,6 @@ class GridSpec:
         """Physical wavenumbers xi_k = 2*pi*k/length for k = 1..modes."""
         return (TWO_PI / self.length) * np.arange(1, self.modes + 1)
 
-    @property
-    def x(self) -> np.ndarray:
-        """Quadrature nodes x_j = j*length/points."""
-        return (self.length / self.points) * np.arange(self.points)
-
 
 def _freeze(record, *names: str, dtype=None) -> None:
     """Store each named field of a frozen dataclass as a read-only array (of dtype, if given)."""

@@ -20,7 +20,6 @@ from ostlab.bourgain import (
 )
 from ostlab.flow import (
     _PICARD_ENDPOINT_TOL,
-    FlowParams,
     _advance_times,
     _record_times,
     convergence_in_m,
@@ -74,7 +73,7 @@ def conservation_records():
     grid = make_grid(32)
     rng = make_rng(1001)
     stack = np.stack([random_smooth_field(grid, rng, k0=2.0, norm=1.0).coeff for _ in range(20)])
-    states = _advance_times(stack, grid, FlowParams(dt=1e-3), _record_times(10.0, 1e-3, 100))
+    states = _advance_times(stack, grid, 1e-3, _record_times(10.0, 1e-3, 100))
     return [(_l2(rows, grid.length), _hamiltonian(rows, grid)) for rows in np.stack(states, axis=1)]
 
 
@@ -118,10 +117,9 @@ class TestGibbsInvariance:
         spec = GibbsSpec(grid=grid, cutoff_R=default_cutoff(grid), seed=1004)
         obs = [mode_power(k) for k in (1, 2, 3, 4)]
         obs += [cubic_integral(), hamiltonian_observable(), ball_indicator(default_cutoff(grid) / 2.0)]
-        p = FlowParams(dt=1e-3)
         count = 20_000
 
-        control, *pushed = run_invariance(spec, p, (0.0, 0.5, 1.0), obs, count, threads=0)
+        control, *pushed = run_invariance(spec, 1e-3, (0.0, 0.5, 1.0), obs, count, threads=0)
         control_ok = all(row.z == 0.0 for row in control.rows)
         worst = max(abs(row.z) for rep in pushed for row in rep.rows)
         ok = control_ok and all(rep.all_passed for rep in pushed)
@@ -247,7 +245,7 @@ class TestWellPosedness:
             d[i + 1] / d[i] for i in range(1, len(d) - 1) if d[i] > 1e-13
         ]
         contracting = (not res.diverged) and all(f <= 0.5 for f in factors)
-        end = flow_map(phi, 0.1, FlowParams(dt=1e-4))
+        end = flow_map(phi, 0.1, 1e-4)
         err = math.sqrt(2.0 * grid.length * float(np.sum(np.abs(res.final.coeff - end.coeff) ** 2)))
         ok = contracting and err <= _PICARD_ENDPOINT_TOL
         report(

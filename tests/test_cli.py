@@ -344,6 +344,20 @@ class TestConfigResolution:
         assert code == 1
         assert "gibbs.count" in err
 
+    def test_count_domain_checked_by_its_key(self, capsys, tmp_path):
+        # gibbs-sample's count key admits two samples at least, verify-invariance's one, each
+        # rejected by its parser, so a config file's error names its line
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# ensemble\ngibbs.count = 1\n")
+        out = str(tmp_path / "out")
+        code, _, err = run(capsys, "gibbs-sample", "--config", str(cfg), "--out", out)
+        assert (code, err.strip()) == (1, f"error: {cfg}:2: key 'gibbs.count': expected an integer >= 2, got 1")
+        code, _, err = run(capsys, "verify-invariance", "--config", str(cfg), "--count", "0", "--out", out)
+        assert (code, err.strip()) == (1, "error: --count (gibbs.count): expected an integer >= 1, got 0")
+        args = _build_parser().parse_args(["verify-invariance", "--config", str(cfg)])
+        assert _resolve("verify-invariance", args)["gibbs.count"] == 1
+        assert not (tmp_path / "out").exists()
+
 
 class TestResonanceScanCommand:
     def test_min_ratio_row_at_least_one(self, capsys, tmp_path):

@@ -17,7 +17,6 @@ from ostlab.flow import (
     _ROW_BLOCK,
     BLOW_UP_THRESHOLD,
     BlowUpError,
-    FlowParams,
     _advance_times,
     _check_state,
     _etdrk4_step,
@@ -130,10 +129,10 @@ def reference_etdrk4_step(c, tables, rhs):
     return E * c + f1 * n1 + 2.0 * f2 * (n2 + n3) + f3 * n4
 
 
-def reference_run(c, grid, p, steps, npts=None):
-    """`steps` steps of size p.dt through the reference right-hand side on npts points."""
+def reference_run(c, grid, dt, steps, npts=None):
+    """`steps` steps of size dt through the reference right-hand side on npts points."""
     rhs = reference_rhs(grid, npts)
-    E, E2, Q, f1, f2_twice, f3 = _etdrk4_tables(_linear_rates(grid), p.dt)
+    E, E2, Q, f1, f2_twice, f3 = _etdrk4_tables(_linear_rates(grid), dt)
     # halving is exact, so 2.0 * f2 below gives back the table's bits
     tables = (E, E2, Q, f1, f2_twice / 2.0, f3)
     for _ in range(steps):
@@ -159,15 +158,49 @@ def counted_steps(monkeypatch) -> list:
     return calls
 
 
-class TestFlowParams:
-    def test_rejects_bad_dt(self):
-        for dt in (0.0, -1e-3, math.inf):
-            with pytest.raises(ValueError):
-                FlowParams(dt=dt)
+class TestControls:
+    """The drivers reject a step dt that is not positive and finite, a record interval below one and a non-finite T."""
 
-    def test_rejects_bad_record_every(self):
-        with pytest.raises(ValueError):
-            FlowParams(dt=1e-3, record_every=0)
+    @pytest.mark.parametrize(
+        "driver",
+        [
+            lambda f, dt: evolve(f, 0.05, dt),
+            lambda f, dt: flow_map(f, 0.05, dt),
+            lambda f, dt: convergence_in_m(f, 0.05, [2, 4], dt=dt),
+            lambda f, dt: _advance_times(np.stack([f.coeff] * 3), f.grid, dt, [0.0, 0.05, -0.02], threads=2),
+        ],
+        ids=["evolve", "flow_map", "convergence_in_m", "_advance_times"],
+    )
+    def test_rejects_bad_dt(self, driver):
+        f = unit_random_field(make_grid(4), np.random.default_rng(17))
+        for dt in (0.0, -1e-3, math.inf, math.nan):
+            with pytest.raises(ValueError, match="dt must be positive and finite"):
+                driver(f, dt)
+
+    @pytest.mark.parametrize(
+        "driver",
+        [
+            lambda f, every: evolve(f, 0.05, 1e-3, every),
+            lambda f, every: convergence_in_m(f, 0.05, [2, 4], dt=1e-3, record_every=every),
+        ],
+        ids=["evolve", "convergence_in_m"],
+    )
+    def test_rejects_bad_record_every(self, driver):
+        f = unit_random_field(make_grid(4), np.random.default_rng(19))
+        for every in (0, -1, 2.5):
+            with pytest.raises(ValueError, match="record_every must be an integer >= 1"):
+                driver(f, every)
+
+    @pytest.mark.parametrize(
+        "driver",
+        [lambda f, T: evolve(f, T, 1e-3), lambda f, T: convergence_in_m(f, T, [2, 4])],
+        ids=["evolve", "convergence_in_m"],
+    )
+    def test_rejects_non_finite_T(self, driver):
+        f = unit_random_field(make_grid(4), np.random.default_rng(23))
+        for T in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="T must be finite"):
+                driver(f, T)
 
 
 class TestNonlinearTerm:
@@ -250,10 +283,9 @@ class TestReferenceBits:
     def test_simulate_point_matches_reference(self):
         # 1000 batch-1 steps at m = 32, dt 1e-3: the one-state runs of the simulate command
         g = make_grid(32)
-        c = random_stack(g, np.random.default_rng(59))
-        p = FlowParams(dt=1e-3)
-        out = _advance_times(c, g, p, [1000 * p.dt])[0]
-        assert out.tobytes() == reference_run(c, g, p, 1000).tobytes()
+        c, dt = random_stack(g, np.random.default_rng(59)), 1e-3
+        out = _advance_times(c, g, dt, [1000 * dt])[0]
+        assert out.tobytes() == reference_run(c, g, dt, 1000).tobytes()
 
     @pytest.mark.parametrize("aliased", [False, True], ids=["etdrk4", "odd-grid"])
     @pytest.mark.parametrize("lead", [(), (6,)], ids=["single", "stack"])
@@ -261,10 +293,9 @@ class TestReferenceBits:
     def test_fifty_steps_match_reference(self, m, lead, aliased, monkeypatch):
         g = make_grid(m)
         npts = product_points(monkeypatch, g, aliased)
-        c = random_stack(g, np.random.default_rng(53), lead)
-        p = FlowParams(dt=1e-2)
-        out = _advance_times(c, g, p, [50 * p.dt])[0]
-        assert out.tobytes() == reference_run(c, g, p, 50, npts).tobytes()
+        c, dt = random_stack(g, np.random.default_rng(53), lead), 1e-2
+        out = _advance_times(c, g, dt, [50 * dt])[0]
+        assert out.tobytes() == reference_run(c, g, dt, 50, npts).tobytes()
 
 
 def full_mask_blow_up(c):
@@ -310,7 +341,7 @@ def traced_evolve(f, T):
     """evolve of f to T at dt 1e-3, every step recorded, and tracemalloc's peak during it."""
     tracemalloc.start()
     try:
-        rec = evolve(f, FlowParams(dt=1e-3, T=T))
+        rec = evolve(f, T, 1e-3)
         return rec, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -347,7 +378,7 @@ class TestEtdrk4Tables:
 class TestEvolve:
     def test_zero_initial_state(self):
         g = make_grid(8)
-        rec = evolve(zero_field(g), FlowParams(dt=1e-3, T=0.05))
+        rec = evolve(zero_field(g), 0.05, 1e-3)
         assert np.all(rec.l2 == 0.0)
         assert np.all(rec.hamiltonian == 0.0)
         assert np.all(rec.final.coeff == 0.0)
@@ -369,7 +400,7 @@ class TestEvolve:
     def test_l2_and_hamiltonian_drift(self):
         g = make_grid(16)
         f = smooth_random_field(g, np.random.default_rng(42))
-        rec = evolve(f, FlowParams(dt=1e-3, T=1.0, record_every=100))
+        rec = evolve(f, 1.0, 1e-3, 100)
         l2_drift = np.max(np.abs(rec.l2 - rec.l2[0])) / rec.l2[0]
         h_drift = np.max(np.abs(rec.hamiltonian - rec.hamiltonian[0])) / abs(
             rec.hamiltonian[0]
@@ -380,44 +411,42 @@ class TestEvolve:
     def test_record_times(self):
         g = make_grid(4)
         f = unit_random_field(g, np.random.default_rng(1))
-        rec = evolve(f, FlowParams(dt=1e-3, T=0.01, record_every=5))
+        rec = evolve(f, 0.01, 1e-3, 5)
         assert np.allclose(rec.times, [0.0, 0.005, 0.01])
         assert np.all(np.diff(rec.times) > 0)
 
     def test_snapshots(self):
         g = make_grid(4)
         f = unit_random_field(g, np.random.default_rng(2))
-        p = FlowParams(dt=1e-3, T=0.004, record_every=2)
-        rec = evolve(f, p)
-        states = _advance_times(f.coeff, g, p, rec.times)
+        rec = evolve(f, 0.004, 1e-3, 2)
+        states = _advance_times(f.coeff, g, 1e-3, rec.times)
         assert states.shape == (len(rec.times), 4)
         assert np.array_equal(states[0], f.coeff)
         assert np.array_equal(states[-1], rec.final.coeff)
         for i, state in enumerate(states):
-            assert state.tobytes() == reference_run(f.coeff, g, p, i * p.record_every).tobytes()
+            assert state.tobytes() == reference_run(f.coeff, g, 1e-3, i * 2).tobytes()
 
     def test_single_state_wider_than_row_block(self):
         # a single state is one block, not _ROW_BLOCK-mode slices
         g = make_grid(_ROW_BLOCK + 52)
         f = unit_random_field(g, np.random.default_rng(4), decay=0.01)
-        p = FlowParams(dt=1e-3, T=2e-3)
-        rec = evolve(f, p)
-        assert rec.final.coeff.tobytes() == reference_run(f.coeff, g, p, 2).tobytes()
+        rec = evolve(f, 2e-3, 1e-3)
+        assert rec.final.coeff.tobytes() == reference_run(f.coeff, g, 1e-3, 2).tobytes()
 
     def test_fractional_final_step(self):
         g = make_grid(4)
         f = unit_random_field(g, np.random.default_rng(3))
-        rec = evolve(f, FlowParams(dt=1e-3, T=0.0105))
+        rec = evolve(f, 0.0105, 1e-3)
         assert rec.times[-1] == 0.0105
         # against a run whose dt divides T
-        ref = flow_map(f, 0.0105, FlowParams(dt=0.0105 / 11))
+        ref = flow_map(f, 0.0105, 0.0105 / 11)
         assert np.allclose(rec.final.coeff, ref.coeff, atol=1e-11)
 
     def test_blow_up_detected(self):
         g = make_grid(8)
         c = np.full(8, 1e7, dtype=np.complex128)
         with pytest.raises(BlowUpError) as err:
-            evolve(FourierField(g, c), FlowParams(dt=1e-3, T=1.0))
+            evolve(FourierField(g, c), 1.0, 1e-3)
         assert err.value.time > 0.0
         assert len(err.value.modes) > 0
         assert err.value.samples == ()
@@ -425,7 +454,7 @@ class TestEvolve:
     def test_negative_horizon_rejected(self):
         g = make_grid(4)
         with pytest.raises(ValueError):
-            evolve(zero_field(g), FlowParams(dt=1e-3, T=-1.0))
+            evolve(zero_field(g), -1.0, 1e-3)
 
     def test_record_quantities_in_bounded_memory(self):
         # each state is copied into one reused block of 64 records at m = 512,
@@ -439,7 +468,7 @@ class TestEvolve:
         rec, peak = traced_evolve(f, 2.555)
         assert (len(short.times), len(rec.times)) == (256, 2556)
         assert peak <= 1.5 * short_peak
-        states = _advance_times(f.coeff, g, FlowParams(dt=1e-3), rec.times)
+        states = _advance_times(f.coeff, g, 1e-3, rec.times)
         assert rec.l2.tobytes() == _l2(states, g.length).tobytes()
         for lo in range(0, len(states), 512):
             assert rec.hamiltonian[lo : lo + 512].tobytes() == _hamiltonian(states[lo : lo + 512], g).tobytes()
@@ -448,10 +477,9 @@ class TestEvolve:
         # same run with products on the minimal grid: pairing no longer skew
         g = make_grid(8)
         f = unit_random_field(g, np.random.default_rng(7))
-        p = FlowParams(dt=1e-3, T=1.0, record_every=1000)
-        good = evolve(f, p)
+        good = evolve(f, 1.0, 1e-3, 1000)
         product_points(monkeypatch, g, aliased=True)
-        bad = evolve(f, p)
+        bad = evolve(f, 1.0, 1e-3, 1000)
         drift_good = abs(good.l2[-1] - good.l2[0])
         drift_bad = abs(bad.l2[-1] - bad.l2[0])
         assert drift_bad > 100.0 * max(drift_good, 1e-14)
@@ -461,37 +489,35 @@ class TestFlowMap:
     def test_identity_at_zero(self):
         g = make_grid(4)
         f = unit_random_field(g, np.random.default_rng(9))
-        assert flow_map(f, 0.0, FlowParams(dt=1e-3)) is f
+        assert flow_map(f, 0.0, 1e-3) is f
 
     def test_semigroup(self):
         g = make_grid(16)
         f = unit_random_field(g, np.random.default_rng(11), decay=0.3)
-        p = FlowParams(dt=1e-3)
-        two_hops = flow_map(flow_map(f, 0.5, p), 0.5, p)
-        one_hop = flow_map(f, 1.0, p)
+        two_hops = flow_map(flow_map(f, 0.5, 1e-3), 0.5, 1e-3)
+        one_hop = flow_map(f, 1.0, 1e-3)
         diff = _l2(two_hops.coeff - one_hop.coeff, g.length)
         assert diff <= 1e-7
 
     def test_time_reversal(self):
         g = make_grid(16)
         f = smooth_random_field(g, np.random.default_rng(13))
-        p = FlowParams(dt=1e-3)
-        back = flow_map(flow_map(f, 0.5, p), -0.5, p)
+        back = flow_map(flow_map(f, 0.5, 1e-3), -0.5, 1e-3)
         diff = _l2(back.coeff - f.coeff, g.length)
         assert diff <= 1e-7
 
-    @pytest.mark.parametrize("p", [FlowParams(dt=1e-2)], ids=["etdrk4"])
+    @pytest.mark.parametrize("dt", [1e-2], ids=["etdrk4"])
     @pytest.mark.parametrize("m", [8, 32, 33])
-    def test_rows_independent_of_batch_and_chunking(self, p, m):
+    def test_rows_independent_of_batch_and_chunking(self, m, dt):
         # row i of a stacked or chunked run equals its single-row run bit for bit
         g = make_grid(m)
         rng = np.random.default_rng(29)
         stack = np.stack([unit_random_field(g, rng, decay=0.3).coeff for _ in range(37)])
         t = 0.055  # five full steps and a fractional tail
-        whole = _advance_times(stack, g, p, [t])[0]
-        chunked = np.concatenate([_advance_times(stack[i : i + 5], g, p, [t])[0] for i in range(0, 37, 5)])
+        whole = _advance_times(stack, g, dt, [t])[0]
+        chunked = np.concatenate([_advance_times(stack[i : i + 5], g, dt, [t])[0] for i in range(0, 37, 5)])
         for i in range(37):
-            single = _advance_times(stack[i], g, p, [t])[0]
+            single = _advance_times(stack[i], g, dt, [t])[0]
             assert whole[i].tobytes() == single.tobytes()
             assert chunked[i].tobytes() == single.tobytes()
 
@@ -504,15 +530,14 @@ class TestAdvanceTimes:
         # also with a zero nonlinearity, where every step is the exact phase
         if linear:
             monkeypatch.setattr(flow, "_nonlinear", zero_rhs)
-        params = FlowParams(dt=1e-2)
         g = make_grid(8)
         rng = np.random.default_rng(37)
         stack = np.stack([unit_random_field(g, rng, decay=0.3).coeff for _ in range(_ROW_BLOCK + 300)])
         times = [0.0, 0.055, -0.03, 0.004, 0.1, 0.055]
-        states = _advance_times(stack, g, params, times, threads=threads)
+        states = _advance_times(stack, g, 1e-2, times, threads=threads)
         assert len(states) == len(times)
         for t, state in zip(times, states):
-            assert state.tobytes() == _advance_times(stack, g, params, [t])[0].tobytes()
+            assert state.tobytes() == _advance_times(stack, g, 1e-2, [t])[0].tobytes()
 
     def test_blocks_keep_their_own_right_hand_sides(self, monkeypatch):
         # more workers than cores, switching often: a shared product
@@ -520,12 +545,11 @@ class TestAdvanceTimes:
         monkeypatch.setattr(flow, "_ROW_BLOCK", 16)
         g = make_grid(8)
         stack = random_stack(g, np.random.default_rng(61), (16 * 6 + 5,))
-        p = FlowParams(dt=1e-2)
-        serial = _advance_times(stack, g, p, [0.2, -0.1])
+        serial = _advance_times(stack, g, 1e-2, [0.2, -0.1])
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threaded = _advance_times(stack, g, p, [0.2, -0.1], threads=6)
+            threaded = _advance_times(stack, g, 1e-2, [0.2, -0.1], threads=6)
         finally:
             sys.setswitchinterval(interval)
         for a, b in zip(serial, threaded):
@@ -537,7 +561,7 @@ class TestAdvanceTimes:
         g = make_grid(4)
         stack = random_stack(g, np.random.default_rng(7), (3,))
         calls = counted_steps(monkeypatch)
-        _advance_times(stack, g, FlowParams(dt=1e-2), [0.055, -0.03, 0.1, 0.055])
+        _advance_times(stack, g, 1e-2, [0.055, -0.03, 0.1, 0.055])
         assert len(calls) == 10 + 3 + 2
 
     @pytest.mark.parametrize("aliased", [False, True], ids=["dealiased", "odd-grid"])
@@ -547,22 +571,21 @@ class TestAdvanceTimes:
         g = make_grid(m)
         product_points(monkeypatch, g, aliased)
         stack = random_stack(g, np.random.default_rng(71), (_ROW_BLOCK + 1,))
-        p = FlowParams(dt=1e-2)
-        whole = _advance_times(stack, g, p, [0.015])[0]
+        whole = _advance_times(stack, g, 1e-2, [0.015])[0]
         for i in (0, 1, 500, 511, 512, _ROW_BLOCK - 1, _ROW_BLOCK):
-            assert whole[i].tobytes() == _advance_times(stack[i], g, p, [0.015])[0].tobytes()
+            assert whole[i].tobytes() == _advance_times(stack[i], g, 1e-2, [0.015])[0].tobytes()
 
     def test_bytes_independent_of_blas_threads(self):
         # every GEMM stays under OpenBLAS's serial threshold, and its rows do not depend on the split
         script = (
             "import hashlib, numpy as np\n"
-            "from ostlab.flow import FlowParams, _advance_times, _product_coeff, _product_tables, _product_work\n"
+            "from ostlab.flow import _advance_times, _product_coeff, _product_tables, _product_work\n"
             "from ostlab.spectral import make_grid\n"
             "rng = np.random.default_rng(73)\n"
             "def stack(rows, m):\n"
             "    return 0.3 * (rng.standard_normal((rows, m)) + 1j * rng.standard_normal((rows, m)))\n"
             "for m, rows in ((8, 3000), (32, 300)):\n"
-            "    out = _advance_times(stack(rows, m), make_grid(m), FlowParams(dt=1e-2), [0.03], threads=2)[0]\n"
+            "    out = _advance_times(stack(rows, m), make_grid(m), 1e-2, [0.03], threads=2)[0]\n"
             "    print(hashlib.sha256(out.tobytes()).hexdigest())\n"
             "# the product alone on the odd 2m+1-point grid\n"
             "out = _product_coeff(stack(700, 16), 16, 33, work=_product_work((700,), 33, _product_tables(16, 33)))\n"
@@ -582,7 +605,7 @@ class TestAdvanceTimes:
         stack = np.zeros((3100, 8), dtype=np.complex128)
         stack[3000] = 1e7
         with pytest.raises(BlowUpError) as err:
-            _advance_times(stack, g, FlowParams(dt=1e-3), [0.5, -0.2], threads=2)
+            _advance_times(stack, g, 1e-3, [0.5, -0.2], threads=2)
         assert err.value.samples == (3000,)
 
     def test_step_count_capped(self):
@@ -595,7 +618,7 @@ class TestAdvanceTimes:
             assert str(exc.value).startswith(f"t = {t:g} at dt = {dt:g} takes ")
             assert str(exc.value).endswith(f" steps, above the cap of {_MAX_STEPS}")
         with pytest.raises(ValueError, match="above the cap"):
-            _advance_times(np.zeros((3, 4), complex), make_grid(4), FlowParams(dt=1e-3), [0.1, 1e300])
+            _advance_times(np.zeros((3, 4), complex), make_grid(4), 1e-3, [0.1, 1e300])
 
 
 @st.composite
@@ -623,8 +646,7 @@ class TestProperties:
     )
     def test_flow_map_round_trip(self, f, t):
         # ETDRK4 is not reversible: the round trip closes to scheme error, O(dt^4)
-        p = FlowParams(dt=1e-3)
-        back = flow_map(flow_map(f, t, p), -t, p)
+        back = flow_map(flow_map(f, t, 1e-3), -t, 1e-3)
         assert _l2(back.coeff - f.coeff, f.grid.length) <= 1e-6 * max(1.0, l2(f))
 
 
@@ -681,7 +703,7 @@ class TestPicard:
         f = unit_random_field(g, np.random.default_rng(23), decay=0.3)
         phi = FourierField(g, 0.1 * f.coeff)
         res = picard_solve(phi, T=0.1, iters=8)
-        end = flow_map(phi, 0.1, FlowParams(dt=1e-4))
+        end = flow_map(phi, 0.1, 1e-4)
         diff = _l2(res.final.coeff - end.coeff, g.length)
         assert diff <= 1e-6
 
@@ -750,11 +772,11 @@ class TestConvergenceInM:
         # the lockstep walk gives the bits of each m's whole record stack,
         # zero-padded onto the reference's, minus the reference's stack
         f = unit_random_field(make_grid(16), np.random.default_rng(33), decay=0.3)
-        length, p, times = f.grid.length, FlowParams(dt=2e-3), _record_times(T, 2e-3, 10)
+        length, times = f.grid.length, _record_times(T, 2e-3, 10)
 
         def states(m):
             grid = make_grid(m, length=length)
-            return _advance_times(regrid(f, grid).coeff, grid, p, times)
+            return _advance_times(regrid(f, grid).coeff, grid, 2e-3, times)
 
         ref, expected = states(16), []
         for m in (4, 8):
@@ -776,6 +798,6 @@ class TestConservedFunctionals:
         # sanity: only the combination H = quadratic + cubic is invariant
         g = make_grid(16)
         f = smooth_random_field(g, np.random.default_rng(27))
-        out = flow_map(f, 0.5, FlowParams(dt=1e-3))
+        out = flow_map(f, 0.5, 1e-3)
         assert abs(_cubic_g(out.coeff, g) - _cubic_g(f.coeff, g)) > 1e-6
         assert abs(_hamiltonian(out.coeff, g) - _hamiltonian(f.coeff, g)) <= 1e-8

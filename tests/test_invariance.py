@@ -10,7 +10,7 @@ import pytest
 
 import ostlab.flow as flow
 import ostlab.invariance as invariance
-from ostlab.flow import FlowParams, _advance_times
+from ostlab.flow import _advance_times
 from ostlab.gibbs import (
     DegenerateWeightsError,
     Ensemble,
@@ -43,12 +43,12 @@ def l2_norm(f):
     return float(_l2(f.coeff, f.grid.length))
 
 
-def reference_reports(spec, p, times, obs, count):
+def reference_reports(spec, dt, times, obs, count):
     """run_invariance's (name, means, errors, z) rows from whole-stack observables of the drawn and flowed states."""
     ens, grid = sample_gaussian(spec, count), spec.grid
     before = [gibbs_expectation(ens, F.batch(ens.coeffs, grid)) for F in obs]
     out = []
-    for states in _advance_times(ens.coeffs, grid, p, times):
+    for states in _advance_times(ens.coeffs, grid, dt, times):
         after = [gibbs_expectation(ens, F.batch(states, grid)) for F in obs]
         out.append([(F.name, b.mean, b.std_error, a.mean, a.std_error, _z_score(b, a))
                     for F, b, a in zip(obs, before, after)])
@@ -145,7 +145,7 @@ class TestRunInvariance:
         g = make_grid(4)
         spec = GibbsSpec(grid=g, cutoff_R=default_cutoff(g), seed=101)
         obs = [l2_squared(), mode_power(1), cubic_integral()]
-        (report,) = run_invariance(spec, FlowParams(dt=1e-3), [0.0], obs, 500)
+        (report,) = run_invariance(spec, 1e-3, [0.0], obs, 500)
         assert all(r.z == 0.0 for r in report.rows)
         assert all(r.mean_before == r.mean_after for r in report.rows)
         assert report.all_passed
@@ -155,7 +155,7 @@ class TestRunInvariance:
     def test_l2_squared_z_bounded_by_drift(self):
         g = make_grid(4)
         spec = GibbsSpec(grid=g, cutoff_R=default_cutoff(g), seed=103)
-        (report,) = run_invariance(spec, FlowParams(dt=1e-3), [0.3], [l2_squared()], 500)
+        (report,) = run_invariance(spec, 1e-3, [0.3], [l2_squared()], 500)
         assert abs(report.rows[0].z) <= 0.1
 
     def test_invariance_holds(self):
@@ -168,7 +168,7 @@ class TestRunInvariance:
             hamiltonian_observable(),
             ball_indicator(default_cutoff(g) / 2.0),
         ]
-        (report,) = run_invariance(spec, FlowParams(dt=1e-3), [0.5], obs, 2000)
+        (report,) = run_invariance(spec, 1e-3, [0.5], obs, 2000)
         for row in report.rows:
             assert abs(row.z) <= 3.0, row
 
@@ -176,24 +176,34 @@ class TestRunInvariance:
         g = make_grid(4)
         spec = GibbsSpec(grid=g, cutoff_R=1e-6, seed=109)
         with pytest.raises(DegenerateWeightsError):
-            run_invariance(spec, FlowParams(dt=1e-3), [0.1], [l2_squared()], 200)
+            run_invariance(spec, 1e-3, [0.1], [l2_squared()], 200)
 
     def test_validation(self):
         g = make_grid(4)
         spec = GibbsSpec(grid=g, seed=1)
         with pytest.raises(ValueError):
-            run_invariance(spec, FlowParams(dt=1e-3), [0.1], [l2_squared()], 0)
+            run_invariance(spec, 1e-3, [0.1], [l2_squared()], 0)
         with pytest.raises(ValueError):
-            run_invariance(spec, FlowParams(dt=1e-3), [0.1], [], 10)
+            run_invariance(spec, 1e-3, [0.1], [], 10)
         for times in ([], [0.1, math.nan], [math.inf]):
             with pytest.raises(ValueError):
-                run_invariance(spec, FlowParams(dt=1e-3), times, [l2_squared()], 10)
+                run_invariance(spec, 1e-3, times, [l2_squared()], 10)
+
+    def test_rejects_bad_dt_before_drawing(self, monkeypatch):
+        def draw(*args):
+            raise AssertionError("an ensemble was drawn for a bad dt")
+
+        monkeypatch.setattr(invariance, "sample_gaussian", draw)
+        spec = GibbsSpec(grid=make_grid(4), seed=1)
+        for dt in (0.0, -1e-3, math.inf, math.nan):
+            with pytest.raises(ValueError, match="dt must be positive and finite"):
+                run_invariance(spec, dt, [0.1], [l2_squared()], 10)
 
     def test_json_schema(self):
         g = make_grid(4)
         spec = GibbsSpec(grid=g, cutoff_R=default_cutoff(g), seed=113)
         (report,) = run_invariance(
-            spec, FlowParams(dt=1e-3), [0.0], [l2_squared(), mode_power(1)], 100
+            spec, 1e-3, [0.0], [l2_squared(), mode_power(1)], 100
         )
         doc = report.to_json()
         assert set(doc["meta"]) == {"m", "t", "count", "seed", "ess"}
@@ -223,7 +233,7 @@ class TestRunInvariance:
         monkeypatch.setattr(Ensemble, "_weights", prop)
         g = make_grid(4)
         spec = GibbsSpec(grid=g, cutoff_R=default_cutoff(g), seed=131)
-        reports = run_invariance(spec, FlowParams(dt=1e-3), [0.01, 0.02], [l2_squared(), mode_power(1)], 300)
+        reports = run_invariance(spec, 1e-3, [0.01, 0.02], [l2_squared(), mode_power(1)], 300)
         assert len(reports) == 2
         assert len(calls) == 1
 
@@ -235,9 +245,9 @@ class TestRunInvariance:
             monkeypatch.setattr(flow, "_ROW_BLOCK", row_block)
         g = make_grid(4)
         spec = GibbsSpec(grid=g, cutoff_R=default_cutoff(g) / 3.0, seed=137)
-        p, times, obs = FlowParams(dt=5e-3), [0.0, -0.02, 0.03, 0.0213], all_observables(g)
-        reports = run_invariance(spec, p, times, obs, 4500 if row_block is None else 300, threads=threads)
-        reference = reference_reports(spec, p, times, obs, reports[0].count)
+        times, obs = [0.0, -0.02, 0.03, 0.0213], all_observables(g)
+        reports = run_invariance(spec, 5e-3, times, obs, 4500 if row_block is None else 300, threads=threads)
+        reference = reference_reports(spec, 5e-3, times, obs, reports[0].count)
         for report, rows in zip(reports, reference, strict=True):
             got = [(r.name, r.mean_before, r.se_before, r.mean_after, r.se_after, r.z) for r in report.rows]
             assert [(name, *map(float.hex, v)) for name, *v in got] == [(name, *map(float.hex, v)) for name, *v in rows]
@@ -247,7 +257,7 @@ class TestRunInvariance:
         # workers than cores and frequent switches, a lost or misplaced write would change a report
         g = make_grid(8)
         spec = GibbsSpec(grid=g, seed=139)
-        args = (spec, FlowParams(dt=5e-3), [0.01, -0.015, 0.0], all_observables(g), 300)
+        args = (spec, 5e-3, [0.01, -0.015, 0.0], all_observables(g), 300)
         serial = [r.to_json() for r in run_invariance(*args, threads=1)]
         for threads in (2, 0):
             assert [r.to_json() for r in run_invariance(*args, threads=threads)] == serial
@@ -268,7 +278,7 @@ class TestRunInvariance:
         g = make_grid(4)
         spec = GibbsSpec(grid=g, cutoff_R=1e-6, seed=109)
         with pytest.raises(DegenerateWeightsError):
-            run_invariance(spec, FlowParams(dt=1e-3), [0.1], [l2_squared()], 200)
+            run_invariance(spec, 1e-3, [0.1], [l2_squared()], 200)
 
     def test_peak_grows_by_the_value_rows_alone(self, monkeypatch):
         # from 1 to 8 times, a run adds 7 rows of 7 observables' values (7.48 MiB) and no states: with a
@@ -283,7 +293,7 @@ class TestRunInvariance:
         for times in ([0.001], [0.001 * k for k in range(1, 9)]):
             tracemalloc.start()
             try:
-                run_invariance(spec, FlowParams(dt=1e-3), times, obs, 20000, threads=1)
+                run_invariance(spec, 1e-3, times, obs, 20000, threads=1)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -292,5 +302,5 @@ class TestRunInvariance:
     def test_deterministic(self):
         g = make_grid(4)
         spec = GibbsSpec(grid=g, cutoff_R=default_cutoff(g), seed=127)
-        args = (spec, FlowParams(dt=1e-3), [0.2], [l2_squared(), mode_power(1)], 300)
+        args = (spec, 1e-3, [0.2], [l2_squared(), mode_power(1)], 300)
         assert run_invariance(*args)[0].to_json() == run_invariance(*args)[0].to_json()

@@ -15,7 +15,7 @@ import pytest
 
 import ostlab.spectral as spectral
 from ostlab.bourgain import ResonanceRecord, ResonanceScan, TimeLocalizationResult
-from ostlab.flow import ConvergenceStudy, FlowParams, PicardResult, TrajectoryRecord, _linear_rates, evolve, picard_solve
+from ostlab.flow import ConvergenceStudy, PicardResult, TrajectoryRecord, _linear_rates, evolve, picard_solve
 from ostlab.gibbs import Ensemble, GibbsSpec, pcn_chain
 from ostlab.invariance import cubic_integral, hamiltonian_observable, mode_power, run_invariance
 from ostlab.spectral import (
@@ -66,6 +66,11 @@ def samples(f):
     return _to_physical(f.coeff, f.grid.points)
 
 
+def nodes(grid):
+    """Quadrature nodes x_j = j*length/points of the sample grid."""
+    return (grid.length / grid.points) * np.arange(grid.points)
+
+
 def l2(f):
     return float(_l2(f.coeff, f.grid.length))
 
@@ -98,10 +103,6 @@ class TestGridSpec:
     def test_rejects_bad_modes(self):
         with pytest.raises(ValueError):
             GridSpec(length=TWO_PI, modes=0)
-
-    def test_x_nodes(self):
-        g = GridSpec(length=2.0, modes=1)
-        assert np.allclose(g.x, [0.0, 0.5, 1.0, 1.5])
 
 
 class TestFieldInvariants:
@@ -159,7 +160,7 @@ class TestTransforms:
     def test_cos_samples_match_formula(self):
         g = make_grid(8)
         f = cos_field(g, k=3)
-        assert np.allclose(samples(f), np.cos(3.0 * g.x), atol=1e-12)
+        assert np.allclose(samples(f), np.cos(3.0 * nodes(g)), atol=1e-12)
 
     def test_round_trip_spectral(self):
         rng = np.random.default_rng(7)
@@ -176,7 +177,7 @@ class TestTransforms:
     def test_from_physical_discards_high_modes(self):
         g = make_grid(4)
         # above the retained band, below Nyquist
-        assert np.allclose(_from_physical(np.cos(7.0 * g.x), g.modes), 0.0, atol=1e-14)
+        assert np.allclose(_from_physical(np.cos(7.0 * nodes(g)), g.modes), 0.0, atol=1e-14)
 
 
 class TestTransformPair:
@@ -217,10 +218,10 @@ class TestTransformPair:
         monkeypatch.setattr(np.fft, "irfft", refuse)
         g = make_grid(4)
         f = random_field(g, np.random.default_rng(3), scale=0.1)
-        assert np.isfinite(evolve(f, FlowParams(dt=0.01, T=0.05)).hamiltonian).all()
+        assert np.isfinite(evolve(f, 0.05, 0.01).hamiltonian).all()
         spec = GibbsSpec(grid=g, seed=5)
         obs = [mode_power(1), cubic_integral(), hamiltonian_observable()]
-        reports = run_invariance(spec, FlowParams(dt=0.01), (0.0, 0.05), obs, 50)
+        reports = run_invariance(spec, 0.01, (0.0, 0.05), obs, 50)
         assert len(reports) == 2
         assert len(pcn_chain(spec, 20, 0.5)) == 20
         assert not picard_solve(f, 0.05, 3).diverged
@@ -233,12 +234,12 @@ class TestCalculus:
     def test_dx_of_sin_is_cos(self):
         g = make_grid(6)
         d = 1j * g.xi * sin_field(g, k=2).coeff
-        assert np.allclose(_to_physical(d, g.points), 2.0 * np.cos(2.0 * g.x), atol=1e-12)
+        assert np.allclose(_to_physical(d, g.points), 2.0 * np.cos(2.0 * nodes(g)), atol=1e-12)
 
     def test_dx_inv_of_cos_is_sin(self):
         g = make_grid(6)
         a = cos_field(g, k=1).coeff / (1j * g.xi)
-        assert np.allclose(_to_physical(a, g.points), np.sin(g.x), atol=1e-12)
+        assert np.allclose(_to_physical(a, g.points), np.sin(nodes(g)), atol=1e-12)
 
     def test_regrid_round_trip(self):
         g_small, g_big = make_grid(4), make_grid(9)
