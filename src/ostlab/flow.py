@@ -120,6 +120,12 @@ _GEMM_MAX_MODES = 32
 # OpenBLAS runs a GEMM with M*N*K at most 65536 * 4 on the calling thread
 # (interface/gemm.c); row chunks stay under it, so the flow's own workers
 # are the only parallelism whether or not BLAS is pinned to one thread.
+# The chunks of a stack go to BLAS as one stacked np.matmul per GEMM stage,
+# which calls dgemm once per chunk with the same shapes and bits, but takes
+# and releases the GIL once: two workers on (2048, 8) blocks otherwise trade
+# it on every 512-row chunk (2-core Xeon, (20000, 8) stack to t = 0.1 on 2
+# threads: 14.5-14.9k against 4.6-4.9k voluntary context switches, 0.70-0.81 s
+# against 0.59-0.64 s; tools/layer_bench.py's stack_flow layer).
 _GEMM_SERIAL_MNK = 65536 * 4
 
 
@@ -149,25 +155,37 @@ def _product_work(lead: tuple, npts: int, tables) -> tuple:
 
     Else the DFT tables; below two rows, a zero row pair and the complex view
     of the rows that take the input (numpy sends a 1-row operand to gemv,
-    whose bits differ from gemm's rows); each chunk's (lo, hi, samples, out),
-    even splits of at most one serial GEMM's rows (one chunk when the rows
-    fit, else chunks of >= 4 rows); and the output's complex band.
+    whose bits differ from gemm's rows), and the pair's (samples, out); from
+    two rows, the parts (lo, hi, samples, out) of an even split into chunks
+    of at most one serial GEMM's rows (one chunk when the rows fit, else
+    chunks of >= 4 rows): the chunks of q + 1 rows, then those of q, each
+    set stacked as (chunks, rows, cols) views, at most _SAMPLE_BLOCK_BYTES
+    of samples per part in one shared buffer; and the output's complex band.
     """
     if tables is None:
         half = npts // 2 + 1
         return np.zeros(lead + (half,), np.complex128), np.empty(lead + (npts,)), np.empty(lead + (half,), np.complex128)
     t_in, t_out = tables
-    n, shape = math.prod(lead), lead + (len(t_in) // 2,)
-    rows = max(2, n)
-    u = np.empty((min(rows, max(4, _GEMM_SERIAL_MNK // t_out.size)), len(t_out)))
-    out = np.empty((rows, t_out.shape[1]))
-    chunks, parts = -(-rows // len(u)), []
-    for i in range(chunks):
-        lo, hi = rows * i // chunks, rows * (i + 1) // chunks
-        parts.append((lo, hi, u[: hi - lo], out[lo:hi]))
-    pad = np.zeros((2, len(t_in))) if n < 2 else None
-    lone = None if pad is None else pad[:n].view(np.complex128).reshape(shape)
-    return t_in, t_out, pad, lone, parts, out[:n, : len(t_in)].view(np.complex128).reshape(shape)
+    n, shape, cols = math.prod(lead), lead + (len(t_in) // 2,), len(t_out)
+    out = np.empty((max(2, n), t_out.shape[1]))
+    band = out[:n, : len(t_in)].view(np.complex128).reshape(shape)
+    if n < 2:
+        pad = np.zeros((2, len(t_in)))
+        lone = pad[:n].view(np.complex128).reshape(shape)
+        return t_in, t_out, pad, lone, (np.empty((2, cols)), out), band
+    chunks = -(-n // min(n, max(4, _GEMM_SERIAL_MNK // t_out.size)))
+    q, r = divmod(n, chunks)
+    largest = q + (r > 0)
+    per = max(1, _SAMPLE_BLOCK_BYTES // (8 * largest * cols))
+    u = np.empty(min(chunks, per) * largest * cols)
+    parts, lo = [], 0
+    for size, count in ((q + 1, r), (q, chunks - r)):
+        for first in range(0, count, per):
+            k = min(per, count - first)
+            hi = lo + k * size
+            parts.append((lo, hi, u[: k * size * cols].reshape(k, size, cols), out[lo:hi].reshape(k, size, -1)))
+            lo = hi
+    return t_in, t_out, None, None, parts, band
 
 
 def _product_coeff(coeff: np.ndarray, modes: int, npts: int, *, work: tuple) -> np.ndarray:
@@ -185,16 +203,20 @@ def _product_coeff(coeff: np.ndarray, modes: int, npts: int, *, work: tuple) -> 
         u *= u
         return _from_physical(u, modes, out=prod)
     t_in, t_out, pad, lone, parts, band = work
-    if pad is None:
-        x, gemm = np.ascontiguousarray(coeff, np.complex128).reshape(-1, modes).view(np.float64), np.matmul
-    else:
+    if pad is not None:
         # np.dot takes the padded pair faster than np.matmul, with the same bits
-        x, gemm = pad, np.dot
         np.copyto(lone, coeff)
-    for lo, hi, s, out in parts:
-        gemm(x[lo:hi], t_in, s)
+        s, out = parts
+        np.dot(pad, t_in, s)
         s *= s
-        gemm(s, t_out, out)
+        np.dot(s, t_out, out)
+        return band
+    x = np.ascontiguousarray(coeff, np.complex128).reshape(-1, modes).view(np.float64)
+    for lo, hi, s, out in parts:
+        # one call per stacked part, which numpy's matmul runs as one dgemm per chunk with the GIL released
+        np.matmul(x[lo:hi].reshape(s.shape[:2] + (-1,)), t_in, s)
+        s *= s
+        np.matmul(s, t_out, out)
     return band
 
 
@@ -319,8 +341,9 @@ def _tail_step(c, t: float, lam, rhs, dt: float):
     return c
 
 
-# Rows per block of a stacked run.  On a 2-core Xeon, 2 threads took a (20000, 8) stack to t = 0.05 and 0.1
-# (dt 1e-3) in 1.4-1.8 s with 512-row blocks, 1.22-1.30 s with 1024, 1.15-1.25 s with 2048, 1.25-1.30 s with 4096.
+# Rows per block of a stacked run.  On a 2-core Xeon with one-thread OpenBLAS and the stacked product, 2 threads
+# took a (20000, 8) stack to t = 0.05 and 0.1 (dt 1e-3) in 1.40-1.45 s with 512-row blocks, 0.76-0.83 s with 1024,
+# 0.62-0.82 s with 2048 and 0.69-0.75 s with 4096 (4 runs each).
 _ROW_BLOCK = 2048
 
 

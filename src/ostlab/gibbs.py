@@ -177,8 +177,9 @@ class Ensemble:
             lw = self.log_weights[chi]
             w[chi] = np.exp(lw - np.max(lw))
         w.setflags(write=False)
-        total = math.fsum(w)
-        return w, total, (total**2 / math.fsum(w * w) if total > 0.0 else 0.0)
+        # fsum takes Python floats from a memoryview faster than numpy scalars from the array, with no list held
+        total = math.fsum(memoryview(w))
+        return w, total, (total**2 / math.fsum(memoryview(w * w)) if total > 0.0 else 0.0)
 
 
 def sample_gaussian(spec: GibbsSpec, count: int) -> Ensemble:
@@ -359,7 +360,7 @@ def gibbs_expectation(ens: Ensemble, values) -> GibbsEstimate:
         raise ValueError(f"values must have shape ({len(ens)},), got {values.shape}")
     if ens.sampler == "pcn-mcmc":
         n = len(ens)
-        mean = math.fsum(values) / n
+        mean = math.fsum(memoryview(values)) / n
         n_batches = max(2, int(math.isqrt(n)))
         size = n // n_batches
         if size >= 1:
@@ -372,9 +373,9 @@ def gibbs_expectation(ens: Ensemble, values) -> GibbsEstimate:
     w, total, ess = ens._weights
     if total == 0.0:
         return GibbsEstimate(mean=math.nan, std_error=math.nan, ess=0.0, degenerate=True)
-    mean = math.fsum(w * values) / total
+    mean = math.fsum(memoryview(w * values)) / total
     resid = values - mean
-    se = math.sqrt(math.fsum((w * resid) ** 2)) / total
+    se = math.sqrt(math.fsum(memoryview((w * resid) ** 2))) / total
     return GibbsEstimate(mean=mean, std_error=se, ess=ess, degenerate=ess < ESS_FLOOR)
 
 

@@ -239,12 +239,28 @@ class TestNonlinearTerm:
     def test_gemm_rows_stay_under_serial_threshold(self, m):
         # a larger GEMM would start OpenBLAS threads next to the flow's own workers
         for npts in (4 * m, 2 * m + 1):
-            t_in, t_out, _, _, parts, _ = flow._product_work((20000,), npts, flow._product_tables(m, npts))
-            assert [lo for lo, _, _, _ in parts[1:]] == [hi for _, hi, _, _ in parts[:-1]]
-            assert parts[0][0] == 0 and parts[-1][1] == 20000
+            t_in, t_out, pad, _, parts, _ = flow._product_work((20000,), npts, flow._product_tables(m, npts))
+            assert pad is None
+            covered = 0
             for lo, hi, s, out in parts:
-                assert hi - lo == len(s) == len(out) >= 4
-                assert len(s) * t_out.size <= flow._GEMM_SERIAL_MNK
+                chunks, rows, cols = s.shape
+                assert (lo, hi) == (covered, covered + chunks * rows)
+                assert out.shape == (chunks, rows, t_out.shape[1]) and cols == len(t_out)
+                assert rows >= 4 and rows * t_out.size <= flow._GEMM_SERIAL_MNK
+                covered = hi
+            assert covered == 20000
+            sizes = {s.shape[1] for _, _, s, _ in parts}
+            assert max(sizes) - min(sizes) <= 1
+        if m == 8:
+            # a full row block stacks its four 512-row chunks into one call per GEMM stage
+            assert len(flow._product_work((_ROW_BLOCK,), 32, flow._product_tables(8, 32))[4]) == 1
+
+    def test_stacked_samples_stay_within_one_sample_block(self):
+        # unbounded, the (20000, 16) stack's 157 chunks of 127 or 128 rows would hold 10 MB of samples
+        t_in, t_out, _, _, parts, _ = flow._product_work((20000,), 64, flow._product_tables(16, 64))
+        assert len({id(s.base) for _, _, s, _ in parts}) == 1
+        assert parts[0][2].base.nbytes <= _SAMPLE_BLOCK_BYTES
+        assert all(s.nbytes <= _SAMPLE_BLOCK_BYTES for _, _, s, _ in parts)
 
 
 class TestReferenceBits:
@@ -259,6 +275,24 @@ class TestReferenceBits:
         c = random_stack(g, np.random.default_rng(41), lead)
         rhs, npts = (aliased_nonlinear(g), 2 * m + 1) if aliased else (_nonlinear(g), g.points)
         assert rhs(c).tobytes() == reference_rhs(g, npts)(c).tobytes()
+
+    @pytest.mark.parametrize("rows, m", [(641, 16), (1568, 8), (2100, 32), (5000, 32), (1001, 8), (3, 8), (7, 32)])
+    def test_stacked_product_matches_chunk_loop(self, rows, m):
+        # numpy's matmul runs a stacked part as one dgemm per chunk: the bits of one 2-D matmul per even-split chunk
+        npts = 4 * m
+        t_in, t_out = flow._product_tables(m, npts)
+        c = random_stack(make_grid(m), np.random.default_rng(79), (rows,))
+        x = c.view(np.float64)
+        chunks = -(-rows // min(rows, max(4, flow._GEMM_SERIAL_MNK // t_out.size)))
+        expected = np.empty((rows, t_out.shape[1]))
+        for i in range(chunks):
+            lo, hi = rows * i // chunks, rows * (i + 1) // chunks
+            u = np.matmul(x[lo:hi], t_in)
+            u *= u
+            expected[lo:hi] = np.matmul(u, t_out)
+        work = flow._product_work((rows,), npts, (t_in, t_out))
+        got = flow._product_coeff(c, m, npts, work=work)
+        assert got.tobytes() == expected[:, : 2 * m].copy().view(np.complex128).tobytes()
 
     def test_one_closure_across_alternating_shapes(self):
         g = make_grid(8)

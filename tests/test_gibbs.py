@@ -527,6 +527,16 @@ class TestGibbsExpectation:
         assert est.mean == est2.mean
         assert est.ess == est2.ess
 
+    def test_sums_match_fsum_over_the_arrays(self, big_ensemble):
+        # the estimator feeds fsum Python floats from a memoryview; a strided values array gives the same bits
+        values = l2_squared(big_ensemble)
+        w = big_ensemble._weights[0]
+        total = math.fsum(w)
+        mean = math.fsum(w * values) / total
+        se = math.sqrt(math.fsum((w * (values - mean)) ** 2)) / total
+        est = gibbs_expectation(big_ensemble, np.repeat(values, 2)[::2])
+        assert (est.mean, est.std_error, est.ess) == (mean, se, total**2 / math.fsum(w * w))
+
     def test_degenerate_weights_flagged(self):
         spec = GibbsSpec(grid=make_grid(2), seed=1)
         ens = sample_gaussian(spec, 100)

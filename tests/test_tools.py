@@ -23,16 +23,20 @@ def test_layer_bench_measures_one_configuration(monkeypatch, capsys):
     monkeypatch.setattr(bench, "MODES", (8,))
     monkeypatch.setattr(bench, "BATCHES", (20,))
     monkeypatch.setattr(bench, "REPEATS", 3)
+    monkeypatch.setattr(bench, "STACK", (64, 8))
     # _measure switches the product kernel through this module constant; restored after the test
     monkeypatch.setattr(flow, "_GEMM_MAX_MODES", flow._GEMM_MAX_MODES)
     bench._measure("pinned")
     records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
-    assert [(r["kernel"], r["layer"]) for r in records] == [
-        ("table", "product"), ("table", "etdrk4_step"), ("fft", "product"), ("fft", "etdrk4_step"),
+    assert [(r["kernel"], r["layer"], r.get("threads")) for r in records] == [
+        ("table", "product", None), ("table", "etdrk4_step", None), ("fft", "product", None),
+        ("fft", "etdrk4_step", None), ("table", "stack_flow", 1), ("table", "stack_flow", 2),
     ]
     for r in records:
-        assert (r["blas"], r["m"], r["batch"], r["repeats"], r["calls_per_repeat"]) == ("pinned", 8, 20, 3, 200)
+        batch, calls = (64, 1) if r["layer"] == "stack_flow" else (20, 200)
+        assert (r["blas"], r["m"], r["batch"], r["repeats"], r["calls_per_repeat"]) == ("pinned", 8, batch, 3, calls)
         assert r["us"] > 0.0 and r["q1_us"] <= r["us"] <= r["q3_us"]
+        assert r["nvcsw"] >= 0.0
 
 
 def test_artifact_digests_of_one_tiny_run(capsys):

@@ -78,6 +78,12 @@ RUNS = [
                                   "--dt", "0.005", "--threads", "2"]),
     # 2500 rows at m = 32 are three 1024-row draw blocks, the last one partial, with a cutoff that splits them
     ("gibbs-sample-blocks", ["gibbs-sample", "--modes", "32", "--count", "2500", "--cutoff", "1.5"]),
+    # the stacked table product: at m = 32 a 2048-row block is 64 chunks of 32 rows in two stacked calls, and the
+    # 52-row tail block two chunks
+    ("verify-invariance-stacked", ["verify-invariance", "--modes", "32", "--count", "2100", "--t-values", "0.01",
+                                   "--dt", "0.001"]),
+    # Picard's 641 nodes at the default m = 16 are five 107-row chunks and one of 106: two unequal stacked sets
+    ("picard-default", ["picard"]),
 ]
 
 
