@@ -217,16 +217,22 @@ def _grid_buffers(rows: int, n_max: int) -> tuple:
     return tuple(np.empty((rows, 2 * n_max), dtype) for dtype in (float, float, float, bool, bool))
 
 
-def _resonance_grid(n_range: np.ndarray, n_max: int, buffers: tuple):
-    """(n1_range, n, n1, n - n1, R, valid) over n in n_range x all nonzero |n1| <= n_max.
+def _n1_rows(n_max: int) -> tuple:
+    """(n1_range, n1 as a float row, 1 / n1) over all nonzero |n1| <= n_max: the columns every row block shares."""
+    n1_range = np.concatenate([np.arange(-n_max, 0), np.arange(1, n_max + 1)])
+    n1 = n1_range[None, :].astype(np.float64)
+    return n1_range, n1, 1.0 / n1
+
+
+def _resonance_grid(n_range: np.ndarray, n1_rows: tuple, buffers: tuple):
+    """(n1_range, n, n1, n - n1, R, valid) over n in n_range x the columns of n1_rows (see _n1_rows).
 
     R is `resonance` in floats, the same telescoped form of `dispersion`.
     n is a float column and n1 a float row; where n1 = n, n - n1 reads 1 and valid is False.
     The arrays are rows of `buffers` (see _grid_buffers).
     """
-    n1_range = np.concatenate([np.arange(-n_max, 0), np.arange(1, n_max + 1)])
+    n1_range, n1, inv_n1 = n1_rows
     n = n_range[:, None].astype(np.float64)
-    n1 = n1_range[None, :].astype(np.float64)
     n2, R, scratch, valid, mask = (b[: len(n_range)] for b in buffers)
     np.not_equal(np.subtract(n, n1, out=n2), 0.0, out=valid)
     np.copyto(n2, 1.0, where=np.logical_not(valid, out=mask))
@@ -234,7 +240,7 @@ def _resonance_grid(n_range: np.ndarray, n_max: int, buffers: tuple):
     R = np.multiply(3.0 * n, n1, out=R)
     R *= n2
     R += 1.0 / n
-    R -= 1.0 / n1
+    R -= inv_n1
     R -= np.divide(1.0, n2, out=scratch)
     return n1_range, n, n1, n2, R, valid
 
@@ -257,13 +263,13 @@ def _admissible_blocks(n_max: int) -> list:
     return [n_range[i : i + rows] for i in range(0, len(n_range), rows)]
 
 
-def _ratio_block(n_block: np.ndarray, n_max: int, buffers):
+def _ratio_block(n_block: np.ndarray, n1_rows: tuple, buffers):
     """(n1_range, |R| / |n n1 (n-n1)| with inf where n1 = n, its finite mask) over one row block, in `buffers`.
 
     Off n1 = n every factor of n n1 (n - n1) is nonzero, so the ratio is
     finite exactly where `valid` is True, and `valid` is the finite mask.
     """
-    n1_range, n, n1, n2, R, valid = _resonance_grid(n_block, n_max, buffers)
+    n1_range, n, n1, n2, R, valid = _resonance_grid(n_block, n1_rows, buffers)
     den = np.multiply(n, n1, out=buffers[2][: len(n_block)])
     den *= n2
     ratio = np.divide(np.abs(R, out=R), np.abs(den, out=den), out=R)
@@ -272,12 +278,12 @@ def _ratio_block(n_block: np.ndarray, n_max: int, buffers):
     return n1_range, ratio, valid
 
 
-def _block_minimum(n_block: np.ndarray, n_max: int, buffers):
+def _block_minimum(n_block: np.ndarray, n1_rows: tuple, buffers):
     """(smallest ratio, its n, its n1, largest finite ratio, finite-cell count) over one row block.
 
     Every block has finite cells, so the smallest ratio is the smallest finite one.
     """
-    n1_range, ratio, finite = _ratio_block(n_block, n_max, buffers)
+    n1_range, ratio, finite = _ratio_block(n_block, n1_rows, buffers)
     i, j = np.unravel_index(np.argmin(ratio), ratio.shape)
     hi = ratio.max(where=finite, initial=-np.inf)
     return float(ratio[i, j]), int(n_block[i]), int(n1_range[j]), hi, np.count_nonzero(finite)
@@ -300,22 +306,23 @@ def resonance_scan(n_max: int) -> ResonanceScan:
     doubled.  Of equal ratios the first pair in row-major order of the full
     grid wins, and that pair lies in a negative row, since those come first.
     The rows are streamed in blocks of about _BLOCK_CELLS cells through one
-    reused buffer set.  The first pass keeps each block's minimum, largest
-    finite ratio and finite-cell count; the histogram range is the extent of
-    those.  Every finite ratio is at most the last edge, and np.histogram's
-    last bin is closed, so a block whose minimum is at least the
-    second-to-last edge puts all its cells in the last bin and is not
-    computed again; only the other blocks (one of 256 at n_max 2048) are
-    re-scanned for their bin counts.  Memory is O(n_max).  The scan runs
-    serially: on 2 cores, two workers scanned n_max 2048 no faster than one.
+    reused buffer set, against one set of n1 columns built per scan.  The
+    first pass keeps each block's minimum, largest finite ratio and
+    finite-cell count; the histogram range is the extent of those.  Every
+    finite ratio is at most the last edge, and np.histogram's last bin is
+    closed, so a block whose minimum is at least the second-to-last edge
+    puts all its cells in the last bin and is not computed again; only the
+    other blocks (one of 256 at n_max 2048) are re-scanned for their bin
+    counts.  Memory is O(n_max).  The scan runs serially: on 2 cores, two
+    workers scanned n_max 2048 no faster than one.
     n_max above _RESONANCE_N_MAX is rejected.
     """
     if int(n_max) != n_max or not 2 <= n_max <= _RESONANCE_N_MAX:
         raise ValueError(f"n_max must be an integer in [2, {_RESONANCE_N_MAX}], got {n_max}")
     n_max = int(n_max)
-    blocks = _admissible_blocks(n_max)
+    blocks, n1_rows = _admissible_blocks(n_max), _n1_rows(n_max)
     buffers = _grid_buffers(len(blocks[0]), n_max)
-    minima = [_block_minimum(rows, n_max, buffers) for rows in blocks]
+    minima = [_block_minimum(rows, n1_rows, buffers) for rows in blocks]
     # min() keeps the first of equal ratios, and the blocks run in row order
     ratio, a, b, _, _ = min(minima, key=lambda m: m[0])
     edges = np.histogram_bin_edges(np.empty(0), bins=40, range=(ratio, max(m[3] for m in minima)))
@@ -323,7 +330,7 @@ def resonance_scan(n_max: int) -> ResonanceScan:
     def block_counts(rows):
         # np.histogram's bins (edges[k] <= ratio < edges[k+1], the last one
         # closed) as differences of #{ratio < edge}; block counts add up
-        _, ratio, finite = _ratio_block(rows, n_max, buffers)
+        _, ratio, finite = _ratio_block(rows, n1_rows, buffers)
         below = buffers[4][: len(rows)]
         cumulative = [np.count_nonzero(np.less(ratio, e, out=below)) for e in edges[1:-1]]
         return np.diff([0, *cumulative, np.count_nonzero(finite)])
@@ -334,7 +341,7 @@ def resonance_scan(n_max: int) -> ResonanceScan:
             counts[-1] += finite
         else:
             counts += block_counts(rows)
-    slice_ratio, c, d, _, _ = _block_minimum(np.array([-1, 1]), n_max, _grid_buffers(2, n_max))
+    slice_ratio, c, d, _, _ = _block_minimum(np.array([-1, 1]), n1_rows, _grid_buffers(2, n_max))
     return ResonanceScan(
         n_max=n_max,
         minimum=_record(ratio, a, b),

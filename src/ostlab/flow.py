@@ -284,8 +284,20 @@ def _etdrk4_step(c, tables, rhs):
     return out
 
 
+# a bound on every real and imaginary part under which |c| <= BLOW_UP_THRESHOLD / sqrt(2) needs no check
+_PART_BOUND = 0.5 * BLOW_UP_THRESHOLD
+
+# entries from which _check_state reads the parts' extremes first: below it, one reduction of |c|
+# costs less than two of the parts (2-core Xeon, numpy 2.4: the two meet near 1024 entries)
+_PART_CHECK_ENTRIES = 1024
+
+
 def _check_state(c: np.ndarray, t: float) -> None:
-    # one reduction in the common case; NaN fails the comparison
+    # NaN fails every comparison
+    if c.size >= _PART_CHECK_ENTRIES:
+        parts = np.ascontiguousarray(c).view(np.float64)
+        if parts.max(initial=0.0) <= _PART_BOUND and parts.min(initial=0.0) >= -_PART_BOUND:
+            return
     if np.abs(c).max(initial=0.0) <= BLOW_UP_THRESHOLD:
         return
     bad = ~np.isfinite(c) | (np.abs(c) > BLOW_UP_THRESHOLD)

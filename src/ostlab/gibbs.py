@@ -40,8 +40,10 @@ from .spectral import (
     GridSpec,
     TWO_PI,
     _coord_eigenvalues,
+    _coord_pairs,
     _coords_to_coeff,
     _cubic_g,
+    _cubic_g_work,
     _freeze,
     _l2,
     _philox,
@@ -205,7 +207,7 @@ def sample_gaussian(spec: GibbsSpec, count: int) -> Ensemble:
             rng.standard_normal(out=row)
         coords *= sigma
         block = slice(lo, lo + len(coords))
-        c = coeffs[block] = _coords_to_coeff(coords, grid)
+        c = _coords_to_coeff(coords, grid, out=coeffs[block])
         log_weights[block] = -_cubic_g(c, grid)
         if spec.cutoff_R is not None:
             in_support[block] = _l2(c, grid.length) <= spec.cutoff_R
@@ -221,40 +223,58 @@ def sample_gaussian(spec: GibbsSpec, count: int) -> Ensemble:
 
 def _pcn_moves(spec: GibbsSpec, beta: float, rng: np.random.Generator, u=None, g_fn=None):
     """Successive pCN moves from coefficients u (None: a draw of w, or 0 if that
-    lies outside the cutoff), as (state, accepted, g evaluations so far)."""
+    lies outside the cutoff), as (state, accepted, g evaluations so far).
+
+    The chain steps in buffers allocated once: the state and the proposal
+    swap roles on an accept, so a yielded state is valid only until the
+    next move, which may overwrite it.  Copy it to keep it.  u itself is
+    copied in, never written.
+    """
     if not (0.0 <= beta <= 1.0):
         raise ValueError(f"beta must be in [0, 1], got {beta}")
-    grid, cutoff, keep = spec.grid, spec.cutoff_R, math.sqrt(1.0 - beta**2)
+    grid, cutoff = spec.grid, spec.cutoff_R
+    # the weights as 0-d complex arrays: the ufuncs take them faster than Python floats, with the same bits
+    keep, beta = np.array(math.sqrt(1.0 - beta**2), np.complex128), np.array(beta, np.complex128)
     root_v = np.sqrt(_coord_eigenvalues(grid))
+    z, work = np.empty(root_v.size), _cubic_g_work(grid)
+    pairs, factor = _coord_pairs(z, grid)  # z's conversion, bound once: _coords_to_coeff(z, grid, out)
+    state, proposal, d = (np.empty(grid.modes, np.complex128) for _ in range(3))
 
-    def draw():
-        return _coords_to_coeff(rng.standard_normal(root_v.size) / root_v, grid)
+    def draw(out):
+        rng.standard_normal(out=z)
+        np.divide(z, root_v, out=z)
+        return np.multiply(pairs, factor, out=out)
 
     def g(coeff):
         if g_fn is not None:
             return g_fn(FourierField(grid, coeff))
-        value = float(_cubic_g(coeff, grid))
+        value = float(_cubic_g(coeff, grid, work))
         if not math.isfinite(value):
             FourierField(grid, coeff)  # raises if a coefficient, not only g, is non-finite
         return value
 
     if u is None:
-        u = draw()
-        if cutoff is not None and _l2(u, grid.length) > cutoff:
-            u = np.zeros(grid.modes, dtype=np.complex128)
-    g_u, evaluations = g(u), 1
+        draw(state)
+        if cutoff is not None and _l2(state, grid.length) > cutoff:
+            state[:] = 0.0
+    else:
+        state[:] = u
+    g_u, evaluations = g(state), 1
     while True:
+        # keep * u + beta * d with the same ufuncs and operand order, into the proposal buffer;
         # a non-finite proposal has a NaN L2 norm, so it reaches g, which raises
-        proposal = keep * u + beta * draw()
+        np.multiply(state, keep, out=proposal)
+        np.multiply(draw(d), beta, out=d)
+        np.add(proposal, d, out=proposal)
         if cutoff is not None and _l2(proposal, grid.length) > cutoff:
-            yield u, False, evaluations
+            yield state, False, evaluations
             continue
         g_proposal, evaluations = g(proposal), evaluations + 1
         log_ratio = g_u - g_proposal
         accepted = bool(log_ratio >= 0.0 or rng.uniform() < math.exp(log_ratio))
         if accepted:
-            u, g_u = proposal, g_proposal
-        yield u, accepted, evaluations
+            state, proposal, g_u = proposal, state, g_proposal
+        yield state, accepted, evaluations
 
 
 def pcn_chain(

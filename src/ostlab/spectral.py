@@ -198,12 +198,22 @@ def _l2(coeff: np.ndarray, length: float) -> np.ndarray:
     return np.sqrt(2.0 * length * np.sum(np.abs(coeff) ** 2, axis=-1))
 
 
-def _cubic_g(coeff: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Cubic functional g(u) = (1/3) int u^3 dx of each row (alias-free quadrature)."""
-    u = _to_physical(coeff, grid.points)
+def _cubic_g_work(grid: GridSpec) -> tuple:
+    """(spectrum, samples, cube) buffers of _cubic_g for one row; the spectrum stays 0 off modes 1..m."""
+    return np.zeros(grid.points // 2 + 1, np.complex128), np.empty(grid.points), np.empty(grid.points)
+
+
+def _cubic_g(coeff: np.ndarray, grid: GridSpec, work: tuple | None = None) -> np.ndarray:
+    """Cubic functional g(u) = (1/3) int u^3 dx of each row (alias-free quadrature).
+
+    work, from _cubic_g_work for one row, holds every array the call needs;
+    without it they are fresh.  The bits are the same either way.
+    """
+    spec, u, cube = (None, None, None) if work is None else work
+    u = _to_physical(coeff, grid.points, spec, out=u)
     # (u*u)*u by two multiplies, not u**3 (libm pow, about 30x slower on a sample stack);
     # then np.mean's own sum and division, without its Python wrapper
-    cube = u * u
+    cube = np.multiply(u, u, out=cube)
     cube *= u
     return (grid.length / 3.0) * (np.add.reduce(cube, axis=-1) / grid.points)
 
@@ -232,9 +242,28 @@ def _coeff_to_coords(coeff: np.ndarray, grid: GridSpec) -> np.ndarray:
     return a
 
 
-def _coords_to_coeff(a: np.ndarray, grid: GridSpec) -> np.ndarray:
-    root = math.sqrt(2.0 * grid.length)
-    return (a[..., 1::2] - 1j * a[..., 0::2]) / root
+def _coord_pairs(a: np.ndarray, grid: GridSpec) -> tuple:
+    """The operands of _coords_to_coeff: a's rows of 2m coordinates as m complex pairs, and the factor.
+
+    Each pair (a_{2k-1}, a_{2k}) reads as the complex a_{2k-1} + 1j a_{2k},
+    in place when a is contiguous; the factor is -1j / sqrt(2A), as a 0-d
+    array, which numpy's ufuncs take faster than a Python complex.  A caller
+    that converts one buffer many times binds these once.
+    """
+    factor = np.array(complex(0.0, -1.0 / math.sqrt(2.0 * grid.length)))
+    return np.ascontiguousarray(a, np.float64).view(np.complex128), factor
+
+
+def _coords_to_coeff(a: np.ndarray, grid: GridSpec, out: np.ndarray | None = None) -> np.ndarray:
+    """Coefficients (a_{2k} - 1j a_{2k-1}) / sqrt(2A) of each row of 2m coordinates, into out if given.
+
+    The product of _coord_pairs' operands.  numpy divides a complex by a
+    real with Smith's algorithm, which multiplies by 1 / sqrt(2A) when the
+    divisor's imaginary part is 0, so the product equals that quotient bit
+    for bit, up to the sign of a part that is exactly 0 and the parts of a
+    pair with a non-finite coordinate.
+    """
+    return np.multiply(*_coord_pairs(a, grid), out=out)
 
 
 def _coord_eigenvalues(grid: GridSpec) -> np.ndarray:

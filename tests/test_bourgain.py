@@ -87,7 +87,7 @@ class TestResonance:
         # it, over the whole n_max 64 grid: a wrong symbol fails here
         n_max = 64
         n_range = np.concatenate([np.arange(-n_max, 0), np.arange(1, n_max + 1)])
-        _, n, n1, _, R, valid = _resonance_grid(n_range, n_max, bourgain._grid_buffers(len(n_range), n_max))
+        _, n, n1, _, R, valid = _resonance_grid(n_range, *block_inputs(n_range, n_max))
         n, n1 = (a[valid] for a in np.broadcast_arrays(n, n1))
         expected = dispersion(n) - dispersion(n1) - dispersion(n - n1)
         assert np.max(np.abs(R[valid] - expected) / np.abs(expected)) <= 1e-12
@@ -118,6 +118,11 @@ class TestResonance:
             resonance(2, 2)
         with pytest.raises(ValueError):
             resonance(2.5, 1)
+
+
+def block_inputs(n_range, n_max):
+    """The n1 columns and the buffers of one row block n_range of an n_max scan."""
+    return bourgain._n1_rows(n_max), bourgain._grid_buffers(len(n_range), n_max)
 
 
 @pytest.fixture
@@ -177,7 +182,7 @@ class TestResonanceScan:
         # the scan computes only the rows n <= -2 and counts each twice
         n_max = 64
         n_range = np.concatenate([np.arange(-n_max, 0), np.arange(1, n_max + 1)])
-        n1_range, ratio, _ = bourgain._ratio_block(n_range, n_max, bourgain._grid_buffers(len(n_range), n_max))
+        n1_range, ratio, _ = bourgain._ratio_block(n_range, *block_inputs(n_range, n_max))
         assert n1_range.tolist() == n_range.tolist()
         for i, n in enumerate(n_range):
             mirror = len(n_range) - 1 - i
@@ -187,7 +192,7 @@ class TestResonanceScan:
     def test_shared_grid_matches_exact_resonance(self):
         # the (n, n1) grid behind resonance_scan
         n_range = np.array([-5, -2, 1, 3, 6])
-        n1_range, n, n1, n2, R, valid = _resonance_grid(n_range, 6, bourgain._grid_buffers(len(n_range), 6))
+        n1_range, n, n1, n2, R, valid = _resonance_grid(n_range, *block_inputs(n_range, 6))
         assert R.shape == valid.shape == n2.shape == (5, 12)
         for i, a in enumerate(n_range):
             for j, b in enumerate(n1_range):
@@ -245,6 +250,14 @@ class TestResonanceScan:
         assert len(bourgain._admissible_blocks(2048)) == 256
         assert len(ratio_block_calls) == 258
 
+    def test_n1_columns_are_built_once_per_scan(self, monkeypatch, ratio_block_calls):
+        # 258 row blocks at n_max 2048, the |n| = 1 slice among them, share one set of columns
+        built = []
+        n1_rows = bourgain._n1_rows
+        monkeypatch.setattr(bourgain, "_n1_rows", lambda n_max: built.append(n_max) or n1_rows(n_max))
+        resonance_scan(2048)
+        assert built == [2048] and len(ratio_block_calls) == 258
+
     def test_memory_below_one_full_grid(self):
         # one (2 n_max)^2 float64 grid at n_max = 1024 is 33.5 MB
         tracemalloc.start()
@@ -260,7 +273,7 @@ def _full_grid_scan(n_max):
     """resonance_scan computed on whole (n, n1) grids, as one array each."""
 
     def minimum(n_range):
-        n1_range, n, n1, n2, R, valid = _resonance_grid(n_range, n_max, bourgain._grid_buffers(len(n_range), n_max))
+        n1_range, n, n1, n2, R, valid = _resonance_grid(n_range, *block_inputs(n_range, n_max))
         ratio = np.abs(R) / np.abs(n * n1 * n2)
         ratio[~valid] = np.inf
         i, j = np.unravel_index(np.argmin(ratio), ratio.shape)

@@ -369,6 +369,39 @@ class TestCheckState:
         c = np.full((3, 4), BLOW_UP_THRESHOLD, dtype=np.complex128)
         _check_state(c, 0.0)
         _check_state(np.zeros((0, 4), dtype=np.complex128), 0.0)
+        _check_state(np.zeros((5, 0), dtype=np.complex128), 0.0)
+
+    @pytest.mark.parametrize("value", [
+        complex(0.9 * BLOW_UP_THRESHOLD, 0.0),  # one part above the parts' bound
+        complex(-0.6 * BLOW_UP_THRESHOLD, 0.75 * BLOW_UP_THRESHOLD),  # both parts above it, |c| = 0.96 threshold
+        complex(0.0, -BLOW_UP_THRESHOLD),
+    ], ids=["real", "both", "imag-at-threshold"])
+    @pytest.mark.parametrize("lead, m", [((), 8), ((200,), 8), ((), 1024)], ids=["single", "stack", "wide-single"])
+    def test_parts_above_the_fast_bound_pass_within_the_threshold(self, value, lead, m):
+        assert max(abs(value.real), abs(value.imag)) > flow._PART_BOUND and abs(value) <= BLOW_UP_THRESHOLD
+        c = random_stack(make_grid(m), np.random.default_rng(61), lead)
+        c[(2,) * len(lead) + (5,)] = value
+        _check_state(c, 0.5)
+
+    @pytest.mark.parametrize("bad", [
+        {(2, 5): complex(0.6 * BLOW_UP_THRESHOLD, 0.8 * BLOW_UP_THRESHOLD * (1.0 + 1e-15))},
+        {(0, 1): complex(math.nextafter(BLOW_UP_THRESHOLD, math.inf), 0.0), (3, 6): complex(-math.inf, 0.0)},
+        {(1, 0): complex(math.nan, math.nan), (3, 0): complex(0.0, math.inf)},
+    ], ids=["just-above", "above-and-inf", "nan-and-inf"])
+    @pytest.mark.parametrize("lead, m", [((), 8), ((200,), 8), ((), 1024)], ids=["single", "stack", "wide-single"])
+    def test_just_above_the_threshold_raises_as_before(self, bad, lead, m):
+        # the stack and the wide single state read the parts' extremes first, the 8-mode state does not
+        c = random_stack(make_grid(m), np.random.default_rng(67), lead or (4,))
+        for (i, k), value in bad.items():
+            c[i, k] = value
+        if not lead:
+            c = c[max(i for i, _ in bad)]
+        assert (c.size >= flow._PART_CHECK_ENTRIES) == (lead != () or m == 1024)
+        assert np.abs(c).max() > BLOW_UP_THRESHOLD or not np.isfinite(c).all()
+        with pytest.raises(BlowUpError) as err:
+            _check_state(c, -0.5)
+        assert (err.value.modes, err.value.samples) == full_mask_blow_up(c)
+        assert err.value.time == -0.5
 
 
 def traced_evolve(f, T):

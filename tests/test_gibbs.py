@@ -27,6 +27,7 @@ from ostlab.gibbs import (
     trace_check,
 )
 from ostlab.spectral import (
+    TWO_PI,
     FourierField,
     _coord_eigenvalues,
     _coords_to_coeff,
@@ -100,6 +101,53 @@ def reference_pcn_chain(spec, count, beta, burn_in=0, g_fn=None, start=None):
         if i >= 0:
             coeffs[i] = u.coeff
     return coeffs, accepted / (count + burn_in), walls
+
+
+def fresh_array_pcn_chain(spec, count, beta, burn_in=0, g_fn=None, start=None):
+    """The pCN chain with fresh arrays at every step and its helpers written
+    out: coefficients as the complex quotient (a_odd - 1j a_even) / sqrt(2A),
+    g as (L/3) mean((u*u)*u), g carried with the state.  The buffered step
+    must match it bit for bit.
+
+    Returns (coeffs, acceptance_rate, g evaluations).
+    """
+    grid, cutoff, keep = spec.grid, spec.cutoff_R, math.sqrt(1.0 - beta**2)
+    root_v, root = np.sqrt(_coord_eigenvalues(grid)), math.sqrt(2.0 * grid.length)
+    rng = _philox(spec.seed, 2**63 + 1)
+
+    def draw():
+        a = rng.standard_normal(root_v.size) / root_v
+        return (a[1::2] - 1j * a[0::2]) / root
+
+    def g(coeff):
+        if g_fn is not None:
+            return g_fn(FourierField(grid, coeff))
+        u = _to_physical(coeff, grid.points)
+        value = float((grid.length / 3.0) * (np.add.reduce(u * u * u, axis=-1) / grid.points))
+        if not math.isfinite(value):
+            FourierField(grid, coeff)
+        return value
+
+    u = None if start is None else start.coeff
+    if u is None:
+        u = draw()
+        if cutoff is not None and _l2(u, grid.length) > cutoff:
+            u = np.zeros(grid.modes, dtype=np.complex128)
+    g_u, evaluations, accepted = g(u), 1, 0
+    coeffs = np.empty((count, grid.modes), dtype=np.complex128)
+    for i in range(-burn_in, count):
+        proposal = keep * u + beta * draw()
+        ok = False
+        if cutoff is None or not _l2(proposal, grid.length) > cutoff:
+            g_proposal, evaluations = g(proposal), evaluations + 1
+            log_ratio = g_u - g_proposal
+            ok = bool(log_ratio >= 0.0 or rng.uniform() < math.exp(log_ratio))
+            if ok:
+                u, g_u = proposal, g_proposal
+        accepted += ok
+        if i >= 0:
+            coeffs[i] = u
+    return coeffs, accepted / (count + burn_in), evaluations
 
 
 class CountingG:
@@ -356,6 +404,49 @@ class TestPcn:
         if cutoff == "small" and beta > 0.0:
             assert walls > 0  # the cutoff really rejects
 
+    @pytest.mark.parametrize("m, length", [(1, TWO_PI), (3, 7.3), (8, TWO_PI), (32, TWO_PI)])
+    @pytest.mark.parametrize(
+        "cutoff, beta, burn_in, g_fn, start",
+        [
+            (None, 0.5, 0, None, False),
+            ("small", 0.7, 25, None, False),
+            (None, 0.5, 5, lambda f: 4.0 * cubic_g(f) + l2_norm(f) ** 2, False),
+            ("small", 0.4, 3, None, True),
+            (None, 0.0, 10, None, False),
+            ("small", 1.0, 10, None, False),
+        ],
+        ids=["plain", "walls", "g_fn", "start", "beta-0", "beta-1"],
+    )
+    def test_chain_matches_fresh_array_step_bit_for_bit(self, m, length, cutoff, beta, burn_in, g_fn, start):
+        g = make_grid(m, length)
+        radius = 0.9 * gaussian_rms_l2(g) if cutoff == "small" else None
+        spec = GibbsSpec(grid=g, cutoff_R=radius, seed=97 + m)
+        donor = dataclasses.replace(spec, seed=5)
+        start = FourierField(g, 0.3 * sample_gaussian(donor, 1).coeffs[0]) if start else None
+        counters = {}
+        chain = pcn_chain(spec, 600, beta, burn_in=burn_in, g_fn=g_fn, start=start, counters=counters)
+        coeffs, rate, evaluations = fresh_array_pcn_chain(spec, 600, beta, burn_in=burn_in, g_fn=g_fn, start=start)
+        assert chain.coeffs.tobytes() == coeffs.tobytes()
+        assert chain.acceptance_rate == rate
+        assert counters["g_evaluations"] == evaluations
+        if cutoff == "small" and beta > 0.0:
+            assert evaluations < 600 + burn_in + 1  # the cutoff really rejects
+
+    def test_yielded_state_is_valid_until_the_next_move(self):
+        g = make_grid(8)
+        spec = GibbsSpec(grid=g, seed=89)
+        start = sample_gaussian(spec, 1).coeffs[0]
+        before = start.tobytes()
+        coeffs, rate, _ = fresh_array_pcn_chain(spec, 200, 0.5, start=FourierField(g, start))
+        held = []
+        for i, (state, _, _) in zip(range(200), _pcn_moves(spec, 0.5, _philox(89, 2**63 + 1), start)):
+            assert state.tobytes() == coeffs[i].tobytes()  # read before the next move
+            held.append(state)
+        # the moves step in two buffers: a held state is overwritten by later moves, and the start never is
+        assert len({id(state) for state in held}) == 2
+        assert sum(h.tobytes() != c.tobytes() for h, c in zip(held, coeffs)) > 100
+        assert start.tobytes() == before and 0.0 < rate < 1.0
+
     def test_chain_from_start_state_matches_plain_loop(self):
         g = make_grid(4)
         spec = GibbsSpec(grid=g, seed=67)
@@ -412,8 +503,9 @@ class TestPcn:
     @pytest.mark.parametrize("radius", [None, 1.0])
     def test_step_rejects_non_finite_proposal(self, radius):
         class InfiniteNormals:
-            def standard_normal(self, n):
-                return np.full(n, np.inf)
+            def standard_normal(self, out):
+                out.fill(np.inf)
+                return out
 
             def uniform(self):
                 return 0.5

@@ -356,6 +356,17 @@ class TestNormsAndFunctionals:
             for name, values in forms.items():
                 assert abs(Fraction(float(values[i])) - exact) <= Fraction(1e-15 * scale), (name, i)
 
+    @pytest.mark.parametrize("m", [1, 3, 8, 32])
+    def test_cubic_g_with_workspace_equals_without(self, m):
+        # one workspace reused across rows: its spectrum keeps zeros off modes 1..m
+        g = make_grid(m, 7.3)
+        rng = np.random.default_rng(17 * m)
+        work = spectral._cubic_g_work(g)
+        for scale in (1e-3, 1.0, 1e30):
+            coeff = scale * (rng.standard_normal(m) + 1j * rng.standard_normal(m))
+            expected = np.asarray(_cubic_g(coeff, g))
+            assert np.asarray(_cubic_g(coeff, g, work)).tobytes() == expected.tobytes()
+
     def test_cubic_resonance_closed_form(self):
         # u = 2cos(x) + 2cos(2x): int u^3 = 3*2pi/... direct expansion:
         # only the cos(x)^2 cos(2x) triple resonates: 3 * (2^2*2) * pi/2 = 12pi
@@ -393,6 +404,31 @@ class TestCoordinates:
         f = random_field(g, np.random.default_rng(8))
         back = _coords_to_coeff(_coeff_to_coords(f.coeff, g), g)
         assert np.allclose(back, f.coeff, atol=1e-15)
+
+    @pytest.mark.parametrize("length", [TWO_PI, 7.3, 1e-3])
+    @pytest.mark.parametrize("given_out", [False, True], ids=["fresh", "out"])
+    def test_coords_to_coeff_equals_complex_quotient_bit_for_bit(self, length, given_out):
+        # 10^4 rows of 2m = 16 coordinates over 60 decades, against the quotient it replaced
+        g = make_grid(8, length)
+
+        def quotient(x):
+            return (x[..., 1::2] - 1j * x[..., 0::2]) / math.sqrt(2.0 * g.length)
+
+        rng = np.random.default_rng(23)
+        a = rng.standard_normal((10_000, 16)) * np.exp(rng.uniform(-70.0, 70.0, (10_000, 1)))
+        out = np.empty((10_000, 8), np.complex128) if given_out else None
+        got = _coords_to_coeff(a, g, out=out)
+        assert got.tobytes() == quotient(a).tobytes()
+        assert got is out or not given_out
+        for row in (a[17], a[::-1][3], a[:, ::-1][5]):  # one row, and rows of reversed views
+            assert _coords_to_coeff(row, g).tobytes() == quotient(row).tobytes()
+
+    def test_coords_to_coeff_of_zero_coordinates_is_zero(self):
+        # an exactly 0 coordinate may give a part of the other sign of zero than the quotient did
+        g = make_grid(2)
+        a = np.array([0.0, -0.0, 1.5, 0.0])
+        expected = (a[1::2] - 1j * a[0::2]) / math.sqrt(2.0 * g.length)
+        assert np.array_equal(_coords_to_coeff(a, g), expected)
 
     def test_l2_is_euclidean(self):
         g = make_grid(5)

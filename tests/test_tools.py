@@ -8,6 +8,8 @@ from pathlib import Path
 import pytest
 
 import ostlab.flow as flow
+from ostlab.gibbs import default_cutoff
+from ostlab.spectral import make_grid
 
 
 def load_tool(name):
@@ -24,6 +26,8 @@ def test_layer_bench_measures_one_configuration(monkeypatch, capsys):
     monkeypatch.setattr(bench, "BATCHES", (20,))
     monkeypatch.setattr(bench, "REPEATS", 3)
     monkeypatch.setattr(bench, "STACK", (64, 8))
+    monkeypatch.setattr(bench, "PCN_MODES", (3,))
+    monkeypatch.setattr(bench, "PCN_STEPS", 50)
     # _measure switches the product kernel through this module constant; restored after the test
     monkeypatch.setattr(flow, "_GEMM_MAX_MODES", flow._GEMM_MAX_MODES)
     bench._measure("pinned")
@@ -31,10 +35,12 @@ def test_layer_bench_measures_one_configuration(monkeypatch, capsys):
     assert [(r["kernel"], r["layer"], r.get("threads")) for r in records] == [
         ("table", "product", None), ("table", "etdrk4_step", None), ("fft", "product", None),
         ("fft", "etdrk4_step", None), ("table", "stack_flow", 1), ("table", "stack_flow", 2),
+        (None, "pcn_step", None), (None, "pcn_step", None),
     ]
+    assert [r.get("cutoff", "absent") for r in records[-3:]] == ["absent", None, default_cutoff(make_grid(3))]
     for r in records:
-        batch, calls = (64, 1) if r["layer"] == "stack_flow" else (20, 200)
-        assert (r["blas"], r["m"], r["batch"], r["repeats"], r["calls_per_repeat"]) == ("pinned", 8, batch, 3, calls)
+        m, batch, calls = {"stack_flow": (8, 64, 1), "pcn_step": (3, 1, 50)}.get(r["layer"], (8, 20, 200))
+        assert (r["blas"], r["m"], r["batch"], r["repeats"], r["calls_per_repeat"]) == ("pinned", m, batch, 3, calls)
         assert r["us"] > 0.0 and r["q1_us"] <= r["us"] <= r["q3_us"]
         assert r["nvcsw"] >= 0.0
 

@@ -84,6 +84,9 @@ RUNS = [
                                    "--dt", "0.001"]),
     # Picard's 641 nodes at the default m = 16 are five 107-row chunks and one of 106: two unequal stacked sets
     ("picard-default", ["picard"]),
+    # the pCN chain with no cutoff, at m = 8 and beta 0.5, with burn-in
+    ("gibbs-pcn-burn-in", ["gibbs-sample", "--modes", "8", "--count", "2000", "--sampler", "pcn-mcmc",
+                           "--burn-in", "50"]),
 ]
 
 

@@ -1,4 +1,4 @@
-"""Time the flow's product kernel, one ETDRK4 step and a threaded stack flow, layer by layer.
+"""Time the flow's product kernel, one ETDRK4 step, a threaded stack flow and one pCN step, layer by layer.
 
 Usage, from the root of a source checkout:
 
@@ -12,12 +12,15 @@ the two kernels meet at every m.  The ``stack_flow`` layer then takes a
 ``STACK``-shaped stack to t = 0.1 at dt 1e-3 through
 ``flow._advance_times`` on 1 and 2 worker threads, where the workers'
 contention for the interpreter lock shows as voluntary context switches.
-Each configuration runs in a fresh interpreter twice: with OpenBLAS pinned
-to one thread (``OPENBLAS_NUM_THREADS=1``, as perfbench/run.py runs) and
-unpinned.
+The ``pcn_step`` layer times one move of ``gibbs._pcn_moves`` (the step of
+``pcn_chain``, beta 0.5) at each m of ``PCN_MODES``, without a cutoff and
+with ``gibbs.default_cutoff``.  Each configuration runs in a fresh
+interpreter twice: with OpenBLAS pinned to one thread
+(``OPENBLAS_NUM_THREADS=1``, as perfbench/run.py runs) and unpinned.
 
 Output is JSON lines: first one ``environment`` record, then one record
-per (blas, layer, kernel, m, batch) and, for ``stack_flow``, threads, with
+per (blas, layer, kernel, m, batch), for ``stack_flow`` also threads and for
+``pcn_step`` (kernel null, batch 1) also cutoff (the radius or null), with
 the median and quartiles of the per-call time in microseconds and the
 median voluntary context switches per call (``nvcsw``, from
 ``getrusage``) over ``repeats`` timed runs.  Nothing here is a pass/fail
@@ -43,6 +46,8 @@ BATCHES = (1, 20, 20_000)
 REPEATS = 7
 # (rows, m) of the stack_flow layer: the invariance-batch stack
 STACK = (20_000, 8)
+PCN_MODES = (8, 16, 32)
+PCN_STEPS = 4000
 
 
 def _time_per_call(fn, number: int) -> dict:
@@ -64,7 +69,7 @@ def _measure(blas: str) -> None:
     """Print one record per (layer, kernel, m, batch), then per stack_flow thread count, in this interpreter."""
     import numpy as np
 
-    from ostlab import flow
+    from ostlab import flow, gibbs
 
     rng = np.random.default_rng(0)
     gemm_max_modes = flow._GEMM_MAX_MODES
@@ -91,6 +96,14 @@ def _measure(blas: str) -> None:
         record = {"blas": blas, "layer": "stack_flow", "kernel": kernel, "m": m, "batch": rows, "threads": threads}
         record.update(_time_per_call(lambda: flow._advance_times(c, grid, 1e-3, [0.1], threads=threads), 1))
         print(json.dumps(record), flush=True)
+    for m in PCN_MODES:
+        grid = flow.make_grid(m)
+        for cutoff in (None, gibbs.default_cutoff(grid)):
+            spec = gibbs.GibbsSpec(grid=grid, cutoff_R=cutoff, seed=m)
+            moves = gibbs._pcn_moves(spec, 0.5, gibbs._philox(spec.seed, gibbs._PCN_STREAM))
+            record = {"blas": blas, "layer": "pcn_step", "kernel": None, "m": m, "batch": 1, "cutoff": cutoff}
+            record.update(_time_per_call(lambda: next(moves), PCN_STEPS))
+            print(json.dumps(record), flush=True)
 
 
 def main() -> int:
