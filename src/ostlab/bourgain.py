@@ -36,12 +36,13 @@ hundred kB, and any n_max within the tau index limit of 2**52 (about
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .spectral import _freeze, _philox, dispersion
+from .spectral import _STACK_BYTES_MAX, _freeze, _parallel_map, _philox, dispersion
 
 __all__ = [
     "BilinearSweepResult",
@@ -673,40 +674,56 @@ class KernelSumResult:
         return max(row.value + row.tail for row in self.rows)
 
 
-# largest summation range and |n| of a frequency-sum scan: the default 4 x 4 (tau, n) grid
-# takes 0.10 s and 38 MB at k_range 1e5, 0.95 s and 94 MB at 1e6, 4.9 s and 283 MB at 4e6
-# (peak RSS of the process; one core of a 2-core host); the symbol table holds
-# 2(k_range + max |n|) + 1 floats, and the sums one scratch and one summed array of 2 k_range + 1
+# largest summation range and |n| of a frequency-sum scan: the default 4 x 4 (tau, n) grid takes
+# 0.08 s and 35 MB at k_range 1e5 on one thread, 0.06 s and 37 MB on two; 0.9 s and 62 MB at 1e6 on
+# one, 0.65 s and 78 MB on two (peak RSS of the process, 2-core host); the symbol table holds
+# 2(k_range + max |n|) + 1 floats and each worker one summed array of 2 k_range + 1 and one block
 _KERNEL_K_MAX = 10**6
+
+# floats per block of the sums' elementwise passes, whose operands then stay in a core's cache
+_SUM_BLOCK = 1 << 15
 
 
 def _symbol_table(k_max: int):
     """m(c, k): m over c-k..c+k, ascending, as a view of one table of m over |i| <= k_max (nan at i = 0)."""
-    i = np.concatenate([np.arange(-k_max, 0), np.arange(1, k_max + 1)])
-    table = np.insert(dispersion(i), k_max, np.nan)
+    # the indices, then m of each half in their place: one table and one half's temporaries
+    table = np.arange(-k_max, k_max + 1.0)
+    table[:k_max], table[k_max] = dispersion(table[:k_max]), np.nan
+    table[k_max + 1 :] = dispersion(table[k_max + 1 :])
     return lambda c, k: table[k_max + c - k : k_max + c + k + 1]
 
 
 def _drop(values: np.ndarray, k_range: int, *excluded: int) -> np.ndarray:
-    """values over index -k_range..k_range without the excluded indices inside that range."""
-    return np.delete(values, [k_range + i for i in excluded if abs(i) <= k_range])
+    """values over index -k_range..k_range without the excluded indices inside that range, shifted left in place."""
+    cuts = sorted({k_range + i for i in excluded if abs(i) <= k_range}) + [len(values)]
+    kept = cuts[0]
+    for lo, hi in zip(cuts, cuts[1:]):
+        values[kept : kept + hi - lo - 1] = values[lo + 1 : hi]
+        kept += hi - lo - 1
+    return values[:kept]
 
 
-def _sum_form1(tau: float, n: int, k_range: int, m, scratch: np.ndarray) -> tuple:
-    """sum over n1 of log(2+|tau+m(n1)+m(n-n1)|)/(1+|same|); m is a _symbol_table.
+def _sum_terms(t: np.ndarray, block: np.ndarray, rho: float | None = None) -> float:
+    """Sum over t of log(2+|t|)/(1+|t|), or of log(1+|t|)/(1+|t|)^rho, formed in t with the plain form's bits."""
+    for lo in range(0, len(t), len(block)):
+        t_b = t[lo : lo + len(block)]
+        one_plus = np.add(1.0, np.abs(t_b, out=block[: len(t_b)]), out=block[: len(t_b)])
+        if rho is None:
+            np.log(np.add(2.0, np.abs(t_b, out=t_b), out=t_b), out=t_b)
+        else:
+            np.log(one_plus, out=t_b)
+            # **=, not np.power: the same exponent fast paths as (1 + a) ** rho
+            one_plus **= rho
+        t_b /= one_plus
+    return float(np.sum(t))
 
-    scratch holds at least 2 k_range + 1 floats; each intermediate is written
-    into it or into the summed array, with the operands and operand order of
-    the plain expression, so the sum has its bits.
-    """
+
+def _sum_form1(tau: float, n: int, k_range: int, m, work: tuple) -> tuple:
+    """sum over n1 of log(2+|tau+m(n1)+m(n-n1)|)/(1+|same|); m is a _symbol_table, work (2 k_range + 1, block)."""
     # m(n - n1) over ascending n1 is m over n-k_range..n+k_range reversed
-    arg = np.add(tau, m(0, k_range), out=scratch[: 2 * k_range + 1])
+    arg = np.add(tau, m(0, k_range), out=work[0][: 2 * k_range + 1])
     arg += m(n, k_range)[::-1]
-    a = _drop(arg, k_range, 0, n)
-    a, t = np.abs(a, out=a), scratch[: len(a)]
-    np.log(np.add(2.0, a, out=t), out=t)
-    t /= np.add(1.0, a, out=a)
-    value = float(np.sum(t))
+    value = _sum_terms(_drop(arg, k_range, 0, n), work[1])
     # past k_range, |m(n1)+m(n-n1)| >= (3/4)|n| n1^2 up to O(1) terms;
     # integrate the monotone envelope log(2+c k^2)/(c k^2)
     c = 0.75 * abs(n)
@@ -715,25 +732,15 @@ def _sum_form1(tau: float, n: int, k_range: int, m, scratch: np.ndarray) -> tupl
     return value, tail
 
 
-def _sum_forms23(tau1: float, n1: int, k_range: int, rho: float, m, scratch: np.ndarray) -> tuple:
-    """Forms 2 and 3 as ((value, tail), (value, tail)): given (tau1, n1), sum over output frequency n.
-
-    scratch is used as in _sum_form1; 1 + |arg| is computed once, for both forms.
-    """
-    # j = n - n1 over -k_range..k_range; n = n1 + j must be nonzero
+def _sum_forms23(tau1: float, n1: int, k_range: int, rho: float, m, work: tuple) -> tuple:
+    """Forms 2 and 3 as ((value, tail), (value, tail)): given (tau1, n1), sum over output frequency n."""
+    # j = n - n1 over -k_range..k_range; n = n1 + j must be nonzero; form 2's terms overwrite the argument, so
+    # form 3 forms it anew
     base = tau1 + float(m(n1, 0)[0])
-    arg = np.subtract(base, m(0, k_range), out=scratch[: 2 * k_range + 1])
-    a = _drop(arg, k_range, 0, -n1)
-    a, t = np.abs(a, out=a), scratch[: len(a)]
-    np.log(np.add(2.0, a, out=t), out=t)
-    one_plus = np.add(1.0, a, out=a)
-    t /= one_plus
-    value2 = float(np.sum(t))
-    np.log(one_plus, out=t)
-    # **=, not np.power: the same exponent fast paths as (1 + a) ** rho
-    one_plus **= rho
-    t /= one_plus
-    value3 = float(np.sum(t))
+    value2, value3 = (
+        _sum_terms(_drop(np.subtract(base, m(0, k_range), out=work[0][: 2 * k_range + 1]), k_range, 0, -n1), work[1], r)
+        for r in (None, rho)
+    )
     c = 0.5  # |arg| >= |j|^3/2 beyond the scan, after absorbing base
     tail2 = 2.0 * (math.log(2.0 + c * k_range**3) + 3.0) / (2.0 * c * k_range**2)
     p = 3.0 * rho - 1.0
@@ -754,7 +761,7 @@ def _check_sum_grid(tau_list, n_list, k_range: int) -> None:
                 raise ValueError(f"k_range too small for the tail bound at tau {tau:g}, n {n}")
 
 
-def kernel_sum_scan(tau_list, n_list, rho: float, k_range: int = 10**5) -> KernelSumResult:
+def kernel_sum_scan(tau_list, n_list, rho: float, k_range: int = 10**5, threads: int = 1) -> KernelSumResult:
     """Frequency-sum analogues of the kernel bounds, uniform in tau.
 
     Form 1 sums log(2+|tau+m(n1)+m(n-n1)|)/(1+|.|) over n1 for each
@@ -762,7 +769,10 @@ def kernel_sum_scan(tau_list, n_list, rho: float, k_range: int = 10**5) -> Kerne
     over the output frequency, form 3 with exponent rho > 2/3.  Values
     include an integral tail bound beyond |index| = k_range, so max_value
     upper-bounds the full sums.  k_range and every |n| are capped at
-    _KERNEL_K_MAX.
+    _KERNEL_K_MAX.  Contiguous runs of grid points go to up to `threads`
+    workers (0 = all cores), at most one per point and as many as fit their
+    scratch in _STACK_BYTES_MAX; the rows, in grid order, have the same bits
+    on any thread count.
     """
     if not 2.0 / 3.0 < rho < math.inf:
         raise ValueError(f"rho must be > 2/3 and finite, got {rho}")
@@ -776,18 +786,20 @@ def kernel_sum_scan(tau_list, n_list, rho: float, k_range: int = 10**5) -> Kerne
     _check_sum_grid(tau_list, n_list, k_range)
     # every index below lies in 0 < |i| <= k_range + max |n|
     m = _symbol_table(int(k_range) + n_far)
-    scratch = np.empty(2 * int(k_range) + 1)
-    rows = []
-    for tau in tau_list:
-        tau = float(tau)
-        for n in n_list:
-            n = int(n)
-            v1, t1 = _sum_form1(tau, n, k_range, m, scratch)
-            (v2, t2), (v3, t3) = _sum_forms23(tau, n, k_range, rho, m, scratch)
-            rows.append(KernelSumRow(form=1, tau=tau, n=n, value=v1, tail=t1))
-            rows.append(KernelSumRow(form=2, tau=tau, n=n, value=v2, tail=t2))
-            rows.append(KernelSumRow(form=3, tau=tau, n=n, value=v3, tail=t3))
-    return KernelSumResult(rho=rho, k_range=int(k_range), rows=tuple(rows))
+    points = [(float(tau), int(n)) for tau in tau_list for n in n_list]
+    fit = _STACK_BYTES_MAX // (8 * (2 * k_range + 1 + _SUM_BLOCK))
+    workers = max(1, min(threads if threads > 0 else (os.cpu_count() or 1), len(points), fit))
+    bounds = [len(points) * w // workers for w in range(workers + 1)]
+
+    def run(run_points):
+        work, rows = (np.empty(2 * k_range + 1), np.empty(_SUM_BLOCK)), []
+        for tau, n in run_points:
+            sums = (_sum_form1(tau, n, k_range, m, work), *_sum_forms23(tau, n, k_range, rho, m, work))
+            rows += [KernelSumRow(form=form, tau=tau, n=n, value=v, tail=t) for form, (v, t) in enumerate(sums, 1)]
+        return rows
+
+    runs = _parallel_map(run, [points[lo:hi] for lo, hi in zip(bounds, bounds[1:])], workers)
+    return KernelSumResult(rho=rho, k_range=int(k_range), rows=tuple(row for rows in runs for row in rows))
 
 
 # ---------------------------------------------------------------------------

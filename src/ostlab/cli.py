@@ -18,10 +18,10 @@ finished but its verdict is FAIL (a ``verify-invariance`` z-gate, or a
 
 The default output directory is the environment variable OSTLAB_OUTDIR
 (falling back to the working directory); ``--out`` overrides it.
-Every command accepts ``--threads`` (0 = all cores), and only the row
-blocks of ``verify-invariance`` use it: that command draws its ensemble
-once and integrates it once per time sign, and its results do not depend
-on the thread count.
+Every command accepts ``--threads`` (0 = all cores); the row blocks of
+``verify-invariance`` (which draws its ensemble once and integrates it once
+per time sign) and the frequency sums of ``kernel-scan`` use it, and the
+results of neither depend on the thread count.
 """
 
 from __future__ import annotations
@@ -58,6 +58,7 @@ from .gibbs import (
 )
 from .invariance import OBSERVABLE_NAMES, parse_observables, run_invariance
 from .spectral import (
+    _STACK_BYTES_MAX,
     FourierField,
     _coeff_to_coords,
     _coord_eigenvalues,
@@ -501,6 +502,7 @@ def _cmd_kernel_scan(cfg: RunConfig) -> int:
         cfg["kernel.sum_n_values"],
         rho=cfg["kernel.sum_rho"],
         k_range=cfg["kernel.k_range"],
+        threads=cfg["run.threads"],
     )
     out = _out_dir(cfg)
     _write_csv(
@@ -582,12 +584,6 @@ def _cmd_convergence_m(cfg: RunConfig) -> int:
 
 # the (nodes, m) tables may hold as many cells as the node cap's at the default m = 16
 _PICARD_CELLS_MAX = 16 * _MAX_NODES
-
-# largest array a run may ask for, checked in _resolve: an ensemble with its real coordinates (1 048 576 samples
-# at m = 8, 52 times the benchmark's and 10 times criterion 5's count), verify-invariance's value stack and
-# ETDRK4's complex contour table (524 288 modes); simulate and convergence-m hold no record stack and
-# verify-invariance no state stack, so no cap counts their states
-_STACK_BYTES_MAX = 2**28
 
 # (time key, step key) of each command that steps the flow, whose step count flow._full_steps caps
 _STEPPED = {

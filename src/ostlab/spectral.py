@@ -34,6 +34,12 @@ TWO_PI = 2.0 * math.pi
 # byte budget of the (rows, 4m) float64 samples of one _cubic_g or _hamiltonian call on a block of rows
 _SAMPLE_BLOCK_BYTES = 1 << 20
 
+# largest array a run may ask for, checked in cli._resolve: an ensemble with its real coordinates (1 048 576 samples
+# at m = 8, 52 times the benchmark's and 10 times criterion 5's count), verify-invariance's value stack and ETDRK4's
+# complex contour table (524 288 modes); no cap counts the states of simulate, convergence-m (no record stack) and
+# verify-invariance (no state stack); kernel_sum_scan runs as many workers as fit their scratch arrays in it
+_STACK_BYTES_MAX = 2**28
+
 __all__ = [
     "FourierField",
     "GridSpec",
@@ -133,11 +139,14 @@ def random_smooth_field(grid: GridSpec, rng: np.random.Generator, k0: float = 2.
 # with the factors numpy.fft passes them: the same bytes, without its wrapper.
 
 
-def _to_physical(coeff: np.ndarray, points: int, spec=None, out=None) -> np.ndarray:
-    """Samples on `points` nodes of a (..., m) stack; spec, zero off modes 1..m, and out are fresh if omitted."""
+def _to_physical(coeff: np.ndarray, points: int, spec=None, out=None, scale=None) -> np.ndarray:
+    """Samples on `points` nodes of a (..., m) stack; spec (zero off modes 1..m), out and scale are fresh if omitted.
+
+    scale is `points` as a 0-d complex array: the ufuncs take it faster than the int, with the same bits.
+    """
     lead, m = coeff.shape[:-1], coeff.shape[-1]
     spec = np.zeros(lead + (points // 2 + 1,), np.complex128) if spec is None else spec
-    np.multiply(coeff, points, out=spec[..., 1 : m + 1])
+    np.multiply(coeff, np.array(complex(points)) if scale is None else scale, out=spec[..., 1 : m + 1])
     return _pocketfft.irfft(spec, 1.0 / points, out=np.empty(lead + (points,)) if out is None else out)
 
 
@@ -199,8 +208,9 @@ def _l2(coeff: np.ndarray, length: float) -> np.ndarray:
 
 
 def _cubic_g_work(grid: GridSpec) -> tuple:
-    """(spectrum, samples, cube) buffers of _cubic_g for one row; the spectrum stays 0 off modes 1..m."""
-    return np.zeros(grid.points // 2 + 1, np.complex128), np.empty(grid.points), np.empty(grid.points)
+    """_cubic_g's buffers for one row: spectrum (stays 0 off modes 1..m), samples, cube and _to_physical's scale."""
+    spec, scale = np.zeros(grid.points // 2 + 1, np.complex128), np.array(complex(grid.points))
+    return spec, np.empty(grid.points), np.empty(grid.points), scale
 
 
 def _cubic_g(coeff: np.ndarray, grid: GridSpec, work: tuple | None = None) -> np.ndarray:
@@ -209,8 +219,8 @@ def _cubic_g(coeff: np.ndarray, grid: GridSpec, work: tuple | None = None) -> np
     work, from _cubic_g_work for one row, holds every array the call needs;
     without it they are fresh.  The bits are the same either way.
     """
-    spec, u, cube = (None, None, None) if work is None else work
-    u = _to_physical(coeff, grid.points, spec, out=u)
+    spec, u, cube, scale = (None, None, None, None) if work is None else work
+    u = _to_physical(coeff, grid.points, spec, out=u, scale=scale)
     # (u*u)*u by two multiplies, not u**3 (libm pow, about 30x slower on a sample stack);
     # then np.mean's own sum and division, without its Python wrapper
     cube = np.multiply(u, u, out=cube)

@@ -2,6 +2,7 @@
 bounds, bilinear sweeps, and time localization."""
 
 import math
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -682,26 +683,28 @@ class TestKernelSums:
                 expected.append(float(np.sum(np.log(2.0 + a) / (1.0 + a))))
                 expected.append(float(np.sum(np.log(1.0 + a) / (1.0 + a) ** rho)))
         assert [row.value for row in res.rows] == expected
-        # |n| = k puts an excluded index at an end of the summed slice; no
-        # tau meets both tail checks there, so each form runs on its own
-        m = bourgain._symbol_table(2 * k)
-        for n in (k, -k):
+        # |n| = k puts an excluded index at an end of the summed slice, and
+        # |n| > k outside it; no tau meets both tail checks there, so each
+        # form runs on its own
+        m = bourgain._symbol_table(4 * k)
+        for n in (k, -k, k + 1, -(k + 1), 3 * k):
             n1 = np.arange(-k, k + 1)
             n1 = n1[(n1 != 0) & (n1 != n)]
             a = np.abs(dispersion(n1) + dispersion(n - n1))
-            assert bourgain._sum_form1(0.0, n, k, m, np.empty(2 * k + 1))[0] == float(np.sum(np.log(2.0 + a) / (1.0 + a)))
+            value = bourgain._sum_form1(0.0, n, k, m, (np.empty(2 * k + 1), np.empty(7)))[0]
+            assert value == float(np.sum(np.log(2.0 + a) / (1.0 + a)))
             j = np.arange(-k, k + 1)
             j = j[(j != 0) & (j != -n)]
             tau1 = -float(dispersion(n))
             a = np.abs(tau1 + float(dispersion(n)) - dispersion(j))
-            (v2, _), (v3, _) = bourgain._sum_forms23(tau1, n, k, rho, m, np.empty(2 * k + 1))
+            (v2, _), (v3, _) = bourgain._sum_forms23(tau1, n, k, rho, m, (np.empty(2 * k + 1), np.empty(7)))
             assert v2 == float(np.sum(np.log(2.0 + a) / (1.0 + a)))
             assert v3 == float(np.sum(np.log(1.0 + a) / (1.0 + a) ** rho))
 
     def test_sums_run_in_place(self):
-        # the default 4 x 4 grid at k_range 1e5: the symbol table, one scratch
-        # array and one summed array of 2 k_range + 1 floats, not a temporary
-        # per operation
+        # the default 4 x 4 grid at k_range 1e5: the symbol table, one summed
+        # array of 2 k_range + 1 floats and one block, not a temporary per
+        # operation
         k = 10**5
         tracemalloc.start()
         try:
@@ -710,6 +713,92 @@ class TestKernelSums:
         finally:
             tracemalloc.stop()
         assert peak < 4.5 * (2 * k + 1) * 8
+
+    @pytest.mark.parametrize("k", [2000, 16385, 10**5])
+    def test_rows_are_bit_equal_on_any_thread_count(self, k):
+        # the default grid and one with a single point; each against the
+        # plain expressions with np.delete and np.concatenate/np.insert's table;
+        # at 16385 each sum's last block holds one term (2 k + 1 - 2 = 2**15 + 1)
+        assert bourgain._SUM_BLOCK == 2**15
+        for taus, ns in (([0.0, 5.0, -25.0, 300.0], [1, 2, -3, 7]), ([-25.0], [-3])):
+            expected = [value for tau in taus for n in ns for value in _plain_sums(tau, n, k, 0.7)]
+            for threads in (1, 2, 0):
+                res = kernel_sum_scan(taus, ns, rho=0.7, k_range=k, threads=threads)
+                assert [(r.form, r.tau, r.n) for r in res.rows] == [
+                    (form, tau, n) for tau in taus for n in ns for form in (1, 2, 3)
+                ]
+                assert [r.value for r in res.rows] == expected
+                assert res.rows == kernel_sum_scan(taus, ns, rho=0.7, k_range=k).rows
+
+    def test_more_workers_than_cores_under_fast_switching(self):
+        # 8 workers share the symbol table; each writes only its own scratch and rows
+        taus, ns = [0.0, 5.0, -25.0, 300.0], [1, 2, -3, 7]
+        expected = kernel_sum_scan(taus, ns, rho=0.7, k_range=2000).rows
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                assert kernel_sum_scan(taus, ns, rho=0.7, k_range=2000, threads=8).rows == expected
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_drop_in_place_equals_np_delete(self):
+        # the kept segments move left within the array, with no copy of it
+        k = 10**4
+        values = make_rng(31, 0).standard_normal(2 * k + 1)
+        for excluded in ((), (0,), (0, 0), (0, 7), (0, -7), (0, k), (0, -k), (k, -k), (0, k + 1), (0, -(k + 3)),
+                         (k + 1,), (-k, -k + 1, k)):
+            work = values.copy()
+            tracemalloc.start()
+            try:
+                kept = bourgain._drop(work, k, *excluded)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            expected = np.delete(values, [k + i for i in excluded if abs(i) <= k])
+            assert kept.tobytes() == expected.tobytes()
+            assert np.shares_memory(kept, work) and peak < 4096
+
+    @pytest.mark.parametrize("k_max", [1001, 12345, 100007, 1000007])
+    def test_symbol_table_bytes_equal_concatenate_reference(self, k_max):
+        i = np.concatenate([np.arange(-k_max, 0), np.arange(1, k_max + 1)])
+        expected = np.insert(dispersion(i), k_max, np.nan)
+        assert bourgain._symbol_table(k_max)(0, k_max).tobytes() == expected.tobytes()
+
+    def test_two_workers_hold_one_summed_array_and_one_block_each(self):
+        # the symbol table and, per worker, one array of 2 k_range + 1 floats and one block, plus slack
+        k = 10**5
+        unit = (2 * k + 1) * 8
+        table = (2 * (k + 7) + 1) * 8
+        tracemalloc.start()
+        try:
+            kernel_sum_scan([0.0, 5.0, -25.0, 300.0], [1, 2, -3, 7], rho=0.7, k_range=k, threads=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < table + 2 * (unit + 8 * bourgain._SUM_BLOCK) + 0.25 * unit
+
+    def test_worker_count_fits_the_byte_cap(self, monkeypatch):
+        # the count is read where the scan hands its runs to the workers, which then stops it
+        monkeypatch.setattr(bourgain.os, "cpu_count", lambda: 64)
+
+        class Stop(Exception):
+            pass
+
+        def no_workers(fn, items, threads):
+            calls.append(([len(run) for run in items], threads))
+            raise Stop
+
+        calls = []
+        monkeypatch.setattr(bourgain, "_parallel_map", no_workers)
+        # a summed array of 2e6 + 1 floats and a block per worker: 16 fit in 2**28 bytes
+        assert bourgain._STACK_BYTES_MAX // (8 * (2 * 10**6 + 1 + bourgain._SUM_BLOCK)) == 16
+        taus = [0.0, 5.0, -25.0, 300.0, 1.0, 2.0, 3.0, 4.0]
+        for tau_list, k, threads in ((taus, 10**6, 0), (taus, 10**6, 2), (taus, 10**5, 0), (taus[:1], 10**5, 0),
+                                     (taus, 10**6, 1)):
+            with pytest.raises(Stop):
+                kernel_sum_scan(tau_list, [1, 2, -3, 7], rho=0.7, k_range=k, threads=threads)
+        assert calls == [([2] * 16, 16), ([16] * 2, 2), ([1] * 32, 32), ([1] * 4, 4), ([32], 1)]
 
     def test_frequency_beyond_k_range_raises_value_error(self):
         # n1 = n lies outside -k_range..k_range and nothing is dropped for it;
@@ -730,6 +819,18 @@ class TestKernelSums:
             kernel_sum_scan([0.0], [1], rho=0.75, k_range=bourgain._KERNEL_K_MAX + 1)
         with pytest.raises(ValueError, match=f"at most {bourgain._KERNEL_K_MAX}, got 10000000000000"):
             kernel_sum_scan([0.0], [1, -10**13], rho=0.75, k_range=10)
+
+
+def _plain_sums(tau, n, k, rho):
+    """The three values of a grid point from the plain expressions, np.delete and a concatenated symbol table."""
+    k_max = k + abs(n)
+    i = np.concatenate([np.arange(-k_max, 0), np.arange(1, k_max + 1)])
+    table = np.insert(dispersion(i), k_max, np.nan)
+    m = lambda c: table[k_max + c - k : k_max + c + k + 1]
+    a = np.abs(np.delete(tau + m(0) + m(n)[::-1], [k + i for i in (0, n) if abs(i) <= k]))
+    v1 = float(np.sum(np.log(2.0 + a) / (1.0 + a)))
+    a = np.abs(np.delete((tau + float(table[k_max + n])) - m(0), [k + i for i in (0, -n) if abs(i) <= k]))
+    return v1, float(np.sum(np.log(2.0 + a) / (1.0 + a))), float(np.sum(np.log(1.0 + a) / (1.0 + a) ** rho))
 
 
 def _direct_form1(tau, n, k_range):

@@ -210,6 +210,21 @@ class TestTransformPair:
             assert spectral._from_physical(u, m).tobytes() == expected
             assert spectral._from_physical(u, m, out=forward_buf).tobytes() == expected
 
+    @pytest.mark.parametrize("shape", [(8,), (2048, 8), (64,), (5, 64)])
+    def test_complex_scale_equals_int_scale_bit_for_bit(self, shape):
+        # the 0-d complex `points` scales the spectrum as the Python int does, signed zeros included
+        rng = np.random.default_rng(shape[-1] * len(shape))
+        parts = rng.standard_normal((2,) + shape) * rng.choice([0.0, -0.0, 1.0, 1e-300, 1e300], (2,) + shape)
+        coeff = parts[0] + 1j * parts[1]
+        coeff.imag[..., ::3] = -0.0
+        n = 4 * shape[-1]
+        expected = np.multiply(coeff, n)
+        for scale in (None, np.array(complex(n))):
+            spec = np.zeros(shape[:-1] + (n // 2 + 1,), np.complex128)
+            u = spectral._to_physical(coeff, n, spec, scale=scale)
+            assert spec[..., 1 : shape[-1] + 1].tobytes() == expected.tobytes()
+            assert u.tobytes() == np.fft.irfft(spec, n=n, axis=-1).tobytes()
+
     def test_flow_and_sampler_never_call_numpy_fft(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("np.fft wrapper called")

@@ -28,6 +28,7 @@ def test_layer_bench_measures_one_configuration(monkeypatch, capsys):
     monkeypatch.setattr(bench, "STACK", (64, 8))
     monkeypatch.setattr(bench, "PCN_MODES", (3,))
     monkeypatch.setattr(bench, "PCN_STEPS", 50)
+    monkeypatch.setattr(bench, "KERNEL_K_RANGE", 2000)
     # _measure switches the product kernel through this module constant; restored after the test
     monkeypatch.setattr(flow, "_GEMM_MAX_MODES", flow._GEMM_MAX_MODES)
     bench._measure("pinned")
@@ -35,11 +36,13 @@ def test_layer_bench_measures_one_configuration(monkeypatch, capsys):
     assert [(r["kernel"], r["layer"], r.get("threads")) for r in records] == [
         ("table", "product", None), ("table", "etdrk4_step", None), ("fft", "product", None),
         ("fft", "etdrk4_step", None), ("table", "stack_flow", 1), ("table", "stack_flow", 2),
-        (None, "pcn_step", None), (None, "pcn_step", None),
+        (None, "pcn_step", None), (None, "pcn_step", None), (None, "kernel_sums", 1), (None, "kernel_sums", 2),
     ]
-    assert [r.get("cutoff", "absent") for r in records[-3:]] == ["absent", None, default_cutoff(make_grid(3))]
+    assert [r.get("cutoff", "absent") for r in records[-5:-2]] == ["absent", None, default_cutoff(make_grid(3))]
+    assert [r.get("k_range") for r in records[-3:]] == [None, 2000, 2000]
     for r in records:
-        m, batch, calls = {"stack_flow": (8, 64, 1), "pcn_step": (3, 1, 50)}.get(r["layer"], (8, 20, 200))
+        m, batch, calls = {"stack_flow": (8, 64, 1), "pcn_step": (3, 1, 50), "kernel_sums": (None, 16, 1)}.get(
+            r["layer"], (8, 20, 200))
         assert (r["blas"], r["m"], r["batch"], r["repeats"], r["calls_per_repeat"]) == ("pinned", m, batch, 3, calls)
         assert r["us"] > 0.0 and r["q1_us"] <= r["us"] <= r["q3_us"]
         assert r["nvcsw"] >= 0.0

@@ -87,6 +87,9 @@ RUNS = [
     # the pCN chain with no cutoff, at m = 8 and beta 0.5, with burn-in
     ("gibbs-pcn-burn-in", ["gibbs-sample", "--modes", "8", "--count", "2000", "--sampler", "pcn-mcmc",
                            "--burn-in", "50"]),
+    # the frequency sums at the benchmark's k_range on one worker and on two, which must print equal data digests
+    ("kernel-scan-threads-1", ["kernel-scan", "--k-range", "100000", "--threads", "1"]),
+    ("kernel-scan-threads-2", ["kernel-scan", "--k-range", "100000", "--threads", "2"]),
 ]
 
 

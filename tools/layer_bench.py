@@ -1,4 +1,4 @@
-"""Time the flow's product kernel, one ETDRK4 step, a threaded stack flow and one pCN step, layer by layer.
+"""Time the flow's product kernel, one ETDRK4 step, a threaded stack flow, one pCN step and the kernel sums.
 
 Usage, from the root of a source checkout:
 
@@ -14,13 +14,18 @@ the two kernels meet at every m.  The ``stack_flow`` layer then takes a
 contention for the interpreter lock shows as voluntary context switches.
 The ``pcn_step`` layer times one move of ``gibbs._pcn_moves`` (the step of
 ``pcn_chain``, beta 0.5) at each m of ``PCN_MODES``, without a cutoff and
-with ``gibbs.default_cutoff``.  Each configuration runs in a fresh
-interpreter twice: with OpenBLAS pinned to one thread
-(``OPENBLAS_NUM_THREADS=1``, as perfbench/run.py runs) and unpinned.
+with ``gibbs.default_cutoff``.  The ``kernel_sums`` layer runs
+``bourgain.kernel_sum_scan`` on ``kernel-scan``'s default (tau, n) grid and
+sum rho at ``KERNEL_K_RANGE`` on 1 and 2 worker threads.  Each
+configuration runs in a fresh interpreter twice: with OpenBLAS pinned to
+one thread (``OPENBLAS_NUM_THREADS=1``, as perfbench/run.py runs) and
+unpinned.
 
 Output is JSON lines: first one ``environment`` record, then one record
-per (blas, layer, kernel, m, batch), for ``stack_flow`` also threads and for
-``pcn_step`` (kernel null, batch 1) also cutoff (the radius or null), with
+per (blas, layer, kernel, m, batch), for ``stack_flow`` also threads, for
+``pcn_step`` (kernel null, batch 1) also cutoff (the radius or null) and
+for ``kernel_sums`` (kernel and m null, batch the grid's point count) also
+threads and k_range, with
 the median and quartiles of the per-call time in microseconds and the
 median voluntary context switches per call (``nvcsw``, from
 ``getrusage``) over ``repeats`` timed runs.  Nothing here is a pass/fail
@@ -48,6 +53,7 @@ REPEATS = 7
 STACK = (20_000, 8)
 PCN_MODES = (8, 16, 32)
 PCN_STEPS = 4000
+KERNEL_K_RANGE = 100_000
 
 
 def _time_per_call(fn, number: int) -> dict:
@@ -66,10 +72,10 @@ def _time_per_call(fn, number: int) -> dict:
 
 
 def _measure(blas: str) -> None:
-    """Print one record per (layer, kernel, m, batch), then per stack_flow thread count, in this interpreter."""
+    """Print one record per (layer, kernel, m, batch), stack_flow and kernel_sums thread count, and pcn_step."""
     import numpy as np
 
-    from ostlab import flow, gibbs
+    from ostlab import bourgain, cli, flow, gibbs
 
     rng = np.random.default_rng(0)
     gemm_max_modes = flow._GEMM_MAX_MODES
@@ -104,6 +110,13 @@ def _measure(blas: str) -> None:
             record = {"blas": blas, "layer": "pcn_step", "kernel": None, "m": m, "batch": 1, "cutoff": cutoff}
             record.update(_time_per_call(lambda: next(moves), PCN_STEPS))
             print(json.dumps(record), flush=True)
+    defaults = {key.name: key.default for key in cli._COMMANDS["kernel-scan"][1]}
+    taus, ns, rho = (defaults[f"kernel.sum_{name}"] for name in ("tau_values", "n_values", "rho"))
+    for threads in (1, 2):
+        record = {"blas": blas, "layer": "kernel_sums", "kernel": None, "m": None, "batch": len(taus) * len(ns),
+                  "threads": threads, "k_range": KERNEL_K_RANGE}
+        record.update(_time_per_call(lambda: bourgain.kernel_sum_scan(taus, ns, rho, KERNEL_K_RANGE, threads), 1))
+        print(json.dumps(record), flush=True)
 
 
 def main() -> int:
