@@ -242,11 +242,6 @@ def _resolve(command: str, args: argparse.Namespace) -> RunConfig:
         count, modes = values["gibbs.count"], values["grid.modes"]
         _check_stack(f"gibbs.count = {count} at grid.modes = {modes} is a ({count}, {modes}) complex ensemble and "
                      f"its ({count}, {2 * modes}) float64 coordinates", count * 32 * modes)
-    if command == "verify-invariance":  # run_invariance's value stack, held with the ensemble through the flow
-        walk = 1 + len(values["invariance.t_values"])
-        obs = sum(1 for token in values["invariance.observables"].split(",") if token.strip())
-        _check_stack(f"invariance.t_values ({walk - 1} times, and t = 0) with gibbs.count = {count} and {obs} "
-                     f"observables is a ({walk}, {obs}, {count}) float64 value stack", walk * obs * count * 8)
     if command in _STEPPED:  # before any sample is drawn or Picard iterate taken
         t_key, dt_key = _STEPPED[command]
         for t in np.atleast_1d(values[t_key]):
@@ -262,6 +257,15 @@ def _resolve(command: str, args: argparse.Namespace) -> RunConfig:
             grid = f"grid.modes = {modes}"
         _check_stack(f"{grid} needs a ({modes}, {_CONTOUR_POINTS}) complex ETDRK4 contour table",
                      16 * _CONTOUR_POINTS * modes)
+    if command == "verify-invariance":  # the observables on the resolved grid, and run_invariance's value stack
+        spec = _gibbs_spec(RunConfig(command, values), make_grid(values["grid.modes"], values["grid.length"]))
+        try:
+            obs = len(parse_observables(values["invariance.observables"], spec))
+        except ValueError as exc:
+            raise ConfigError(f"invariance.observables: {exc}") from exc
+        walk = 1 + len(values["invariance.t_values"])
+        _check_stack(f"invariance.t_values ({walk - 1} times, and t = 0) with gibbs.count = {count} and {obs} "
+                     f"observables is a ({walk}, {obs}, {count}) float64 value stack", walk * obs * count * 8)
     if command == "picard":  # the (nodes, m) tables of picard_solve's grid
         nodes = _default_nodes(values["picard.t"])
         if nodes * values["grid.modes"] > _PICARD_CELLS_MAX:
@@ -324,16 +328,8 @@ def _write_json(path: Path, cfg: RunConfig, payload: dict) -> None:
 
 def _write_meta(out: Path, cfg: RunConfig, summary: dict) -> None:
     # the only artifact carrying a timestamp, so data files stay reproducible
-    doc = {
-        "version": __version__,
-        "command": cfg.command,
-        "timestamp": datetime.now(timezone.utc).isoformat(),
-        "config": cfg.echo(),
-        "summary": summary,
-    }
-    path = out / f"{cfg.command}.meta.json"
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {path}")
+    stamp = datetime.now(timezone.utc).isoformat()
+    _write_json(out / f"{cfg.command}.meta.json", cfg, {"timestamp": stamp, "summary": summary})
 
 
 # ---------------------------------------------------------------------------
@@ -535,9 +531,11 @@ def _cmd_picard(cfg: RunConfig) -> int:
     """Picard iteration contraction against the time-stepper endpoint"""
     grid = make_grid(cfg["grid.modes"], cfg["grid.length"])
     phi = _initial_field(cfg, grid)
-    res = picard_solve(phi, cfg["picard.t"], cfg["picard.iters"])
     end = flow_map(phi, cfg["picard.t"], cfg["picard.ref_dt"])
-    endpoint_error = float(_l2(res.final.coeff - end.coeff, grid.length))
+    # iterates that overflow are the divergence this run reports: no warnings, and no field built of them
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = picard_solve(phi, cfg["picard.t"], cfg["picard.iters"])
+        endpoint_error = float(_l2(res.states[-1] - end.coeff, grid.length))
     out = _out_dir(cfg)
     rows = [(i + 1, d) for i, d in enumerate(res.distances)]
     _write_csv(out / "picard.csv", cfg, ["iteration", "distance"], rows)
@@ -632,7 +630,9 @@ _COMMANDS = {
     ]),
     "bilinear-sweep": (_cmd_bilinear_sweep, _COMMON + [
         _Key("bilinear.s_values", "s", _FLOATS, (0.0, -0.5, -0.6), "Sobolev indices"),
-        _Key("bilinear.n_max_values", "nmax", _INTS, (16, 32, 64), "lattice sizes"),
+        # the candidates' second row sits at nu = 1 or 2, which must differ from n_max
+        _Key("bilinear.n_max_values", "nmax", _parse_list(_within(_parse_int, "an integer >= 3", lambda v: v >= 3),
+                                                          "integers"), (16, 32, 64), "lattice sizes"),
         _Key("bilinear.trials", "trials", _NATURAL, 4, "random candidates per structured pair"),
         _Key("bilinear.d_tau", "d-tau", _POSITIVE, 16.0, "modulation grid spacing (shared)"),
         _Key("bilinear.w_cells", "w-cells", _COUNT, 16, "candidate profile width in cells"),

@@ -308,12 +308,6 @@ def _check_state(c: np.ndarray, t: float) -> None:
         raise BlowUpError(t, modes, samples)
 
 
-def _stepper(lam, rhs, h: float):
-    """One ETDRK4 step of size h (either sign) as c -> c'."""
-    tables = _etdrk4_tables(lam, h)
-    return lambda c: _etdrk4_step(c, tables, rhs)
-
-
 # most full steps one time may take: an m=32 state steps at 2.1e4-3.0e4 steps/s
 # (ETDRK4, batch 1, one core of a 2-core Xeon host), so the cap allows about 35-50 s
 _MAX_STEPS = 10**6
@@ -348,7 +342,7 @@ def _tail_step(c, t: float, lam, rhs, dt: float):
     """Take the state after _full_steps(t, dt) steps to time t (no-op when dt divides t)."""
     tail = t - _full_steps(t, dt) * math.copysign(dt, t)
     if abs(tail) > 1e-12 * max(dt, abs(t)):
-        c = _stepper(lam, rhs, tail)(c)
+        c = _etdrk4_step(c, _etdrk4_tables(lam, tail), rhs)
         _check_state(c, t)
     return c
 
@@ -379,11 +373,10 @@ def _walk(rows: np.ndarray, grid: GridSpec, dt: float, times):
         if not wanted:
             continue
         h = sign * dt
-        step = _stepper(lam, rhs, h)
-        c, n = rows, 0
+        tables, c, n = _etdrk4_tables(lam, h), rows, 0
         for target in sorted(wanted):
             while n < target:
-                c, n = step(c), n + 1
+                c, n = _etdrk4_step(c, tables, rhs), n + 1
                 _check_state(c, n * h)
             for j in wanted[target]:
                 yield j, _tail_step(c, times[j], lam, rhs, dt)

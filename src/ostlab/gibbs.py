@@ -221,18 +221,39 @@ def sample_gaussian(spec: GibbsSpec, count: int) -> Ensemble:
     )
 
 
-def _pcn_moves(spec: GibbsSpec, beta: float, rng: np.random.Generator, u=None, g_fn=None):
-    """Successive pCN moves from coefficients u (None: a draw of w, or 0 if that
-    lies outside the cutoff), as (state, accepted, g evaluations so far).
+def pcn_chain(
+    spec: GibbsSpec,
+    count: int,
+    beta: float,
+    burn_in: int = 0,
+    g_fn=None,
+    start: FourierField | None = None,
+    counters: dict | None = None,
+) -> Ensemble:
+    """Length-count pCN chain targeting the (cutoff) Gibbs measure from start
+    (None: a draw of w, or 0 if that lies outside the cutoff; never written).
+
+    Samples carry log_weight = 0: the chain's stationary law is already
+    the reweighted measure, so downstream estimators treat them as
+    unweighted and use batch means for the standard error.  The chain
+    stream is keyed by (seed, 2^63+1), disjoint from the iid sample
+    streams of the same seed.
 
     The chain steps in buffers allocated once: the state and the proposal
-    swap roles on an accept, so a yielded state is valid only until the
-    next move, which may overwrite it.  Copy it to keep it.  u itself is
-    copied in, never written.
+    swap roles on an accept, and each state is written straight into its
+    output row.  g(u) travels with the state, so g runs once on the start
+    and once per proposal inside the cutoff (count + burn_in + 1 times with
+    no cutoff).  A counters dict, if given, receives chain_steps and
+    g_evaluations.
     """
+    if int(count) != count or count < 1:
+        raise ValueError(f"count must be a positive integer, got {count}")
+    if burn_in < 0:
+        raise ValueError(f"burn_in must be >= 0, got {burn_in}")
     if not (0.0 <= beta <= 1.0):
         raise ValueError(f"beta must be in [0, 1], got {beta}")
-    grid, cutoff = spec.grid, spec.cutoff_R
+    count, burn_in = int(count), int(burn_in)
+    grid, cutoff, rng = spec.grid, spec.cutoff_R, _philox(spec.seed, _PCN_STREAM)
     # the weights as 0-d complex arrays: the ufuncs take them faster than Python floats, with the same bits
     keep, beta = np.array(math.sqrt(1.0 - beta**2), np.complex128), np.array(beta, np.complex128)
     root_v = np.sqrt(_coord_eigenvalues(grid))
@@ -253,63 +274,28 @@ def _pcn_moves(spec: GibbsSpec, beta: float, rng: np.random.Generator, u=None, g
             FourierField(grid, coeff)  # raises if a coefficient, not only g, is non-finite
         return value
 
-    if u is None:
+    if start is None:
         draw(state)
         if cutoff is not None and _l2(state, grid.length) > cutoff:
             state[:] = 0.0
     else:
-        state[:] = u
-    g_u, evaluations = g(state), 1
-    while True:
+        state[:] = start.coeff
+    g_u, evaluations, accepted = g(state), 1, 0
+    coeffs = np.empty((count, grid.modes), dtype=np.complex128)
+    for i in range(-burn_in, count):
         # keep * u + beta * d with the same ufuncs and operand order, into the proposal buffer;
         # a non-finite proposal has a NaN L2 norm, so it reaches g, which raises
         np.multiply(state, keep, out=proposal)
         np.multiply(draw(d), beta, out=d)
         np.add(proposal, d, out=proposal)
-        if cutoff is not None and _l2(proposal, grid.length) > cutoff:
-            yield state, False, evaluations
-            continue
-        g_proposal, evaluations = g(proposal), evaluations + 1
-        log_ratio = g_u - g_proposal
-        accepted = bool(log_ratio >= 0.0 or rng.uniform() < math.exp(log_ratio))
-        if accepted:
-            state, proposal, g_u = proposal, state, g_proposal
-        yield state, accepted, evaluations
-
-
-def pcn_chain(
-    spec: GibbsSpec,
-    count: int,
-    beta: float,
-    burn_in: int = 0,
-    g_fn=None,
-    start: FourierField | None = None,
-    counters: dict | None = None,
-) -> Ensemble:
-    """Length-count pCN chain targeting the (cutoff) Gibbs measure.
-
-    Samples carry log_weight = 0: the chain's stationary law is already
-    the reweighted measure, so downstream estimators treat them as
-    unweighted and use batch means for the standard error.  The chain
-    stream is keyed by (seed, 2^63+1), disjoint from the iid sample
-    streams of the same seed.
-
-    g(u) travels with the state, so g runs once on the start and once per
-    proposal inside the cutoff (count + burn_in + 1 times with no cutoff).
-    A counters dict, if given, receives chain_steps and g_evaluations.
-    """
-    if int(count) != count or count < 1:
-        raise ValueError(f"count must be a positive integer, got {count}")
-    if burn_in < 0:
-        raise ValueError(f"burn_in must be >= 0, got {burn_in}")
-    count, burn_in = int(count), int(burn_in)
-    moves = _pcn_moves(spec, beta, _philox(spec.seed, _PCN_STREAM), None if start is None else start.coeff, g_fn)
-    accepted = evaluations = 0
-    coeffs = np.empty((count, spec.grid.modes), dtype=np.complex128)
-    for i, (u, ok, evaluations) in zip(range(-burn_in, count), moves):
-        accepted += ok
+        if cutoff is None or not _l2(proposal, grid.length) > cutoff:
+            g_proposal, evaluations = g(proposal), evaluations + 1
+            log_ratio = g_u - g_proposal
+            if log_ratio >= 0.0 or rng.uniform() < math.exp(log_ratio):
+                state, proposal, g_u = proposal, state, g_proposal
+                accepted += 1
         if i >= 0:
-            coeffs[i] = u
+            coeffs[i] = state
     if counters is not None:
         counters.update(chain_steps=count + burn_in, g_evaluations=evaluations)
     return Ensemble(

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -91,10 +91,7 @@ def cubic_integral() -> Observable:
 
 
 def hamiltonian_observable() -> Observable:
-    def batch(c, grid):
-        return _hamiltonian(c, grid)
-
-    return Observable("hamiltonian", batch)
+    return Observable("hamiltonian", _hamiltonian)
 
 
 def ball_indicator(R: float) -> Observable:
@@ -174,25 +171,10 @@ class InvarianceReport:
 
     def to_json(self) -> dict:
         out = {
-            "meta": {
-                "m": self.m,
-                "t": self.t,
-                "count": self.count,
-                "seed": self.seed,
-                "ess": self.ess,
-            },
-            "results": [
-                {
-                    "name": r.name,
-                    "mean_before": r.mean_before,
-                    "se_before": r.se_before,
-                    "mean_after": r.mean_after,
-                    "se_after": r.se_after,
-                    "z": r.z,
-                    "pass": r.passed,
-                }
-                for r in self.rows
-            ],
+            "meta": {"m": self.m, "t": self.t, "count": self.count, "seed": self.seed, "ess": self.ess},
+            # a row's fields by name, with passed written as "pass"
+            "results": [{"pass" if f.name == "passed" else f.name: getattr(r, f.name) for f in fields(r)}
+                        for r in self.rows],
         }
         if self.note is not None:
             out["note"] = self.note

@@ -228,15 +228,9 @@ def _cubic_g(coeff: np.ndarray, grid: GridSpec, work: tuple | None = None) -> np
     return (grid.length / 3.0) * (np.add.reduce(cube, axis=-1) / grid.points)
 
 
-def _quadratic_energy(coeff: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """(1/2)(Su, u) = (1/2) int u_x^2 + (1/2) int (dx^{-1} u)^2 of each row."""
-    s = energy_eigenvalues(grid)
-    return grid.length * np.sum(s * np.abs(coeff) ** 2, axis=-1)
-
-
 def _hamiltonian(coeff: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """H(u) = (1/2)(Su, u) + g(u) of each row; the quadratic part is nonnegative."""
-    return _quadratic_energy(coeff, grid) + _cubic_g(coeff, grid)
+    """H(u) = (1/2)(Su, u) + g(u) of each row, where (1/2)(Su, u) = (1/2) int u_x^2 + (1/2) int (dx^{-1} u)^2 >= 0."""
+    return grid.length * np.sum(energy_eigenvalues(grid) * np.abs(coeff) ** 2, axis=-1) + _cubic_g(coeff, grid)
 
 
 # ---------------------------------------------------------------------------

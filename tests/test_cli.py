@@ -4,6 +4,7 @@ import json
 import math
 import re
 import time
+import warnings
 
 import pytest
 
@@ -267,6 +268,15 @@ class TestConfigResolution:
             (["convergence-m", "--m", "0,4"], "convergence.m_values"),
             (["gibbs-sample", "--sampler", "pcn-mcmc", "--burn-in", "-1"], "gibbs.burn_in"),
             (["bilinear-sweep", "--d-tau", "0"], "bilinear.d_tau"),
+            # parsed on the resolved grid: an unknown name, an empty list, a mode above grid.modes
+            (["verify-invariance", "--observables", "bogus"], "invariance.observables"),
+            (["verify-invariance", "--observables", ","], "invariance.observables"),
+            (["verify-invariance", "--modes", "2"], "invariance.observables"),
+            # the candidates' second row sits at nu = 1 or 2, below n_max; 16,2 ran n_max 16 first
+            (["bilinear-sweep", "--nmax", "1"], "bilinear.n_max_values"),
+            (["bilinear-sweep", "--nmax", "2"], "bilinear.n_max_values"),
+            (["bilinear-sweep", "--nmax", "16,2"], "bilinear.n_max_values"),
+            (["bilinear-sweep", "--nmax", "0"], "bilinear.n_max_values"),
         ],
     )
     def test_out_of_domain_value_exits_1_naming_key(self, capsys, tmp_path, argv, key):
@@ -641,6 +651,20 @@ class TestAnalysisCommands:
         assert summary["diverged"] is False
         assert (tmp_path / "picard.csv").is_file()
         assert _PICARD_ENDPOINT_TOL == 1e-6
+
+    def test_picard_overflow_is_a_fail_not_an_error(self, capsys, tmp_path):
+        # the iterates overflow to non-finite values; this used to exit 1 with "coeff must be finite"
+        # after numpy RuntimeWarning lines
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc, out, err = run(capsys, "picard", "--norm", "1000", "--out", str(tmp_path))
+        assert rc == 3
+        assert "diverged" in out and "[FAIL]" in out
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert "RuntimeWarning" not in err and "Traceback" not in err
+        assert (tmp_path / "picard.csv").is_file()
+        # here the reference flow blows up too: a numerical failure
+        assert run(capsys, "picard", "--norm", "1e6", "--iters", "20", "--out", str(tmp_path / "ref"))[0] == 2
 
     def test_convergence_m_decreasing(self, capsys, tmp_path):
         code, _, _ = run(

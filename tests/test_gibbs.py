@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from scipy.stats import kstest
 
+import ostlab.gibbs as gibbs
 from ostlab.gibbs import (
     ESS_FLOOR,
     Ensemble,
@@ -19,7 +20,6 @@ from ostlab.gibbs import (
     default_cutoff,
     gaussian_rms_l2,
     gibbs_expectation,
-    _pcn_moves,
     load_ensemble,
     pcn_chain,
     sample_gaussian,
@@ -364,15 +364,15 @@ class TestPcn:
     def test_beta_zero_is_identity(self):
         spec = GibbsSpec(grid=make_grid(4), seed=17)
         u = sample_gaussian(spec, 1).coeffs[0]
-        out, accepted, _ = next(_pcn_moves(spec, 0.0, np.random.default_rng(0), u))
-        assert accepted
-        assert np.array_equal(out, u)
+        chain = pcn_chain(spec, 5, 0.0, start=FourierField(spec.grid, u))
+        assert chain.acceptance_rate == 1.0
+        assert all(np.array_equal(row, u) for row in chain.coeffs)
 
     def test_rejects_bad_beta(self):
         spec = GibbsSpec(grid=make_grid(4))
         u = sample_gaussian(spec, 1).coeffs[0]
         with pytest.raises(ValueError):
-            next(_pcn_moves(spec, 1.5, np.random.default_rng(0), u))
+            pcn_chain(spec, 1, 1.5, start=FourierField(spec.grid, u))
 
     @pytest.mark.parametrize("beta", [1.5, -0.1, math.nan, math.inf])
     def test_chain_rejects_bad_beta(self, beta):
@@ -432,21 +432,6 @@ class TestPcn:
         if cutoff == "small" and beta > 0.0:
             assert evaluations < 600 + burn_in + 1  # the cutoff really rejects
 
-    def test_yielded_state_is_valid_until_the_next_move(self):
-        g = make_grid(8)
-        spec = GibbsSpec(grid=g, seed=89)
-        start = sample_gaussian(spec, 1).coeffs[0]
-        before = start.tobytes()
-        coeffs, rate, _ = fresh_array_pcn_chain(spec, 200, 0.5, start=FourierField(g, start))
-        held = []
-        for i, (state, _, _) in zip(range(200), _pcn_moves(spec, 0.5, _philox(89, 2**63 + 1), start)):
-            assert state.tobytes() == coeffs[i].tobytes()  # read before the next move
-            held.append(state)
-        # the moves step in two buffers: a held state is overwritten by later moves, and the start never is
-        assert len({id(state) for state in held}) == 2
-        assert sum(h.tobytes() != c.tobytes() for h, c in zip(held, coeffs)) > 100
-        assert start.tobytes() == before and 0.0 < rate < 1.0
-
     def test_chain_from_start_state_matches_plain_loop(self):
         g = make_grid(4)
         spec = GibbsSpec(grid=g, seed=67)
@@ -489,19 +474,17 @@ class TestPcn:
         g = make_grid(4)
         spec = GibbsSpec(grid=g, cutoff_R=0.9 * gaussian_rms_l2(g), seed=83)
         u = sample_gaussian(spec, 1).coeffs[0]
-        rng = _philox(5, 2**63 + 1)  # the stream the reference chain of seed 5 draws from
-        ref_spec = dataclasses.replace(spec, seed=5)
-        coeffs, _, walls = reference_pcn_chain(ref_spec, 40, 0.6, start=FourierField(g, u))
-        outcomes = set()
-        for i, (nxt, accepted, _) in zip(range(40), _pcn_moves(spec, 0.6, rng, u)):
-            assert nxt.tobytes() == coeffs[i].tobytes()
-            assert type(accepted) is bool and (nxt is u) == (not accepted)
-            outcomes.add(accepted)
-            u = nxt
-        assert outcomes == {True, False} and walls > 0
+        before = u.tobytes()
+        chain = pcn_chain(spec, 40, 0.6, start=FourierField(g, u))
+        coeffs, rate, walls = reference_pcn_chain(spec, 40, 0.6, start=FourierField(g, u))
+        assert chain.coeffs.tobytes() == coeffs.tobytes() and chain.acceptance_rate == rate
+        # moves that keep the state and moves that take the proposal, each at its own step
+        stays = [np.array_equal(a, b) for a, b in zip(coeffs, coeffs[1:])]
+        assert any(stays) and not all(stays) and 0.0 < rate < 1.0 and walls > 0
+        assert u.tobytes() == before  # the start is copied in, never written
 
     @pytest.mark.parametrize("radius", [None, 1.0])
-    def test_step_rejects_non_finite_proposal(self, radius):
+    def test_step_rejects_non_finite_proposal(self, monkeypatch, radius):
         class InfiniteNormals:
             def standard_normal(self, out):
                 out.fill(np.inf)
@@ -512,8 +495,9 @@ class TestPcn:
 
         spec = GibbsSpec(grid=make_grid(3), cutoff_R=radius)
         u = sample_gaussian(spec, 1).coeffs[0]
+        monkeypatch.setattr(gibbs, "_philox", lambda seed, stream: InfiniteNormals())
         with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="finite"):
-            next(_pcn_moves(spec, 0.5, InfiniteNormals(), u))
+            pcn_chain(spec, 1, 0.5, start=FourierField(spec.grid, u))
 
     def test_gaussian_target_accepts_everything(self):
         spec = GibbsSpec(grid=make_grid(4), seed=19)

@@ -27,7 +27,6 @@ from ostlab.spectral import (
     _from_physical,
     _hamiltonian,
     _l2,
-    _quadratic_energy,
     _to_physical,
     dispersion,
     energy_eigenvalues,
@@ -325,7 +324,8 @@ class TestNormsAndFunctionals:
         f = random_field(g, np.random.default_rng(31))
         derivative, antiderivative = 1j * g.xi * f.coeff, f.coeff / (1j * g.xi)
         expected = 0.5 * (_l2(derivative, g.length) ** 2 + _l2(antiderivative, g.length) ** 2)
-        assert _quadratic_energy(f.coeff, g) == pytest.approx(expected, rel=1e-12)
+        # H's quadratic part, (1/2)(Su, u)
+        assert _hamiltonian(f.coeff, g) - _cubic_g(f.coeff, g) == pytest.approx(expected, rel=1e-12)
 
     def test_cubic_g_sin_vanishes(self):
         g = make_grid(8)
@@ -397,7 +397,8 @@ class TestNormsAndFunctionals:
     def test_hamiltonian_sum(self):
         g = make_grid(7)
         c = random_field(g, np.random.default_rng(41)).coeff
-        assert _hamiltonian(c, g) == pytest.approx(_quadratic_energy(c, g) + _cubic_g(c, g), rel=1e-14)
+        quadratic = g.length * np.sum(energy_eigenvalues(g) * np.abs(c) ** 2)  # (1/2)(Su, u)
+        assert _hamiltonian(c, g) == pytest.approx(quadratic + _cubic_g(c, g), rel=1e-14)
 
 
 class TestCoordinates:

@@ -6,17 +6,20 @@ Usage, from the root of a source checkout:
 
 For m in 8, 16, 32, 64 and batch sizes 1, 20 and 20 000 it times
 ``flow._nonlinear`` (one product plus the -i xi factor) and one ETDRK4 step
-through the same closure, once with the table-GEMM product and once with
+(``flow._etdrk4_step`` on ``flow._etdrk4_tables``) through the same
+right-hand side, once with the table-GEMM product and once with
 the pocketfft product (``flow._GEMM_MAX_MODES`` set past or below m), so
 the two kernels meet at every m.  The ``stack_flow`` layer then takes a
 ``STACK``-shaped stack to t = 0.1 at dt 1e-3 through
 ``flow._advance_times`` on 1 and 2 worker threads, where the workers'
 contention for the interpreter lock shows as voluntary context switches.
-The ``pcn_step`` layer times one move of ``gibbs._pcn_moves`` (the step of
-``pcn_chain``, beta 0.5) at each m of ``PCN_MODES``, without a cutoff and
-with ``gibbs.default_cutoff``.  The ``kernel_sums`` layer runs
-``bourgain.kernel_sum_scan`` on ``kernel-scan``'s default (tau, n) grid and
-sum rho at ``KERNEL_K_RANGE`` on 1 and 2 worker threads.  Each
+The ``pcn_step`` layer times ``gibbs.pcn_chain`` (beta 0.5) per move, over
+chains of ``PCN_STEPS`` moves, at each m of ``PCN_MODES``, without a cutoff
+and with ``gibbs.default_cutoff``; the copy of each state into its output
+row, and the chain's setup spread over its moves, are inside the timed
+loop.  The ``kernel_sums`` layer runs ``bourgain.kernel_sum_scan`` on
+``kernel-scan``'s default (tau, n) grid and sum rho at ``KERNEL_K_RANGE``
+on 1 and 2 worker threads.  Each
 configuration runs in a fresh interpreter twice: with OpenBLAS pinned to
 one thread (``OPENBLAS_NUM_THREADS=1``, as perfbench/run.py runs) and
 unpinned.
@@ -56,19 +59,20 @@ PCN_STEPS = 4000
 KERNEL_K_RANGE = 100_000
 
 
-def _time_per_call(fn, number: int) -> dict:
+def _time_per_call(fn, number: int, per_fn: int = 1) -> dict:
+    """Per-call statistics of number calls of fn, each of which makes per_fn calls of the timed layer."""
     fn()  # workspace and tables are built on the first call
-    runs, switches = [], []
+    runs, switches, calls = [], [], number * per_fn
     for _ in range(REPEATS):
         nvcsw = resource.getrusage(resource.RUSAGE_SELF).ru_nvcsw
         start = time.perf_counter()
         for _ in range(number):
             fn()
-        runs.append((time.perf_counter() - start) / number * 1e6)
-        switches.append((resource.getrusage(resource.RUSAGE_SELF).ru_nvcsw - nvcsw) / number)
+        runs.append((time.perf_counter() - start) / calls * 1e6)
+        switches.append((resource.getrusage(resource.RUSAGE_SELF).ru_nvcsw - nvcsw) / calls)
     q1, median, q3 = statistics.quantiles(runs, n=4)
     return {"us": median, "q1_us": q1, "q3_us": q3, "nvcsw": statistics.median(switches), "repeats": REPEATS,
-            "calls_per_repeat": number}
+            "calls_per_repeat": calls}
 
 
 def _measure(blas: str) -> None:
@@ -88,8 +92,9 @@ def _measure(blas: str) -> None:
             for kernel, cut in (("table", max(MODES)), ("fft", 0)):
                 flow._GEMM_MAX_MODES = cut
                 rhs = flow._nonlinear(grid)
-                step = flow._stepper(lam, rhs, 1e-3)
-                for layer, fn in (("product", lambda: rhs(c)), ("etdrk4_step", lambda: step(c))):
+                tables = flow._etdrk4_tables(lam, 1e-3)
+                for layer, fn in (("product", lambda: rhs(c)),
+                                  ("etdrk4_step", lambda: flow._etdrk4_step(c, tables, rhs))):
                     record = {"blas": blas, "layer": layer, "kernel": kernel, "m": m, "batch": batch}
                     record.update(_time_per_call(fn, max(1, 4000 // batch)))
                     print(json.dumps(record), flush=True)
@@ -106,9 +111,8 @@ def _measure(blas: str) -> None:
         grid = flow.make_grid(m)
         for cutoff in (None, gibbs.default_cutoff(grid)):
             spec = gibbs.GibbsSpec(grid=grid, cutoff_R=cutoff, seed=m)
-            moves = gibbs._pcn_moves(spec, 0.5, gibbs._philox(spec.seed, gibbs._PCN_STREAM))
             record = {"blas": blas, "layer": "pcn_step", "kernel": None, "m": m, "batch": 1, "cutoff": cutoff}
-            record.update(_time_per_call(lambda: next(moves), PCN_STEPS))
+            record.update(_time_per_call(lambda: gibbs.pcn_chain(spec, PCN_STEPS, 0.5), 1, PCN_STEPS))
             print(json.dumps(record), flush=True)
     defaults = {key.name: key.default for key in cli._COMMANDS["kernel-scan"][1]}
     taus, ns, rho = (defaults[f"kernel.sum_{name}"] for name in ("tau_values", "n_values", "rho"))
