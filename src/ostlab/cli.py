@@ -319,10 +319,21 @@ def _write_csv(path: Path, cfg: RunConfig, header, rows) -> None:
     print(f"wrote {path}")
 
 
+def _finite_or_null(value):
+    """value with every non-finite float inside it replaced by None, which strict JSON writes as null."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _finite_or_null(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(v) for v in value]
+    return value
+
+
 def _write_json(path: Path, cfg: RunConfig, payload: dict) -> None:
     doc = {"version": __version__, "command": cfg.command, "config": cfg.echo()}
     doc.update(payload)
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps(_finite_or_null(doc), indent=2, sort_keys=True, allow_nan=False) + "\n")
     print(f"wrote {path}")
 
 

@@ -267,19 +267,35 @@ def _etdrk4_tables(lam: np.ndarray, h: float):
 
 
 def _etdrk4_step(c, tables, rhs):
+    """One ETDRK4 step with the plain expressions' ufuncs, operands and sum order (so their bits).
+
+    Each stage's buffer is reused in place and dropped after its last use:
+    at most five state-sized arrays are alive, and c and the tables are
+    never written.
+    """
     E, E2, Q, f1, f2_twice, f3 = tables
+    # every multiply takes its table first: complex multiply is not bit-commutative on every numpy build
     n1 = rhs(c)
     e2c = E2 * c
-    a = e2c + Q * n1
+    a = np.multiply(Q, n1)
+    np.add(e2c, a, out=a)
     n2 = rhs(a)
-    b = e2c + Q * n2
+    b = np.multiply(Q, n2)
+    np.add(e2c, b, out=b)
+    del e2c
     n3 = rhs(b)
-    d = E2 * a + Q * (2.0 * n3 - n1)
+    # d = E2 a + Q (2 n3 - n1), the bracket in b's buffer and d in a's
+    s = np.multiply(2.0, n3, out=b)
+    np.subtract(s, n1, out=s)
+    np.multiply(Q, s, out=s)
+    d = np.multiply(E2, a, out=a)
+    np.add(d, s, out=d)
+    del s, b
     n4 = rhs(d)
-    # E c + f1 n1 + 2 f2 (n2 + n3) + f3 n4, summed left to right in place
-    out = E * c
-    out += f1 * n1
-    out += f2_twice * np.add(n2, n3, out=n2)
+    # E c + f1 n1 + 2 f2 (n2 + n3) + f3 n4, summed left to right in d's buffer
+    out = np.multiply(E, c, out=d)
+    out += np.multiply(f1, n1, out=n1)
+    out += np.multiply(f2_twice, np.add(n2, n3, out=n2), out=n2)
     out += np.multiply(f3, n4, out=n4)
     return out
 
@@ -589,9 +605,17 @@ def picard_solve(phi: FourierField, T: float, iters: int) -> PicardResult:
     nonlinear = _nonlinear(grid)
 
     def apply_map(states):
-        g = nonlinear(states) / phase              # interaction picture
-        integral = np.cumsum(g, axis=0) * dt - 0.5 * dt * (g[0:1] + g)
-        return free + phase * integral
+        # free + phase * (cumsum(g) dt - dt/2 (g_0 + g)), each stage in place with the plain expression's operands
+        g = nonlinear(states)
+        np.divide(g, phase, out=g)                 # interaction picture
+        g0 = g[0:1].copy()
+        integral = np.cumsum(g, axis=0)
+        np.multiply(integral, dt, out=integral)
+        np.add(g0, g, out=g)
+        np.multiply(0.5 * dt, g, out=g)
+        np.subtract(integral, g, out=integral)
+        np.multiply(phase, integral, out=integral)
+        return np.add(free, integral, out=integral)
 
     u = free
     distances = []

@@ -666,6 +666,16 @@ class TestAnalysisCommands:
         # here the reference flow blows up too: a numerical failure
         assert run(capsys, "picard", "--norm", "1e6", "--iters", "20", "--out", str(tmp_path / "ref"))[0] == 2
 
+    @pytest.mark.parametrize("norm", ["100", "1000"], ids=["infinite", "nan"])
+    def test_picard_non_finite_endpoint_error_is_null(self, capsys, tmp_path, norm):
+        # the sidecar stays strict JSON: no bare Infinity or NaN token
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        rc, _, _ = run(capsys, "picard", "--norm", norm, "--out", str(tmp_path))
+        meta = json.loads((tmp_path / "picard.meta.json").read_text(), parse_constant=reject)
+        assert (rc, meta["summary"]["endpoint_error"]) == (3, None)
+
     def test_convergence_m_decreasing(self, capsys, tmp_path):
         code, _, _ = run(
             capsys,

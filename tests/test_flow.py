@@ -333,6 +333,47 @@ class TestReferenceBits:
         out = _advance_times(c, g, dt, [50 * dt])[0]
         assert out.tobytes() == reference_run(c, g, dt, 50, npts).tobytes()
 
+    # a whole row block of the table product, and the FFT product above _GEMM_MAX_MODES
+    @pytest.mark.parametrize("m, lead", [(8, (_ROW_BLOCK,)), (64, ()), (64, (6,))], ids=["block", "fft", "fft-stack"])
+    def test_ten_steps_match_reference(self, m, lead):
+        g = make_grid(m)
+        c, dt = random_stack(g, np.random.default_rng(83), lead), 1e-2
+        out = _advance_times(c, g, dt, [10 * dt])[0]
+        assert out.tobytes() == reference_run(c, g, dt, 10).tobytes()
+
+
+def step_tables(grid):
+    return _etdrk4_tables(_linear_rates(grid), 1e-3)
+
+
+class TestStepInPlace:
+    # the step reuses its stage buffers in place, never its input's or the tables'
+
+    @pytest.mark.parametrize("lead", [(), (_ROW_BLOCK,)], ids=["single", "block"])
+    def test_input_and_tables_unwritten(self, lead):
+        g = make_grid(8)
+        c, tables = random_stack(g, np.random.default_rng(89), lead), step_tables(g)
+        kept = [c.copy()] + [t.copy() for t in tables]
+        out = _etdrk4_step(c, tables, _nonlinear(g))
+        assert not any(np.shares_memory(out, x) for x in (c, *tables))
+        for before, after in zip(kept, (c, *tables)):
+            assert before.tobytes() == after.tobytes()
+
+    @pytest.mark.parametrize("m", [8, 32])
+    def test_peak_within_seven_states(self, m):
+        # the stage arithmetic's peak above the input, with the right-hand side's workspace built
+        g = make_grid(m)
+        c, tables, rhs = random_stack(g, np.random.default_rng(97), (_ROW_BLOCK,)), step_tables(g), _nonlinear(g)
+        rhs(c)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            _etdrk4_step(c, tables, rhs)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 7 * c.nbytes
+
 
 def full_mask_blow_up(c):
     """(modes, samples) of BlowUpError from the mask of every offending entry."""
@@ -775,6 +816,25 @@ class TestPicard:
         end = flow_map(phi, 0.1, 1e-4)
         diff = _l2(res.final.coeff - end.coeff, g.length)
         assert diff <= 1e-6
+
+    def test_in_place_map_matches_plain_expression(self):
+        # criterion 11's point: states and distances equal those of the map written as one expression
+        g = make_grid(16)
+        phi = random_smooth_field(g, _philox(1011, 0), k0=2.0, norm=0.1)
+        res = picard_solve(phi, 0.1, iters=8)
+        times = np.linspace(0.0, 0.1, flow._default_nodes(0.1))
+        dt = times[1] - times[0]
+        phase = np.exp(np.outer(times, _linear_rates(g)))
+        free = phase * phi.coeff[None, :]
+        nonlinear = _nonlinear(g)
+        u, distances = free, []
+        for _ in range(8):
+            gt = nonlinear(u) / phase
+            u_next = free + phase * (np.cumsum(gt, axis=0) * dt - 0.5 * dt * (gt[0:1] + gt))
+            distances.append(float(np.max(_l2(u_next - u, g.length))))
+            u = u_next
+        assert res.states.tobytes() == u.tobytes()
+        assert res.distances.tobytes() == np.array(distances).tobytes()
 
     def test_divergence_flagged_for_large_data(self):
         g = make_grid(8)

@@ -45,7 +45,10 @@ def test_layer_bench_measures_one_configuration(monkeypatch, capsys):
             r["layer"], (8, 20, 200))
         assert (r["blas"], r["m"], r["batch"], r["repeats"], r["calls_per_repeat"]) == ("pinned", m, batch, 3, calls)
         assert r["us"] > 0.0 and r["q1_us"] <= r["us"] <= r["q3_us"]
-        assert r["nvcsw"] >= 0.0
+        assert r["nvcsw"] >= 0.0 and r["minflt"] >= 0.0
+        # the step and the stack flow also report the traced peak of one call
+        assert ("peak_kib" in r) == (r["layer"] in ("etdrk4_step", "stack_flow"))
+        assert r.get("peak_kib", 1.0) > 0.0
 
 
 def test_artifact_digests_of_one_tiny_run(capsys):

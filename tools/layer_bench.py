@@ -30,9 +30,12 @@ per (blas, layer, kernel, m, batch), for ``stack_flow`` also threads, for
 for ``kernel_sums`` (kernel and m null, batch the grid's point count) also
 threads and k_range, with
 the median and quartiles of the per-call time in microseconds and the
-median voluntary context switches per call (``nvcsw``, from
-``getrusage``) over ``repeats`` timed runs.  Nothing here is a pass/fail
-check; the numbers back the table/FFT cut at ``flow._GEMM_MAX_MODES``.
+median voluntary context switches and minor page faults per call
+(``nvcsw`` and ``minflt``, from ``getrusage``) over ``repeats`` timed
+runs; ``etdrk4_step`` and ``stack_flow`` records also give the
+tracemalloc peak of one untimed call above the level before it
+(``peak_kib``), the working set the step's buffers set.  Nothing here
+is a pass/fail check; the numbers back the table/FFT cut at ``flow._GEMM_MAX_MODES``.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ import statistics
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -59,20 +63,36 @@ PCN_STEPS = 4000
 KERNEL_K_RANGE = 100_000
 
 
-def _time_per_call(fn, number: int, per_fn: int = 1) -> dict:
-    """Per-call statistics of number calls of fn, each of which makes per_fn calls of the timed layer."""
+def _time_per_call(fn, number: int, per_fn: int = 1, traced: bool = False) -> dict:
+    """Per-call statistics of number calls of fn, each of which makes per_fn calls of the timed layer.
+
+    With traced, also the tracemalloc peak of one untimed call above the
+    level before it (``peak_kib``).
+    """
     fn()  # workspace and tables are built on the first call
-    runs, switches, calls = [], [], number * per_fn
+    record = {}
+    if traced:
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            fn()
+            record["peak_kib"] = (tracemalloc.get_traced_memory()[1] - before) / 1024
+        finally:
+            tracemalloc.stop()
+    runs, switches, faults, calls = [], [], [], number * per_fn
     for _ in range(REPEATS):
-        nvcsw = resource.getrusage(resource.RUSAGE_SELF).ru_nvcsw
+        usage = resource.getrusage(resource.RUSAGE_SELF)
         start = time.perf_counter()
         for _ in range(number):
             fn()
         runs.append((time.perf_counter() - start) / calls * 1e6)
-        switches.append((resource.getrusage(resource.RUSAGE_SELF).ru_nvcsw - nvcsw) / calls)
+        after = resource.getrusage(resource.RUSAGE_SELF)
+        switches.append((after.ru_nvcsw - usage.ru_nvcsw) / calls)
+        faults.append((after.ru_minflt - usage.ru_minflt) / calls)
     q1, median, q3 = statistics.quantiles(runs, n=4)
-    return {"us": median, "q1_us": q1, "q3_us": q3, "nvcsw": statistics.median(switches), "repeats": REPEATS,
-            "calls_per_repeat": calls}
+    record.update({"us": median, "q1_us": q1, "q3_us": q3, "nvcsw": statistics.median(switches),
+                   "minflt": statistics.median(faults), "repeats": REPEATS, "calls_per_repeat": calls})
+    return record
 
 
 def _measure(blas: str) -> None:
@@ -96,7 +116,7 @@ def _measure(blas: str) -> None:
                 for layer, fn in (("product", lambda: rhs(c)),
                                   ("etdrk4_step", lambda: flow._etdrk4_step(c, tables, rhs))):
                     record = {"blas": blas, "layer": layer, "kernel": kernel, "m": m, "batch": batch}
-                    record.update(_time_per_call(fn, max(1, 4000 // batch)))
+                    record.update(_time_per_call(fn, max(1, 4000 // batch), traced=layer == "etdrk4_step"))
                     print(json.dumps(record), flush=True)
     flow._GEMM_MAX_MODES = gemm_max_modes
     rows, m = STACK
@@ -105,7 +125,8 @@ def _measure(blas: str) -> None:
     kernel = "table" if m <= gemm_max_modes else "fft"
     for threads in (1, 2):
         record = {"blas": blas, "layer": "stack_flow", "kernel": kernel, "m": m, "batch": rows, "threads": threads}
-        record.update(_time_per_call(lambda: flow._advance_times(c, grid, 1e-3, [0.1], threads=threads), 1))
+        record.update(_time_per_call(lambda: flow._advance_times(c, grid, 1e-3, [0.1], threads=threads), 1,
+                                     traced=True))
         print(json.dumps(record), flush=True)
     for m in PCN_MODES:
         grid = flow.make_grid(m)
