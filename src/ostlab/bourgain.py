@@ -492,9 +492,6 @@ class BilinearSweepRow:
 
 @dataclass(frozen=True)
 class BilinearSweepResult:
-    d_tau: float
-    w_cells: int
-    trials: int
     rows: tuple
 
     def max_ratio(self, s: float, n_max: int) -> float:
@@ -527,25 +524,19 @@ def bilinear_sweep(
     best: dict[tuple, tuple] = {}
     for n_max in n_max_list:
         spec = sweep_spec(n_max, d_tau=d_tau, w_cells=w_cells)
-        labels = []
         for nu in (1, 2):
-            labels.append((f"curve-box nu={nu}", nu, None))
-            for t in range(trials):
-                labels.append((f"curve-random nu={nu} trial={t}", nu, t))
-        for label, nu, t in labels:
-            if t is None:
-                f, g = concentrated_pair(spec, nu, "box", w_cells=w_cells)
-            else:
-                rng = _philox(seed, (n_max << 20) + (nu << 16) + t)
-                f, g = concentrated_pair(spec, nu, "random", rng=rng, w_cells=w_cells)
-            for s, r in zip(s_list, _bilinear_ratios(f, g, s_list)):
-                cur = best.get((s, n_max))
-                if cur is None or r > cur[0]:
-                    best[(s, n_max)] = (r, label)
+            for t in (None, *range(trials)):  # the box pair, then the random ones
+                rng = None if t is None else _philox(seed, (n_max << 20) + (nu << 16) + t)
+                f, g = concentrated_pair(spec, nu, "box" if t is None else "random", rng=rng, w_cells=w_cells)
+                label = f"curve-box nu={nu}" if t is None else f"curve-random nu={nu} trial={t}"
+                for s, r in zip(s_list, _bilinear_ratios(f, g, s_list)):
+                    cur = best.get((s, n_max))
+                    if cur is None or r > cur[0]:
+                        best[(s, n_max)] = (r, label)
     rows = tuple(
         BilinearSweepRow(s=s, n_max=n, max_ratio=v[0], candidate=v[1]) for (s, n), v in sorted(best.items())
     )
-    return BilinearSweepResult(d_tau=d_tau, w_cells=w_cells, trials=trials, rows=rows)
+    return BilinearSweepResult(rows=rows)
 
 
 # ---------------------------------------------------------------------------
@@ -619,8 +610,6 @@ class KernelIntegralRow:
 
 @dataclass(frozen=True)
 class KernelIntegralResult:
-    rho: float
-    eps: float
     rows: tuple
 
     @property
@@ -651,7 +640,7 @@ def kernel_integral_scan(alpha_list, rho: float, eps: float = 0.5) -> KernelInte
         for form in (1, 2, 3)
         for alpha in alpha_list
     )
-    return KernelIntegralResult(rho=rho, eps=eps, rows=rows)
+    return KernelIntegralResult(rows=rows)
 
 
 @dataclass(frozen=True)
@@ -665,8 +654,6 @@ class KernelSumRow:
 
 @dataclass(frozen=True)
 class KernelSumResult:
-    rho: float
-    k_range: int
     rows: tuple
 
     @property
@@ -799,7 +786,7 @@ def kernel_sum_scan(tau_list, n_list, rho: float, k_range: int = 10**5, threads:
         return rows
 
     runs = _parallel_map(run, [points[lo:hi] for lo, hi in zip(bounds, bounds[1:])], workers)
-    return KernelSumResult(rho=rho, k_range=int(k_range), rows=tuple(row for rows in runs for row in rows))
+    return KernelSumResult(rows=tuple(row for rows in runs for row in rows))
 
 
 # ---------------------------------------------------------------------------
@@ -841,13 +828,18 @@ def localize(u: LatticeField, T: float) -> LatticeField:
     return LatticeField(spec, windows=windows)
 
 
-def localization_ratio(u: LatticeField, b: float, T: float) -> float:
-    """|psi_T u|_{X^{0,b}} / |psi_T u|_{X^{0,1/2}} for the windowed field."""
+def _localization_ratios(u: LatticeField, b_list, T: float) -> list:
+    """|psi_T u|_{X^{0,b}} / |psi_T u|_{X^{0,1/2}} for each b in b_list, from one windowed field."""
     w = localize(u, T)
     den = xsb_norm(w, 0.0, 0.5)
     if den == 0.0:
         raise ValueError("localized field is zero")
-    return xsb_norm(w, 0.0, b) / den
+    return [xsb_norm(w, 0.0, b) / den for b in b_list]
+
+
+def localization_ratio(u: LatticeField, b: float, T: float) -> float:
+    """|psi_T u|_{X^{0,b}} / |psi_T u|_{X^{0,1/2}} for the windowed field."""
+    return _localization_ratios(u, [b], T)[0]
 
 
 def localization_demo_field(n_max: int = 4, margin: float = 1200.0) -> LatticeField:
@@ -865,9 +857,7 @@ def localization_demo_field(n_max: int = 4, margin: float = 1200.0) -> LatticeFi
 
 @dataclass(frozen=True)
 class TimeLocalizationResult:
-    b_values: tuple
-    T_values: tuple
-    ratios: np.ndarray  # shape (len(b_values), len(T_values))
+    ratios: np.ndarray  # shape (len(b_list), 6): row i at b_list[i], column j at T = 2^-(j+1)
     slopes: tuple  # fitted d log(ratio) / d log(T) per b
 
     def __post_init__(self):
@@ -879,24 +869,16 @@ def time_localization_scan(u: LatticeField, b_list) -> TimeLocalizationResult:
 
     For a field windowed to [-T, T] the X^{0,b} norm loses T^{1/2-b}
     against X^{0,1/2}; the scan fits the slope over T = 2^-1..2^-6 by
-    least squares.  b = 1/2 gives ratio identically 1 (slope 0).
+    least squares.  b = 1/2 gives ratio identically 1 (slope 0).  The
+    field is windowed once per T, and every b's ratio read from it.
     """
     b_list = [float(b) for b in b_list]
     if any(not (0.0 < b <= 0.5) for b in b_list):
         raise ValueError("each b must satisfy 0 < b <= 1/2")
     T_list = [2.0**-k for k in range(1, 7)]
     ratios = np.empty((len(b_list), len(T_list)))
-    for i, b in enumerate(b_list):
-        for j, T in enumerate(T_list):
-            ratios[i, j] = localization_ratio(u, b, T)
+    for j, T in enumerate(T_list):
+        ratios[:, j] = _localization_ratios(u, b_list, T)
     log_t = np.log(T_list)
-    slopes = []
-    for i in range(len(b_list)):
-        slope = np.polyfit(log_t, np.log(ratios[i]), 1)[0]
-        slopes.append(float(slope))
-    return TimeLocalizationResult(
-        b_values=tuple(b_list),
-        T_values=tuple(T_list),
-        ratios=ratios,
-        slopes=tuple(slopes),
-    )
+    slopes = tuple(float(np.polyfit(log_t, np.log(row), 1)[0]) for row in ratios)
+    return TimeLocalizationResult(ratios=ratios, slopes=slopes)

@@ -34,7 +34,7 @@ import os
 import re
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -42,14 +42,15 @@ import numpy as np
 
 from . import __version__
 from .bourgain import (
-    _KERNEL_EPS_MAX, _KERNEL_K_MAX, _RESONANCE_N_MAX, _check_sum_grid, bilinear_sweep, kernel_integral_scan,
-    kernel_sum_scan, resonance_scan, sweep_spec,
+    _KERNEL_EPS_MAX, _KERNEL_K_MAX, _RESONANCE_N_MAX, BilinearSweepRow, KernelIntegralRow, KernelSumRow,
+    _check_sum_grid, bilinear_sweep, kernel_integral_scan, kernel_sum_scan, resonance_scan, sweep_spec,
 )
 from .flow import (
     _CONTOUR_POINTS, _MAX_NODES, _PICARD_ENDPOINT_TOL, _PICARD_T_MAX, BlowUpError, _default_nodes,
     _full_steps, _linear_rates, convergence_in_m, evolve, flow_map, picard_solve,
 )
 from .gibbs import (
+    ESS_FLOOR,
     DegenerateWeightsError,
     GibbsSpec,
     pcn_chain,
@@ -79,18 +80,17 @@ class ConfigError(Exception):
 # typed configuration keys
 
 
-def _parse_int(text: str) -> int:
-    try:
-        return int(text)
-    except ValueError as exc:
-        raise ConfigError(f"expected an integer, got {text!r}") from exc
+def _parser(kind, expected: str):
+    def parse(text: str):
+        try:
+            return kind(text)
+        except ValueError as exc:
+            raise ConfigError(f"expected {expected}, got {text!r}") from exc
+
+    return parse
 
 
-def _parse_float(text: str) -> float:
-    try:
-        return float(text)
-    except ValueError as exc:
-        raise ConfigError(f"expected a number, got {text!r}") from exc
+_parse_int, _parse_float = _parser(int, "an integer"), _parser(float, "a number")
 
 
 def _within(parse, expected: str, inside):
@@ -180,7 +180,9 @@ _INIT = [
 ]
 
 _GIBBS = [
-    _Key("gibbs.count", "count", _COUNT, 1000, "number of samples"),
+    # an ensemble's effective sample size is at most its count, so a smaller count is certain to fail
+    _Key("gibbs.count", "count", _within(_parse_int, f"an integer >= {ESS_FLOOR:g}", lambda v: v >= ESS_FLOOR), 1000,
+         "number of samples"),
     _Key("gibbs.seed", "seed", _SEED, 0, "master seed for sample streams"),
     _Key("gibbs.cutoff_r", "cutoff", _NONNEGATIVE, 0.0, "L2 cutoff radius R (0 = no cutoff)"),
 ]
@@ -303,18 +305,14 @@ def _out_dir(cfg: RunConfig) -> Path:
 # artifact writers
 
 
-def _config_comment_lines(cfg: RunConfig):
-    yield f"# version = {__version__}"
-    yield f"# command = {cfg.command}"
-    for name, value in cfg.echo().items():
-        yield f"# {name} = {value}"
-
-
 def _write_csv(path: Path, cfg: RunConfig, header, rows) -> None:
-    lines = list(_config_comment_lines(cfg))
+    """The configuration as "# " lines, then header and rows; header may be a row dataclass, rows its instances."""
+    if isinstance(header, type):
+        header, rows = [f.name for f in fields(header)], map(astuple, rows)
+    lines = [f"# version = {__version__}", f"# command = {cfg.command}"]
+    lines += [f"# {name} = {value}" for name, value in cfg.echo().items()]
     lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_fmt(v) if not isinstance(v, str) else v for v in row))
+    lines += [",".join(map(_fmt, row)) for row in rows]
     path.write_text("\n".join(lines) + "\n")
     print(f"wrote {path}")
 
@@ -481,20 +479,18 @@ def _cmd_resonance_scan(cfg: RunConfig) -> int:
 def _cmd_bilinear_sweep(cfg: RunConfig) -> int:
     """adversarial bilinear-estimate ratios across lattice sizes"""
     s_values = cfg["bilinear.s_values"]
-    trials, d_tau = cfg["bilinear.trials"], cfg["bilinear.d_tau"]
-    w_cells, seed = cfg["bilinear.w_cells"], cfg["bilinear.seed"]
-    result = bilinear_sweep(s_values, cfg["bilinear.n_max_values"], trials, d_tau=d_tau, w_cells=w_cells, seed=seed)
-    rows = [(r.s, r.n_max, r.max_ratio, r.candidate) for r in result.rows]
+    rows = bilinear_sweep(s_values, cfg["bilinear.n_max_values"], cfg["bilinear.trials"], d_tau=cfg["bilinear.d_tau"],
+                          w_cells=cfg["bilinear.w_cells"], seed=cfg["bilinear.seed"]).rows
     out = _out_dir(cfg)
-    _write_csv(out / "bilinear_sweep.csv", cfg, ["s", "n_max", "max_ratio", "candidate"], rows)
+    _write_csv(out / "bilinear_sweep.csv", cfg, BilinearSweepRow, rows)
     # least-squares d log(max_ratio) / d log(n_max) per s: about -1 at s = 0, 0 at s = -1/2
     slopes = {}
     for s in s_values:
-        log_n, log_r = np.log([(r[1], r[2]) for r in rows if r[0] == s]).T
+        log_n, log_r = np.log([(r.n_max, r.max_ratio) for r in rows if r.s == s]).T
         slopes[_fmt(s)] = float(np.polyfit(log_n, log_r, 1)[0]) if len(set(log_n)) > 1 else None
     _write_meta(out, cfg, {"rows": len(rows), "log_log_slope": slopes})
     for s in s_values:
-        ratios = [r[2] for r in rows if r[0] == s]
+        ratios = [r.max_ratio for r in rows if r.s == s]
         print(f"s = {s}: max ratios {', '.join(f'{v:.6f}' for v in ratios)}")
     return 0
 
@@ -512,18 +508,8 @@ def _cmd_kernel_scan(cfg: RunConfig) -> int:
         threads=cfg["run.threads"],
     )
     out = _out_dir(cfg)
-    _write_csv(
-        out / "kernel_integrals.csv",
-        cfg,
-        ["form", "alpha", "integral", "bound", "ratio"],
-        [(r.form, r.alpha, r.integral, r.bound, r.ratio) for r in integrals.rows],
-    )
-    _write_csv(
-        out / "kernel_sums.csv",
-        cfg,
-        ["form", "tau", "n", "value", "tail"],
-        [(r.form, r.tau, r.n, r.value, r.tail) for r in sums.rows],
-    )
+    _write_csv(out / "kernel_integrals.csv", cfg, KernelIntegralRow, integrals.rows)
+    _write_csv(out / "kernel_sums.csv", cfg, KernelSumRow, sums.rows)
     constant = max(integrals.max_ratio, sums.max_value)
     _write_meta(
         out,

@@ -357,7 +357,8 @@ def gibbs_expectation(ens: Ensemble, values) -> GibbsEstimate:
     accumulation, so the estimate is invariant under sample permutation.
 
     MCMC ensembles: unweighted mean with batch-means standard error
-    (sqrt(n) batches), since successive states are correlated.
+    (sqrt(n) batches), since successive states are correlated; NaN for
+    a one-state chain.
     """
     if len(ens) == 0:
         raise ValueError("ensemble is empty")
@@ -372,8 +373,8 @@ def gibbs_expectation(ens: Ensemble, values) -> GibbsEstimate:
         if size >= 1:
             bm = values[: n_batches * size].reshape(n_batches, size).mean(axis=1)
             se = float(np.std(bm, ddof=1) / math.sqrt(n_batches))
-        else:
-            se = float(np.std(values, ddof=1) / math.sqrt(n))
+        else:  # n = 1
+            se = math.nan
         return GibbsEstimate(mean=mean, std_error=se, ess=float(n), degenerate=n < ESS_FLOOR)
 
     w, total, ess = ens._weights

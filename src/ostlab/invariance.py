@@ -26,7 +26,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .flow import _advance_times
+from .flow import _advance_times, _full_steps
 from .gibbs import (
     DegenerateWeightsError,
     ESS_FLOOR,
@@ -206,22 +206,21 @@ def run_invariance(
     observable on their block into one value stack, the values before the
     flow from a t = 0 entry of the walk.  Weights are those of the initial
     ensemble throughout (pushforward semantics).  Raises ValueError before
-    the draw for a dt that is not positive and finite, DegenerateWeightsError
+    the draw for a dt that is not positive and finite or a time that is not
+    finite or takes more steps than the flow's cap, DegenerateWeightsError
     before any step when the effective sample size is below the floor, and
     propagates blow-ups (with the offending samples).
     """
     times = [float(t) for t in times]
     obs = list(obs)
-    if not (math.isfinite(dt) and dt > 0.0):
-        raise ValueError(f"dt must be positive and finite, got {dt}")
-    if int(count) != count or count < 1:
-        raise ValueError(f"count must be a positive integer, got {count}")
     if not obs:
         raise ValueError("need at least one observable")
-    if not times or not all(map(math.isfinite, times)):
+    if not times:
         raise ValueError(f"times must be a nonempty list of finite numbers, got {times}")
+    for t in times:
+        _full_steps(t, dt)
     grid = spec.grid
-    ens = sample_gaussian(spec, int(count))
+    ens = sample_gaussian(spec, count)
     ess = ens._weights[2]
     if ess < ESS_FLOOR:
         raise DegenerateWeightsError(f"effective sample size {ess:.2f} below {ESS_FLOOR}; "

@@ -582,6 +582,27 @@ class TestBilinearSweep:
         assert len(calls) == 10
         assert len(res.rows) == 3
 
+    def test_zero_trials_sweeps_box_pairs_only(self, monkeypatch):
+        calls = []
+        ratios = bourgain._bilinear_ratios
+
+        def counted(f, g, s_values):
+            calls.append(1)
+            return ratios(f, g, s_values)
+
+        monkeypatch.setattr(bourgain, "_bilinear_ratios", counted)
+        s_list = [0.0, -0.5, -0.6]
+        res = bilinear_sweep(s_list, [8, 16], trials=0)
+        # one box pair per nu and n_max, and no random one
+        assert len(calls) == 4
+        assert {row.candidate for row in res.rows} == {"curve-box nu=1", "curve-box nu=2"}
+        for n in (8, 16):
+            nu1, nu2 = (ratios(*concentrated_pair(sweep_spec(n), nu), s_list) for nu in (1, 2))
+            for s, r1, r2 in zip(s_list, nu1, nu2):
+                # a later candidate replaces the best only when strictly larger
+                (row,) = [row for row in res.rows if (row.s, row.n_max) == (s, n)]
+                assert (row.max_ratio, row.candidate) == (max(r1, r2), f"curve-box nu={1 if r1 >= r2 else 2}")
+
 
 # ---------------------------------------------------------------------------
 # kernel bounds
@@ -899,6 +920,23 @@ class TestTimeLocalization:
     def test_order_one_at_unit_window(self):
         u = localization_demo_field()
         assert 0.1 < localization_ratio(u, 0.25, 1.0) < 10.0
+
+    def test_scan_localizes_once_per_window(self, monkeypatch):
+        u = localization_demo_field(n_max=2, margin=200.0)
+        b_list = [0.1, 0.25, 0.5]
+        expected = [[localization_ratio(u, b, 2.0**-k) for k in range(1, 7)] for b in b_list]
+        calls = []
+
+        def counted(field, T):
+            calls.append(T)
+            return localize(field, T)
+
+        monkeypatch.setattr(bourgain, "localize", counted)
+        res = time_localization_scan(u, b_list)
+        # one windowed field per T, shared by every b
+        assert calls == [2.0**-k for k in range(1, 7)]
+        assert res.ratios.shape == (3, 6)
+        assert res.ratios.tolist() == expected
 
     def test_validation(self):
         u = localization_demo_field(n_max=2, margin=200.0)

@@ -194,6 +194,8 @@ class TestConfigResolution:
             ["gibbs-sample", "--count", "0"],
             ["verify-invariance", "--count", "0"],
             ["verify-invariance", "--count", "-2"],
+            ["verify-invariance", "--count", "1"],
+            ["verify-invariance", "--count", "9"],
         ],
     )
     def test_count_below_minimum_names_key(self, capsys, tmp_path, argv):
@@ -355,17 +357,21 @@ class TestConfigResolution:
         assert "gibbs.count" in err
 
     def test_count_domain_checked_by_its_key(self, capsys, tmp_path):
-        # gibbs-sample's count key admits two samples at least, verify-invariance's one, each
-        # rejected by its parser, so a config file's error names its line
+        # gibbs-sample's count key admits two samples at least, verify-invariance's ESS_FLOOR (an
+        # ensemble's effective sample size is at most its count), each rejected by its parser, so a
+        # config file's error names its line
         cfg = tmp_path / "run.cfg"
         cfg.write_text("# ensemble\ngibbs.count = 1\n")
         out = str(tmp_path / "out")
         code, _, err = run(capsys, "gibbs-sample", "--config", str(cfg), "--out", out)
         assert (code, err.strip()) == (1, f"error: {cfg}:2: key 'gibbs.count': expected an integer >= 2, got 1")
-        code, _, err = run(capsys, "verify-invariance", "--config", str(cfg), "--count", "0", "--out", out)
-        assert (code, err.strip()) == (1, "error: --count (gibbs.count): expected an integer >= 1, got 0")
+        code, _, err = run(capsys, "verify-invariance", "--config", str(cfg), "--out", out)
+        assert (code, err.strip()) == (1, f"error: {cfg}:2: key 'gibbs.count': expected an integer >= 10, got 1")
+        code, _, err = run(capsys, "verify-invariance", "--count", "9", "--out", out)
+        assert (code, err.strip()) == (1, "error: --count (gibbs.count): expected an integer >= 10, got 9")
+        cfg.write_text("gibbs.count = 10\n")
         args = _build_parser().parse_args(["verify-invariance", "--config", str(cfg)])
-        assert _resolve("verify-invariance", args)["gibbs.count"] == 1
+        assert _resolve("verify-invariance", args)["gibbs.count"] == 10
         assert not (tmp_path / "out").exists()
 
 
@@ -913,8 +919,9 @@ class TestStepCap:
             (["convergence-m", "--m", "8,1000000", "--t", "0.001"],
              "convergence.m_values = 8,1000000 (a reference of 2000000 modes) needs a (2000000, 32) complex ETDRK4 "
              "contour table of 1024000000 bytes"),
-            (["verify-invariance", "--modes", "1000000", "--count", "1"],
-             "grid.modes = 1000000 needs a (1000000, 32) complex ETDRK4 contour table of 512000000 bytes"),
+            # verify-invariance's fewest samples, on a grid whose ensemble fits the cap and whose contour table does not
+            (["verify-invariance", "--modes", "800000", "--count", "10"],
+             "grid.modes = 800000 needs a (800000, 32) complex ETDRK4 contour table of 409600000 bytes"),
             (["picard", "--modes", "1000000"],
              "grid.modes = 1000000 needs a (1000000, 32) complex ETDRK4 contour table of 512000000 bytes"),
         ],

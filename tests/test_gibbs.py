@@ -6,6 +6,7 @@ import json
 import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -665,6 +666,17 @@ class TestGibbsExpectation:
         values = {"short": np.ones(19), "column": np.ones((20, 1)), "scalar": 1.0}[shape]
         with pytest.raises(ValueError, match=r"values must have shape \(20,\)"):
             gibbs_expectation(ens, values)
+
+    def test_one_state_chain_has_nan_error_without_warnings(self):
+        spec = GibbsSpec(grid=make_grid(4), seed=37)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = gibbs_expectation(pcn_chain(spec, 1, beta=0.3), np.array([2.5]))
+            assert (est.mean, est.ess, est.degenerate) == (2.5, 1.0, True)
+            assert math.isnan(est.std_error)
+            # two states are two batches of one
+            two = gibbs_expectation(pcn_chain(spec, 2, beta=0.3), np.array([1.0, 4.0]))
+        assert two.std_error == float(np.std([1.0, 4.0], ddof=1) / math.sqrt(2))
 
     def test_mcmc_batch_means_error(self):
         spec = GibbsSpec(grid=make_grid(4), seed=37)

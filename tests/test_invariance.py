@@ -199,6 +199,16 @@ class TestRunInvariance:
             with pytest.raises(ValueError, match="dt must be positive and finite"):
                 run_invariance(spec, dt, [0.1], [l2_squared()], 10)
 
+    def test_rejects_time_past_the_step_cap_before_drawing(self, monkeypatch):
+        def draw(*args):
+            raise AssertionError("an ensemble was drawn for a time past the step cap")
+
+        monkeypatch.setattr(invariance, "sample_gaussian", draw)
+        spec = GibbsSpec(grid=make_grid(4), seed=1)
+        for times in ([2000.0], [0.1, -2000.0], [math.inf], [0.1, math.nan]):
+            with pytest.raises(ValueError, match="above the cap of 1000000"):
+                run_invariance(spec, 1e-3, times, [l2_squared()], 50)
+
     def test_json_schema(self):
         g = make_grid(4)
         spec = GibbsSpec(grid=g, cutoff_R=default_cutoff(g), seed=113)

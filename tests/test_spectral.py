@@ -137,7 +137,7 @@ def _records():
         (ConvergenceStudy(m_values=(1,), errors=(0.1,), reference_modes=2), {}),
         (ResonanceScan(n_max=2, minimum=hit, slice_minimum=hit, hist_counts=[1], hist_edges=[1.0, 2.0]),
          {"hist_counts": int, "hist_edges": float}),
-        (TimeLocalizationResult(b_values=(0.25,), T_values=(0.5,), ratios=[[1.0]], slopes=(0.0,)),
+        (TimeLocalizationResult(ratios=[[1.0]], slopes=(0.0,)),
          {"ratios": float}),
         (Ensemble(spec=GibbsSpec(grid=g), sampler="iid-importance", master_seed=0, coeffs=[[1.0]],
                   log_weights=[0], in_support=[1]),

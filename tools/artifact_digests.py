@@ -90,6 +90,8 @@ RUNS = [
     # the frequency sums at the benchmark's k_range on one worker and on two, which must print equal data digests
     ("kernel-scan-threads-1", ["kernel-scan", "--k-range", "100000", "--threads", "1"]),
     ("kernel-scan-threads-2", ["kernel-scan", "--k-range", "100000", "--threads", "2"]),
+    # no random trials: the box pair alone per nu and n_max
+    ("bilinear-sweep-no-trials", ["bilinear-sweep", "--s", "0,-0.5", "--nmax", "4,8", "--trials", "0"]),
 ]
 
 
