@@ -3,8 +3,9 @@
 Configuration is a flat ``key = value`` text file (``#`` comments allowed)
 plus command-line flags; flags override the file, the file overrides
 defaults.  Each subcommand accepts only its own documented keys.  A key's
-parser also checks its domain, so an unknown key or bad value is rejected
-naming the flag or the file line that set it.  Outputs are CSV/JSON
+parser also checks its domain, and runs only on the text that wins, so an
+unknown key or bad value is rejected naming the flag or the file line that
+set it, and a flag replaces a bad file value.  Outputs are CSV/JSON
 artifacts that embed the fully resolved configuration and the package
 version; the wall-clock timestamp lives only in the sidecar
 ``<command>.meta.json`` so repeated runs with the same configuration are
@@ -152,10 +153,6 @@ class _Key:
     default: object
     help: str
 
-    @property
-    def dest(self) -> str:
-        return self.name.replace(".", "__")
-
 
 _COMMON = [
     _Key("output.dir", "out", str, "", "output directory ('' = $OSTLAB_OUTDIR or '.')"),
@@ -192,12 +189,17 @@ _GIBBS = [
 # config resolution
 
 
-def _parse_config_file(path: str, keys: dict) -> dict:
+def _config_texts(path: str, keys: dict) -> dict:
+    """name -> (text, where it was set) of each key a config file sets; a key's last line wins."""
     p = Path(path)
     if not p.is_file():
         raise ConfigError(f"config file not found: {path}")
+    try:
+        lines = p.read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: byte {exc.start} is not UTF-8 ({exc.reason})") from exc
     out = {}
-    for lineno, raw in enumerate(p.read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -206,10 +208,7 @@ def _parse_config_file(path: str, keys: dict) -> dict:
         name, text = (part.strip() for part in line.split("=", 1))
         if name not in keys:
             raise ConfigError(f"{path}:{lineno}: unknown key '{name}'")
-        try:
-            out[name] = keys[name].parse(text)
-        except ConfigError as exc:
-            raise ConfigError(f"{path}:{lineno}: key '{name}': {exc}") from exc
+        out[name] = (text, f"{path}:{lineno}: key '{name}'")
     return out
 
 
@@ -230,16 +229,16 @@ class RunConfig:
 
 def _resolve(command: str, args: argparse.Namespace) -> RunConfig:
     keys = {k.name: k for k in _COMMANDS[command][1]}
+    texts = _config_texts(args.config, keys) if args.config is not None else {}
+    for k in keys.values():  # a flag's text replaces the file's before either is parsed
+        if (text := getattr(args, k.name)) is not None:
+            texts[k.name] = (text, f"--{k.flag} ({k.name})")
     values = {k.name: k.default for k in keys.values()}
-    if args.config is not None:
-        values.update(_parse_config_file(args.config, keys))
-    for k in keys.values():
-        text = getattr(args, k.dest, None)
-        if text is not None:
-            try:
-                values[k.name] = k.parse(text)
-            except ConfigError as exc:
-                raise ConfigError(f"--{k.flag} ({k.name}): {exc}") from exc
+    for name, (text, where) in texts.items():
+        try:
+            values[name] = keys[name].parse(text)
+        except ConfigError as exc:
+            raise ConfigError(f"{where}: {exc}") from exc
     if "gibbs.count" in values:  # the ensemble and gibbs-sample's real coordinates of it
         count, modes = values["gibbs.count"], values["grid.modes"]
         _check_stack(f"gibbs.count = {count} at grid.modes = {modes} is a ({count}, {modes}) complex ensemble and "
@@ -260,7 +259,7 @@ def _resolve(command: str, args: argparse.Namespace) -> RunConfig:
         _check_stack(f"{grid} needs a ({modes}, {_CONTOUR_POINTS}) complex ETDRK4 contour table",
                      16 * _CONTOUR_POINTS * modes)
     if command == "verify-invariance":  # the observables on the resolved grid, and run_invariance's value stack
-        spec = _gibbs_spec(RunConfig(command, values), make_grid(values["grid.modes"], values["grid.length"]))
+        spec = _gibbs_spec(values, make_grid(values["grid.modes"], values["grid.length"]))
         try:
             obs = len(parse_observables(values["invariance.observables"], spec))
         except ValueError as exc:
@@ -363,7 +362,8 @@ def _initial_field(cfg: RunConfig, grid):
     return random_smooth_field(grid, rng, k0=cfg["init.k0"], norm=cfg["init.norm"])
 
 
-def _gibbs_spec(cfg: RunConfig, grid) -> GibbsSpec:
+def _gibbs_spec(cfg, grid) -> GibbsSpec:
+    # cfg is a RunConfig, or the values dict _resolve checks before it builds one
     cutoff = cfg["gibbs.cutoff_r"]
     return GibbsSpec(grid, cutoff_R=(cutoff if cutoff > 0.0 else None), seed=cfg["gibbs.seed"])
 
@@ -452,17 +452,9 @@ def _cmd_resonance_scan(cfg: RunConfig) -> int:
     """exhaustive minimum of |R(n,n1)|/|n n1 (n-n1)|"""
     scan = resonance_scan(cfg["resonance.n_max"])
     out = _out_dir(cfg)
-    rows = [
-        ("admissible-min", scan.minimum.n, scan.minimum.n1, scan.minimum.R, scan.minimum.ratio),
-        (
-            "unit-slice-min",
-            scan.slice_minimum.n,
-            scan.slice_minimum.n1,
-            scan.slice_minimum.R,
-            scan.slice_minimum.ratio,
-        ),
-    ]
-    _write_csv(out / "resonance_scan.csv", cfg, ["kind", "n", "n1", "R", "ratio"], rows)
+    rows = [(kind, *astuple(rec)) for kind, rec in (("admissible-min", scan.minimum),
+                                                     ("unit-slice-min", scan.slice_minimum))]
+    _write_csv(out / "resonance_scan.csv", cfg, ["kind", *(f.name for f in fields(scan.minimum))], rows)
     hist_rows = [
         (scan.hist_edges[i], scan.hist_edges[i + 1], int(scan.hist_counts[i]))
         for i in range(len(scan.hist_counts))
@@ -559,7 +551,7 @@ def _cmd_convergence_m(cfg: RunConfig) -> int:
         record_every=cfg["flow.record_every"],
     )
     out = _out_dir(cfg)
-    rows = list(zip(study.m_values, study.errors))
+    rows = list(zip(m_values, study.errors))
     _write_csv(out / "convergence_m.csv", cfg, ["m", "sup_l2_error"], rows)
     decreasing = all(b < a for a, b in zip(study.errors, study.errors[1:]))
     _write_meta(
@@ -706,7 +698,7 @@ def _build_parser() -> _Parser:
         for k in keys:
             p.add_argument(
                 f"--{k.flag}",
-                dest=k.dest,
+                dest=k.name,
                 default=None,
                 metavar="V",
                 help=f"{k.help} [default: {_fmt(k.default)}; key: {k.name}]",

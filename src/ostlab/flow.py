@@ -354,15 +354,6 @@ def _full_steps(t: float, dt: float) -> int:
     return int(steps)
 
 
-def _tail_step(c, t: float, lam, rhs, dt: float):
-    """Take the state after _full_steps(t, dt) steps to time t (no-op when dt divides t)."""
-    tail = t - _full_steps(t, dt) * math.copysign(dt, t)
-    if abs(tail) > 1e-12 * max(dt, abs(t)):
-        c = _etdrk4_step(c, _etdrk4_tables(lam, tail), rhs)
-        _check_state(c, t)
-    return c
-
-
 # Rows per block of a stacked run.  On a 2-core Xeon with one-thread OpenBLAS and the stacked product, 2 threads
 # took a (20000, 8) stack to t = 0.05 and 0.1 (dt 1e-3) in 1.40-1.45 s with 512-row blocks, 0.76-0.83 s with 1024,
 # 0.62-0.82 s with 2048 and 0.69-0.75 s with 4096 (4 runs each).
@@ -395,7 +386,11 @@ def _walk(rows: np.ndarray, grid: GridSpec, dt: float, times):
                 c, n = _etdrk4_step(c, tables, rhs), n + 1
                 _check_state(c, n * h)
             for j in wanted[target]:
-                yield j, _tail_step(c, times[j], lam, rhs, dt)
+                tail, state = times[j] - target * h, c
+                if abs(tail) > 1e-12 * max(dt, abs(times[j])):
+                    state = _etdrk4_step(c, _etdrk4_tables(lam, tail), rhs)
+                    _check_state(state, times[j])
+                yield j, state
 
 
 def _advance_times(coeff: np.ndarray, grid: GridSpec, dt: float, times, threads: int = 1, take=None):
@@ -569,7 +564,6 @@ class PicardResult:
     n+1 and n; `diverged` flags three consecutive increases.
     """
 
-    grid: GridSpec
     times: np.ndarray
     states: np.ndarray
     distances: np.ndarray
@@ -577,10 +571,6 @@ class PicardResult:
 
     def __post_init__(self):
         _freeze(self, "times", "states", "distances")
-
-    @property
-    def final(self) -> FourierField:
-        return FourierField(self.grid, self.states[-1])
 
 
 def picard_solve(phi: FourierField, T: float, iters: int) -> PicardResult:
@@ -625,7 +615,7 @@ def picard_solve(phi: FourierField, T: float, iters: int) -> PicardResult:
         u = u_next
     d = np.array(distances)
     diverged = any(d[i] < d[i + 1] < d[i + 2] < d[i + 3] for i in range(len(d) - 3))
-    return PicardResult(grid=grid, times=times, states=u, distances=d, diverged=diverged)
+    return PicardResult(times=times, states=u, distances=d, diverged=diverged)
 
 
 # ---------------------------------------------------------------------------
@@ -634,9 +624,8 @@ def picard_solve(phi: FourierField, T: float, iters: int) -> PicardResult:
 
 @dataclass(frozen=True)
 class ConvergenceStudy:
-    """sup-in-time L2 errors of truncations m against a finer reference."""
+    """sup-in-time L2 errors of truncations m against a finer reference, errors[i] for the caller's m_list[i]."""
 
-    m_values: tuple
     errors: tuple
     reference_modes: int
 
@@ -672,4 +661,4 @@ def convergence_in_m(
             diff = -ref
             diff[:m] += c
             errors[i] = max(errors[i], float(_l2(diff, length)))
-    return ConvergenceStudy(m_values=tuple(m_list), errors=tuple(errors), reference_modes=m_ref)
+    return ConvergenceStudy(errors=tuple(errors), reference_modes=m_ref)

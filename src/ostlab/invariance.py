@@ -162,7 +162,6 @@ class InvarianceReport:
     seed: int
     ess: float
     rows: tuple
-    z_max: float
     note: str | None = None
 
     @property
@@ -245,5 +244,5 @@ def run_invariance(
             a = gibbs_expectation(ens, v)
             z = _z_score(b, a)
             rows.append(InvarianceRow(F.name, b.mean, b.std_error, a.mean, a.std_error, z, abs(z) <= z_max))
-        reports.append(InvarianceReport(grid.modes, t, int(count), spec.seed, ess, tuple(rows), float(z_max), note))
+        reports.append(InvarianceReport(grid.modes, t, int(count), spec.seed, ess, tuple(rows), note))
     return reports

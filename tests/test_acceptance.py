@@ -246,7 +246,7 @@ class TestWellPosedness:
         ]
         contracting = (not res.diverged) and all(f <= 0.5 for f in factors)
         end = flow_map(phi, 0.1, 1e-4)
-        err = math.sqrt(2.0 * grid.length * float(np.sum(np.abs(res.final.coeff - end.coeff) ** 2)))
+        err = math.sqrt(2.0 * grid.length * float(np.sum(np.abs(res.states[-1] - end.coeff) ** 2)))
         ok = contracting and err <= _PICARD_ENDPOINT_TOL
         report(
             capsys, 11, "contraction", ok,

@@ -44,6 +44,13 @@ class TestConfigResolution:
         assert code == 1
         assert str(missing) in err
 
+    def test_config_file_not_utf8_names_path(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"\xffgrid.modes = 8\n")
+        code, _, err = run(capsys, "simulate", "--config", str(cfg), "--out", str(tmp_path / "out"))
+        assert (code, err.strip()) == (1, f"error: {cfg}: byte 0 is not UTF-8 (invalid start byte)")
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_key_reports_file_and_line(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("grid.modes = 8\nbogus.key = 3\n")
@@ -373,6 +380,13 @@ class TestConfigResolution:
         args = _build_parser().parse_args(["verify-invariance", "--config", str(cfg)])
         assert _resolve("verify-invariance", args)["gibbs.count"] == 10
         assert not (tmp_path / "out").exists()
+
+    def test_flag_replaces_out_of_domain_file_value(self, tmp_path):
+        # only the winning text is parsed, so the file's count of 1 (below the floor of 10) is never checked
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("gibbs.count = 1\n")
+        args = _build_parser().parse_args(["verify-invariance", "--config", str(cfg), "--count", "20"])
+        assert _resolve("verify-invariance", args)["gibbs.count"] == 20
 
 
 class TestResonanceScanCommand:

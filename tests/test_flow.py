@@ -637,13 +637,14 @@ class TestAdvanceTimes:
     @pytest.mark.parametrize("threads", [1, 2])
     def test_each_time_matches_advance(self, linear, threads, monkeypatch):
         # snapshots of one pass over a multi-block stack equal single-time runs bit for bit,
-        # also with a zero nonlinearity, where every step is the exact phase
+        # also with a zero nonlinearity, where every step is the exact phase; 0.051, 0.055 and
+        # 0.057 take three different tails from one shared state of 5 full steps
         if linear:
             monkeypatch.setattr(flow, "_nonlinear", zero_rhs)
         g = make_grid(8)
         rng = np.random.default_rng(37)
         stack = np.stack([unit_random_field(g, rng, decay=0.3).coeff for _ in range(_ROW_BLOCK + 300)])
-        times = [0.0, 0.055, -0.03, 0.004, 0.1, 0.055]
+        times = [0.0, 0.055, -0.03, 0.004, 0.1, 0.055, 0.051, 0.057]
         states = _advance_times(stack, g, 1e-2, times, threads=threads)
         assert len(states) == len(times)
         for t, state in zip(times, states):
@@ -795,7 +796,7 @@ class TestPicard:
         res = picard_solve(zero_field(g), T=0.1, iters=3)
         assert res.distances[0] == 0.0
         assert not res.diverged
-        assert np.all(res.final.coeff == 0.0)
+        assert np.all(res.states[-1] == 0.0)
 
     def test_contraction_small_data(self):
         g = make_grid(16)
@@ -814,7 +815,7 @@ class TestPicard:
         phi = FourierField(g, 0.1 * f.coeff)
         res = picard_solve(phi, T=0.1, iters=8)
         end = flow_map(phi, 0.1, 1e-4)
-        diff = _l2(res.final.coeff - end.coeff, g.length)
+        diff = _l2(res.states[-1] - end.coeff, g.length)
         assert diff <= 1e-6
 
     def test_in_place_map_matches_plain_expression(self):

@@ -132,9 +132,9 @@ def _records():
     records = [
         (TrajectoryRecord(times=[0.0, 1.0], l2=[1.0, 1.0], hamiltonian=[0.5, 0.5], final=FourierField(g, [0j])),
          {"times": float, "l2": float, "hamiltonian": float}),
-        (PicardResult(grid=g, times=[0.0, 1.0], states=[[0j], [0j]], distances=[1.0], diverged=False),
+        (PicardResult(times=[0.0, 1.0], states=[[0j], [0j]], distances=[1.0], diverged=False),
          {"times": float, "states": complex, "distances": float}),
-        (ConvergenceStudy(m_values=(1,), errors=(0.1,), reference_modes=2), {}),
+        (ConvergenceStudy(errors=(0.1,), reference_modes=2), {}),
         (ResonanceScan(n_max=2, minimum=hit, slice_minimum=hit, hist_counts=[1], hist_edges=[1.0, 2.0]),
          {"hist_counts": int, "hist_edges": float}),
         (TimeLocalizationResult(ratios=[[1.0]], slopes=(0.0,)),

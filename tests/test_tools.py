@@ -63,3 +63,14 @@ def test_artifact_digests_of_one_tiny_run(capsys):
         tool.digests([("bad", ["simulate", "--dt", "0"])])
     assert exc.value.code == 1
     assert "bad: exit 1" in capsys.readouterr().err
+
+
+def test_artifact_digests_config_run_matches_flag_run():
+    tool = load_tool("artifact_digests")
+    lines = tool.digests([run for run in tool.RUNS if run[0] in ("simulate", "simulate-config")])
+    data = {}
+    for line in lines:
+        label, name, digest = re.fullmatch(r"([^/]+)/(\S+) [0-9a-f]{64} data=([0-9a-f]{64})", line).groups()
+        data.setdefault(label, {})[name] = digest
+    # the file sets what the flags set (its grid.modes replaced by --modes), so the data digests agree
+    assert data["simulate-config"] == data["simulate"] and len(data["simulate"]) == 2

@@ -7,7 +7,8 @@ Usage, from the root of a source checkout:
 Each run calls ``ostlab.cli.main`` in-process, from this checkout's
 ``src``, inside one fresh temporary working directory and with a relative
 ``--out <label>``, so the ``output.dir`` echoed into every artifact does not
-depend on where the script runs.  Sidecars (``*.meta.json``) carry a
+depend on where the script runs; ``simulate.cfg``, the config file of the
+``simulate-config`` run, is written there first.  Sidecars (``*.meta.json``) carry a
 timestamp and are skipped.  Each output line is
 ``<label>/<file> <sha256> data=<sha256>``, sorted: the digest of the file's
 bytes, then of its data alone (CSV ``# `` lines and the JSON ``config``
@@ -35,6 +36,9 @@ from ostlab.cli import main as ostlab_main  # noqa: E402
 
 _SIMULATE = ["--modes", "8", "--t", "0.1", "--dt", "0.002", "--record-every", "10"]
 
+# _SIMULATE as a config file, whose grid.modes the simulate-config run's flag replaces: its data digests are simulate's
+_SIMULATE_CFG = "# simulate's run, from a file\nflow.t = 0.1\nflow.dt = 0.002\nflow.record_every = 10\ngrid.modes = 4\n"
+
 _INVARIANCE = ["--modes", "4", "--count", "500", "--t-values", "0.1", "--dt", "0.005"]
 
 # every observable name; ball_indicator's radius is the cutoff, or default_cutoff without one
@@ -44,6 +48,7 @@ _ALL_OBSERVABLES = ["--observables", "mode_power(1),mode_power(2),mode_power(3),
 # every subcommand at a small size, then the branches the small runs miss
 RUNS = [
     ("simulate", ["simulate", *_SIMULATE]),
+    ("simulate-config", ["simulate", "--config", "simulate.cfg", "--modes", "8"]),
     ("gibbs-sample", ["gibbs-sample", "--modes", "4", "--count", "500"]),
     ("verify-invariance", ["verify-invariance", *_INVARIANCE]),
     ("resonance-scan", ["resonance-scan", "--nmax", "16"]),
@@ -113,6 +118,7 @@ def digests(runs) -> list:
     start = os.getcwd()
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)
+        Path("simulate.cfg").write_text(_SIMULATE_CFG)
         try:
             for label, argv in runs:
                 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
